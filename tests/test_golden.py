@@ -1,0 +1,53 @@
+"""Golden outputs: seeded CLI runs and a code's basis, pinned byte for byte.
+
+The values were captured before the GF(2) elimination and the field tables
+were reworked.  `random_codeword` draws from `nullspace_basis()` in its
+order, so any change to the basis order shows up here as well.
+"""
+
+import random
+
+from designcodes.cli import main
+from designcodes.codes import build_code
+from designcodes.designs import projective_version, trivial_design
+from designcodes.field import FieldCtx
+
+
+def stdout_of(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_simulate_two_step_golden(capsys):
+    out = stdout_of(
+        capsys, "simulate", "--decoder", "two-step", "--v", "5", "--k", "3", "--q", "2",
+        "--weight", "2", "--trials", "300", "--seed", "7",
+    )
+    assert out == (
+        "seed=7\nweight=2\ntrials=300\nsuccesses=300\nmiscorrected=0\ndetected=0\n"
+        "success_rate=1.0\ncheck_evals=465000\n"
+    )
+
+
+def test_radius_one_step_golden(capsys):
+    out = stdout_of(
+        capsys, "radius", "--decoder", "one-step", "--v", "5", "--k", "3", "--q", "2",
+        "--seed", "1",
+    )
+    assert out == "radius=3\nfirst_failure=4\ntrials=4992\nexhaustive=true\n"
+
+
+def test_nullspace_basis_and_random_codewords_golden():
+    code = build_code(projective_version(trivial_design(2, 5, 3, FieldCtx.of(2))), 2, "projective")
+    assert (code.n, code.rank) == (31, 16)
+    assert code.nullspace_basis() == [
+        2040, 6630, 10965, 19275, 491640, 1671270, 2785365, 4915275, 25264638,
+        42107645, 75694971, 143165687, 277416303, 545917535, 1082887103,
+    ]
+    rng = random.Random(0)
+    assert [code.random_codeword(rng) for _ in range(20)] == [
+        1812838695, 833125659, 1635789515, 1903597423, 895986942, 85686939,
+        554836242, 2068818333, 1094618610, 1049891769, 862333568, 1975599370,
+        1689230504, 1779810495, 653103705, 2071659267, 1032392378, 761670302,
+        1255366662, 1913884140,
+    ]
