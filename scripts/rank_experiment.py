@@ -10,8 +10,8 @@ so the verdict is reported, never asserted.
 
 import argparse
 
-from designcodes.codes import binary_rank_formula, build_code, hamada_rank
-from designcodes.designs import load_subspace_design, projective_version, trivial_design, verify_subspace_design
+from designcodes.codes import rank_report
+from designcodes.designs import load_subspace_design, trivial_design, verify_subspace_design
 from designcodes.field import FieldCtx
 
 
@@ -20,13 +20,10 @@ def report(design, label):
     if not res.verified:
         print(f"{label}: NOT VERIFIED (observed lambda {res.observed_lambda}), skipped")
         return
-    code = build_code(projective_version(design), design.ctx.p, "projective")
-    geo = hamada_rank(design.v, design.k, design.ctx.p, design.ctx.m)
-    verdict = "equal" if code.rank == geo else "UNEQUAL"
-    extra = ""
-    if design.q == 2:
-        extra = f" binomial={binary_rank_formula(design.v, design.k)}"
-    print(f"{label}: matrix={code.rank} geometric={geo}{extra} -> {verdict}")
+    rep = rank_report(design)
+    verdict = "equal" if rep.all_agree else "UNEQUAL"
+    extra = "" if rep.binary_simplified is None else f" binomial={rep.binary_simplified}"
+    print(f"{label}: matrix={rep.matrix_rank} geometric={rep.hamada_rank}{extra} -> {verdict}")
 
 
 def main() -> int:

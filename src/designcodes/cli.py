@@ -21,6 +21,7 @@ from .codes import (
     hamada_rank,
     hamada_rank_terms,
     min_distance_bruteforce,
+    rank_report,
 )
 from .decoders import (
     OneStepDecoder,
@@ -37,7 +38,6 @@ from .designs import (
     dumps_comb_design,
     dumps_subspace_design,
     flats_construction,
-    load_comb_design,
     load_subspace_design,
     loads_comb_design,
     loads_subspace_design,
@@ -46,9 +46,9 @@ from .designs import (
     verify_comb_design,
     verify_subspace_design,
 )
-from .field import FieldCtx, PrimeMatrix, matrix_rank
+from .field import FieldCtx, PrimeMatrix, _strip_lines, matrix_rank
 from .pspace import enumerate_points, gaussian_coefficient
-from .tables import TableRowSpec, capability, comb_design_params, table_row
+from .tables import TableRowSpec, capability, comb_design_params, predicted_rank, table_row
 
 
 def _ctx(args) -> FieldCtx:
@@ -72,7 +72,8 @@ def _parse_hyperplane(arg: str | None):
 def _load_design_file(path: str):
     """Returns (SubspaceDesign | None, CombinatorialDesign | None)."""
     text = Path(path).read_text(encoding="utf-8")
-    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
+    lines = _strip_lines(text)
+    head = lines[0].split(None, 1)[0] if lines else ""
     if head == "qdesign":
         return loads_subspace_design(text), None
     if head == "cdesign":
@@ -110,12 +111,14 @@ def _code_report(code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign
     except ValueError:
         pass  # no capability formula outside t = 2, 3
     if qd is not None and mode in ("projective", "affine"):
-        v, k, q = qd.v, qd.k, qd.q
-        lines.append(f"d_bch={bch_bound(v, k, q)}")
-        b = distance_bounds(v, k, q, mode)
-        lines.append(f"d_lower={b.lower}")
-        lines.append(f"d_exact={b.known_exact if b.known_exact is not None else ''}")
+        lines += _distance_lines(qd.v, qd.k, qd.q, mode)
     return lines
+
+
+def _distance_lines(v: int, k: int, q: int, mode: str) -> list[str]:
+    b = distance_bounds(v, k, q, mode)
+    exact = b.known_exact if b.known_exact is not None else ""
+    return [f"d_bch={bch_bound(v, k, q)}", f"d_lower={b.lower}", f"d_exact={exact}"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +193,13 @@ def cmd_code_rank(args) -> int:
 
 def cmd_code_params(args) -> int:
     v, k, q = args.v, args.k, args.q
-    ctx = FieldCtx.of(q)
     lam = args.lam if args.lam is not None else gaussian_coefficient(v - args.t, k - args.t, q)
     spec = TableRowSpec(t=args.t, v=v, k=k, lam=lam, q=q, mode=args.mode)
     params = comb_design_params(spec)
-    n = params.v
-    if args.mode == "projective":
-        rank = binary_rank_formula(v, k) if q == 2 else hamada_rank(v, k, ctx.p, ctx.m)
-    elif args.mode == "affine" and q == 2:
-        rank = binary_rank_formula(v - 1, k - 1)
-    elif args.mode == "flats" and q == 2:
-        rank = binary_rank_formula(v, k)
-    else:
-        raise ValueError(f"{args.mode} rank formula is available for q = 2 only")
+    n, rank = params.v, predicted_rank(spec)
     lines = [f"n={n}", f"rank={rank}", f"dim={n - rank}", f"ell={capability(params)}"]
     if args.mode in ("projective", "affine"):
-        lines.append(f"d_bch={bch_bound(v, k, q)}")
-        b = distance_bounds(v, k, q, args.mode)
-        lines.append(f"d_lower={b.lower}")
-        lines.append(f"d_exact={b.known_exact if b.known_exact is not None else ''}")
+        lines += _distance_lines(v, k, q, args.mode)
     for line in lines:
         print(line)
     return 0
@@ -216,7 +207,7 @@ def cmd_code_params(args) -> int:
 
 def cmd_code_mindist(args) -> int:
     m = PrimeMatrix.load(args.file)
-    code = BinaryCode(n=m.ncols, p=m.p, checks=m, rank=matrix_rank(m))
+    code = BinaryCode(n=m.ncols, p=m.p, checks=m)
     print(f"d={min_distance_bruteforce(code, cap=args.cap)}")
     return 0
 
@@ -332,18 +323,15 @@ def cmd_experiment_rank(args) -> int:
             print(f"witness={desc}")
             print(f"witness_count={count}")
         return 1
-    comb = projective_version(qd)
-    mr = matrix_rank(build_code(comb, qd.ctx.p, "projective").checks, qd.ctx.p)
-    geo = hamada_rank(qd.v, qd.k, qd.ctx.p, qd.ctx.m)
-    print(f"matrix_rank={mr}")
-    print(f"hamada_rank={geo}")
-    if qd.q == 2:
-        print(f"binary_rank={binary_rank_formula(qd.v, qd.k)}")
+    rep = rank_report(qd)
+    print(f"matrix_rank={rep.matrix_rank}")
+    print(f"hamada_rank={rep.hamada_rank}")
+    if rep.binary_simplified is not None:
+        print(f"binary_rank={rep.binary_simplified}")
     if args.with_geometric_matrix:
         triv = projective_version(trivial_design(qd.t, qd.v, qd.k, qd.ctx))
-        gm = matrix_rank(build_code(triv, qd.ctx.p, "projective").checks, qd.ctx.p)
-        print(f"geometric_matrix_rank={gm}")
-    print(f"verdict={'equal' if mr == geo else 'unequal'}")
+        print(f"geometric_matrix_rank={build_code(triv, qd.ctx.p, 'projective').rank}")
+    print(f"verdict={'equal' if rep.all_agree else 'unequal'}")
     return 0
 
 
@@ -502,10 +490,7 @@ def main(argv=None) -> int:
                 ap.error(f"--{name} is required without --designfile")
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

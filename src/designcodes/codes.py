@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
-from .designs import CombinatorialDesign, DesignParams
-from .field import PrimeMatrix, matrix_rank
+from .designs import CombinatorialDesign, DesignParams, SubspaceDesign, projective_version
+from .field import PrimeMatrix, matrix_rank, rref_gf2
 from .pspace import gaussian_coefficient
 
 
@@ -30,15 +31,22 @@ class CodeSource:
 @dataclass
 class BinaryCode:
     """Linear code given by parity-check rows over F_p (p = 2 throughout
-    the built-in tables; the rank machinery is p-generic)."""
+    the built-in tables; the rank machinery is p-generic).
+
+    For p = 2 the check rows are row-reduced once, on first use; the rank,
+    the codeword test and the nullspace basis all read that reduced form.
+    """
 
     n: int
     p: int
     checks: PrimeMatrix
-    rank: int
     source: CodeSource | None = None
 
-    _null_basis: list | None = None
+    @cached_property
+    def rank(self) -> int:
+        if self.p == 2:
+            return len(self._reduced[0])
+        return matrix_rank(self.checks, self.p)
 
     @property
     def dim(self) -> int:
@@ -49,27 +57,36 @@ class BinaryCode:
             raise ValueError("bitmask checks require p = 2")
         return self.checks.rows
 
+    @cached_property
+    def _reduced(self) -> tuple[list[int], list[int]]:
+        """The check rows in reduced row echelon form, and their pivots."""
+        if self.p != 2:
+            raise ValueError("bitmask reduction is implemented for p = 2 only")
+        return rref_gf2(self.check_masks())
+
     def is_codeword(self, word: int) -> bool:
-        return all((word & row).bit_count() % 2 == 0 for row in self.check_masks())
+        return all((word & row).bit_count() % 2 == 0 for row in self._reduced[0])
 
     def nullspace_basis(self) -> list[int]:
         """Basis of the codeword space as bitmasks (p = 2 only), cached."""
+        return self._null_basis
+
+    @cached_property
+    def _null_basis(self) -> list[int]:
         if self.p != 2:
             raise ValueError("nullspace enumeration is implemented for p = 2 only")
-        if self._null_basis is None:
-            rows, pivots = _rref_masks(self.check_masks(), self.n)
-            pivot_set = set(pivots)
-            basis = []
-            for f in range(self.n):
-                if f in pivot_set:
-                    continue
-                vec = 1 << f
-                for row, pc in zip(rows, pivots):
-                    if (row >> f) & 1:
-                        vec |= 1 << pc
-                basis.append(vec)
-            self._null_basis = basis
-        return self._null_basis
+        rows, pivots = self._reduced
+        pivot_set = set(pivots)
+        basis = []
+        for f in range(self.n):
+            if f in pivot_set:
+                continue
+            vec = 1 << f
+            for row, pc in zip(rows, pivots):
+                if (row >> f) & 1:
+                    vec |= 1 << pc
+            basis.append(vec)
+        return basis
 
     def random_codeword(self, rng: random.Random) -> int:
         basis = self.nullspace_basis()
@@ -79,26 +96,6 @@ class BinaryCode:
             if (bits >> i) & 1:
                 word ^= vec
         return word
-
-
-def _rref_masks(masks, ncols):
-    """RREF of bitmask rows; returns (rows, pivot columns), pivots ascending."""
-    rows: list[int] = []
-    pivots: list[int] = []
-    for m in masks:
-        for row, pc in zip(rows, pivots):
-            if (m >> pc) & 1:
-                m ^= row
-        if m == 0:
-            continue
-        pc = (m & -m).bit_length() - 1
-        pos = next((i for i, existing in enumerate(pivots) if existing > pc), len(pivots))
-        for i in range(len(rows)):
-            if (rows[i] >> pc) & 1:
-                rows[i] ^= m
-        rows.insert(pos, m)
-        pivots.insert(pos, pc)
-    return rows, pivots
 
 
 def incidence_matrix(design: CombinatorialDesign) -> PrimeMatrix:
@@ -116,10 +113,8 @@ def build_code(
     design: CombinatorialDesign, p: int = 2, mode: str = "combinatorial"
 ) -> BinaryCode:
     """Code whose parity checks are the design's incidence rows."""
-    checks = incidence_matrix(design)
-    rank = matrix_rank(checks, p)
     source = CodeSource(mode=mode, params=design.params())
-    return BinaryCode(n=design.n, p=p, checks=checks, rank=rank, source=source)
+    return BinaryCode(n=design.n, p=p, checks=incidence_matrix(design), source=source)
 
 
 def _binom(n: int, k: int) -> int:
@@ -165,20 +160,6 @@ def hamada_rank(v: int, k: int, p: int, m: int) -> int:
 def binary_rank_formula(v: int, k: int) -> int:
     """2-rank of the geometric design for p = q = 2: sum of C(v, i), i <= v-k."""
     return sum(comb(v, i) for i in range(v - k + 1))
-
-
-def affine_binary_rank(v: int, k: int) -> int:
-    """2-rank of the affine-chart geometric design for q = 2.
-
-    The affine code is a Reed-Muller code of length 2^(v-1); its check rank
-    is the same binomial sum one dimension down.
-    """
-    return binary_rank_formula(v - 1, k - 1)
-
-
-def flats_binary_rank(v: int, k: int) -> int:
-    """2-rank of the all-flats design on 2^v points (q = 2)."""
-    return binary_rank_formula(v, k)
 
 
 def bch_bound(v: int, k: int, q: int) -> int:
@@ -254,3 +235,15 @@ class RankReport:
     def all_agree(self) -> bool:
         others = [x for x in (self.hamada_rank, self.binary_simplified) if x is not None]
         return all(x == self.matrix_rank for x in others)
+
+
+def rank_report(design: SubspaceDesign) -> RankReport:
+    """p-rank of a subspace design's projective incidence matrix next to the
+    geometric closed forms (the binomial sum only for q = 2)."""
+    ctx = design.ctx
+    code = build_code(projective_version(design), ctx.p, "projective")
+    return RankReport(
+        matrix_rank=code.rank,
+        hamada_rank=hamada_rank(design.v, design.k, ctx.p, ctx.m),
+        binary_simplified=binary_rank_formula(design.v, design.k) if design.q == 2 else None,
+    )

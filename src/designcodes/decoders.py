@@ -22,7 +22,7 @@ Capability formulas:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -32,7 +32,6 @@ from .pspace import gaussian_coefficient, points_mask, superspaces
 
 DECODED = "decoded"
 DETECTED = "detected-uncorrectable"
-MISCORRECTED = "miscorrected"
 
 
 @dataclass(frozen=True)
@@ -394,7 +393,6 @@ def simulate(
         if out.status == DECODED and out.word == codeword:
             successes += 1
         elif out.status == DECODED:
-            out = replace(out, status=MISCORRECTED)
             miscorrected += 1
         else:
             detected += 1

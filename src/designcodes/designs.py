@@ -21,7 +21,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .field import FieldCtx
+from .field import FieldCtx, _parse_header, _strip_lines
 from .pspace import (
     Subspace,
     enumerate_subspaces,
@@ -357,29 +357,6 @@ def dumps_subspace_design(design: SubspaceDesign) -> str:
 
 def save_subspace_design(design: SubspaceDesign, path: str | Path) -> None:
     Path(path).write_text(dumps_subspace_design(design), encoding="utf-8")
-
-
-def _strip_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
-def _parse_header(line: str, kind: str, keys: Sequence[str]) -> dict[str, int]:
-    toks = line.split()
-    if not toks or toks[0] != kind:
-        raise ValueError(f"expected a {kind} header, got {line!r}")
-    fields = {}
-    for tok in toks[1:]:
-        key, _, val = tok.partition("=")
-        fields[key] = int(val)
-    missing = [k for k in keys if k not in fields]
-    if missing:
-        raise ValueError(f"{kind} header is missing {', '.join(missing)}")
-    return fields
 
 
 def loads_subspace_design(text: str) -> SubspaceDesign:

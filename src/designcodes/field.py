@@ -8,14 +8,19 @@ q = 2 to a plain bit.
 Matrices over F_p carry one int bitmask per row (bit j = column j) when
 p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
 rows one at a time into a growing reduced basis, so a huge row stream never
-has to be materialized for elimination.
+has to be materialized for elimination.  Over GF(2) that basis is kept in
+reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
+codes read their rank, nullspace and codeword test off it.
+
+The matrix and design file loaders share one comment rule (`_strip_lines`)
+and one header parser (`_parse_header`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -149,49 +154,52 @@ class FieldCtx:
         return a
 
     def add(self, a: int, b: int) -> int:
-        return _tables(self)[0][a][b]
+        return self.add_table[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return _tables(self)[0][a][self.neg(b)]
+        return self.add_table[a][self.neg_table[b]]
 
     def neg(self, a: int) -> int:
-        return _tables(self)[3][a]
+        return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        return _tables(self)[1][a][b]
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("no inverse of zero")
-        return _tables(self)[2][a]
+        return self.inv_table[a]
 
+    # The tables are built on first use and kept on the instance; they are
+    # not dataclass fields, so equality and hashing ignore them.
 
-@lru_cache(maxsize=None)
-def _tables(ctx: FieldCtx) -> tuple:
-    """(add, mul, inv, neg) lookup tables for a small field."""
-    p, q = ctx.p, ctx.q
-    digs = [_digits(a, p) for a in range(q)]
-    mod = _digits(ctx.modulus, p)
-    add = []
-    neg = [0] * q
-    for a in range(q):
-        da = digs[a] + [0] * (ctx.m - len(digs[a]))
-        row = []
-        for b in range(q):
-            db = digs[b] + [0] * (ctx.m - len(digs[b]))
-            row.append(_undigits([(x + y) % p for x, y in zip(da, db)], p))
-        add.append(tuple(row))
-        neg[a] = _undigits([(-x) % p for x in da], p)
-    mul = []
-    inv = [0] * q
-    for a in range(q):
-        row = []
-        for b in range(q):
-            row.append(_undigits(_poly_mod(_poly_mul(digs[a], digs[b], p), mod, p), p))
-        mul.append(tuple(row))
-    for a in range(1, q):
-        inv[a] = mul[a].index(1)
-    return tuple(add), tuple(mul), tuple(inv), tuple(neg)
+    @cached_property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        p, m = self.p, self.m
+        digs = [(_digits(a, p) + [0] * m)[:m] for a in range(self.q)]
+        return tuple(
+            tuple(_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digs)
+            for da in digs
+        )
+
+    @cached_property
+    def neg_table(self) -> tuple[int, ...]:
+        return tuple(row.index(0) for row in self.add_table)
+
+    @cached_property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        p = self.p
+        digs = [_digits(a, p) for a in range(self.q)]
+        mod = _digits(self.modulus, p)
+        return tuple(
+            tuple(_undigits(_poly_mod(_poly_mul(da, db, p), mod, p), p) for db in digs)
+            for da in digs
+        )
+
+    @cached_property
+    def inv_table(self) -> tuple[int, ...]:
+        """inv_table[a] * a = 1 for a != 0; inv_table[0] = 0 is a placeholder."""
+        return (0,) + tuple(row.index(1) for row in self.mul_table[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +265,11 @@ class PrimeMatrix:
 
     @classmethod
     def loads(cls, text: str) -> "PrimeMatrix":
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("pmatrix"):
-            raise ValueError("not a pmatrix file")
-        hdr = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-        nrows, ncols, p = int(hdr["rows"]), int(hdr["cols"]), int(hdr["p"])
+        lines = _strip_lines(text)
+        if not lines:
+            raise ValueError("empty matrix file")
+        hdr = _parse_header(lines[0], "pmatrix", ["rows", "cols", "p"])
+        nrows, ncols, p = hdr["rows"], hdr["cols"], hdr["p"]
         body = lines[1:]
         if len(body) != nrows:
             raise ValueError(f"expected {nrows} rows, found {len(body)}")
@@ -277,6 +285,37 @@ class PrimeMatrix:
         return cls.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _strip_lines(text: str) -> list[str]:
+    """Non-blank lines of a text file, with `#` comments removed; the
+    comment rule of every file format the package reads."""
+    out = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append(line)
+    return out
+
+
+def _parse_header(line: str, kind: str, keys: Sequence[str]) -> dict[str, int]:
+    """`kind key=value ...` header line with integer values, all `keys` present."""
+    toks = line.split()
+    if not toks or toks[0] != kind:
+        raise ValueError(f"expected a {kind} header, got {line!r}")
+    fields = {}
+    for tok in toks[1:]:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"{kind} header token {tok!r} is not key=value")
+        try:
+            fields[key] = int(val)
+        except ValueError:
+            raise ValueError(f"{kind} header value {tok!r} is not an integer") from None
+    missing = [k for k in keys if k not in fields]
+    if missing:
+        raise ValueError(f"{kind} header is missing {', '.join(missing)}")
+    return fields
+
+
 def _pack_bits(row: Sequence[int]) -> int:
     m = 0
     for j, x in enumerate(row):
@@ -285,17 +324,30 @@ def _pack_bits(row: Sequence[int]) -> int:
     return m
 
 
-def _rank_stream_gf2(masks: Iterable[int]) -> int:
-    basis: dict[int, int] = {}
+def rref_gf2(masks: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of GF(2) bitmask rows, folded in one at a time.
+
+    Returns (rows, pivots), pivots ascending.  A row's pivot is its lowest
+    set bit, and no other row has that bit set.  The reduced form of a row
+    space is unique, so the result does not depend on the row order.
+    """
+    basis: dict[int, int] = {}  # pivot bit -> row
+    pivot_bits = 0
     for row in masks:
-        while row:
-            piv = row.bit_length() - 1
-            b = basis.get(piv)
-            if b is None:
-                basis[piv] = row
-                break
-            row ^= b
-    return len(basis)
+        hit = row & pivot_bits
+        while hit:
+            low = hit & -hit
+            row ^= basis[low]  # clears `low` and touches no other pivot bit
+            hit ^= low
+        if row:
+            low = row & -row
+            for bit, other in basis.items():
+                if other & low:
+                    basis[bit] = other ^ row
+            basis[low] = row
+            pivot_bits |= low
+    order = sorted(basis)
+    return [basis[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
 
 
 def _rank_stream_gfp(rows: Iterable[Sequence[int]], p: int) -> int:
@@ -316,6 +368,14 @@ def _rank_stream_gfp(rows: Iterable[Sequence[int]], p: int) -> int:
     return len(basis)
 
 
+def _checked(rows: Iterable[Sequence[int]], p: int) -> Iterator[Sequence[int]]:
+    for row in rows:
+        for x in row:
+            if not 0 <= x < p:
+                raise ValueError("entry not in prime field")
+        yield row
+
+
 def matrix_rank(matrix, p: int | None = None) -> int:
     """Rank over F_p via streaming row reduction.
 
@@ -326,35 +386,17 @@ def matrix_rank(matrix, p: int | None = None) -> int:
     if isinstance(matrix, PrimeMatrix):
         if p is None:
             p = matrix.p
+        if matrix.p == p == 2:
+            return len(rref_gf2(matrix.rows)[0])
+        rows = _checked(matrix.iter_entry_rows(), p)
         if p == 2:
-            if matrix.p == 2:
-                return _rank_stream_gf2(matrix.rows)
-            for row in matrix.rows:
-                for x in row:
-                    if x > 1:
-                        raise ValueError("entry not in prime field")
-            return _rank_stream_gf2(_pack_bits(row) for row in matrix.rows)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if matrix.p == 2:
-            return _rank_stream_gfp(matrix.iter_entry_rows(), p)
-        for row in matrix.rows:
-            for x in row:
-                if x >= p:
-                    raise ValueError("entry not in prime field")
-        return _rank_stream_gfp(matrix.rows, p)
-    if p is None:
+            return len(rref_gf2(_pack_bits(row) for row in rows)[0])
+    elif p is None:
         raise ValueError("p is required when passing raw rows")
-    if p == 2:
-        return _rank_stream_gf2(matrix)
+    elif p == 2:
+        return len(rref_gf2(matrix)[0])
+    else:
+        rows = _checked(matrix, p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-
-    def checked(rows):
-        for row in rows:
-            for x in row:
-                if not 0 <= x < p:
-                    raise ValueError("entry not in prime field")
-            yield row
-
-    return _rank_stream_gfp(checked(matrix), p)
+    return _rank_stream_gfp(rows, p)

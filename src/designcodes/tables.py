@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (
-    affine_binary_rank,
-    binary_rank_formula,
-    flats_binary_rank,
-    hamada_rank,
-)
+from .codes import binary_rank_formula, hamada_rank
 from .decoders import ell_one_step, ell_one_step_3design
 from .designs import DesignParams, derive_params_comb, derive_params_q
 from .field import FieldCtx
@@ -117,22 +112,20 @@ def comb_design_params(spec: TableRowSpec) -> DesignParams:
     return derive_params_comb(3, 2**v, 2**k, qp.lambda_s(2))
 
 
-def predicted_dim(spec: TableRowSpec) -> int:
-    """Code dimension from the closed-form geometric rank for the mode."""
+def predicted_rank(spec: TableRowSpec) -> int:
+    """Check-matrix rank from the closed-form geometric rank for the mode."""
     q, v, k = spec.q, spec.v, spec.k
     if spec.mode == "projective":
-        n = gaussian_coefficient(v, 1, q)
         if q == 2:
-            rank = binary_rank_formula(v, k)
-        else:
-            ctx = FieldCtx.of(q)
-            rank = hamada_rank(v, k, ctx.p, ctx.m)
-        return n - rank
+            return binary_rank_formula(v, k)
+        ctx = FieldCtx.of(q)
+        return hamada_rank(v, k, ctx.p, ctx.m)
     if q != 2:
         raise ValueError(f"{spec.mode} rank formula is available for q = 2 only")
     if spec.mode == "affine":
-        return 2 ** (v - 1) - affine_binary_rank(v, k)
-    return 2**v - flats_binary_rank(v, k)
+        # the affine code is a Reed-Muller code: the binomial sum one dimension down
+        return binary_rank_formula(v - 1, k - 1)
+    return binary_rank_formula(v, k)
 
 
 def capability(params: DesignParams) -> int:
@@ -166,7 +159,7 @@ def table_row(spec: TableRowSpec) -> RowReport:
     return RowReport(
         spec=spec,
         n=params.v,
-        dim=predicted_dim(spec),
+        dim=params.v - predicted_rank(spec),
         ell=capability(params),
         r=params.r,
         lambda_min=lambda_min(spec.t, spec.v, spec.k, spec.q),

@@ -30,6 +30,30 @@ def naive_rank(rows, p):
     return rank
 
 
+def rref_masks(masks, ncols):
+    """RREF of bitmask rows; returns (rows, pivot columns), pivots ascending.
+
+    Each new row is reduced against the sorted basis and then cleared out of
+    every earlier row: the quadratic reference for `field.rref_gf2`.
+    """
+    rows = []
+    pivots = []
+    for m in masks:
+        for row, pc in zip(rows, pivots):
+            if (m >> pc) & 1:
+                m ^= row
+        if m == 0:
+            continue
+        pc = (m & -m).bit_length() - 1
+        pos = next((i for i, existing in enumerate(pivots) if existing > pc), len(pivots))
+        for i in range(len(rows)):
+            if (rows[i] >> pc) & 1:
+                rows[i] ^= m
+        rows.insert(pos, m)
+        pivots.insert(pos, pc)
+    return rows, pivots
+
+
 def naive_min_distance(check_masks, n):
     """Min weight over all 2^n words satisfying every check (n small)."""
     best = n + 1

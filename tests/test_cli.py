@@ -55,6 +55,30 @@ def test_design_verify_failure_exits_1(tmp_path, capsys):
     assert "witness" in pairs
 
 
+def test_design_verify_commented_file(tmp_path, capsys):
+    text = dumps_subspace_design(trivial_design(2, 4, 2, FieldCtx.of(2)))
+    first, *rest = text.splitlines()
+    path = tmp_path / "commented.qdesign"
+    path.write_text("# a 2-(4,2,1)_2 design\n#\n" + first + "  # header\n" + "\n".join(rest) + "\n")
+    code, out, _ = run(capsys, "design", "verify", str(path))
+    assert code == 0
+    assert kv(out)["verified"] == "true"
+
+
+def test_design_verify_directory_is_domain_error(tmp_path, capsys):
+    code, out, err = run(capsys, "design", "verify", str(tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_code_rank_header_without_cols_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "m.pmatrix"
+    path.write_text("pmatrix rows=1 p=2\n101\n")
+    code, out, err = run(capsys, "code", "rank", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: pmatrix header is missing cols\n"
+
+
 def test_design_derive(capsys):
     code, out, _ = run(
         capsys, "design", "derive", "--t", "2", "--v", "6", "--k", "3",

@@ -1,17 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from designcodes.codes import (
     BinaryCode,
-    affine_binary_rank,
     bch_bound,
     binary_rank_formula,
     build_code,
     distance_bounds,
-    flats_binary_rank,
     hamada_rank,
     hamada_rank_terms,
     incidence_matrix,
     min_distance_bruteforce,
+    rank_report,
     RankReport,
 )
 from designcodes.designs import (
@@ -21,9 +23,9 @@ from designcodes.designs import (
     projective_version,
     trivial_design,
 )
-from designcodes.field import FieldCtx, matrix_rank
+from designcodes.field import FieldCtx, PrimeMatrix, matrix_rank, rref_gf2
 
-from .oracles import naive_min_distance
+from .oracles import naive_min_distance, rref_masks
 
 
 def proj_code(v, k, ctx, p=2):
@@ -119,9 +121,9 @@ def test_rank_triple_agreement_large(v, gf2):
 def test_affine_and_flats_rank_formulas(gf2):
     for v, k in [(3, 2), (4, 2), (4, 3), (5, 3)]:
         aff = build_code(affine_version(trivial_design(2, v, k, gf2)), 2, "affine")
-        assert aff.rank == affine_binary_rank(v, k)
+        assert aff.rank == binary_rank_formula(v - 1, k - 1)
         fl = build_code(flats_construction(trivial_design(2, v, k, gf2)), 2, "flats")
-        assert fl.rank == flats_binary_rank(v, k)
+        assert fl.rank == binary_rank_formula(v, k)
 
 
 def test_bch_bound_values():
@@ -209,8 +211,6 @@ def test_nullspace_basis_spans_codewords(gf2):
 
 
 def test_random_codeword_is_codeword(gf2):
-    import random
-
     code = proj_code(5, 3, gf2)
     rng = random.Random(7)
     for _ in range(20):
@@ -221,3 +221,33 @@ def test_rank_report_agreement():
     rep = RankReport(matrix_rank=4, hamada_rank=4, binary_simplified=4)
     assert rep.all_agree
     assert not RankReport(matrix_rank=4, hamada_rank=5).all_agree
+
+
+def test_rank_report_of_designs(gf2):
+    rep = rank_report(trivial_design(2, 5, 3, gf2))
+    assert rep == RankReport(matrix_rank=16, hamada_rank=16, binary_simplified=16)
+    rep4 = rank_report(trivial_design(2, 3, 2, FieldCtx.of(4)))
+    assert rep4 == RankReport(matrix_rank=10, hamada_rank=10) and rep4.all_agree
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.lists(st.integers(min_value=0), max_size=40),
+    st.randoms(use_true_random=False),
+)
+def test_reduction_matches_reference_in_any_row_order(ncols, raw, rng):
+    masks = [m % (1 << ncols) for m in raw]
+    shuffled = masks[:]
+    rng.shuffle(shuffled)
+    expected = rref_masks(masks, ncols)
+    assert rref_gf2(masks) == expected
+    assert rref_gf2(shuffled) == expected
+
+    code = BinaryCode(n=ncols, p=2, checks=PrimeMatrix.from_masks(shuffled, ncols))
+    assert code.rank == len(expected[0])
+    words = [rng.getrandbits(ncols) for _ in range(10)]
+    words += [code.random_codeword(rng) ^ (1 << rng.randrange(ncols)) for _ in range(5)]
+    words += [code.random_codeword(rng) for _ in range(5)]
+    for w in words:
+        assert code.is_codeword(w) == all((w & row).bit_count() % 2 == 0 for row in shuffled)

@@ -43,6 +43,15 @@ def test_ctx_rejects_bad_orders():
         FieldCtx.of(4, modulus=3)  # not monic of degree 2
 
 
+def test_tables_are_lazy_and_outside_equality():
+    a, b = FieldCtx.of(4), FieldCtx.of(4)
+    assert "mul_table" not in vars(a)
+    assert a.mul(2, 2) == 3 and a.sub(1, 3) == 2 and a.inv(3) == 2
+    assert "mul_table" in vars(a) and "mul_table" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert FieldCtx.of(8) != FieldCtx.of(8, modulus=13)  # x^3+x+1 vs x^3+x^2+1
+
+
 def test_mul_examples(gf2, gf4):
     assert gf2.mul(1, 1) == 1
     # x * x = x + 1 modulo x^2 + x + 1
@@ -168,3 +177,14 @@ def test_matrix_file_rejects_garbage(tmp_path):
         PrimeMatrix.loads("pmatrix rows=2 cols=2 p=2\n11\n")
     with pytest.raises(ValueError):
         PrimeMatrix.loads("pmatrix rows=1 cols=3 p=2\n11\n")
+
+
+def test_matrix_file_header_errors_name_the_problem():
+    with pytest.raises(ValueError, match="missing cols"):
+        PrimeMatrix.loads("pmatrix rows=1 p=2\n101\n")
+    with pytest.raises(ValueError, match="'cols' is not key=value"):
+        PrimeMatrix.loads("pmatrix rows=1 cols p=2\n101\n")
+    with pytest.raises(ValueError, match="'p=x' is not an integer"):
+        PrimeMatrix.loads("pmatrix rows=1 cols=3 p=x\n101\n")
+    with pytest.raises(ValueError, match="empty"):
+        PrimeMatrix.loads("# only a comment\n")
