@@ -2,7 +2,11 @@
 
 The values were captured before the GF(2) elimination and the field tables
 were reworked.  `random_codeword` draws from `nullspace_basis()` in its
-order, so any change to the basis order shows up here as well.
+order, so any change to the basis order shows up here as well.  The q = 4
+two-step simulation and the two-step radius were captured before the
+two-step decoder took its superspace point sets from the quotient classes;
+the q = 4 run's split between miscorrected and detected words depends on
+the exact step-1 tables.
 """
 
 import random
@@ -27,6 +31,25 @@ def test_simulate_two_step_golden(capsys):
         "seed=7\nweight=2\ntrials=300\nsuccesses=300\nmiscorrected=0\ndetected=0\n"
         "success_rate=1.0\ncheck_evals=465000\n"
     )
+
+
+def test_simulate_two_step_q4_golden(capsys):
+    out = stdout_of(
+        capsys, "simulate", "--decoder", "two-step", "--v", "4", "--k", "3", "--q", "4",
+        "--weight", "3", "--trials", "300", "--seed", "5",
+    )
+    assert out == (
+        "seed=5\nweight=3\ntrials=300\nsuccesses=0\nmiscorrected=12\ndetected=288\n"
+        "success_rate=0.0\ncheck_evals=1071000\n"
+    )
+
+
+def test_radius_two_step_golden(capsys):
+    out = stdout_of(
+        capsys, "radius", "--decoder", "two-step", "--v", "5", "--k", "3", "--q", "2",
+        "--seed", "1",
+    )
+    assert out == "radius=3\nfirst_failure=4\ntrials=4992\nexhaustive=true\n"
 
 
 def test_radius_one_step_golden(capsys):
