@@ -73,7 +73,7 @@ def _load_design_file(path: str):
     """Returns (SubspaceDesign | None, CombinatorialDesign | None)."""
     text = Path(path).read_text(encoding="utf-8")
     lines = _strip_lines(text)
-    head = lines[0].split(None, 1)[0] if lines else ""
+    head = lines[0][1].split(None, 1)[0] if lines else ""
     if head == "qdesign":
         return loads_subspace_design(text), None
     if head == "cdesign":

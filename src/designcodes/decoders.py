@@ -28,7 +28,7 @@ from math import comb
 
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign
-from .pspace import gaussian_coefficient, points_mask, superspaces
+from .pspace import gaussian_coefficient, outside_classes, points_mask
 
 DECODED = "decoded"
 DETECTED = "detected-uncorrectable"
@@ -214,11 +214,13 @@ class TwoStepDecoder:
 
     Step 1 estimates the codeword parity over each (k-1)-dimensional block B
     from the J k-superspaces K of B: each K gives the parity of the received
-    word over K minus B, and the majority of the J estimates wins.  Step 2
-    sets each position j to the majority, over the step-2 blocks through j,
-    of (block parity) - (received parity over the block minus j); ties keep
-    the received bit.  The superspace point sets are precomputed once per
-    (code, design) pair.
+    word over K minus B, and the majority of the J estimates wins.  The sets
+    K minus B are the classes of the points outside B modulo B
+    (`pspace.outside_classes`), so they are built without listing the
+    superspaces themselves, once per (code, design) pair.  Step 2 sets each
+    position j to the majority, over the step-2 blocks through j, of (block
+    parity) - (received parity over the block minus j); ties keep the
+    received bit.
     """
 
     def __init__(self, code: BinaryCode, step2: SubspaceDesign):
@@ -226,11 +228,10 @@ class TwoStepDecoder:
             raise ValueError("decoding is implemented for binary codes only")
         if step2.t < 2:
             raise ValueError("two-step decoding needs a step-2 design with t >= 2")
-        k = step2.k + 1
         n = gaussian_coefficient(step2.v, 1, step2.q)
         if code.n != n:
             raise ValueError("code length does not match the design's geometry")
-        if k > step2.v:
+        if step2.k >= step2.v:
             raise ValueError("step-2 blocks leave no room for superspaces")
         self.code = code
         self.n = n
@@ -239,7 +240,7 @@ class TwoStepDecoder:
         estimates = []
         for blk in step2.blocks:
             bmask = points_mask(blk)
-            diffs = tuple(points_mask(sup) & ~bmask for sup in superspaces(blk, k))
+            diffs = outside_classes(blk)
             if len(diffs) != self.J:
                 raise AssertionError("superspace count disagrees with J")
             block_masks.append(bmask)

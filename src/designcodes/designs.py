@@ -21,7 +21,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .field import FieldCtx, _parse_header, _strip_lines
+from .field import FieldCtx, _ints, _parse_header, _strip_lines
 from .pspace import (
     Subspace,
     enumerate_subspaces,
@@ -363,20 +363,17 @@ def loads_subspace_design(text: str) -> SubspaceDesign:
     lines = _strip_lines(text)
     if not lines:
         raise ValueError("empty design file")
-    hdr = _parse_header(lines[0], "qdesign", ["t", "v", "k", "lambda", "q", "poly"])
+    hdr = _parse_header(lines[0][1], "qdesign", ["t", "v", "k", "lambda", "q", "poly"])
     ctx = FieldCtx.of(hdr["q"], modulus=hdr["poly"])
     v, k = hdr["v"], hdr["k"]
     blocks = []
-    for line in lines[1:]:
-        vectors = []
-        for part in line.split(";"):
-            coords = [int(x) for x in part.split()]
-            vectors.append(coords)
+    for lineno, line in lines[1:]:
+        vectors = [_ints(part.split(), lineno) for part in line.split(";")]
         if len(vectors) != k:
-            raise ValueError(f"block has {len(vectors)} generators, expected {k}")
+            raise ValueError(f"line {lineno}: block has {len(vectors)} generators, expected {k}")
         blk = subspace(vectors, v, ctx)
         if blk.k != k:
-            raise ValueError(f"block generators span only {blk.k} dimensions")
+            raise ValueError(f"line {lineno}: block generators span only {blk.k} dimensions")
         blocks.append(blk)
     return SubspaceDesign(
         ctx=ctx, t=hdr["t"], v=v, k=k, lam=hdr["lambda"], blocks=tuple(blocks)
@@ -403,8 +400,8 @@ def loads_comb_design(text: str) -> CombinatorialDesign:
     lines = _strip_lines(text)
     if not lines:
         raise ValueError("empty design file")
-    hdr = _parse_header(lines[0], "cdesign", ["t", "n", "k", "lambda"])
-    blocks = tuple(tuple(int(x) for x in line.split()) for line in lines[1:])
+    hdr = _parse_header(lines[0][1], "cdesign", ["t", "n", "k", "lambda"])
+    blocks = tuple(tuple(_ints(line.split(), lineno)) for lineno, line in lines[1:])
     return CombinatorialDesign(
         n=hdr["n"], t=hdr["t"], k=hdr["k"], lam=hdr["lambda"], blocks=blocks
     )

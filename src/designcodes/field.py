@@ -12,8 +12,9 @@ has to be materialized for elimination.  Over GF(2) that basis is kept in
 reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
 codes read their rank, nullspace and codeword test off it.
 
-The matrix and design file loaders share one comment rule (`_strip_lines`)
-and one header parser (`_parse_header`).
+The matrix and design file loaders share one comment rule (`_strip_lines`),
+one header parser (`_parse_header`) and one body-token parser (`_ints`);
+their errors name the file line of a bad row or block.
 """
 
 from __future__ import annotations
@@ -268,16 +269,16 @@ class PrimeMatrix:
         lines = _strip_lines(text)
         if not lines:
             raise ValueError("empty matrix file")
-        hdr = _parse_header(lines[0], "pmatrix", ["rows", "cols", "p"])
+        hdr = _parse_header(lines[0][1], "pmatrix", ["rows", "cols", "p"])
         nrows, ncols, p = hdr["rows"], hdr["cols"], hdr["p"]
         body = lines[1:]
         if len(body) != nrows:
             raise ValueError(f"expected {nrows} rows, found {len(body)}")
         entry_rows = []
-        for ln in body:
+        for lineno, ln in body:
             if len(ln) != ncols:
-                raise ValueError(f"row has {len(ln)} digits, expected {ncols}")
-            entry_rows.append([int(ch) for ch in ln])
+                raise ValueError(f"line {lineno}: row has {len(ln)} digits, expected {ncols}")
+            entry_rows.append(_ints(ln, lineno))
         return cls.from_rows(entry_rows, p, ncols)
 
     @classmethod
@@ -285,15 +286,20 @@ class PrimeMatrix:
         return cls.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _strip_lines(text: str) -> list[str]:
-    """Non-blank lines of a text file, with `#` comments removed; the
-    comment rule of every file format the package reads."""
+def _strip_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) of the non-blank lines of a text file, with `#`
+    comments removed; the comment rule of every file format the package
+    reads.  Line numbers count from 1 and include the dropped lines."""
     out = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(line)
+            out.append((lineno, line))
     return out
+
+
+# header keys that count something and so cannot be negative
+_COUNT_KEYS = ("rows", "cols", "n", "v", "k", "t", "lambda")
 
 
 def _parse_header(line: str, kind: str, keys: Sequence[str]) -> dict[str, int]:
@@ -310,10 +316,23 @@ def _parse_header(line: str, kind: str, keys: Sequence[str]) -> dict[str, int]:
             fields[key] = int(val)
         except ValueError:
             raise ValueError(f"{kind} header value {tok!r} is not an integer") from None
+        if key in _COUNT_KEYS and fields[key] < 0:
+            raise ValueError(f"{kind} header value {tok!r} is negative")
     missing = [k for k in keys if k not in fields]
     if missing:
         raise ValueError(f"{kind} header is missing {', '.join(missing)}")
     return fields
+
+
+def _ints(tokens: Iterable[str], lineno: int) -> list[int]:
+    """The integers of one body line's tokens; a bad token names the line."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"line {lineno}: {tok!r} is not an integer") from None
+    return out
 
 
 def _pack_bits(row: Sequence[int]) -> int:

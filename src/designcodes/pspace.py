@@ -13,8 +13,14 @@ Conventions used everywhere downstream:
 * Subspace enumeration runs over pivot-column combinations in lexicographic
   order, free entries in odometer order, so block numbering is reproducible.
 
+* The superspaces of a subspace b are read off the quotient by b: the
+  points outside b fall into classes modulo b, one class (sup minus b) per
+  (dim b + 1)-superspace sup (`outside_classes`), and `superspaces` extends
+  by one representative point per class.
+
 For q = 2 a vector is also handled as the bitmask sum(x_i << i); the hot
-paths (spanned-point collection) use XOR on those masks.
+paths (spanned-point collection, the cosets of `outside_classes`) use XOR
+on those masks.
 """
 
 from __future__ import annotations
@@ -229,13 +235,20 @@ def points_mask(s: Subspace) -> int:
     return m
 
 
-def contains_vector(s: Subspace, vec: Sequence[int]) -> bool:
-    r = list(vec)
-    for row, pc in zip(s.gen, _pivots(s.gen)):
+def _reduce(s: Subspace, pivots: tuple[int, ...], vec: Sequence[int]) -> Sequence[int]:
+    """vec minus its part in s: the representative of vec + s that is zero on
+    the pivot columns of s (pivots = _pivots(s.gen))."""
+    ctx = s.ctx
+    r = vec
+    for row, pc in zip(s.gen, pivots):
         c = r[pc]
         if c:
-            r = [s.ctx.sub(x, s.ctx.mul(c, y)) for x, y in zip(r, row)]
-    return not any(r)
+            r = tuple(ctx.sub(x, ctx.mul(c, y)) for x, y in zip(r, row))
+    return r
+
+
+def contains_vector(s: Subspace, vec: Sequence[int]) -> bool:
+    return not any(_reduce(s, _pivots(s.gen), vec))
 
 
 def subspace_contains(s: Subspace, t: Subspace) -> bool:
@@ -245,11 +258,56 @@ def subspace_contains(s: Subspace, t: Subspace) -> bool:
     return all(contains_vector(s, row) for row in t.gen)
 
 
-def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
-    """All k-subspaces containing b, canonical and deduplicated.
+def outside_classes(b: Subspace) -> tuple[int, ...]:
+    """The classes of the points outside b modulo b, as point-index bitmasks.
 
-    Built by repeatedly extending with one outside point and canonicalizing;
-    for k = dim(b) + 1 the count is [v - dim(b), 1]_q.
+    Two points outside b lie in one class iff they span the same
+    (dim b + 1)-subspace together with b, so each class is sup minus b for
+    exactly one (dim b + 1)-superspace sup of b: there are [v - dim b, 1]_q
+    classes of q^(dim b) points each.  Returned sorted as integers.
+
+    For q = 2 the class of a vector x is the coset x + span(b), walked by
+    XOR over the 2^(dim b) vectors of span(b).  For q > 2 each point is
+    reduced against the rows of b (zeroing b's pivot columns) and the points
+    are grouped by the normalized remainder.
+    """
+    sp = point_space(b.v, b.ctx)
+    if b.ctx.q == 2:
+        span = [0]
+        for row in b.gen:
+            m = pack_mask(row)
+            span += [x ^ m for x in span]
+        idx = sp.mask_index
+        seen = bytearray(1 << b.v)
+        for x in span:
+            seen[x] = 1
+        out = []
+        for x in range(1, 1 << b.v):
+            if seen[x]:
+                continue
+            cls = 0
+            for y in span:
+                seen[x ^ y] = 1
+                cls |= 1 << idx[x ^ y]
+            out.append(cls)
+        return tuple(sorted(out))
+    pivots = _pivots(b.gen)
+    classes: dict[Vector, int] = {}
+    for i, pt in enumerate(sp.points):
+        r = _reduce(b, pivots, pt)
+        if any(r):
+            key = normalize_point(r, b.ctx)
+            classes[key] = classes.get(key, 0) | (1 << i)
+    return tuple(sorted(classes.values()))
+
+
+def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
+    """All k-subspaces containing b, canonical, deduplicated and sorted.
+
+    Built one dimension at a time: each subspace s of the frontier is
+    extended by one representative point of each class of `outside_classes(s)`,
+    one RREF per (dim s + 1)-superspace.  For k = dim(b) + 1 the count is
+    [v - dim(b), 1]_q.
     """
     if k <= b.k:
         raise ValueError("not a proper extension")
@@ -260,9 +318,9 @@ def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
     for _ in range(k - b.k):
         nxt = set()
         for s in frontier:
-            for vec in sp.points:
-                if not contains_vector(s, vec):
-                    nxt.add(Subspace(ctx=b.ctx, v=b.v, gen=rref(s.gen + (vec,), b.v, b.ctx)))
+            for cls in outside_classes(s):
+                vec = sp.points[(cls & -cls).bit_length() - 1]
+                nxt.add(Subspace(ctx=b.ctx, v=b.v, gen=rref(s.gen + (vec,), b.v, b.ctx)))
         frontier = nxt
     return tuple(sorted(frontier, key=Subspace.sort_key))
 

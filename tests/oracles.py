@@ -2,10 +2,15 @@
 
 Everything here is deliberately naive: dense Gaussian elimination, raw
 subset/codeword enumeration.  The oracles share no code with the package so
-they can cross-check it.
+they can cross-check it, except `superspaces_scan`: the package's former
+superspace search, kept as the reference for `pspace.superspaces` and
+`pspace.outside_classes`, which still builds on the package's RREF and
+point order.
 """
 
 from itertools import combinations
+
+from designcodes.pspace import Subspace, contains_vector, point_space, rref
 
 
 def naive_rank(rows, p):
@@ -52,6 +57,28 @@ def rref_masks(masks, ncols):
         rows.insert(pos, m)
         pivots.insert(pos, pc)
     return rows, pivots
+
+
+def superspaces_scan(b, k):
+    """All k-subspaces containing b, canonical, deduplicated and sorted.
+
+    Extends every frontier subspace by every point outside it, one RREF per
+    outside point, and drops the duplicates.
+    """
+    if k <= b.k:
+        raise ValueError("not a proper extension")
+    if k > b.v:
+        raise ValueError("extension exceeds ambient dimension")
+    sp = point_space(b.v, b.ctx)
+    frontier = {b}
+    for _ in range(k - b.k):
+        nxt = set()
+        for s in frontier:
+            for vec in sp.points:
+                if not contains_vector(s, vec):
+                    nxt.add(Subspace(ctx=b.ctx, v=b.v, gen=rref(s.gen + (vec,), b.v, b.ctx)))
+        frontier = nxt
+    return tuple(sorted(frontier, key=Subspace.sort_key))
 
 
 def naive_min_distance(check_masks, n):

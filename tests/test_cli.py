@@ -79,6 +79,22 @@ def test_code_rank_header_without_cols_is_domain_error(tmp_path, capsys):
     assert err == "error: pmatrix header is missing cols\n"
 
 
+def test_code_build_bad_block_token_names_the_line(tmp_path, capsys):
+    path = tmp_path / "d.cdesign"
+    path.write_text("cdesign t=2 n=3 k=2 lambda=1\n0 1\n\n# comment\n0 x\n")
+    code, out, err = run(capsys, "code", "build", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: line 5: 'x' is not an integer\n"
+
+
+def test_code_rank_negative_header_count_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "m.pmatrix"
+    path.write_text("pmatrix rows=-1 cols=3 p=2\n")
+    code, out, err = run(capsys, "code", "rank", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: pmatrix header value 'rows=-1' is negative\n"
+
+
 def test_design_derive(capsys):
     code, out, _ = run(
         capsys, "design", "derive", "--t", "2", "--v", "6", "--k", "3",

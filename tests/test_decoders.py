@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from designcodes.decoders import (
 from designcodes.designs import (
     CombinatorialDesign,
     flats_construction,
+    load_subspace_design,
     projective_version,
     trivial_design,
 )
@@ -259,6 +261,24 @@ def test_two_step_q4_geometry():
         for pat in itertools.combinations(range(code.n), w):
             out = dec.decode(sum(1 << j for j in pat))
             assert out.status == DECODED and out.word == 0
+
+
+def test_two_step_through_nontrivial_subspace_design(gf2m):
+    # the 4-subspace code of PG(6,2) decoded through the shipped 2-(7,3,3)_2
+    # design (1143 blocks instead of the 11811 planes of the geometry)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
+    step2 = load_subspace_design(path)
+    code = build_code(projective_version(trivial_design(2, 7, 4, gf2m)), 2, "projective")
+    dec = TwoStepDecoder(code, step2)
+    cap = two_step_capability(7, 4, 2, 3)
+    assert (dec.J, cap.J, cap.r, cap.ell_two_step) == (15, 15, 63, 7)
+    assert {len(votes) for votes in dec._votes} == {63}
+    rng = random.Random(11)
+    for _ in range(20):
+        sent = code.random_codeword(rng)
+        err = sum(1 << j for j in rng.sample(range(code.n), 7))
+        out = dec.decode(sent ^ err)
+        assert out.status == DECODED and out.word == sent
 
 
 def test_two_step_dimension_mismatch(gf2m):

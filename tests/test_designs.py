@@ -286,6 +286,24 @@ def test_qdesign_file_rejects_bad_blocks():
         loads_subspace_design("cdesign t=2 n=3 k=2 lambda=1\n0 1\n")
 
 
+def test_design_files_name_the_bad_line_and_reject_negative_counts():
+    header = "qdesign t=2 v=3 k=2 lambda=1 q=2 poly=2\n"
+    with pytest.raises(ValueError, match="line 3: 'y' is not an integer"):
+        loads_subspace_design(header + "1 0 0 ; 0 1 0\n1 0 0 ; 0 1 y\n")
+    with pytest.raises(ValueError, match="line 2: block has 1 generators, expected 2"):
+        loads_subspace_design(header + "1 0 0\n")
+    with pytest.raises(ValueError, match="line 4: '1.5' is not an integer"):
+        loads_comb_design("cdesign t=2 n=3 k=2 lambda=1\n0 1\n# comment\n1 1.5\n")
+    for key in ("t", "v", "k", "lambda"):
+        text = header.replace(f" {key}=", f" {key}=-")
+        with pytest.raises(ValueError, match=f"'{key}=-[0-9]+' is negative"):
+            loads_subspace_design(text)
+    for key in ("t", "n", "k", "lambda"):
+        text = "cdesign t=2 n=3 k=2 lambda=1\n".replace(f" {key}=", f" {key}=-")
+        with pytest.raises(ValueError, match=f"'{key}=-[0-9]+' is negative"):
+            loads_comb_design(text)
+
+
 def test_cdesign_file_roundtrip():
     d = fano()
     text = dumps_comb_design(d)

@@ -188,3 +188,11 @@ def test_matrix_file_header_errors_name_the_problem():
         PrimeMatrix.loads("pmatrix rows=1 cols=3 p=x\n101\n")
     with pytest.raises(ValueError, match="empty"):
         PrimeMatrix.loads("# only a comment\n")
+    with pytest.raises(ValueError, match="'rows=-1' is negative"):
+        PrimeMatrix.loads("pmatrix rows=-1 cols=3 p=2\n")
+    with pytest.raises(ValueError, match="'cols=-3' is negative"):
+        PrimeMatrix.loads("pmatrix rows=1 cols=-3 p=2\n101\n")
+    with pytest.raises(ValueError, match="line 3: 'x' is not an integer"):
+        PrimeMatrix.loads("pmatrix rows=1 cols=2 p=3\n\n2x\n")
+    with pytest.raises(ValueError, match="line 2: row has 2 digits, expected 3"):
+        PrimeMatrix.loads("pmatrix rows=1 cols=3 p=2\n10\n")

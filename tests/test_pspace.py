@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,9 @@ from designcodes.pspace import (
     enumerate_points,
     enumerate_subspaces,
     gaussian_coefficient,
+    outside_classes,
     point_space,
+    points_mask,
     points_of_subspace,
     rref,
     subspace,
@@ -17,6 +20,8 @@ from designcodes.pspace import (
     subspaces_of,
     superspaces,
 )
+
+from .oracles import superspaces_scan
 
 
 def test_gaussian_known_values():
@@ -121,15 +126,55 @@ def test_superspace_counts(gf2):
     assert len(superspaces(b3, 2)) == 1  # only the full space
 
 
-def test_superspaces_match_full_enumeration(gf2, gf4):
-    for ctx, v in [(gf2, 4), (gf4, 3)]:
-        subs2 = list(enumerate_subspaces(v, 2, gf2 if ctx is gf2 else gf4))
-        b = subs2[len(subs2) // 2]
-        direct = set(s.gen for s in superspaces(b, 3))
+def test_superspaces_match_full_enumeration():
+    # (q, v, dim b, k): k = dim b + 1 and k > dim b + 1, over q in {2, 3, 4, 5}
+    cases = [
+        (2, 4, 2, 3), (4, 3, 2, 3), (3, 4, 2, 3), (5, 3, 1, 2),
+        (2, 5, 1, 3), (2, 6, 2, 5), (3, 4, 1, 3), (3, 5, 2, 4), (5, 4, 1, 3),
+    ]
+    for q, v, dim_b, k in cases:
+        ctx = FieldCtx.of(q)
+        subs = list(enumerate_subspaces(v, dim_b, ctx))
+        b = subs[len(subs) // 2]
+        got = superspaces(b, k)
         by_scan = set(
-            s.gen for s in enumerate_subspaces(v, 3, ctx) if subspace_contains(s, b)
+            s.gen for s in enumerate_subspaces(v, k, ctx) if subspace_contains(s, b)
         )
-        assert direct == by_scan
+        assert set(s.gen for s in got) == by_scan
+        assert len(got) == gaussian_coefficient(v - dim_b, k - dim_b, q)
+        assert got == superspaces_scan(b, k)
+
+
+def random_subspace(rng, v, dim, ctx):
+    while True:
+        vecs = [tuple(rng.randrange(ctx.q) for _ in range(v)) for _ in range(dim)]
+        s = subspace(vecs, v, ctx)
+        if s.k == dim:
+            return s
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.integers(min_value=0, max_value=2**32))
+def test_outside_classes_match_superspace_scan(q, seed):
+    ctx = FieldCtx.of(q)
+    rng = random.Random(seed)
+    # keep the point count of F_q^v at most 820
+    v = rng.randrange(2, {2: 7, 3: 6, 4: 5, 5: 5, 8: 4, 9: 4}[q] + 1)
+    for dim in range(1, v):
+        b = random_subspace(rng, v, dim, ctx)
+        bmask = points_mask(b)
+        got = outside_classes(b)
+        want = sorted(points_mask(sup) & ~bmask for sup in superspaces_scan(b, dim + 1))
+        assert list(got) == want
+        assert len(got) == gaussian_coefficient(v - dim, 1, q)
+
+
+def test_outside_classes_of_zero_and_full_space(gf2, gf4):
+    for ctx, v in [(gf2, 4), (gf4, 3)]:
+        n = len(point_space(v, ctx).points)
+        assert outside_classes(subspace([], v, ctx)) == tuple(1 << i for i in range(n))
+        full = next(iter(enumerate_subspaces(v, v, ctx)))
+        assert outside_classes(full) == ()
 
 
 def test_superspaces_rejects_non_extension(gf2):
