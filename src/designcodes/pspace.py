@@ -12,7 +12,6 @@ Conventions used everywhere downstream:
   generator matrices are identical.
 * Subspace enumeration runs over pivot-column combinations in lexicographic
   order, free entries in odometer order, so block numbering is reproducible.
-
 * The superspaces of a subspace b are read off the quotient by b: the
   points outside b fall into classes modulo b, one class (sup minus b) per
   (dim b + 1)-superspace sup (`outside_classes`), and `superspaces` extends
@@ -287,8 +286,9 @@ def outside_classes(b: Subspace) -> tuple[int, ...]:
                 continue
             cls = 0
             for y in span:
-                seen[x ^ y] = 1
-                cls |= 1 << idx[x ^ y]
+                z = x ^ y
+                seen[z] = 1
+                cls |= 1 << idx[z]
             out.append(cls)
         return tuple(sorted(out))
     pivots = _pivots(b.gen)
