@@ -6,10 +6,14 @@ order, so any change to the basis order shows up here as well.  The q = 4
 two-step simulation and the two-step radius were captured before the
 two-step decoder took its superspace point sets from the quotient classes;
 the q = 4 run's split between miscorrected and detected words depends on
-the exact step-1 tables.
+the exact step-1 tables.  The one-step run on the shipped 2-(7,3,3)_2
+design (its 11 detected words pin the DETECTED path) and the q = 3
+two-step run (J = 4, so step-1 estimates can tie) were captured before
+the decoders computed each check's parity once per word.
 """
 
 import random
+from pathlib import Path
 
 from designcodes.cli import main
 from designcodes.codes import build_code
@@ -41,6 +45,29 @@ def test_simulate_two_step_q4_golden(capsys):
     assert out == (
         "seed=5\nweight=3\ntrials=300\nsuccesses=0\nmiscorrected=12\ndetected=288\n"
         "success_rate=0.0\ncheck_evals=1071000\n"
+    )
+
+
+def test_simulate_one_step_subspace_design_golden(capsys):
+    design = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
+    out = stdout_of(
+        capsys, "simulate", "--decoder", "one-step", "--designfile", str(design),
+        "--weight", "11", "--trials", "200", "--seed", "3",
+    )
+    assert out == (
+        "seed=3\nweight=11\ntrials=200\nsuccesses=189\nmiscorrected=0\ndetected=11\n"
+        "success_rate=0.945\ncheck_evals=1600200\n"
+    )
+
+
+def test_simulate_two_step_q3_golden(capsys):
+    out = stdout_of(
+        capsys, "simulate", "--decoder", "two-step", "--v", "4", "--k", "3", "--q", "3",
+        "--weight", "3", "--trials", "300", "--seed", "2",
+    )
+    assert out == (
+        "seed=2\nweight=3\ntrials=300\nsuccesses=0\nmiscorrected=0\ndetected=300\n"
+        "success_rate=0.0\ncheck_evals=312000\n"
     )
 
 
