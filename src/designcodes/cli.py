@@ -46,7 +46,7 @@ from .designs import (
     verify_comb_design,
     verify_subspace_design,
 )
-from .field import FieldCtx, PrimeMatrix, _strip_lines, matrix_rank
+from .field import FieldCtx, PrimeMatrix, _load_file, _strip_lines, matrix_rank
 from .pspace import enumerate_points, gaussian_coefficient
 from .tables import TableRowSpec, capability, comb_design_params, predicted_rank, table_row
 
@@ -71,14 +71,17 @@ def _parse_hyperplane(arg: str | None):
 
 def _load_design_file(path: str):
     """Returns (SubspaceDesign | None, CombinatorialDesign | None)."""
-    text = Path(path).read_text(encoding="utf-8")
+    return _load_file(path, _loads_design)
+
+
+def _loads_design(text: str):
     lines = _strip_lines(text)
     head = lines[0][1].split(None, 1)[0] if lines else ""
     if head == "qdesign":
         return loads_subspace_design(text), None
     if head == "cdesign":
         return None, loads_comb_design(text)
-    raise ValueError(f"{path}: neither a qdesign nor a cdesign file")
+    raise ValueError("neither a qdesign nor a cdesign file")
 
 
 def _construct(qdesign: SubspaceDesign, mode: str, hyperplane=None) -> CombinatorialDesign:

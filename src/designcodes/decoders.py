@@ -6,6 +6,16 @@ received word and applies all flips at once; a pass that leaves some check
 unsatisfied reports detected-uncorrectable rather than iterating.  Decoded
 outputs always satisfy every parity check of the code.
 
+Both decoders run column-syndrome kernels: at build time the incidence
+matrix is transposed into one column mask per position (bit i = check i
+contains the position), so a decode XORs the columns of the received
+word's 1-bits into a syndrome, computing each check's parity once per word,
+and reads each position's vote count as popcount(syndrome & column).  The
+scalar loops they replaced, one parity per (check, point) pair, are kept as
+test references.  `check_evals` stays the paper's cost model, the parity
+evaluations of that scalar decoder (n r per word one-step, b_2 J + n r
+two-step), added per call: a model count, not a count of machine operations.
+
 Capability formulas:
 
 * 2-designs: one-step decoding corrects floor((r + lambda - 1) / (2 lambda))
@@ -158,12 +168,102 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 # Decoders
 
 
+def _columns(groups, n: int) -> tuple[int, ...]:
+    """Transpose a bit matrix given as groups of n-bit row masks, L rows to
+    a group: row c of group g is matrix row c * (number of groups) + g, so
+    the matrix holds L lanes, one row of each group per lane.  Column p is
+    returned as a mask with bit i set when matrix row i has bit p.
+
+    The rows are packed into one int as w x w tiles (w a power of two >= n,
+    at least 8), and every tile is transposed at once by log2(w) delta
+    swaps: step s exchanges bit (i, j) with bit (i + s, j - s) wherever i
+    has bit s clear and j has it set (Hacker's Delight, 7-3).  Tile row p
+    is then column p of the tile's w rows; the tiles' row p bytes are
+    gathered with strided slices, as are the lanes before packing.
+    """
+    w = max(8, 1 << (n - 1).bit_length())
+    k = w // 8
+    chunks = [b"".join(row.to_bytes(k, "little") for row in group) for group in groups]
+    count = len(chunks)
+    lanes = len(chunks[0]) // k if chunks else 0
+    by_group = b"".join(chunks)
+    del chunks
+    tiles = -(-(lanes * count) // w) or 1
+    packed = bytearray(tiles * w * k)
+    for c in range(lanes):
+        for b in range(k):
+            packed[c * count * k + b : (c + 1) * count * k : k] = by_group[c * k + b :: lanes * k]
+    del by_group
+    # Swap 32 KB of tiles at a time, so the big-int temporaries stay small.
+    span = max(1, (1 << 15) // (w * k)) * w * k
+    zero = bytes(k)
+    swaps = []
+    s = w >> 1
+    while s:
+        high = sum(1 << j for j in range(w) if j & s).to_bytes(k, "little")
+        tile = b"".join(zero if i & s else high for i in range(w))
+        swaps.append((s * (w - 1), int.from_bytes(tile * (span // len(tile)), "little")))
+        s >>= 1
+    for start in range(0, len(packed), span):
+        x = int.from_bytes(packed[start : start + span], "little")
+        for d, mask in swaps:
+            t = ((x >> d) ^ x) & mask
+            x ^= t ^ (t << d)
+        packed[start : start + span] = x.to_bytes(min(span, len(packed) - start), "little")
+    columns = []
+    for p in range(n):
+        col = bytearray(tiles * k)
+        for b in range(k):
+            col[b::k] = packed[p * k + b :: w * k]
+        columns.append(int.from_bytes(col, "little"))
+    return tuple(columns)
+
+
+def _xor_columns(columns, word: int) -> int:
+    """XOR of the columns at the 1-bits of `word`: a syndrome, one bit per check."""
+    syndrome = 0
+    while word:
+        low = word & -word
+        syndrome ^= columns[low.bit_length() - 1]
+        word ^= low
+    return syndrome
+
+
+def _majority_flips(syndrome: int, columns, halves) -> tuple[int, ...]:
+    """Positions j where more than halves[j] of the checks in columns[j] are
+    set in `syndrome`."""
+    return tuple(
+        [
+            j
+            for j, col, half in zip(range(len(columns)), columns, halves)
+            if (syndrome & col).bit_count() > half
+        ]
+    )
+
+
+def _outcome(code: BinaryCode, received: int, flips: tuple[int, ...]) -> DecodeOutcome:
+    """Apply the flips; the result is a decoded word only if it is a codeword."""
+    out = received
+    for j in flips:
+        out ^= 1 << j
+    if code.is_codeword(out):
+        return DecodeOutcome(status=DECODED, word=out, flips=flips, n=code.n)
+    return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=code.n)
+
+
 class OneStepDecoder:
     """Per-position threshold vote over the design blocks through it.
 
     Position j is flipped iff 2 U_j > r + lambda_2 - 1, where U_j counts
-    unsatisfied checks through j.  Ties never flip.  `check_evals` counts
-    parity evaluations, the decoder's dominating cost.
+    unsatisfied checks through j.  Ties never flip.
+
+    Column-syndrome kernel: at build time each position j gets a column mask
+    with bit i set when block i contains j.  A decode XORs the columns of the
+    received word's 1-bits into the syndrome (bit i = parity of block i), so
+    each check's parity is computed once per word, and U_j is
+    popcount(syndrome & column j).  `check_evals` is the model count of the
+    scalar decoder, n r parity evaluations per word (one per point of every
+    block), added per call; it is not a count of machine operations.
     """
 
     def __init__(self, code: BinaryCode, design: CombinatorialDesign):
@@ -173,40 +273,24 @@ class OneStepDecoder:
             raise ValueError("design and code disagree on length")
         if design.t < 2:
             raise ValueError("one-step decoding needs a design with t >= 2")
-        if sorted(code.check_masks()) != sorted(
-            sum(1 << i for i in blk) for blk in design.blocks
-        ):
+        block_masks = [sum(1 << i for i in blk) for blk in design.blocks]
+        if sorted(code.check_masks()) != sorted(block_masks):
             raise ValueError("code checks are not the design's incidence rows")
         params = design.params()
         self.code = code
         self.n = code.n
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        through: list[list[int]] = [[] for _ in range(code.n)]
-        for blk in design.blocks:
-            mask = sum(1 << i for i in blk)
-            for i in blk:
-                through[i].append(mask)
-        self._through = [tuple(masks) for masks in through]
+        self._columns = _columns(((mask,) for mask in block_masks), code.n)
+        self._halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
+        self._evals_per_word = sum(len(blk) for blk in design.blocks)
         self.check_evals = 0
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
-        threshold = self.r + self.lambda2 - 1
-        flip_mask = 0
-        flips = []
-        for j, masks in enumerate(self._through):
-            unsat = 0
-            for bm in masks:
-                unsat += (received & bm).bit_count() & 1
-            self.check_evals += len(masks)
-            if 2 * unsat > threshold:
-                flip_mask |= 1 << j
-                flips.append(j)
-        out = received ^ flip_mask
-        if self.code.is_codeword(out):
-            return DecodeOutcome(status=DECODED, word=out, flips=tuple(flips), n=self.n)
-        return DecodeOutcome(status=DETECTED, word=None, flips=tuple(flips), n=self.n)
+        syndrome = _xor_columns(self._columns, received)
+        self.check_evals += self._evals_per_word
+        return _outcome(self.code, received, _majority_flips(syndrome, self._columns, self._halves))
 
 
 class TwoStepDecoder:
@@ -214,13 +298,27 @@ class TwoStepDecoder:
 
     Step 1 estimates the codeword parity over each (k-1)-dimensional block B
     from the J k-superspaces K of B: each K gives the parity of the received
-    word over K minus B, and the majority of the J estimates wins.  The sets
-    K minus B are the classes of the points outside B modulo B
+    word over K minus B, and the majority of the J estimates wins (ties give
+    0).  The sets K minus B are the classes of the points outside B modulo B
     (`pspace.outside_classes`), so they are built without listing the
     superspaces themselves, once per (code, design) pair.  Step 2 sets each
     position j to the majority, over the step-2 blocks through j, of (block
     parity) - (received parity over the block minus j); ties keep the
     received bit.
+
+    Column-syndrome kernel: with b_2 step-2 blocks, each position gets a
+    member mask of J + 1 lanes of b_2 bits.  Bit c b_2 + b is set when the
+    position lies in class c of block b (c < J), or in block b itself
+    (c = J).  A decode XORs the member masks of the received 1-bits once:
+    lane c holds the parity over class c of every block, lane J the
+    received parity over every block.  A bit-sliced ripple-carry counter
+    adds the J class lanes and a bit-sliced compare against J // 2 + 1
+    gives the estimated block parities.  Block b's vote at j disagrees with
+    the received bit exactly when bit b of D = estimates XOR received block
+    parities is set, so j is flipped iff more than half of the blocks
+    through j are set in D, read as popcount(D & column j).  `check_evals`
+    is the model count of the scalar decoder, b_2 J + n r parity
+    evaluations per word, added per call.
     """
 
     def __init__(self, code: BinaryCode, step2: SubspaceDesign):
@@ -235,56 +333,52 @@ class TwoStepDecoder:
             raise ValueError("step-2 blocks leave no room for superspaces")
         self.code = code
         self.n = n
-        self.J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
-        block_masks = []
-        estimates = []
+        self.J = J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
+        nb = len(step2.blocks)
+        self._members = _columns(self._member_rows(step2), n)
+        self._columns = tuple(member >> (J * nb) for member in self._members)
+        self._halves = tuple(col.bit_count() // 2 for col in self._columns)
+        self._lane_width = nb
+        self._lane_mask = (1 << nb) - 1
+        self._evals_per_word = nb * J + sum(col.bit_count() for col in self._columns)
+        self.check_evals = 0
+
+    def _member_rows(self, step2: SubspaceDesign):
+        """Per block: its J outside classes, then the block itself."""
         for blk in step2.blocks:
-            bmask = points_mask(blk)
             diffs = outside_classes(blk)
             if len(diffs) != self.J:
                 raise AssertionError("superspace count disagrees with J")
-            block_masks.append(bmask)
-            estimates.append(diffs)
-        self._blocks = block_masks
-        self._estimates = estimates
-        votes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for bi, bmask in enumerate(block_masks):
-            m = bmask
-            while m:
-                j = (m & -m).bit_length() - 1
-                votes[j].append((bi, bmask ^ (1 << j)))
-                m &= m - 1
-        self._votes = [tuple(vs) for vs in votes]
-        self.check_evals = 0
+            yield diffs + (points_mask(blk),)
+
+    def _estimates(self, lanes: int) -> int:
+        """Bit b = 1 iff more than J // 2 of the J class lanes have bit b set."""
+        nb, full, J = self._lane_width, self._lane_mask, self.J
+        counter = [0] * J.bit_length()
+        for c in range(J):
+            carry = (lanes >> (c * nb)) & full
+            i = 0
+            while carry:
+                counter[i], carry = counter[i] ^ carry, counter[i] & carry
+                i += 1
+        threshold = J // 2 + 1
+        above = 0
+        equal = full
+        for i in reversed(range(len(counter))):
+            if (threshold >> i) & 1:
+                equal &= counter[i]
+            else:
+                above |= equal & counter[i]
+                equal &= ~counter[i]
+        return above | equal
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
-        parities = []
-        for diffs in self._estimates:
-            ones = 0
-            for d in diffs:
-                ones += (received & d).bit_count() & 1
-            self.check_evals += len(diffs)
-            parities.append(1 if 2 * ones > self.J else 0)
-        out = 0
-        for j, votes in enumerate(self._votes):
-            ones = 0
-            for bi, rest in votes:
-                ones += parities[bi] ^ ((received & rest).bit_count() & 1)
-            self.check_evals += len(votes)
-            if 2 * ones > len(votes):
-                out |= 1 << j
-            elif 2 * ones == len(votes):
-                out |= received & (1 << j)
-        flip = received ^ out
-        flips = []
-        m = flip
-        while m:
-            flips.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        if self.code.is_codeword(out):
-            return DecodeOutcome(status=DECODED, word=out, flips=tuple(flips), n=self.n)
-        return DecodeOutcome(status=DETECTED, word=None, flips=tuple(flips), n=self.n)
+        lanes = _xor_columns(self._members, received)
+        block_parities = lanes >> (self.J * self._lane_width)
+        disagree = self._estimates(lanes) ^ block_parities
+        self.check_evals += self._evals_per_word
+        return _outcome(self.code, received, _majority_flips(disagree, self._columns, self._halves))
 
 
 # ---------------------------------------------------------------------------

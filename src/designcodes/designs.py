@@ -21,7 +21,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .field import FieldCtx, _ints, _parse_header, _strip_lines
+from .field import FieldCtx, _ints, _load_file, _parse_header, _strip_lines
 from .pspace import (
     Subspace,
     enumerate_subspaces,
@@ -381,7 +381,7 @@ def loads_subspace_design(text: str) -> SubspaceDesign:
 
 
 def load_subspace_design(path: str | Path) -> SubspaceDesign:
-    return loads_subspace_design(Path(path).read_text(encoding="utf-8"))
+    return _load_file(path, loads_subspace_design)
 
 
 def dumps_comb_design(design: CombinatorialDesign) -> str:
@@ -408,4 +408,4 @@ def loads_comb_design(text: str) -> CombinatorialDesign:
 
 
 def load_comb_design(path: str | Path) -> CombinatorialDesign:
-    return loads_comb_design(Path(path).read_text(encoding="utf-8"))
+    return _load_file(path, loads_comb_design)

@@ -14,7 +14,8 @@ codes read their rank, nullspace and codeword test off it.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`);
-their errors name the file line of a bad row or block.
+their errors name the file line of a bad row or block, and the loaders
+that read a path (`_load_file`) put the path in front.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 FieldElement = int
 
@@ -283,7 +286,17 @@ class PrimeMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "PrimeMatrix":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        return _load_file(path, cls.loads)
+
+
+def _load_file(path: str | Path, loads: Callable[[str], _T]) -> _T:
+    """`loads` applied to the text of the file at `path`; a parse error
+    names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _strip_lines(text: str) -> list[tuple[int, str]]:

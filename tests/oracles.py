@@ -2,15 +2,25 @@
 
 Everything here is deliberately naive: dense Gaussian elimination, raw
 subset/codeword enumeration.  The oracles share no code with the package so
-they can cross-check it, except `superspaces_scan`: the package's former
-superspace search, kept as the reference for `pspace.superspaces` and
-`pspace.outside_classes`, which still builds on the package's RREF and
-point order.
+they can cross-check it, except two kinds of former package paths kept as
+references: `superspaces_scan`, the superspace search behind
+`pspace.superspaces` and `pspace.outside_classes`, which still builds on the
+package's RREF and point order; and `one_step_scan` and
+`two_step_scan`, the scalar majority-logic decoders, which read the
+decoder's code, parameters and (two-step) the package's outside classes.
 """
 
 from itertools import combinations
 
-from designcodes.pspace import Subspace, contains_vector, point_space, rref
+from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
+from designcodes.pspace import (
+    Subspace,
+    contains_vector,
+    outside_classes,
+    point_space,
+    points_mask,
+    rref,
+)
 
 
 def naive_rank(rows, p):
@@ -96,3 +106,70 @@ def naive_comb_design_counts(n, t, blocks):
     for sub in combinations(range(n), t):
         out[sub] = sum(1 for b in blocks if set(sub) <= set(b))
     return out
+
+
+def one_step_scan(decoder, design):
+    """The scalar one-step decode of `decoder`'s code through `design`, as a
+    function of the received bitmask: each check's parity is computed once
+    for every point on it, and j is flipped iff 2 U_j > r + lambda_2 - 1."""
+    through = [[] for _ in range(decoder.n)]
+    for blk in design.blocks:
+        mask = sum(1 << i for i in blk)
+        for i in blk:
+            through[i].append(mask)
+    threshold = decoder.r + decoder.lambda2 - 1
+
+    def decode(received):
+        flip_mask = 0
+        flips = []
+        for j, masks in enumerate(through):
+            unsat = 0
+            for bm in masks:
+                unsat += (received & bm).bit_count() & 1
+            if 2 * unsat > threshold:
+                flip_mask |= 1 << j
+                flips.append(j)
+        return _outcome(decoder, received ^ flip_mask, tuple(flips))
+
+    return decode
+
+
+def two_step_scan(decoder, step2):
+    """The scalar two-step decode of `decoder`'s code through `step2`, as a
+    function of the received bitmask: one popcount per superspace estimate
+    and per (block, position) vote; step-1 ties give 0, step-2 ties keep the
+    received bit."""
+    estimates = [outside_classes(blk) for blk in step2.blocks]
+    votes = [[] for _ in range(decoder.n)]
+    for bi, blk in enumerate(step2.blocks):
+        bmask = points_mask(blk)
+        for j in range(decoder.n):
+            if (bmask >> j) & 1:
+                votes[j].append((bi, bmask ^ (1 << j)))
+
+    def decode(received):
+        parities = []
+        for diffs in estimates:
+            ones = 0
+            for d in diffs:
+                ones += (received & d).bit_count() & 1
+            parities.append(1 if 2 * ones > decoder.J else 0)
+        out = 0
+        for j, vs in enumerate(votes):
+            ones = 0
+            for bi, rest in vs:
+                ones += parities[bi] ^ ((received & rest).bit_count() & 1)
+            if 2 * ones > len(vs):
+                out |= 1 << j
+            elif 2 * ones == len(vs):
+                out |= received & (1 << j)
+        flips = tuple(j for j in range(decoder.n) if ((received ^ out) >> j) & 1)
+        return _outcome(decoder, out, flips)
+
+    return decode
+
+
+def _outcome(decoder, out, flips):
+    if decoder.code.is_codeword(out):
+        return DecodeOutcome(status=DECODED, word=out, flips=flips, n=decoder.n)
+    return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=decoder.n)

@@ -76,7 +76,7 @@ def test_code_rank_header_without_cols_is_domain_error(tmp_path, capsys):
     path.write_text("pmatrix rows=1 p=2\n101\n")
     code, out, err = run(capsys, "code", "rank", str(path))
     assert code == 1 and out == ""
-    assert err == "error: pmatrix header is missing cols\n"
+    assert err == f"error: {path}: pmatrix header is missing cols\n"
 
 
 def test_code_build_bad_block_token_names_the_line(tmp_path, capsys):
@@ -84,7 +84,7 @@ def test_code_build_bad_block_token_names_the_line(tmp_path, capsys):
     path.write_text("cdesign t=2 n=3 k=2 lambda=1\n0 1\n\n# comment\n0 x\n")
     code, out, err = run(capsys, "code", "build", str(path))
     assert code == 1 and out == ""
-    assert err == "error: line 5: 'x' is not an integer\n"
+    assert err == f"error: {path}: line 5: 'x' is not an integer\n"
 
 
 def test_code_rank_negative_header_count_is_domain_error(tmp_path, capsys):
@@ -92,7 +92,31 @@ def test_code_rank_negative_header_count_is_domain_error(tmp_path, capsys):
     path.write_text("pmatrix rows=-1 cols=3 p=2\n")
     code, out, err = run(capsys, "code", "rank", str(path))
     assert code == 1 and out == ""
-    assert err == "error: pmatrix header value 'rows=-1' is negative\n"
+    assert err == f"error: {path}: pmatrix header value 'rows=-1' is negative\n"
+
+
+def test_loader_errors_name_the_file(tmp_path, capsys):
+    not_an_int = "line 2: 'x' is not an integer"
+    files = {
+        "d.qdesign": ("qdesign t=2 v=3 k=2 lambda=1 q=2 poly=2\n1 0 0; 0 1 x\n", not_an_int),
+        "d.cdesign": ("cdesign t=2 n=3 k=2 lambda=1\n0 x\n", not_an_int),
+        "m.pmatrix": ("pmatrix rows=1 cols=3 p=2\n1x1\n", not_an_int),
+        "d.txt": ("design t=2\n", "neither a qdesign nor a cdesign file"),
+    }
+    for argv in [
+        ("design", "verify", "d.qdesign"),
+        ("code", "build", "d.cdesign"),
+        ("code", "rank", "m.pmatrix"),
+        ("simulate", "--designfile", "d.txt", "--weight", "1", "--trials", "1"),
+        ("decode", "two-step", "--designfile", "d.qdesign", "--word", "0"),
+    ]:
+        name = next(a for a in argv if a in files)
+        path = tmp_path / name
+        text, message = files[name]
+        path.write_text(text)
+        code, out, err = run(capsys, *(str(path) if a == name else a for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
 
 
 def test_design_derive(capsys):

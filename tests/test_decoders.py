@@ -11,6 +11,7 @@ from designcodes.decoders import (
     DETECTED,
     OneStepDecoder,
     TwoStepDecoder,
+    _columns,
     as_mask,
     ell_bounds,
     ell_one_step,
@@ -27,6 +28,10 @@ from designcodes.designs import (
     trivial_design,
 )
 from designcodes.field import FieldCtx
+
+from .oracles import one_step_scan, two_step_scan
+
+SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
 
 
 @pytest.fixture(scope="module")
@@ -263,22 +268,111 @@ def test_two_step_q4_geometry():
             assert out.status == DECODED and out.word == 0
 
 
-def test_two_step_through_nontrivial_subspace_design(gf2m):
+@pytest.fixture(scope="module")
+def shipped_two_step(gf2m):
     # the 4-subspace code of PG(6,2) decoded through the shipped 2-(7,3,3)_2
     # design (1143 blocks instead of the 11811 planes of the geometry)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
-    step2 = load_subspace_design(path)
+    step2 = load_subspace_design(SHIPPED_DESIGN)
     code = build_code(projective_version(trivial_design(2, 7, 4, gf2m)), 2, "projective")
-    dec = TwoStepDecoder(code, step2)
+    return TwoStepDecoder(code, step2), step2
+
+
+def test_two_step_through_nontrivial_subspace_design(shipped_two_step):
+    dec, _ = shipped_two_step
+    code = dec.code
     cap = two_step_capability(7, 4, 2, 3)
     assert (dec.J, cap.J, cap.r, cap.ell_two_step) == (15, 15, 63, 7)
-    assert {len(votes) for votes in dec._votes} == {63}
+    # 63 step-2 blocks pass through every position
+    assert {col.bit_count() for col in dec._columns} == {63}
     rng = random.Random(11)
     for _ in range(20):
         sent = code.random_codeword(rng)
         err = sum(1 << j for j in rng.sample(range(code.n), 7))
         out = dec.decode(sent ^ err)
         assert out.status == DECODED and out.word == sent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=140).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=1, max_value=4).flatmap(
+                lambda lanes: st.lists(
+                    st.lists(st.integers(0, (1 << n) - 1), min_size=lanes, max_size=lanes),
+                    max_size=300,
+                )
+            ),
+        )
+    )
+)
+def test_column_tables_transpose_the_rows(case):
+    n, groups = case
+    rows = [group[c] for c in range(len(groups[0]) if groups else 0) for group in groups]
+    want = tuple(sum(((row >> p) & 1) << i for i, row in enumerate(rows)) for p in range(n))
+    assert _columns(iter(groups), n) == want
+
+
+# Differential tests: the column-syndrome kernels against the scalar scans
+# they replaced (tests/oracles.py), on words of every weight near a random
+# codeword or zero.  Each case is chosen to reach a tie rule:
+#   PG(2,3) lines: one-step r + lambda - 1 = 4 is even (tie at U_j = 2)
+#   (q, v, k) = (3, 4, 3): two-step J = 4 is even (step-1 ties)
+#   (q, v, k) = (3, 5, 3): two-step r = 40 is even (step-2 ties)
+# and the shipped 2-(7,3,3)_2 decoders, the benchmark's sizes.
+
+
+@pytest.fixture(scope="module", params=[(3, 4), (2, 65)], ids=["PG(2,3) lines", "2-(7,3,3)_2"])
+def one_step_case(request):
+    q, threshold = request.param
+    if q == 3:
+        design = projective_version(trivial_design(2, 3, 2, FieldCtx.of(3)))
+    else:
+        design = projective_version(load_subspace_design(SHIPPED_DESIGN))
+    dec = OneStepDecoder(build_code(design, 2, "projective"), design)
+    assert dec.r + dec.lambda2 - 1 == threshold
+    return dec, one_step_scan(dec, design)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(3, 4, 3, 4, 13), (3, 5, 3, 13, 40), (2, 7, 4, 15, 63)],
+    ids=["(3,4,3)", "(3,5,3)", "2-(7,3,3)_2"],
+)
+def two_step_case(request, shipped_two_step):
+    q, v, k, J, r = request.param
+    if q == 2:
+        dec, step2 = shipped_two_step
+    else:
+        ctx = FieldCtx.of(q)
+        step2 = trivial_design(2, v, k - 1, ctx)
+        code = build_code(projective_version(trivial_design(2, v, k, ctx)), 2, "projective")
+        dec = TwoStepDecoder(code, step2)
+    assert dec.J == J and {col.bit_count() for col in dec._columns} == {r}
+    return dec, two_step_scan(dec, step2)
+
+
+def noisy_word(data, code):
+    rng = data.draw(st.randoms(use_true_random=False))
+    weight = data.draw(st.integers(min_value=0, max_value=code.n))
+    sent = code.random_codeword(rng) if data.draw(st.booleans()) else 0
+    return sent ^ sum(1 << j for j in rng.sample(range(code.n), weight))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_step_matches_scalar_scan(one_step_case, data):
+    dec, scan = one_step_case
+    word = noisy_word(data, dec.code)
+    assert dec.decode(word) == scan(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_two_step_matches_scalar_scan(two_step_case, data):
+    dec, scan = two_step_case
+    word = noisy_word(data, dec.code)
+    assert dec.decode(word) == scan(word)
 
 
 def test_two_step_dimension_mismatch(gf2m):

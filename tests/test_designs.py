@@ -10,6 +10,8 @@ from designcodes.designs import (
     dumps_comb_design,
     dumps_subspace_design,
     flats_construction,
+    load_comb_design,
+    load_subspace_design,
     loads_comb_design,
     loads_subspace_design,
     projective_version,
@@ -302,6 +304,20 @@ def test_design_files_name_the_bad_line_and_reject_negative_counts():
         text = "cdesign t=2 n=3 k=2 lambda=1\n".replace(f" {key}=", f" {key}=-")
         with pytest.raises(ValueError, match=f"'{key}=-[0-9]+' is negative"):
             loads_comb_design(text)
+
+
+def test_file_loaders_name_the_file(tmp_path):
+    files = {
+        "d.qdesign": ("qdesign t=2 v=3 k=2 lambda=1 q=2 poly=2\n1 0 0 ; 0 1 y\n", load_subspace_design),
+        "d.cdesign": ("cdesign t=2 n=3 k=2 lambda=1\n0 y\n", load_comb_design),
+        "m.pmatrix": ("pmatrix rows=1 cols=3 p=2\n1y1\n", PrimeMatrix.load),
+    }
+    for name, (text, load) in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: line 2: 'y' is not an integer"
 
 
 def test_cdesign_file_roundtrip():
