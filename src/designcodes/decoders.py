@@ -174,12 +174,13 @@ def _columns(groups, n: int) -> tuple[int, ...]:
     the matrix holds L lanes, one row of each group per lane.  Column p is
     returned as a mask with bit i set when matrix row i has bit p.
 
-    The rows are packed into one int as w x w tiles (w a power of two >= n,
-    at least 8), and every tile is transposed at once by log2(w) delta
+    The rows are packed lane by lane (strided byte slices) into w x w
+    tiles, w a power of two >= n and at least 8.  The tiles are transposed
+    32 KB at a time, each run of tiles read as one int, by log2(w) delta
     swaps: step s exchanges bit (i, j) with bit (i + s, j - s) wherever i
     has bit s clear and j has it set (Hacker's Delight, 7-3).  Tile row p
-    is then column p of the tile's w rows; the tiles' row p bytes are
-    gathered with strided slices, as are the lanes before packing.
+    is then column p of the tile's w rows, and the tiles' row p bytes are
+    gathered into column p with strided slices.
     """
     w = max(8, 1 << (n - 1).bit_length())
     k = w // 8
@@ -194,7 +195,7 @@ def _columns(groups, n: int) -> tuple[int, ...]:
         for b in range(k):
             packed[c * count * k + b : (c + 1) * count * k : k] = by_group[c * k + b :: lanes * k]
     del by_group
-    # Swap 32 KB of tiles at a time, so the big-int temporaries stay small.
+    # 32 KB per pass keeps the big-int temporaries small.
     span = max(1, (1 << 15) // (w * k)) * w * k
     zero = bytes(k)
     swaps = []

@@ -308,7 +308,10 @@ def test_design_files_name_the_bad_line_and_reject_negative_counts():
 
 def test_file_loaders_name_the_file(tmp_path):
     files = {
-        "d.qdesign": ("qdesign t=2 v=3 k=2 lambda=1 q=2 poly=2\n1 0 0 ; 0 1 y\n", load_subspace_design),
+        "d.qdesign": (
+            "qdesign t=2 v=3 k=2 lambda=1 q=2 poly=2\n1 0 0 ; 0 1 y\n",
+            load_subspace_design,
+        ),
         "d.cdesign": ("cdesign t=2 n=3 k=2 lambda=1\n0 y\n", load_comb_design),
         "m.pmatrix": ("pmatrix rows=1 cols=3 p=2\n1y1\n", PrimeMatrix.load),
     }
