@@ -9,7 +9,10 @@ the q = 4 run's split between miscorrected and detected words depends on
 the exact step-1 tables.  The one-step run on the shipped 2-(7,3,3)_2
 design (its 11 detected words pin the DETECTED path) and the q = 3
 two-step run (J = 4, so step-1 estimates can tie) were captured before
-the decoders computed each check's parity once per word.
+the decoders computed each check's parity once per word.  The `design
+verify` and `experiment rank` outputs, on the shipped design and on a copy
+missing its last block (which pins the witness lines), were captured before
+verification counted containments through the point columns.
 """
 
 import random
@@ -21,9 +24,21 @@ from designcodes.designs import projective_version, trivial_design
 from designcodes.field import FieldCtx
 
 
-def stdout_of(capsys, *argv):
-    assert main(list(argv)) == 0
+SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
+
+
+def stdout_of(capsys, *argv, status=0):
+    assert main(list(argv)) == status
     return capsys.readouterr().out
+
+
+def _broken_copy(tmp_path):
+    """The shipped design without its last block."""
+    lines = SHIPPED_DESIGN.read_text(encoding="utf-8").splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if line.split("#", 1)[0].strip())
+    path = tmp_path / "broken.qdesign"
+    path.write_text("".join(lines[:last] + lines[last + 1 :]), encoding="utf-8")
+    return path
 
 
 def test_simulate_two_step_golden(capsys):
@@ -49,9 +64,8 @@ def test_simulate_two_step_q4_golden(capsys):
 
 
 def test_simulate_one_step_subspace_design_golden(capsys):
-    design = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
     out = stdout_of(
-        capsys, "simulate", "--decoder", "one-step", "--designfile", str(design),
+        capsys, "simulate", "--decoder", "one-step", "--designfile", str(SHIPPED_DESIGN),
         "--weight", "11", "--trials", "200", "--seed", "3",
     )
     assert out == (
@@ -85,6 +99,29 @@ def test_radius_one_step_golden(capsys):
         "--seed", "1",
     )
     assert out == "radius=3\nfirst_failure=4\ntrials=4992\nexhaustive=true\n"
+
+
+def test_design_verify_shipped_golden(capsys):
+    out = stdout_of(capsys, "design", "verify", str(SHIPPED_DESIGN))
+    assert out == "verified=true\nobserved_lambda=3\n"
+
+
+def test_design_verify_missing_block_golden(capsys, tmp_path):
+    out = stdout_of(capsys, "design", "verify", str(_broken_copy(tmp_path)), status=1)
+    assert out == (
+        "verified=false\nobserved_lambda=non-constant\n"
+        "witness=1 0 0 1 0 1 1 ; 0 1 1 0 0 0 1\nwitness_count=2\n"
+    )
+
+
+def test_experiment_rank_shipped_golden(capsys):
+    out = stdout_of(capsys, "experiment", "rank", str(SHIPPED_DESIGN))
+    assert out == "matrix_rank=99\nhamada_rank=99\nbinary_rank=99\nverdict=equal\n"
+
+
+def test_experiment_rank_missing_block_golden(capsys, tmp_path):
+    out = stdout_of(capsys, "experiment", "rank", str(_broken_copy(tmp_path)), status=1)
+    assert out == "verified=false\nwitness=1 0 0 1 0 1 1 ; 0 1 1 0 0 0 1\nwitness_count=2\n"
 
 
 def test_nullspace_basis_and_random_codewords_golden():
