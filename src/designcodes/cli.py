@@ -47,7 +47,7 @@ from .designs import (
     verify_subspace_design,
 )
 from .field import FieldCtx, PrimeMatrix, _load_file, _strip_lines, matrix_rank
-from .pspace import enumerate_points, gaussian_coefficient
+from .pspace import Subspace, enumerate_points, gaussian_coefficient
 from .tables import TableRowSpec, capability, comb_design_params, predicted_rank, table_row
 
 
@@ -94,17 +94,15 @@ def _construct(qdesign: SubspaceDesign, mode: str, hyperplane=None) -> Combinato
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _resolve_comb(args) -> tuple[CombinatorialDesign, SubspaceDesign | None, str]:
+def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
     """Combinatorial design for a decoder, from a file or trivial parameters."""
-    mode = getattr(args, "mode", None) or "projective"
-    if getattr(args, "designfile", None):
+    if args.designfile:
         qd, cd = _load_design_file(args.designfile)
         if cd is not None:
-            return cd, None, "combinatorial"
-        return _construct(qd, mode), qd, mode
-    ctx = _ctx(args)
-    qd = trivial_design(args.t, args.v, args.k, ctx)
-    return _construct(qd, mode), qd, mode
+            return cd, "combinatorial"
+    else:
+        qd = trivial_design(args.t, args.v, args.k, _ctx(args))
+    return _construct(qd, args.mode), args.mode
 
 
 def _code_report(code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign | None, mode: str):
@@ -141,19 +139,26 @@ def cmd_design_trivial(args) -> int:
     return 0
 
 
+def _print_witness(res) -> None:
+    """The witness lines of a failed verification: the first t-subspace
+    (generator rows) or t-subset with an off count, and that count."""
+    if res.witness is None:
+        return
+    witness, count = res.witness
+    if isinstance(witness, Subspace):
+        desc = " ; ".join(" ".join(str(x) for x in row) for row in witness.gen)
+    else:
+        desc = " ".join(str(i) for i in witness)
+    print(f"witness={desc}")
+    print(f"witness_count={count}")
+
+
 def cmd_design_verify(args) -> int:
     qd, cd = _load_design_file(args.file)
     res = verify_subspace_design(qd) if qd is not None else verify_comb_design(cd)
     print(f"verified={'true' if res.verified else 'false'}")
     print(f"observed_lambda={res.observed_lambda}")
-    if res.witness is not None:
-        witness, count = res.witness
-        if qd is not None:
-            desc = " ; ".join(" ".join(str(x) for x in row) for row in witness.gen)
-        else:
-            desc = " ".join(str(i) for i in witness)
-        print(f"witness={desc}")
-        print(f"witness_count={count}")
+    _print_witness(res)
     return 0 if res.verified else 1
 
 
@@ -226,24 +231,13 @@ def cmd_hamada(args) -> int:
     return 0
 
 
-def _print_outcome(out) -> None:
-    print(f"status={out.status}")
-    print(f"flips={','.join(str(j) for j in out.flips)}")
-    if out.word is not None:
-        print(f"word={out.word_str()}")
-
-
-def cmd_decode_one_step(args) -> int:
-    comb, _, mode = _resolve_comb(args)
-    code = build_code(comb, 2, mode)
-    dec = OneStepDecoder(code, comb)
-    out = dec.decode(args.word)
-    _print_outcome(out)
-    return 0
-
-
-def _two_step_decoder(args) -> TwoStepDecoder:
-    if getattr(args, "designfile", None):
+def _decoder_for(args):
+    """The decoder named by --decoder (or the decode subcommand), built from
+    a design file or trivial parameters."""
+    if args.decoder == "one-step":
+        comb, mode = _resolve_comb(args)
+        return OneStepDecoder(build_code(comb, 2, mode), comb)
+    if args.designfile:
         step2 = load_subspace_design(args.designfile)
     else:
         step2 = trivial_design(2, args.v, args.k - 1, _ctx(args))
@@ -255,19 +249,13 @@ def _two_step_decoder(args) -> TwoStepDecoder:
     return TwoStepDecoder(code, step2)
 
 
-def cmd_decode_two_step(args) -> int:
-    dec = _two_step_decoder(args)
-    out = dec.decode(args.word)
-    _print_outcome(out)
+def cmd_decode(args) -> int:
+    out = _decoder_for(args).decode(args.word)
+    print(f"status={out.status}")
+    print(f"flips={','.join(str(j) for j in out.flips)}")
+    if out.word is not None:
+        print(f"word={out.word_str()}")
     return 0
-
-
-def _decoder_for(args):
-    if args.decoder == "one-step":
-        comb, _, mode = _resolve_comb(args)
-        code = build_code(comb, 2, mode)
-        return OneStepDecoder(code, comb)
-    return _two_step_decoder(args)
 
 
 def cmd_radius(args) -> int:
@@ -319,12 +307,8 @@ def cmd_experiment_rank(args) -> int:
         raise ValueError("the rank experiment needs a subspace-design (qdesign) file")
     res = verify_subspace_design(qd)
     if not res.verified:
-        witness, count = res.witness if res.witness else (None, None)
         print("verified=false")
-        if witness is not None:
-            desc = " ; ".join(" ".join(str(x) for x in row) for row in witness.gen)
-            print(f"witness={desc}")
-            print(f"witness_count={count}")
+        _print_witness(res)
         return 1
     rep = rank_report(qd)
     print(f"matrix_rank={rep.matrix_rank}")
@@ -437,15 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     pdec = sub.add_parser("decode", help="decode a received word")
     decsub = pdec.add_subparsers(dest="subcmd", required=True)
 
-    p = decsub.add_parser("one-step")
-    _add_decoder_source_args(p)
-    p.add_argument("--word", required=True)
-    p.set_defaults(fn=cmd_decode_one_step)
-
-    p = decsub.add_parser("two-step")
-    _add_decoder_source_args(p, two_step=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(fn=cmd_decode_two_step)
+    for name in ("one-step", "two-step"):
+        p = decsub.add_parser(name)
+        _add_decoder_source_args(p, two_step=name == "two-step")
+        p.add_argument("--word", required=True)
+        p.set_defaults(fn=cmd_decode, decoder=name)
 
     p = sub.add_parser("radius", help="measure the decoding radius empirically")
     p.add_argument("--decoder", choices=["one-step", "two-step"], default="one-step")

@@ -8,7 +8,8 @@ outputs always satisfy every parity check of the code.
 
 Both decoders run column-syndrome kernels: at build time the incidence
 matrix is transposed into one column mask per position (bit i = check i
-contains the position), so a decode XORs the columns of the received
+contains the position) by `field._columns`, the transpose that design
+verification also uses, so a decode XORs the columns of the received
 word's 1-bits into a syndrome, computing each check's parity once per word,
 and reads each position's vote count as popcount(syndrome & column).  The
 scalar loops they replaced, one parity per (check, point) pair, are kept as
@@ -38,6 +39,7 @@ from math import comb
 
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign
+from .field import _columns
 from .pspace import gaussian_coefficient, outside_classes, points_mask
 
 DECODED = "decoded"
@@ -166,58 +168,6 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 
 # ---------------------------------------------------------------------------
 # Decoders
-
-
-def _columns(groups, n: int) -> tuple[int, ...]:
-    """Transpose a bit matrix given as groups of n-bit row masks, L rows to
-    a group: row c of group g is matrix row c * (number of groups) + g, so
-    the matrix holds L lanes, one row of each group per lane.  Column p is
-    returned as a mask with bit i set when matrix row i has bit p.
-
-    The rows are packed lane by lane (strided byte slices) into w x w
-    tiles, w a power of two >= n and at least 8.  The tiles are transposed
-    32 KB at a time, each run of tiles read as one int, by log2(w) delta
-    swaps: step s exchanges bit (i, j) with bit (i + s, j - s) wherever i
-    has bit s clear and j has it set (Hacker's Delight, 7-3).  Tile row p
-    is then column p of the tile's w rows, and the tiles' row p bytes are
-    gathered into column p with strided slices.
-    """
-    w = max(8, 1 << (n - 1).bit_length())
-    k = w // 8
-    chunks = [b"".join(row.to_bytes(k, "little") for row in group) for group in groups]
-    count = len(chunks)
-    lanes = len(chunks[0]) // k if chunks else 0
-    by_group = b"".join(chunks)
-    del chunks
-    tiles = -(-(lanes * count) // w) or 1
-    packed = bytearray(tiles * w * k)
-    for c in range(lanes):
-        for b in range(k):
-            packed[c * count * k + b : (c + 1) * count * k : k] = by_group[c * k + b :: lanes * k]
-    del by_group
-    # 32 KB per pass keeps the big-int temporaries small.
-    span = max(1, (1 << 15) // (w * k)) * w * k
-    zero = bytes(k)
-    swaps = []
-    s = w >> 1
-    while s:
-        high = sum(1 << j for j in range(w) if j & s).to_bytes(k, "little")
-        tile = b"".join(zero if i & s else high for i in range(w))
-        swaps.append((s * (w - 1), int.from_bytes(tile * (span // len(tile)), "little")))
-        s >>= 1
-    for start in range(0, len(packed), span):
-        x = int.from_bytes(packed[start : start + span], "little")
-        for d, mask in swaps:
-            t = ((x >> d) ^ x) & mask
-            x ^= t ^ (t << d)
-        packed[start : start + span] = x.to_bytes(min(span, len(packed) - start), "little")
-    columns = []
-    for p in range(n):
-        col = bytearray(tiles * k)
-        for b in range(k):
-            col[b::k] = packed[p * k + b :: w * k]
-        columns.append(int.from_bytes(col, "little"))
-    return tuple(columns)
 
 
 def _xor_columns(columns, word: int) -> int:

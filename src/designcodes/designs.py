@@ -1,15 +1,18 @@
 """Subspace designs and combinatorial designs.
 
 Covers parameter arithmetic (derived lambdas, block count b, repetition
-number r), the trivial design of the full subspace lattice, brute-force
+number r), the trivial design of the full subspace lattice, exhaustive
 verification, and the three ways a subspace design yields a combinatorial
 design: restriction to projective points, restriction to an affine chart,
 and (for q = 2) the union of all parallel flats.
 
 Designs are simple: duplicate blocks are a hard error, in files and in
-constructors alike.  Verification is a separate explicit step because it is
-exponential in the number of t-subspaces; its outcome is flagged on the
-value.
+constructors alike.  Verification is a separate explicit step, because it
+visits every t-subspace (or t-subset) of the ambient space; its outcome is
+flagged on the value.  It transposes the block point sets once into point
+columns (`field._columns`, bit i of column p set when block i contains
+point p), so the blocks containing a set of points are the AND of their
+columns.
 """
 
 from __future__ import annotations
@@ -21,16 +24,15 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .field import FieldCtx, _ints, _load_file, _parse_header, _strip_lines
+from .field import FieldCtx, _columns, _ints, _load_file, _parse_header, _strip_lines, pack_mask
 from .pspace import (
     Subspace,
     enumerate_subspaces,
     gaussian_coefficient,
-    pack_mask,
     point_space,
+    points_mask,
     points_of_subspace,
     subspace,
-    subspaces_of,
 )
 
 
@@ -192,40 +194,46 @@ def trivial_design(t: int, v: int, k: int, ctx: FieldCtx) -> SubspaceDesign:
 def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
     """Count, for every t-subspace, the blocks containing it.
 
-    Containment counts are accumulated by walking the t-subspaces inside
-    each block, then every t-subspace of the ambient space is checked
-    against the design lambda.  On failure the witness is the first
-    t-subspace (in canonical enumeration order) with an off count.
+    A block contains a t-subspace T iff it contains the points of T's
+    canonical generator rows, so T's count is the popcount of the AND of
+    those points' columns.  On failure the witness is the first t-subspace
+    (in canonical enumeration order) with an off count.
     """
-    counts: dict[tuple, int] = {}
-    for blk in design.blocks:
-        for t_sub in subspaces_of(blk, design.t):
-            counts[t_sub.gen] = counts.get(t_sub.gen, 0) + 1
-    witness = None
-    seen = set()
-    for t_sub in enumerate_subspaces(design.v, design.t, design.ctx):
-        c = counts.get(t_sub.gen, 0)
-        seen.add(c)
-        if c != design.lam and witness is None:
-            witness = (t_sub, c)
-    verified = witness is None
-    observed = seen.pop() if len(seen) == 1 else "non-constant"
-    design.verified = verified
-    return VerifyResult(verified=verified, observed_lambda=observed, witness=witness)
+    index = point_space(design.v, design.ctx).index if design.v else {}
+    cases = (
+        (t_sub, [index[row] for row in t_sub.gen])
+        for t_sub in enumerate_subspaces(design.v, design.t, design.ctx)
+    )
+    return _count_containments(design, len(index), map(points_mask, design.blocks), cases)
 
 
 def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
-    counts: dict[tuple[int, ...], int] = {}
-    for blk in design.blocks:
-        for sub in itertools.combinations(blk, design.t):
-            counts[sub] = counts.get(sub, 0) + 1
+    """Count, for every t-subset, the blocks containing it: the popcount of
+    the AND of its points' columns.  On failure the witness is the first
+    t-subset (in lexicographic order) with an off count."""
+    masks = (sum(1 << i for i in blk) for blk in design.blocks)
+    cases = ((sub, sub) for sub in itertools.combinations(range(design.n), design.t))
+    return _count_containments(design, design.n, masks, cases)
+
+
+def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
+    """Check every case against design.lam and flag the outcome on `design`.
+
+    `block_masks` are the blocks as n-bit point masks; `cases` yields each
+    t-subspace or t-subset, in canonical order, with its point indices.
+    """
+    columns = _columns(((mask,) for mask in block_masks), n)
+    every_block = (1 << len(design.blocks)) - 1
     witness = None
     seen = set()
-    for sub in itertools.combinations(range(design.n), design.t):
-        c = counts.get(sub, 0)
+    for case, points in cases:
+        common = every_block
+        for p in points:
+            common &= columns[p]
+        c = common.bit_count()
         seen.add(c)
         if c != design.lam and witness is None:
-            witness = (sub, c)
+            witness = (case, c)
     verified = witness is None
     observed = seen.pop() if len(seen) == 1 else "non-constant"
     design.verified = verified

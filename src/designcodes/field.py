@@ -10,7 +10,12 @@ p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
 rows one at a time into a growing reduced basis, so a huge row stream never
 has to be materialized for elimination.  Over GF(2) that basis is kept in
 reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
-codes read their rank, nullspace and codeword test off it.
+codes read their rank, nullspace and codeword test off it.  `_columns` is
+the package's one GF(2) bit-matrix transpose: it turns row masks (checks or
+blocks) into one column mask per point, bit i set when row i holds the
+point.  The decoders vote with those columns, and design verification
+counts the blocks through a set of points as the popcount of the AND of
+their columns.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`);
@@ -139,6 +144,8 @@ class FieldCtx:
         """Context for GF(q), with the default modulus unless overridden."""
         if q < 2:
             raise ValueError("field order must be at least 2")
+        if q > 512:  # before the trial division, whose cost grows with q
+            raise ValueError("fields with q > 512 are not supported")
         p = 2
         while q % p:
             p += 1
@@ -228,7 +235,7 @@ class PrimeMatrix:
                 if not 0 <= x < p:
                     raise ValueError("entry not in prime field")
             if p == 2:
-                rows.append(_pack_bits(row))
+                rows.append(pack_mask(row))
             else:
                 rows.append(tuple(row))
         return cls(p=p, ncols=ncols, rows=rows)
@@ -348,11 +355,12 @@ def _ints(tokens: Iterable[str], lineno: int) -> list[int]:
     return out
 
 
-def _pack_bits(row: Sequence[int]) -> int:
+def pack_mask(vec: Sequence[int]) -> int:
+    """Bitmask sum(x_i << i) of a 0/1 vector (coordinate 0 least significant)."""
     m = 0
-    for j, x in enumerate(row):
+    for i, x in enumerate(vec):
         if x:
-            m |= 1 << j
+            m |= 1 << i
     return m
 
 
@@ -380,6 +388,58 @@ def rref_gf2(masks: Iterable[int]) -> tuple[list[int], list[int]]:
             pivot_bits |= low
     order = sorted(basis)
     return [basis[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
+
+
+def _columns(groups, n: int) -> tuple[int, ...]:
+    """Transpose a bit matrix given as groups of n-bit row masks, L rows to
+    a group: row c of group g is matrix row c * (number of groups) + g, so
+    the matrix holds L lanes, one row of each group per lane.  Column p is
+    returned as a mask with bit i set when matrix row i has bit p.
+
+    The rows are packed lane by lane (strided byte slices) into w x w
+    tiles, w a power of two >= n and at least 8.  The tiles are transposed
+    32 KB at a time, each run of tiles read as one int, by log2(w) delta
+    swaps: step s exchanges bit (i, j) with bit (i + s, j - s) wherever i
+    has bit s clear and j has it set (Hacker's Delight, 7-3).  Tile row p
+    is then column p of the tile's w rows, and the tiles' row p bytes are
+    gathered into column p with strided slices.
+    """
+    w = max(8, 1 << (n - 1).bit_length())
+    k = w // 8
+    chunks = [b"".join(row.to_bytes(k, "little") for row in group) for group in groups]
+    count = len(chunks)
+    lanes = len(chunks[0]) // k if chunks else 0
+    by_group = b"".join(chunks)
+    del chunks
+    tiles = -(-(lanes * count) // w) or 1
+    packed = bytearray(tiles * w * k)
+    for c in range(lanes):
+        for b in range(k):
+            packed[c * count * k + b : (c + 1) * count * k : k] = by_group[c * k + b :: lanes * k]
+    del by_group
+    # 32 KB per pass keeps the big-int temporaries small.
+    span = max(1, (1 << 15) // (w * k)) * w * k
+    zero = bytes(k)
+    swaps = []
+    s = w >> 1
+    while s:
+        high = sum(1 << j for j in range(w) if j & s).to_bytes(k, "little")
+        tile = b"".join(zero if i & s else high for i in range(w))
+        swaps.append((s * (w - 1), int.from_bytes(tile * (span // len(tile)), "little")))
+        s >>= 1
+    for start in range(0, len(packed), span):
+        x = int.from_bytes(packed[start : start + span], "little")
+        for d, mask in swaps:
+            t = ((x >> d) ^ x) & mask
+            x ^= t ^ (t << d)
+        packed[start : start + span] = x.to_bytes(min(span, len(packed) - start), "little")
+    columns = []
+    for p in range(n):
+        col = bytearray(tiles * k)
+        for b in range(k):
+            col[b::k] = packed[p * k + b :: w * k]
+        columns.append(int.from_bytes(col, "little"))
+    return tuple(columns)
 
 
 def _rank_stream_gfp(rows: Iterable[Sequence[int]], p: int) -> int:
@@ -422,7 +482,7 @@ def matrix_rank(matrix, p: int | None = None) -> int:
             return len(rref_gf2(matrix.rows)[0])
         rows = _checked(matrix.iter_entry_rows(), p)
         if p == 2:
-            return len(rref_gf2(_pack_bits(row) for row in rows)[0])
+            return len(rref_gf2(pack_mask(row) for row in rows)[0])
     elif p is None:
         raise ValueError("p is required when passing raw rows")
     elif p == 2:

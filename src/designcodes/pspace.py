@@ -17,9 +17,9 @@ Conventions used everywhere downstream:
   (dim b + 1)-superspace sup (`outside_classes`), and `superspaces` extends
   by one representative point per class.
 
-For q = 2 a vector is also handled as the bitmask sum(x_i << i); the hot
-paths (spanned-point collection, the cosets of `outside_classes`) use XOR
-on those masks.
+For q = 2 a vector is also handled as the bitmask sum(x_i << i)
+(`field.pack_mask`); the hot paths (spanned-point collection, the cosets of
+`outside_classes`) use XOR on those masks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .field import FieldCtx
+from .field import FieldCtx, pack_mask
 
 Vector = tuple[int, ...]
 
@@ -102,15 +102,6 @@ class _PointSpace:
 @lru_cache(maxsize=None)
 def point_space(v: int, ctx: FieldCtx) -> _PointSpace:
     return _PointSpace(v, ctx)
-
-
-def pack_mask(vec: Sequence[int]) -> int:
-    """Bitmask sum(x_i << i) of a 0/1 vector (coordinate 0 least significant)."""
-    m = 0
-    for i, x in enumerate(vec):
-        if x:
-            m |= 1 << i
-    return m
 
 
 @dataclass(frozen=True)
@@ -323,26 +314,3 @@ def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
                 nxt.add(Subspace(ctx=b.ctx, v=b.v, gen=rref(s.gen + (vec,), b.v, b.ctx)))
         frontier = nxt
     return tuple(sorted(frontier, key=Subspace.sort_key))
-
-
-@lru_cache(maxsize=None)
-def _local_gens(k: int, t: int, ctx: FieldCtx) -> tuple[tuple[Vector, ...], ...]:
-    return tuple(s.gen for s in enumerate_subspaces(k, t, ctx))
-
-
-def subspaces_of(s: Subspace, t: int) -> Iterator[Subspace]:
-    """All t-subspaces of s, as canonical subspaces of the ambient space."""
-    if not 0 <= t <= s.k:
-        return
-    ctx = s.ctx
-    for lgen in _local_gens(s.k, t, ctx):
-        rows = []
-        for coeffs in lgen:
-            vec = (0,) * s.v
-            for c, row in zip(coeffs, s.gen):
-                if c == 1:
-                    vec = vec_add(vec, row, ctx)
-                elif c:
-                    vec = vec_add(vec, vec_scale(c, row, ctx), ctx)
-            rows.append(vec)
-        yield Subspace(ctx=ctx, v=s.v, gen=rref(rows, s.v, ctx))

@@ -2,24 +2,31 @@
 
 Everything here is deliberately naive: dense Gaussian elimination, raw
 subset/codeword enumeration.  The oracles share no code with the package so
-they can cross-check it, except two kinds of former package paths kept as
-references: `superspaces_scan`, the superspace search behind
+they can cross-check it, except three kinds of former package paths kept
+as references: `superspaces_scan`, the superspace search behind
 `pspace.superspaces` and `pspace.outside_classes`, which still builds on the
-package's RREF and point order; and `one_step_scan` and
-`two_step_scan`, the scalar majority-logic decoders, which read the
-decoder's code, parameters and (two-step) the package's outside classes.
+package's RREF and point order; `one_step_scan` and `two_step_scan`, the
+scalar majority-logic decoders, which read the decoder's code, parameters
+and (two-step) the package's outside classes; and `verify_scan`, the design
+verification that tallied the t-subspaces of every block (`subspaces_of`),
+which builds on the package's RREF and subspace enumeration.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
+from designcodes.designs import SubspaceDesign, VerifyResult
 from designcodes.pspace import (
     Subspace,
     contains_vector,
+    enumerate_subspaces,
     outside_classes,
     point_space,
     points_mask,
     rref,
+    vec_add,
+    vec_scale,
 )
 
 
@@ -89,6 +96,57 @@ def superspaces_scan(b, k):
                     nxt.add(Subspace(ctx=b.ctx, v=b.v, gen=rref(s.gen + (vec,), b.v, b.ctx)))
         frontier = nxt
     return tuple(sorted(frontier, key=Subspace.sort_key))
+
+
+@lru_cache(maxsize=None)
+def _local_gens(k, t, ctx):
+    return tuple(s.gen for s in enumerate_subspaces(k, t, ctx))
+
+
+def subspaces_of(s, t):
+    """All t-subspaces of s, as canonical subspaces of the ambient space:
+    the t-subspaces of F_q^k in coordinates over s's generator rows."""
+    if not 0 <= t <= s.k:
+        return
+    ctx = s.ctx
+    for lgen in _local_gens(s.k, t, ctx):
+        rows = []
+        for coeffs in lgen:
+            vec = (0,) * s.v
+            for c, row in zip(coeffs, s.gen):
+                if c == 1:
+                    vec = vec_add(vec, row, ctx)
+                elif c:
+                    vec = vec_add(vec, vec_scale(c, row, ctx), ctx)
+            rows.append(vec)
+        yield Subspace(ctx=ctx, v=s.v, gen=rref(rows, s.v, ctx))
+
+
+def verify_scan(design):
+    """The VerifyResult of a subspace or combinatorial design, by tallying
+    every t-subspace (t-subset) of every block in a dict and then walking
+    the ambient ones in canonical order.  Leaves `design.verified` alone."""
+    counts = {}
+    if isinstance(design, SubspaceDesign):
+        for blk in design.blocks:
+            for t_sub in subspaces_of(blk, design.t):
+                counts[t_sub.gen] = counts.get(t_sub.gen, 0) + 1
+        ambient = enumerate_subspaces(design.v, design.t, design.ctx)
+        cases = ((t_sub, t_sub.gen) for t_sub in ambient)
+    else:
+        for blk in design.blocks:
+            for sub in combinations(blk, design.t):
+                counts[sub] = counts.get(sub, 0) + 1
+        cases = ((sub, sub) for sub in combinations(range(design.n), design.t))
+    witness = None
+    seen = set()
+    for case, key in cases:
+        c = counts.get(key, 0)
+        seen.add(c)
+        if c != design.lam and witness is None:
+            witness = (case, c)
+    observed = seen.pop() if len(seen) == 1 else "non-constant"
+    return VerifyResult(verified=witness is None, observed_lambda=observed, witness=witness)
 
 
 def naive_min_distance(check_masks, n):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -53,6 +54,21 @@ def test_design_verify_failure_exits_1(tmp_path, capsys):
     pairs = kv(out)
     assert pairs["verified"] == "false"
     assert "witness" in pairs
+
+
+def test_huge_field_order_is_rejected_promptly(tmp_path, capsys):
+    path = tmp_path / "big.qdesign"
+    path.write_text("qdesign t=2 v=3 k=2 lambda=1 q=10000019 poly=0\n")
+    start = time.perf_counter()
+    for argv in (
+        ("design", "verify", str(path)),
+        ("table", "--v", "3", "--k", "2", "--lambda", "1", "--q", "1000000007"),
+        ("code", "params", "--v", "3", "--k", "2", "--q", "1000000007"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith("fields with q > 512 are not supported\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_design_verify_commented_file(tmp_path, capsys):

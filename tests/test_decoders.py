@@ -11,7 +11,6 @@ from designcodes.decoders import (
     DETECTED,
     OneStepDecoder,
     TwoStepDecoder,
-    _columns,
     as_mask,
     ell_bounds,
     ell_one_step,
@@ -27,7 +26,7 @@ from designcodes.designs import (
     projective_version,
     trivial_design,
 )
-from designcodes.field import FieldCtx
+from designcodes.field import FieldCtx, _columns
 
 from .oracles import one_step_scan, two_step_scan
 

@@ -1,3 +1,8 @@
+import itertools
+import random
+from functools import lru_cache
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +27,7 @@ from designcodes.designs import (
 from designcodes.field import FieldCtx, PrimeMatrix, matrix_rank
 from designcodes.pspace import gaussian_coefficient, subspace_contains
 
-from .oracles import naive_comb_design_counts
+from .oracles import naive_comb_design_counts, verify_scan
 
 FANO_BLOCKS = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2, 6)]
 
@@ -351,3 +356,78 @@ def test_verify_matches_naive_counts(rng):
     assert res.verified == (set(naive.values()) == {1})
     if not res.verified and isinstance(res.observed_lambda, int):
         assert set(naive.values()) == {res.observed_lambda}
+
+
+# Differential tests: verification by point columns against the former
+# tallying loop (tests/oracles.py), field for field, witness included.
+
+# (q, t, v, k) of the trivial designs whose block subsets are verified
+TRIVIAL_CASES = [
+    (q, t, v, k)
+    for q, vmax in ((2, 5), (3, 4), (4, 3))
+    for v in range(vmax + 1)
+    for k in range(v + 1)
+    for t in range(min(k, 3) + 1)
+]
+
+
+@lru_cache(maxsize=None)
+def _trivial_blocks(q, v, k):
+    return trivial_design(0, v, k, FieldCtx.of(q)).blocks
+
+
+@lru_cache(maxsize=None)
+def _constructions():
+    out = []
+    for q, v, k in ((2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2), (4, 3, 2)):
+        d = trivial_design(2, v, k, FieldCtx.of(q))
+        out += [projective_version(d), affine_version(d)]
+        if q == 2:
+            out.append(flats_construction(d))
+    return tuple(out)
+
+
+def _lambda_and_subset(data, blocks, full_lam):
+    """A design lambda and a random subset of `blocks`: all, all but a few,
+    about half, or none."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    drop = min(len(blocks), data.draw(st.sampled_from([0, 1, 2, len(blocks) // 2, len(blocks)])))
+    lam = data.draw(st.one_of(st.just(full_lam), st.integers(1, full_lam + 1)))
+    return lam, tuple(rng.sample(blocks, len(blocks) - drop))
+
+
+def _assert_same_result(design):
+    want = verify_scan(design)
+    if isinstance(design, SubspaceDesign):
+        got = verify_subspace_design(design)
+    else:
+        got = verify_comb_design(design)
+    assert got.verified == want.verified
+    assert got.observed_lambda == want.observed_lambda
+    assert got.witness == want.witness
+    assert design.verified == want.verified
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TRIVIAL_CASES), st.data())
+def test_verify_subspace_design_matches_scan(case, data):
+    q, t, v, k = case
+    blocks = _trivial_blocks(q, v, k)
+    lam, kept = _lambda_and_subset(data, blocks, gaussian_coefficient(v - t, k - t, q))
+    _assert_same_result(SubspaceDesign(ctx=FieldCtx.of(q), t=t, v=v, k=k, lam=lam, blocks=kept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_comb_design_matches_scan(data):
+    if data.draw(st.booleans()):
+        base = data.draw(st.sampled_from(_constructions()))
+        n, k, t, blocks, full_lam = base.n, base.k, base.t, base.blocks, base.lam
+    else:
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(0, n))
+        t = data.draw(st.integers(0, min(k, 3)))
+        blocks = tuple(itertools.combinations(range(n), k))
+        full_lam = comb(n - t, k - t)
+    lam, kept = _lambda_and_subset(data, blocks, full_lam)
+    _assert_same_result(CombinatorialDesign(n=n, t=t, k=k, lam=lam, blocks=kept))

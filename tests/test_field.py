@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,16 @@ def test_ctx_rejects_bad_orders():
         FieldCtx.of(4, modulus=5)  # x^2 + 1 = (x+1)^2 over F_2
     with pytest.raises(ValueError):
         FieldCtx.of(4, modulus=3)  # not monic of degree 2
+
+
+def test_ctx_rejects_large_orders_before_factoring():
+    # trial division would look for the characteristic of the prime
+    # 1000000007 for about 90 s; the size check answers at once
+    start = time.perf_counter()
+    for q in (513, 10000019, 1000000007, 2**61 - 1):
+        with pytest.raises(ValueError, match="q > 512"):
+            FieldCtx.of(q)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tables_are_lazy_and_outside_equality():

@@ -17,11 +17,10 @@ from designcodes.pspace import (
     rref,
     subspace,
     subspace_contains,
-    subspaces_of,
     superspaces,
 )
 
-from .oracles import superspaces_scan
+from .oracles import subspaces_of, superspaces_scan
 
 
 def test_gaussian_known_values():
