@@ -12,16 +12,22 @@ two-step run (J = 4, so step-1 estimates can tie) were captured before
 the decoders computed each check's parity once per word.  The `design
 verify` and `experiment rank` outputs, on the shipped design and on a copy
 missing its last block (which pins the witness lines), were captured before
-verification counted containments through the point columns.
+verification counted containments through the point columns.  The sha256
+of the `twostep-q4` decoder's tables and of the point sets of the lines of
+PG(2,8) were captured before the geometry of every characteristic-2 field
+walked packed vectors by XOR.
 """
 
+import hashlib
 import random
 from pathlib import Path
 
 from designcodes.cli import main
 from designcodes.codes import build_code
+from designcodes.decoders import TwoStepDecoder
 from designcodes.designs import projective_version, trivial_design
 from designcodes.field import FieldCtx
+from designcodes.pspace import enumerate_subspaces, points_of_subspace
 
 
 SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
@@ -138,3 +144,32 @@ def test_nullspace_basis_and_random_codewords_golden():
         1689230504, 1779810495, 653103705, 2071659267, 1032392378, 761670302,
         1255366662, 1913884140,
     ]
+
+
+def _sha256_of_ints(obj):
+    """sha256 of nested int sequences, ints in hex, sequences as (a,b,...)."""
+
+    def enc(o):
+        if isinstance(o, int):
+            return format(o, "x")
+        return "(" + ",".join(enc(x) for x in o) + ")"
+
+    return hashlib.sha256(enc(obj).encode()).hexdigest()
+
+
+def test_two_step_q4_decoder_tables_golden():
+    # the twostep-q4 benchmark decoder: plane code of PG(3,4) through its lines
+    ctx = FieldCtx.of(4)
+    code = build_code(projective_version(trivial_design(2, 4, 3, ctx)), 2, "projective")
+    dec = TwoStepDecoder(code, trivial_design(2, 4, 2, ctx))
+    assert _sha256_of_ints((dec._members, dec._columns, dec._halves)) == (
+        "8078ef55c578aaba2332ac1f56709a1fc89a041a06cd92084325a52b0cdd7709"
+    )
+
+
+def test_points_of_lines_of_pg_2_8_golden():
+    lines = [points_of_subspace(s) for s in enumerate_subspaces(3, 2, FieldCtx.of(8))]
+    assert len(lines) == 73
+    assert _sha256_of_ints(lines) == (
+        "3dd21f52b789eac9f34169295a6147b1c0b9eabf8498b934a1d00740746cde09"
+    )
