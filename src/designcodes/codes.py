@@ -16,7 +16,7 @@ from functools import cached_property
 from math import comb
 
 from .designs import CombinatorialDesign, DesignParams, SubspaceDesign, projective_version
-from .field import PrimeMatrix, matrix_rank, rref_gf2
+from .field import PrimeMatrix, is_prime, matrix_rank, rref_gf2
 from .pspace import gaussian_coefficient
 
 
@@ -134,6 +134,10 @@ def hamada_rank_terms(v: int, k: int, p: int, m: int):
     """
     if not 0 <= k <= v:
         raise ValueError("need 0 <= k <= v")
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
     terms = []
     for s in itertools.product(range(k, v + 1), repeat=m):
         diffs = [s[(j + 1) % m] * p - s[j] for j in range(m)]

@@ -355,10 +355,13 @@ def measure_decoding_radius(
 
     Each weight is swept exhaustively while C(n, w) fits the budget and by
     uniform sampling beyond that; `exhaustive` reports whether every swept
-    weight up to the radius was exhaustive.
+    weight up to the radius was exhaustive.  A budget below 1 tests
+    nothing, so it is rejected.
     """
     import itertools
 
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     n = decoder.n
     rng = random.Random(seed)
     trials = 0
@@ -426,6 +429,8 @@ def simulate(
     and the parity-evaluation workload are tallied."""
     rng = random.Random(seed)
     n = decoder.n
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     if weight > n:
         raise ValueError("error weight exceeds code length")
     start_evals = decoder.check_evals

@@ -27,6 +27,7 @@ from typing import Sequence
 from .field import FieldCtx, _columns, _ints, _load_file, _parse_header, _strip_lines, pack_mask
 from .pspace import (
     Subspace,
+    _span,
     enumerate_subspaces,
     gaussian_coefficient,
     point_space,
@@ -332,10 +333,7 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
     universe = range(1 << v)
     blocks = set()
     for blk in design.blocks:
-        row_masks = [pack_mask(r) for r in blk.gen]
-        span = [0]
-        for rm in row_masks:
-            span += [x ^ rm for x in span]
+        span = _span([[pack_mask(r)] for r in blk.gen])
         covered = set()
         for a in universe:
             if a in covered:

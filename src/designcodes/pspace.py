@@ -17,9 +17,13 @@ Conventions used everywhere downstream:
   (dim b + 1)-superspace sup (`outside_classes`), and `superspaces` extends
   by one representative point per class.
 
-For q = 2 a vector is also handled as the bitmask sum(x_i << i)
-(`field.pack_mask`); the hot paths (spanned-point collection, the cosets of
-`outside_classes`) use XOR on those masks.
+For q = 2^m a vector is also handled packed, as the int sum(x_i << (m i))
+of its m-bit coordinates (for q = 2 the bitmask of `field.pack_mask`).
+Adding two vectors is then XOR of their packed ints, and one table per
+(v, ctx), of q^v entries, maps each packed vector to the index of its
+point.  The span walks of `points_of_subspace` and the cosets of
+`outside_classes` run on those ints; odd q, and spaces with q^v > 2^20,
+keep coordinate tuples.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from operator import xor
+from typing import Callable, Iterator, Sequence
 
 from .field import FieldCtx, pack_mask
 
@@ -44,10 +49,6 @@ def gaussian_coefficient(v: int, k: int, q: int) -> int:
     for i in range(k):
         g = g * (q ** (v - i) - 1) // (q ** (i + 1) - 1)
     return g
-
-
-def vec_add(u: Vector, w: Vector, ctx: FieldCtx) -> Vector:
-    return tuple(ctx.add(a, b) for a, b in zip(u, w))
 
 
 def vec_scale(c: int, u: Vector, ctx: FieldCtx) -> Vector:
@@ -77,8 +78,19 @@ def enumerate_points(v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
     return tuple(points)
 
 
+# Largest q^v for which a characteristic-2 space keeps its packed-vector
+# table (8 MB of list); larger spaces fall back to the tuple paths.
+_VEC_INDEX_LIMIT = 1 << 20
+
+
 class _PointSpace:
-    """Cached canonical point order plus lookup structures for one (v, ctx)."""
+    """Cached canonical point order plus lookup structures for one (v, ctx).
+
+    For q = 2^m (and q^v <= 2^20), `vec_index` is a list of q^v entries:
+    entry x is the index of the point spanned by the nonzero vector packed
+    as x, so each of the q - 1 scalar multiples of a point finds it with
+    one lookup (entry 0 is unused).  Otherwise `vec_index` is None.
+    """
 
     def __init__(self, v: int, ctx: FieldCtx):
         self.v = v
@@ -86,17 +98,39 @@ class _PointSpace:
         self.points = enumerate_points(v, ctx)
         self.n = len(self.points)
         self.index = {pt: i for i, pt in enumerate(self.points)}
-        if ctx.q == 2:
-            # q = 2: every nonzero vector is its own representative
-            arr = [0] * (1 << v)
-            for i, pt in enumerate(self.points):
-                arr[pack_mask(pt)] = i
-            self.mask_index: list[int] | None = arr
-        else:
-            self.mask_index = None
+        self.vec_index: list[int] | None = None
+        if ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT:
+            self.vec_index = _vec_index(v, ctx)
+        self._complements: dict[tuple[int, ...], list[int]] = {}
 
-    def index_of(self, vec: Vector) -> int:
-        return self.index[normalize_point(vec, self.ctx)]
+    def complement_points(self, pivots: tuple[int, ...]) -> list[int]:
+        """One packed vector per point of the coordinate subspace on the
+        columns outside `pivots` (q = 2^m), computed once per pivot set."""
+        out = self._complements.get(pivots)
+        if out is None:
+            m, q = self.ctx.m, self.ctx.q
+            unit = [[c << (m * j) for c in range(1, q)] for j in range(self.v) if j not in pivots]
+            out = self._complements[pivots] = _one_per_point(unit, 0, xor)
+        return out
+
+
+def _vec_index(v: int, ctx: FieldCtx) -> list[int]:
+    """The packed-vector table of `_PointSpace`, q = 2^m.
+
+    `_one_per_point` over the unit vectors e_0, ..., e_{v-1} lists the
+    points in `enumerate_points` order.  Scaling every row and multiple by
+    c lists c times each point at the same position, since the walk is
+    linear.
+    """
+    m, q = ctx.m, ctx.q
+    table = [0] * q**v
+    # one int object per point, shared by its q - 1 multiples
+    ids = list(range(gaussian_coefficient(v, 1, q)))
+    for mul_c in ctx.mul_table[1:]:
+        rows = [[mul_c[d] << (m * j) for d in range(1, q)] for j in range(v)]
+        for i, x in zip(ids, _one_per_point(rows, 0, xor)):
+            table[x] = i
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -190,31 +224,72 @@ def enumerate_subspaces(v: int, k: int, ctx: FieldCtx) -> Iterator[Subspace]:
             yield Subspace(ctx=ctx, v=v, gen=tuple(tuple(r) for r in rows))
 
 
+def _packed_multiples(row: Vector, ctx: FieldCtx) -> list[int]:
+    """c * row packed, for c = 1, ..., q - 1 (q = 2^m)."""
+    if ctx.m == 1:
+        return [pack_mask(row)]
+    m = ctx.m
+    return [
+        sum(mul_c[x] << (m * i) for i, x in enumerate(row)) for mul_c in ctx.mul_table[1:]
+    ]
+
+
+def _span(rows: Sequence[list[int]]) -> list[int]:
+    """Every packed vector of the span of the rows (q = 2^m); each row is
+    given by its q - 1 packed nonzero scalar multiples."""
+    span = [0]
+    for multiples in rows:
+        span += [x ^ y for y in multiples for x in span]
+    return span
+
+
+def _one_per_point(rows: Sequence[list], zero, add: Callable) -> list:
+    """One vector of each point of the span of the rows: row i plus a vector
+    of the span of the later rows (leading coefficient 1).  Rows are given
+    as in `_span`, row i first by itself (c = 1)."""
+    out = []
+    span = [zero]
+    for i in reversed(range(len(rows))):
+        out += [add(rows[i][0], x) for x in span]
+        if i:
+            span += [add(x, y) for y in rows[i] for x in span]
+    return out
+
+
 def points_of_subspace(s: Subspace) -> tuple[int, ...]:
-    """Sorted point indices of the 1-subspaces contained in s."""
+    """Sorted point indices of the 1-subspaces contained in s.
+
+    One vector per point (`_one_per_point`: a row of s plus a combination
+    of the later rows) is looked up in the point space.  For q = 2^m the
+    walk runs on packed vectors by XOR, from the rows of s and their q - 1
+    scalar multiples, and each vector's point is one `vec_index` lookup;
+    q = 2 walks the span in Gray code order, one XOR per point.  Odd q (and
+    spaces too large for the table) walk coordinate tuples, which the
+    leading coefficient 1 leaves normalized.
+    """
     if s.k == 0:
         return ()
     sp = point_space(s.v, s.ctx)
-    q = s.ctx.q
-    if q == 2:
+    ctx = s.ctx
+    idx = sp.vec_index
+    if idx is None:
+        at = ctx.add_table
+        rows = [[tuple([mul_c[x] for x in r]) for mul_c in ctx.mul_table[1:]] for r in s.gen]
+
+        def add(u: Vector, w: Vector) -> Vector:
+            return tuple([at[a][b] for a, b in zip(u, w)])
+
+        return tuple(sorted(map(sp.index.__getitem__, _one_per_point(rows, (0,) * s.v, add))))
+    if ctx.q == 2:
         row_masks = [pack_mask(r) for r in s.gen]
-        idx = sp.mask_index
         cur = 0
         out = []
         for i in range(1, 1 << s.k):
             cur ^= row_masks[(i & -i).bit_length() - 1]
             out.append(idx[cur])
         return tuple(sorted(out))
-    out = []
-    # coefficient tuples with leading coefficient 1 hit each point once
-    for lead in range(s.k):
-        for tail in itertools.product(range(q), repeat=s.k - lead - 1):
-            vec = s.gen[lead]
-            for c, row in zip(tail, s.gen[lead + 1 :]):
-                if c:
-                    vec = vec_add(vec, vec_scale(c, row, s.ctx), s.ctx)
-            out.append(sp.index_of(vec))
-    return tuple(sorted(out))
+    rows = [_packed_multiples(r, ctx) for r in s.gen]
+    return tuple(sorted(map(idx.__getitem__, _one_per_point(rows, 0, xor))))
 
 
 def points_mask(s: Subspace) -> int:
@@ -256,30 +331,30 @@ def outside_classes(b: Subspace) -> tuple[int, ...]:
     exactly one (dim b + 1)-superspace sup of b: there are [v - dim b, 1]_q
     classes of q^(dim b) points each.  Returned sorted as integers.
 
-    For q = 2 the class of a vector x is the coset x + span(b), walked by
-    XOR over the 2^(dim b) vectors of span(b).  For q > 2 each point is
-    reduced against the rows of b (zeroing b's pivot columns) and the points
-    are grouped by the normalized remainder.
+    For q = 2^m the class of a vector w outside b is the coset w + span(b):
+    its q^(dim b) vectors span distinct points.  span(b) is walked on packed
+    vectors, from the rows of b and their q - 1 scalar multiples, and one w
+    is taken per point of the coordinate subspace on the non-pivot columns
+    of b, a complement of b; each class is {vec_index[w ^ s] : s in span(b)},
+    so every point outside b costs one XOR and one lookup.  For odd q (and
+    spaces too large for the table) each point is reduced against the rows
+    of b (zeroing b's pivot columns) and the points are grouped by the
+    normalized remainder.
     """
     sp = point_space(b.v, b.ctx)
-    if b.ctx.q == 2:
-        span = [0]
-        for row in b.gen:
-            m = pack_mask(row)
-            span += [x ^ m for x in span]
-        idx = sp.mask_index
-        seen = bytearray(1 << b.v)
-        for x in span:
-            seen[x] = 1
+    ctx = b.ctx
+    idx = sp.vec_index
+    if idx is not None:
+        rows = [_packed_multiples(r, ctx) for r in b.gen]
+        m = ctx.m
+        # a packed row's lowest set bit lies in its pivot coordinate
+        pivots = tuple(((r[0] & -r[0]).bit_length() - 1) // m for r in rows)
+        span = _span(rows)
         out = []
-        for x in range(1, 1 << b.v):
-            if seen[x]:
-                continue
+        for w in sp.complement_points(pivots):
             cls = 0
-            for y in span:
-                z = x ^ y
-                seen[z] = 1
-                cls |= 1 << idx[z]
+            for x in span:
+                cls |= 1 << idx[w ^ x]
             out.append(cls)
         return tuple(sorted(out))
     pivots = _pivots(b.gen)
@@ -287,7 +362,7 @@ def outside_classes(b: Subspace) -> tuple[int, ...]:
     for i, pt in enumerate(sp.points):
         r = _reduce(b, pivots, pt)
         if any(r):
-            key = normalize_point(r, b.ctx)
+            key = normalize_point(r, ctx)
             classes[key] = classes.get(key, 0) | (1 << i)
     return tuple(sorted(classes.values()))
 

@@ -2,18 +2,21 @@
 
 Everything here is deliberately naive: dense Gaussian elimination, raw
 subset/codeword enumeration.  The oracles share no code with the package so
-they can cross-check it, except three kinds of former package paths kept
+they can cross-check it, except four kinds of former package paths kept
 as references: `superspaces_scan`, the superspace search behind
 `pspace.superspaces` and `pspace.outside_classes`, which still builds on the
-package's RREF and point order; `one_step_scan` and `two_step_scan`, the
-scalar majority-logic decoders, which read the decoder's code, parameters
-and (two-step) the package's outside classes; and `verify_scan`, the design
+package's RREF and point order; `points_walk`, the coordinate-tuple walk
+that `pspace.points_of_subspace` used for every q > 2 before characteristic
+2 walked packed vectors, which builds on the package's point order and
+field tables; `one_step_scan` and `two_step_scan`, the scalar
+majority-logic decoders, which read the decoder's code, parameters and
+(two-step) the package's outside classes; and `verify_scan`, the design
 verification that tallied the t-subspaces of every block (`subspaces_of`),
 which builds on the package's RREF and subspace enumeration.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
 from designcodes.designs import SubspaceDesign, VerifyResult
@@ -21,13 +24,17 @@ from designcodes.pspace import (
     Subspace,
     contains_vector,
     enumerate_subspaces,
+    normalize_point,
     outside_classes,
     point_space,
     points_mask,
     rref,
-    vec_add,
     vec_scale,
 )
+
+
+def vec_add(u, w, ctx):
+    return tuple(ctx.add(a, b) for a, b in zip(u, w))
 
 
 def naive_rank(rows, p):
@@ -74,6 +81,25 @@ def rref_masks(masks, ncols):
         rows.insert(pos, m)
         pivots.insert(pos, pc)
     return rows, pivots
+
+
+def points_walk(s):
+    """Sorted point indices of s, by coordinate tuples: for every
+    coefficient tuple with leading coefficient 1 over s's rows, the
+    combination is summed with `vec_add`/`vec_scale`, normalized and looked
+    up in the point order.  Any q."""
+    if s.k == 0:
+        return ()
+    sp = point_space(s.v, s.ctx)
+    out = []
+    for lead in range(s.k):
+        for tail in product(range(s.ctx.q), repeat=s.k - lead - 1):
+            vec = s.gen[lead]
+            for c, row in zip(tail, s.gen[lead + 1 :]):
+                if c:
+                    vec = vec_add(vec, vec_scale(c, row, s.ctx), s.ctx)
+            out.append(sp.index[normalize_point(vec, s.ctx)])
+    return tuple(sorted(out))
 
 
 def superspaces_scan(b, k):

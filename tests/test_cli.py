@@ -253,6 +253,34 @@ def test_radius_command(capsys):
     assert pairs["exhaustive"] == "true"
 
 
+@pytest.mark.parametrize("v,budget", [(3, "0"), (4, "-3")])
+def test_radius_budget_below_one_is_domain_error(capsys, v, budget):
+    code, out, err = run(
+        capsys, "radius", "--v", str(v), "--k", "2", "--q", "2", "--budget", budget,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_simulate_negative_trials_is_domain_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--v", "3", "--k", "2", "--q", "2", "--weight", "1",
+        "--trials", "-5",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "trials" in err
+
+
+@pytest.mark.parametrize("p,m", [("4", "1"), ("2", "0")])
+def test_hamada_bad_characteristic_or_degree_is_domain_error(capsys, p, m):
+    code, out, err = run(capsys, "hamada", "--v", "3", "--k", "2", "--p", p, "--m", m)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_simulate_command_deterministic(capsys):
     argv = [
         "simulate", "--decoder", "two-step", "--v", "5", "--k", "3", "--q", "2",

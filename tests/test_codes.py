@@ -81,6 +81,14 @@ def test_hamada_rank_values():
     assert hamada_rank(7, 4, 2, 2) == 2276
 
 
+def test_hamada_rejects_non_prime_characteristic_and_degree_below_one():
+    for p, m in [(4, 1), (1, 1), (6, 2), (2, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            hamada_rank_terms(3, 2, p, m)
+        with pytest.raises(ValueError):
+            hamada_rank(3, 2, p, m)
+
+
 def test_hamada_terms_sum_to_rank():
     terms = hamada_rank_terms(7, 3, 2, 2)
     assert sum(val for _, val in terms) == 4397

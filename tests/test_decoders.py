@@ -456,6 +456,25 @@ def test_workload_ratio_matches_lambda_ratio(fano_pair):
     assert b.check_evals // b.trials == 7 * dec_full.r
 
 
+def test_radius_rejects_a_budget_below_one(fano_pair):
+    # a budget of 0 samples nothing and would certify every weight up to n
+    code, fano = fano_pair
+    dec = OneStepDecoder(code, fano)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget"):
+            measure_decoding_radius(dec, budget=budget)
+    assert measure_decoding_radius(dec, budget=1).certified_radius == 1
+
+
+def test_simulate_rejects_negative_trials(fano_pair):
+    code, fano = fano_pair
+    dec = OneStepDecoder(code, fano)
+    with pytest.raises(ValueError, match="trials"):
+        simulate(dec, weight=1, trials=-5)
+    rep = simulate(dec, weight=1, trials=0)
+    assert (rep.trials, rep.successes, rep.check_evals) == (0, 0, 0)
+
+
 def test_as_mask_forms():
     assert as_mask("0110", 4) == 0b0110
     assert as_mask([0, 1, 1, 0], 4) == 0b0110

@@ -4,12 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from designcodes import pspace
 from designcodes.field import FieldCtx
 from designcodes.pspace import (
     Subspace,
     enumerate_points,
     enumerate_subspaces,
     gaussian_coefficient,
+    normalize_point,
     outside_classes,
     point_space,
     points_mask,
@@ -20,7 +22,7 @@ from designcodes.pspace import (
     superspaces,
 )
 
-from .oracles import subspaces_of, superspaces_scan
+from .oracles import points_walk, subspaces_of, superspaces_scan
 
 
 def test_gaussian_known_values():
@@ -112,6 +114,61 @@ def test_points_count_is_gaussian(rng, q):
     assert len(set(pts)) == len(pts)
 
 
+def _packed(vec, m):
+    return sum(x << (m * i) for i, x in enumerate(vec))
+
+
+@pytest.mark.parametrize("q,v", [(2, 1), (2, 5), (4, 1), (4, 4), (8, 3), (16, 2)])
+def test_packed_vector_table_finds_every_multiple(q, v):
+    ctx = FieldCtx.of(q)
+    sp = point_space(v, ctx)
+    assert len(sp.vec_index) == q**v
+    for vec in itertools.product(range(q), repeat=v):
+        if any(vec):
+            assert sp.vec_index[_packed(vec, ctx.m)] == sp.index[normalize_point(vec, ctx)]
+
+
+def test_odd_q_has_no_packed_vector_table(gf4):
+    assert point_space(3, FieldCtx.of(3)).vec_index is None
+    assert point_space(3, FieldCtx.of(9)).vec_index is None
+    assert point_space(3, gf4).vec_index is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 8]), st.integers(min_value=0, max_value=2**32))
+def test_points_of_subspace_match_tuple_walk(q, seed):
+    ctx = FieldCtx.of(q)
+    rng = random.Random(seed)
+    # keep the point count of F_q^v at most 1365
+    v = rng.randrange(1, {2: 9, 4: 6, 8: 4}[q] + 1)
+    s = random_subspace(rng, v, rng.randrange(0, v + 1), ctx)
+    want = points_walk(s)
+    assert points_of_subspace(s) == want
+    assert points_mask(s) == sum(1 << i for i in want)
+
+
+def test_spaces_without_packed_table_walk_tuples(monkeypatch):
+    # above the table's size limit, q = 2^m takes the tuple walk and the
+    # reduction of odd q; shown here by lowering the limit
+    monkeypatch.setattr(pspace, "_VEC_INDEX_LIMIT", 0)
+    point_space.cache_clear()
+    try:
+        rng = random.Random(5)
+        for q, v in [(2, 5), (4, 3), (8, 3)]:
+            ctx = FieldCtx.of(q)
+            assert point_space(v, ctx).vec_index is None
+            for dim in range(v + 1):
+                b = random_subspace(rng, v, dim, ctx)
+                assert points_of_subspace(b) == points_walk(b)
+                if 0 < dim < v:
+                    want = sorted(
+                        points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
+                    )
+                    assert list(outside_classes(b)) == want
+    finally:
+        point_space.cache_clear()
+
+
 def test_superspace_counts(gf2):
     b = subspace([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], 5, gf2)
     sup = superspaces(b, 3)
@@ -126,10 +183,11 @@ def test_superspace_counts(gf2):
 
 
 def test_superspaces_match_full_enumeration():
-    # (q, v, dim b, k): k = dim b + 1 and k > dim b + 1, over q in {2, 3, 4, 5}
+    # (q, v, dim b, k): k = dim b + 1 and k > dim b + 1, over q in {2, 3, 4, 5, 8}
     cases = [
         (2, 4, 2, 3), (4, 3, 2, 3), (3, 4, 2, 3), (5, 3, 1, 2),
         (2, 5, 1, 3), (2, 6, 2, 5), (3, 4, 1, 3), (3, 5, 2, 4), (5, 4, 1, 3),
+        (8, 3, 1, 2), (4, 4, 1, 3),
     ]
     for q, v, dim_b, k in cases:
         ctx = FieldCtx.of(q)
