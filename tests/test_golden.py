@@ -15,7 +15,10 @@ missing its last block (which pins the witness lines), were captured before
 verification counted containments through the point columns.  The sha256
 of the `twostep-q4` decoder's tables and of the point sets of the lines of
 PG(2,8) were captured before the geometry of every characteristic-2 field
-walked packed vectors by XOR.
+walked packed vectors by XOR.  The sha256 of the `twostep-subspace`
+decoder's tables and of the block rows and order of the 4-subspaces of
+F_2^7 and of the shipped design were captured before q = 2 subspaces were
+held as row masks.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ from pathlib import Path
 from designcodes.cli import main
 from designcodes.codes import build_code
 from designcodes.decoders import TwoStepDecoder
-from designcodes.designs import projective_version, trivial_design
+from designcodes.designs import load_subspace_design, projective_version, trivial_design
 from designcodes.field import FieldCtx
 from designcodes.pspace import enumerate_subspaces, points_of_subspace
 
@@ -172,4 +175,30 @@ def test_points_of_lines_of_pg_2_8_golden():
     assert len(lines) == 73
     assert _sha256_of_ints(lines) == (
         "3dd21f52b789eac9f34169295a6147b1c0b9eabf8498b934a1d00740746cde09"
+    )
+
+
+def test_two_step_subspace_decoder_tables_golden():
+    # the twostep-subspace benchmark decoder: 4-subspace code of PG(6,2)
+    # through the shipped 2-(7,3,3)_2 design
+    comb = projective_version(trivial_design(2, 7, 4, FieldCtx.of(2)))
+    assert _sha256_of_ints(comb.blocks) == (
+        "fba1f17a41932b64a0b5726c2339089a9125eb3d646a1358c8f66d36e3c2e20f"
+    )
+    dec = TwoStepDecoder(build_code(comb, 2, "projective"), load_subspace_design(SHIPPED_DESIGN))
+    assert _sha256_of_ints((dec._members, dec._columns, dec._halves)) == (
+        "f250eded9cf43d8905d8ff5db5da45a416fcbbc0116c95b0b68523ff722d9c9a"
+    )
+
+
+def test_block_rows_and_order_golden():
+    blocks = trivial_design(2, 7, 4, FieldCtx.of(2)).blocks
+    assert len(blocks) == 11811
+    assert _sha256_of_ints([b.gen for b in blocks]) == (
+        "5cc641ca8d602f57379de2d729ac836b862a507a0bb529c7549ae0dc3a149fe6"
+    )
+    shipped = load_subspace_design(SHIPPED_DESIGN).blocks
+    assert len(shipped) == 1143
+    assert _sha256_of_ints([b.gen for b in shipped]) == (
+        "8f07e47cdb1d0d820993bc5389f154cc95b61aa02b1b665b8ee8e7ad12e9eb05"
     )
