@@ -192,14 +192,17 @@ def _majority_flips(syndrome: int, columns, halves) -> tuple[int, ...]:
     )
 
 
-def _outcome(code: BinaryCode, received: int, flips: tuple[int, ...]) -> DecodeOutcome:
-    """Apply the flips; the result is a decoded word only if it is a codeword."""
-    out = received
+def _flipped(received: int, flips: tuple[int, ...]) -> int:
     for j in flips:
-        out ^= 1 << j
-    if code.is_codeword(out):
-        return DecodeOutcome(status=DECODED, word=out, flips=flips, n=code.n)
-    return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=code.n)
+        received ^= 1 << j
+    return received
+
+
+def _outcome(n: int, out: int, flips: tuple[int, ...], codeword: bool) -> DecodeOutcome:
+    """The flipped word is a decoded word only if it is a codeword."""
+    if codeword:
+        return DecodeOutcome(status=DECODED, word=out, flips=flips, n=n)
+    return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=n)
 
 
 class OneStepDecoder:
@@ -212,9 +215,13 @@ class OneStepDecoder:
     with bit i set when block i contains j.  A decode XORs the columns of the
     received word's 1-bits into the syndrome (bit i = parity of block i), so
     each check's parity is computed once per word, and U_j is
-    popcount(syndrome & column j).  `check_evals` is the model count of the
-    scalar decoder, n r parity evaluations per word (one per point of every
-    block), added per call; it is not a count of machine operations.
+    popcount(syndrome & column j).  The flipped word's syndrome is the
+    received syndrome XOR the flipped positions' columns, and since the
+    blocks are exactly the code's checks (checked at build time), the word
+    is a codeword iff that syndrome is zero.  `check_evals` is the model
+    count of the scalar decoder, n r parity evaluations per word (one per
+    point of every block), added per call; it is not a count of machine
+    operations.
     """
 
     def __init__(self, code: BinaryCode, design: CombinatorialDesign):
@@ -239,9 +246,14 @@ class OneStepDecoder:
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
-        syndrome = _xor_columns(self._columns, received)
+        columns = self._columns
+        syndrome = _xor_columns(columns, received)
         self.check_evals += self._evals_per_word
-        return _outcome(self.code, received, _majority_flips(syndrome, self._columns, self._halves))
+        flips = _majority_flips(syndrome, columns, self._halves)
+        for j in flips:
+            syndrome ^= columns[j]
+        # the blocks are exactly the code's checks: a zero syndrome is a codeword
+        return _outcome(self.n, _flipped(received, flips), flips, not syndrome)
 
 
 class TwoStepDecoder:
@@ -329,7 +341,9 @@ class TwoStepDecoder:
         block_parities = lanes >> (self.J * self._lane_width)
         disagree = self._estimates(lanes) ^ block_parities
         self.check_evals += self._evals_per_word
-        return _outcome(self.code, received, _majority_flips(disagree, self._columns, self._halves))
+        flips = _majority_flips(disagree, self._columns, self._halves)
+        out = _flipped(received, flips)
+        return _outcome(self.n, out, flips, self.code.is_codeword(out))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +369,15 @@ def measure_decoding_radius(
 
     Each weight is swept exhaustively while C(n, w) fits the budget and by
     uniform sampling beyond that; `exhaustive` reports whether every swept
-    weight up to the radius was exhaustive.  A budget below 1 tests
-    nothing, so it is rejected.
+    weight up to the radius was exhaustive.  A budget or a maximum weight
+    below 1 tests nothing, so it is rejected.
     """
     import itertools
 
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if max_weight is not None and max_weight < 1:
+        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     n = decoder.n
     rng = random.Random(seed)
     trials = 0

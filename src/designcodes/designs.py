@@ -24,7 +24,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .field import FieldCtx, _columns, _ints, _load_file, _parse_header, _strip_lines, pack_mask
+from .field import FieldCtx, _columns, _ints, _load_file, _parse_header, _strip_lines
 from .pspace import (
     Subspace,
     _span,
@@ -34,6 +34,7 @@ from .pspace import (
     points_mask,
     points_of_subspace,
     subspace,
+    subspace_order,
 )
 
 
@@ -127,14 +128,16 @@ class SubspaceDesign:
     def __post_init__(self) -> None:
         if not 0 <= self.t <= self.k <= self.v:
             raise ValueError("need 0 <= t <= k <= v")
-        blocks = tuple(sorted(self.blocks, key=Subspace.sort_key))
-        for b in blocks:
-            if b.v != self.v or b.ctx != self.ctx:
+        v, ctx, k = self.v, self.ctx, self.k
+        for b in self.blocks:
+            # identity first: blocks almost always share the design's context
+            if b.v != v or (b.ctx is not ctx and b.ctx != ctx):
                 raise ValueError("block lives in a different ambient space")
-            if b.k != self.k:
-                raise ValueError(f"block of dimension {b.k}, expected {self.k}")
+            if len(b.rows) != k:
+                raise ValueError(f"block of dimension {b.k}, expected {k}")
+        blocks = tuple(sorted(self.blocks, key=subspace_order(v, ctx)))
         for a, b in zip(blocks, blocks[1:]):
-            if a.gen == b.gen:
+            if a.rows == b.rows:
                 raise ValueError("duplicate block (designs are simple)")
         self.blocks = blocks
 
@@ -197,15 +200,21 @@ def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
 
     A block contains a t-subspace T iff it contains the points of T's
     canonical generator rows, so T's count is the popcount of the AND of
-    those points' columns.  On failure the witness is the first t-subspace
-    (in canonical enumeration order) with an off count.
+    those points' columns.  Canonical rows are normalized point vectors: at
+    q = 2 each row mask is looked up in `vec_index`, otherwise each row
+    tuple in the point index.  On failure the witness is the first
+    t-subspace (in canonical enumeration order) with an off count.
     """
-    index = point_space(design.v, design.ctx).index if design.v else {}
+    n, row_point = 0, {}.__getitem__  # F_q^0 has no points
+    if design.v:
+        sp = point_space(design.v, design.ctx)
+        n = sp.n
+        row_point = sp.vec_index.__getitem__ if design.q == 2 else sp.index.__getitem__
     cases = (
-        (t_sub, [index[row] for row in t_sub.gen])
+        (t_sub, list(map(row_point, t_sub.rows)))
         for t_sub in enumerate_subspaces(design.v, design.t, design.ctx)
     )
-    return _count_containments(design, len(index), map(points_mask, design.blocks), cases)
+    return _count_containments(design, n, map(points_mask, design.blocks), cases)
 
 
 def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
@@ -333,7 +342,7 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
     universe = range(1 << v)
     blocks = set()
     for blk in design.blocks:
-        span = _span([[pack_mask(r)] for r in blk.gen])
+        span = _span([[r] for r in blk.rows])
         covered = set()
         for a in universe:
             if a in covered:

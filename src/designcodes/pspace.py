@@ -15,15 +15,29 @@ Conventions used everywhere downstream:
 * The superspaces of a subspace b are read off the quotient by b: the
   points outside b fall into classes modulo b, one class (sup minus b) per
   (dim b + 1)-superspace sup (`outside_classes`), and `superspaces` extends
-  by one representative point per class.
+  by one representative point per class, a point of the coordinate
+  subspace on b's non-pivot columns.
 
 For q = 2^m a vector is also handled packed, as the int sum(x_i << (m i))
 of its m-bit coordinates (for q = 2 the bitmask of `field.pack_mask`).
 Adding two vectors is then XOR of their packed ints, and one table per
 (v, ctx), of q^v entries, maps each packed vector to the index of its
 point.  The span walks of `points_of_subspace` and the cosets of
-`outside_classes` run on those ints; odd q, and spaces with q^v > 2^20,
-keep coordinate tuples.
+`outside_classes` run on those ints; odd q, and spaces with q > 2 and
+q^v > 2^20, keep coordinate tuples.
+
+At q = 2 a subspace holds its canonical rows as those masks, never as
+tuples: `enumerate_subspaces` builds them directly, `subspace` reduces
+masks with `field.rref_gf2` (whose pivot, the lowest set bit, is the first
+nonzero coordinate, so the canonical form is the same), and the point
+walks, outside classes, superspaces and design verification read them.  A
+mask's point index is its bit reversal minus 1, so the order of the point
+indices of the rows (`subspace_order`) is the lexicographic order of the
+coordinate tuples.  `Subspace.gen` rebuilds the tuples for output.
+
+A subspace keeps its point set once computed (`Subspace.points`), so the
+design checks and constructions that each need a block's points share one
+walk.
 """
 
 from __future__ import annotations
@@ -31,10 +45,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import xor
+from operator import attrgetter, xor
 from typing import Callable, Iterator, Sequence
 
-from .field import FieldCtx, pack_mask
+from .field import FieldCtx, rref_gf2
 
 Vector = tuple[int, ...]
 
@@ -78,18 +92,20 @@ def enumerate_points(v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
     return tuple(points)
 
 
-# Largest q^v for which a characteristic-2 space keeps its packed-vector
-# table (8 MB of list); larger spaces fall back to the tuple paths.
+# Largest q^v for which a space over GF(2^m), m > 1, keeps its packed-vector
+# table (8 MB of list); larger spaces fall back to the tuple paths.  q = 2
+# always keeps it: its subspaces are held as masks.
 _VEC_INDEX_LIMIT = 1 << 20
 
 
 class _PointSpace:
     """Cached canonical point order plus lookup structures for one (v, ctx).
 
-    For q = 2^m (and q^v <= 2^20), `vec_index` is a list of q^v entries:
-    entry x is the index of the point spanned by the nonzero vector packed
-    as x, so each of the q - 1 scalar multiples of a point finds it with
-    one lookup (entry 0 is unused).  Otherwise `vec_index` is None.
+    For q = 2^m, `vec_index` is a list of q^v entries: entry x is the index
+    of the point spanned by the nonzero vector packed as x, so each of the
+    q - 1 scalar multiples of a point finds it with one lookup (entry 0 is
+    unused).  For m > 1 it exists only up to q^v = 2^20; otherwise, and for
+    odd q, `vec_index` is None and vectors are coordinate tuples.
     """
 
     def __init__(self, v: int, ctx: FieldCtx):
@@ -99,18 +115,25 @@ class _PointSpace:
         self.n = len(self.points)
         self.index = {pt: i for i, pt in enumerate(self.points)}
         self.vec_index: list[int] | None = None
-        if ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT:
+        if ctx.q == 2 or (ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT):
             self.vec_index = _vec_index(v, ctx)
-        self._complements: dict[tuple[int, ...], list[int]] = {}
+        self._complements: dict[tuple[int, ...], list] = {}
 
-    def complement_points(self, pivots: tuple[int, ...]) -> list[int]:
-        """One packed vector per point of the coordinate subspace on the
-        columns outside `pivots` (q = 2^m), computed once per pivot set."""
+    def complement_points(self, pivots: tuple[int, ...]) -> list:
+        """One vector per point of the coordinate subspace on the columns
+        outside `pivots`, leading coordinate 1, computed once per pivot set:
+        packed ints where `vec_index` exists, coordinate tuples otherwise."""
         out = self._complements.get(pivots)
         if out is None:
-            m, q = self.ctx.m, self.ctx.q
-            unit = [[c << (m * j) for c in range(1, q)] for j in range(self.v) if j not in pivots]
-            out = self._complements[pivots] = _one_per_point(unit, 0, xor)
+            m, q, v = self.ctx.m, self.ctx.q, self.v
+            free = [j for j in range(v) if j not in pivots]
+            if self.vec_index is not None:
+                unit = [[c << (m * j) for c in range(1, q)] for j in free]
+                out = _one_per_point(unit, 0, xor)
+            else:
+                unit = [[(0,) * j + (c,) + (0,) * (v - j - 1) for c in range(1, q)] for j in free]
+                out = _one_per_point(unit, (0,) * v, _tuple_add(self.ctx))
+            self._complements[pivots] = out
         return out
 
 
@@ -140,22 +163,58 @@ def point_space(v: int, ctx: FieldCtx) -> _PointSpace:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_q^v held by its canonical (RREF) generator matrix."""
+    """A subspace of F_q^v held by its canonical (RREF) generator matrix.
+
+    `rows` are the canonical rows, pivots ascending: int masks at q = 2
+    (bit i = coordinate i, as `field.pack_mask`), coordinate tuples
+    otherwise.  `gen` gives them as coordinate tuples at every q.
+    """
 
     ctx: FieldCtx
     v: int
-    gen: tuple[Vector, ...]
+    rows: tuple
 
     @property
     def k(self) -> int:
-        return len(self.gen)
+        return len(self.rows)
+
+    @property
+    def gen(self) -> tuple[Vector, ...]:
+        if self.ctx.q == 2:
+            v = self.v
+            return tuple(tuple([(r >> i) & 1 for i in range(v)]) for r in self.rows)
+        return self.rows
 
     def sort_key(self) -> tuple:
-        return self.gen
+        """Orders subspaces like their `gen` tuples (see `subspace_order`)."""
+        return subspace_order(self.v, self.ctx)(self)
+
+    @property
+    def points(self) -> tuple[int, ...]:
+        """`points_of_subspace(self)`, computed on first use and kept.  (Not a
+        functools.cached_property: on Python 3.11 its lock costs more than a
+        small subspace's point walk.)"""
+        pts = self.__dict__.get("_points")
+        if pts is None:
+            pts = self.__dict__["_points"] = _points(self)
+        return pts
+
+
+def subspace_order(v: int, ctx: FieldCtx) -> Callable[[Subspace], tuple]:
+    """Sort key putting subspaces of F_q^v in the lexicographic order of
+    their `gen` tuples, coordinate 0 first.  At q = 2 that is the order of
+    the bit-reversed row masks; the point index of a nonzero mask is its
+    bit reversal minus 1 (points are sorted the same way), so the key is
+    the rows' point indices."""
+    if ctx.q == 2 and v:
+        row_point = point_space(v, ctx).vec_index.__getitem__
+        return lambda s: tuple(map(row_point, s.rows))
+    return attrgetter("rows")
 
 
 def rref(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
-    """Reduced row echelon form; dependent and zero rows are dropped."""
+    """Reduced row echelon form over coordinate tuples (q > 2); dependent
+    and zero rows are dropped."""
     rows = [list(r) for r in vectors]
     piv = 0
     for col in range(v):
@@ -177,66 +236,103 @@ def rref(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> tuple[Vecto
     return tuple(tuple(r) for r in rows[:piv])
 
 
+def _bits(vec: Sequence[int]) -> int:
+    """A 0/1 coordinate vector as a mask, bit i = coordinate i."""
+    if not {*vec} <= {0, 1}:
+        bad = next(x for x in vec if x not in (0, 1))
+        raise ValueError(f"{bad} is not an element of GF(2)")
+    return int("".join(["01"[x] for x in reversed(vec)]) or "0", 2)
+
+
+def _from_masks(masks: Sequence[int], v: int, ctx: FieldCtx) -> Subspace:
+    """The q = 2 subspace spanned by row masks: `field.rref_gf2` gives the
+    canonical rows, each row's pivot its lowest set bit."""
+    return Subspace(ctx, v, tuple(rref_gf2(masks)[0]))
+
+
 def subspace(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> Subspace:
     """Canonical subspace spanned by the given vectors."""
     for r in vectors:
         if len(r) != v:
             raise ValueError(f"vector has {len(r)} coordinates, expected {v}")
+    if ctx.q == 2:
+        return _from_masks([_bits(r) for r in vectors], v, ctx)
+    for r in vectors:
         for x in r:
             ctx.check(x)
-    return Subspace(ctx=ctx, v=v, gen=rref(vectors, v, ctx))
+    return Subspace(ctx, v, rref(vectors, v, ctx))
 
 
-def _pivots(gen: tuple[Vector, ...]) -> tuple[int, ...]:
-    return tuple(next(i for i, x in enumerate(row) if x) for row in gen)
+def _pivots(s: Subspace) -> tuple[int, ...]:
+    if s.ctx.q == 2:
+        return tuple([(r & -r).bit_length() - 1 for r in s.rows])
+    return tuple([next(i for i, x in enumerate(row) if x) for row in s.rows])
+
+
+def _canonical_rows(v: int, k: int, q: int) -> Iterator[tuple]:
+    """The canonical rows of every k-subspace of F_q^v, in the order of
+    `enumerate_subspaces`.  For each pivot set, each row's choices list its
+    entries on the non-pivot columns after its pivot, the first of those
+    columns slowest; the product over the rows, first row slowest, is the
+    odometer over all free entries.  Masks at q = 2, tuples otherwise."""
+    for pivots in itertools.combinations(range(v), k):
+        choices = []
+        for pc in pivots:
+            free = [j for j in range(pc + 1, v) if j not in pivots]
+            if q == 2:
+                row = [1 << pc]
+                for j in free:
+                    row = [r | b for r in row for b in (0, 1 << j)]
+            else:
+                row = []
+                for entries in itertools.product(range(q), repeat=len(free)):
+                    vec = [0] * v
+                    vec[pc] = 1
+                    for j, x in zip(free, entries):
+                        vec[j] = x
+                    row.append(tuple(vec))
+            choices.append(row)
+        yield from itertools.product(*choices)
 
 
 def enumerate_subspaces(v: int, k: int, ctx: FieldCtx) -> Iterator[Subspace]:
     """Yield every k-subspace of F_q^v exactly once, in canonical RREF form.
 
     Streaming: gaussian_coefficient(v, k, q) subspaces in a deterministic
-    order, never materialized as a whole.
+    order (`_canonical_rows`), never materialized as a whole.
     """
     if not 0 <= k <= v:
         return
-    if k == 0:
-        yield Subspace(ctx=ctx, v=v, gen=())
-        return
-    q = ctx.q
-    for pivots in itertools.combinations(range(v), k):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, v)
-            if j not in pivot_set
-        ]
-        base = [[0] * v for _ in range(k)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        if not free_cells:
-            yield Subspace(ctx=ctx, v=v, gen=tuple(tuple(r) for r in base))
-            continue
-        for assignment in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [r[:] for r in base]
-            for (i, j), val in zip(free_cells, assignment):
-                rows[i][j] = val
-            yield Subspace(ctx=ctx, v=v, gen=tuple(tuple(r) for r in rows))
+    for rows in _canonical_rows(v, k, ctx.q):
+        yield Subspace(ctx, v, rows)
 
 
-def _packed_multiples(row: Vector, ctx: FieldCtx) -> list[int]:
-    """c * row packed, for c = 1, ..., q - 1 (q = 2^m)."""
-    if ctx.m == 1:
-        return [pack_mask(row)]
+def _multiples(s: Subspace) -> list[list]:
+    """Each row of s with its q - 1 nonzero scalar multiples, c = 1 first:
+    packed ints for q = 2^m (at q = 2 the row masks themselves), coordinate
+    tuples for odd q and for spaces without the packed table."""
+    ctx = s.ctx
+    if ctx.q == 2:
+        return [[r] for r in s.rows]
+    muls = ctx.mul_table[1:]
+    if point_space(s.v, ctx).vec_index is None:
+        return [[tuple([mul_c[x] for x in r]) for mul_c in muls] for r in s.rows]
     m = ctx.m
-    return [
-        sum(mul_c[x] << (m * i) for i, x in enumerate(row)) for mul_c in ctx.mul_table[1:]
-    ]
+    return [[sum(mul_c[x] << (m * i) for i, x in enumerate(r)) for mul_c in muls] for r in s.rows]
+
+
+def _tuple_add(ctx: FieldCtx) -> Callable[[Vector, Vector], Vector]:
+    at = ctx.add_table
+
+    def add(u: Vector, w: Vector) -> Vector:
+        return tuple([at[a][b] for a, b in zip(u, w)])
+
+    return add
 
 
 def _span(rows: Sequence[list[int]]) -> list[int]:
     """Every packed vector of the span of the rows (q = 2^m); each row is
-    given by its q - 1 packed nonzero scalar multiples."""
+    given by its q - 1 packed nonzero scalar multiples (`_multiples`)."""
     span = [0]
     for multiples in rows:
         span += [x ^ y for y in multiples for x in span]
@@ -259,50 +355,62 @@ def _one_per_point(rows: Sequence[list], zero, add: Callable) -> list:
 def points_of_subspace(s: Subspace) -> tuple[int, ...]:
     """Sorted point indices of the 1-subspaces contained in s.
 
-    One vector per point (`_one_per_point`: a row of s plus a combination
-    of the later rows) is looked up in the point space.  For q = 2^m the
-    walk runs on packed vectors by XOR, from the rows of s and their q - 1
-    scalar multiples, and each vector's point is one `vec_index` lookup;
-    q = 2 walks the span in Gray code order, one XOR per point.  Odd q (and
-    spaces too large for the table) walk coordinate tuples, which the
-    leading coefficient 1 leaves normalized.
+    Computed once per subspace and kept (`Subspace.points`), so the design
+    checks and constructions that each need a block's points share one walk.
     """
-    if s.k == 0:
+    return s.points
+
+
+@lru_cache(maxsize=None)
+def _gray_steps(k: int) -> tuple[int, ...]:
+    """The row flipped at each step of the k-bit Gray code: XORing them in
+    turn visits every nonzero vector of the span of k rows once."""
+    return tuple((i & -i).bit_length() - 1 for i in range(1, 1 << k))
+
+
+def _points(s: Subspace) -> tuple[int, ...]:
+    """One vector per point of s, looked up in the point space.
+
+    At q = 2 every nonzero vector of the span of the row masks is a point:
+    the span is walked in Gray code order, one XOR and one `vec_index`
+    lookup per point.  For q = 2^m the walk (`_one_per_point`: a row of s
+    plus a combination of the later rows) runs on packed vectors by XOR,
+    from the rows and their q - 1 scalar multiples, with one `vec_index`
+    lookup per point.  Odd q (and spaces too large for the table) walk
+    coordinate tuples, which the leading coefficient 1 leaves normalized.
+    """
+    rows = s.rows
+    if not rows:
         return ()
-    sp = point_space(s.v, s.ctx)
     ctx = s.ctx
+    sp = point_space(s.v, ctx)
     idx = sp.vec_index
-    if idx is None:
-        at = ctx.add_table
-        rows = [[tuple([mul_c[x] for x in r]) for mul_c in ctx.mul_table[1:]] for r in s.gen]
-
-        def add(u: Vector, w: Vector) -> Vector:
-            return tuple([at[a][b] for a, b in zip(u, w)])
-
-        return tuple(sorted(map(sp.index.__getitem__, _one_per_point(rows, (0,) * s.v, add))))
     if ctx.q == 2:
-        row_masks = [pack_mask(r) for r in s.gen]
         cur = 0
         out = []
-        for i in range(1, 1 << s.k):
-            cur ^= row_masks[(i & -i).bit_length() - 1]
+        for j in _gray_steps(len(rows)):
+            cur ^= rows[j]
             out.append(idx[cur])
-        return tuple(sorted(out))
-    rows = [_packed_multiples(r, ctx) for r in s.gen]
+        out.sort()
+        return tuple(out)
+    rows = _multiples(s)
+    if idx is None:
+        vecs = _one_per_point(rows, (0,) * s.v, _tuple_add(s.ctx))
+        return tuple(sorted(map(sp.index.__getitem__, vecs)))
     return tuple(sorted(map(idx.__getitem__, _one_per_point(rows, 0, xor))))
 
 
 def points_mask(s: Subspace) -> int:
     """Point set of a subspace as a bitmask over point indices."""
     m = 0
-    for i in points_of_subspace(s):
+    for i in s.points:
         m |= 1 << i
     return m
 
 
 def _reduce(s: Subspace, pivots: tuple[int, ...], vec: Sequence[int]) -> Sequence[int]:
     """vec minus its part in s: the representative of vec + s that is zero on
-    the pivot columns of s (pivots = _pivots(s.gen))."""
+    the pivot columns of s (pivots = _pivots(s))."""
     ctx = s.ctx
     r = vec
     for row, pc in zip(s.gen, pivots):
@@ -313,7 +421,7 @@ def _reduce(s: Subspace, pivots: tuple[int, ...], vec: Sequence[int]) -> Sequenc
 
 
 def contains_vector(s: Subspace, vec: Sequence[int]) -> bool:
-    return not any(_reduce(s, _pivots(s.gen), vec))
+    return not any(_reduce(s, _pivots(s), vec))
 
 
 def subspace_contains(s: Subspace, t: Subspace) -> bool:
@@ -331,61 +439,74 @@ def outside_classes(b: Subspace) -> tuple[int, ...]:
     exactly one (dim b + 1)-superspace sup of b: there are [v - dim b, 1]_q
     classes of q^(dim b) points each.  Returned sorted as integers.
 
-    For q = 2^m the class of a vector w outside b is the coset w + span(b):
-    its q^(dim b) vectors span distinct points.  span(b) is walked on packed
-    vectors, from the rows of b and their q - 1 scalar multiples, and one w
-    is taken per point of the coordinate subspace on the non-pivot columns
-    of b, a complement of b; each class is {vec_index[w ^ s] : s in span(b)},
-    so every point outside b costs one XOR and one lookup.  For odd q (and
-    spaces too large for the table) each point is reduced against the rows
-    of b (zeroing b's pivot columns) and the points are grouped by the
-    normalized remainder.
+    The class of a vector w outside b is the coset w + span(b): its
+    q^(dim b) vectors span distinct points.  One w is taken per point of the
+    coordinate subspace on the non-pivot columns of b, a complement of b.
+    For q = 2^m span(b) is walked on packed vectors, from the rows of b and
+    their q - 1 scalar multiples, and each class is
+    {vec_index[w ^ s] : s in span(b)}, so every point outside b costs one
+    XOR and one lookup.  Odd q (and spaces too large for the table) add
+    coordinate tuples through the field tables and normalize each sum.
     """
     sp = point_space(b.v, b.ctx)
     ctx = b.ctx
     idx = sp.vec_index
+    rows = _multiples(b)
+    comp = sp.complement_points(_pivots(b))
+    out = []
     if idx is not None:
-        rows = [_packed_multiples(r, ctx) for r in b.gen]
-        m = ctx.m
-        # a packed row's lowest set bit lies in its pivot coordinate
-        pivots = tuple(((r[0] & -r[0]).bit_length() - 1) // m for r in rows)
         span = _span(rows)
-        out = []
-        for w in sp.complement_points(pivots):
+        for w in comp:
             cls = 0
             for x in span:
                 cls |= 1 << idx[w ^ x]
             out.append(cls)
         return tuple(sorted(out))
-    pivots = _pivots(b.gen)
-    classes: dict[Vector, int] = {}
-    for i, pt in enumerate(sp.points):
-        r = _reduce(b, pivots, pt)
-        if any(r):
-            key = normalize_point(r, ctx)
-            classes[key] = classes.get(key, 0) | (1 << i)
-    return tuple(sorted(classes.values()))
+    add = _tuple_add(ctx)
+    span = [(0,) * b.v]
+    for multiples in rows:
+        span += [add(x, y) for y in multiples for x in span]
+    index, mt, inv = sp.index, ctx.mul_table, ctx.inv_table
+    for w in comp:
+        cls = 0
+        for x in span:
+            u = add(w, x)
+            lead = next(filter(None, u))
+            if lead != 1:
+                scale = mt[inv[lead]]
+                u = tuple([scale[a] for a in u])
+            cls |= 1 << index[u]
+        out.append(cls)
+    return tuple(sorted(out))
 
 
 def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
     """All k-subspaces containing b, canonical, deduplicated and sorted.
 
     Built one dimension at a time: each subspace s of the frontier is
-    extended by one representative point of each class of `outside_classes(s)`,
-    one RREF per (dim s + 1)-superspace.  For k = dim(b) + 1 the count is
+    extended by one vector of each class of the points outside s modulo s
+    (`outside_classes`), one RREF per (dim s + 1)-superspace.  Those vectors
+    are the complement points of s's pivots (`complement_points`), whose
+    cosets are the classes: masks reduced by `field.rref_gf2` at q = 2,
+    coordinate tuples otherwise.  For k = dim(b) + 1 the count is
     [v - dim(b), 1]_q.
     """
     if k <= b.k:
         raise ValueError("not a proper extension")
     if k > b.v:
         raise ValueError("extension exceeds ambient dimension")
-    sp = point_space(b.v, b.ctx)
+    ctx, v = b.ctx, b.v
+    sp = point_space(v, ctx)
     frontier = {b}
     for _ in range(k - b.k):
         nxt = set()
         for s in frontier:
-            for cls in outside_classes(s):
-                vec = sp.points[(cls & -cls).bit_length() - 1]
-                nxt.add(Subspace(ctx=b.ctx, v=b.v, gen=rref(s.gen + (vec,), b.v, b.ctx)))
+            for w in sp.complement_points(_pivots(s)):
+                if ctx.q == 2:
+                    nxt.add(_from_masks(s.rows + (w,), v, ctx))
+                    continue
+                if sp.vec_index is not None:  # packed: the point's tuple
+                    w = sp.points[sp.vec_index[w]]
+                nxt.add(Subspace(ctx, v, rref(s.rows + (w,), v, ctx)))
         frontier = nxt
     return tuple(sorted(frontier, key=Subspace.sort_key))

@@ -2,17 +2,20 @@
 
 Everything here is deliberately naive: dense Gaussian elimination, raw
 subset/codeword enumeration.  The oracles share no code with the package so
-they can cross-check it, except four kinds of former package paths kept
-as references: `superspaces_scan`, the superspace search behind
-`pspace.superspaces` and `pspace.outside_classes`, which still builds on the
-package's RREF and point order; `points_walk`, the coordinate-tuple walk
-that `pspace.points_of_subspace` used for every q > 2 before characteristic
-2 walked packed vectors, which builds on the package's point order and
-field tables; `one_step_scan` and `two_step_scan`, the scalar
-majority-logic decoders, which read the decoder's code, parameters and
-(two-step) the package's outside classes; and `verify_scan`, the design
-verification that tallied the t-subspaces of every block (`subspaces_of`),
-which builds on the package's RREF and subspace enumeration.
+they can cross-check it, except five kinds of former package paths kept
+as references: `enumerate_gens` and `rref_tuples`, the coordinate-tuple
+subspace enumeration and RREF that q = 2 used before its subspaces were
+held as row masks (self-contained, apart from the field's arithmetic);
+`superspaces_scan`, the superspace search behind `pspace.superspaces` and
+`pspace.outside_classes`, which still builds on the package's canonical
+subspaces and point order; `points_walk`, the coordinate-tuple walk that
+`pspace.points_of_subspace` used for every q > 2 before characteristic 2
+walked packed vectors, which builds on the package's point order and field
+tables; `one_step_scan` and `two_step_scan`, the scalar majority-logic
+decoders, which read the decoder's code, parameters and (two-step) the
+package's outside classes; and `verify_scan`, the design verification that
+tallied the t-subspaces of every block (`subspaces_of`), which builds on
+the package's canonical subspaces and subspace enumeration.
 """
 
 from functools import lru_cache
@@ -28,9 +31,51 @@ from designcodes.pspace import (
     outside_classes,
     point_space,
     points_mask,
-    rref,
+    subspace,
     vec_scale,
 )
+
+
+def enumerate_gens(v, k, ctx):
+    """The canonical generator tuples of every k-subspace of F_q^v, in the
+    package's enumeration order: pivot-column combinations in lexicographic
+    order, free entries in odometer order (row-major, last entry fastest)."""
+    if not 0 <= k <= v:
+        return
+    for pivots in combinations(range(v), k):
+        free_cells = [
+            (i, j) for i in range(k) for j in range(pivots[i] + 1, v) if j not in pivots
+        ]
+        for assignment in product(range(ctx.q), repeat=len(free_cells)):
+            rows = [[0] * v for _ in range(k)]
+            for i, pc in enumerate(pivots):
+                rows[i][pc] = 1
+            for (i, j), val in zip(free_cells, assignment):
+                rows[i][j] = val
+            yield tuple(tuple(r) for r in rows)
+
+
+def rref_tuples(vectors, v, ctx):
+    """Reduced row echelon form of coordinate tuples, dependent and zero rows
+    dropped: pivots strictly increasing, pivot entries 1, pivot columns zero
+    elsewhere."""
+    rows = [list(r) for r in vectors]
+    piv = 0
+    for col in range(v):
+        sel = next((i for i in range(piv, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[piv], rows[sel] = rows[sel], rows[piv]
+        lead = rows[piv][col]
+        if lead != 1:
+            inv = ctx.inv(lead)
+            rows[piv] = [ctx.mul(inv, x) for x in rows[piv]]
+        for i in range(len(rows)):
+            if i != piv and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(rows[i], rows[piv])]
+        piv += 1
+    return tuple(tuple(r) for r in rows[:piv])
 
 
 def vec_add(u, w, ctx):
@@ -119,7 +164,7 @@ def superspaces_scan(b, k):
         for s in frontier:
             for vec in sp.points:
                 if not contains_vector(s, vec):
-                    nxt.add(Subspace(ctx=b.ctx, v=b.v, gen=rref(s.gen + (vec,), b.v, b.ctx)))
+                    nxt.add(subspace(s.gen + (vec,), b.v, b.ctx))
         frontier = nxt
     return tuple(sorted(frontier, key=Subspace.sort_key))
 
@@ -145,7 +190,7 @@ def subspaces_of(s, t):
                 elif c:
                     vec = vec_add(vec, vec_scale(c, row, ctx), ctx)
             rows.append(vec)
-        yield Subspace(ctx=ctx, v=s.v, gen=rref(rows, s.v, ctx))
+        yield subspace(rows, s.v, ctx)
 
 
 def verify_scan(design):

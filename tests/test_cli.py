@@ -263,6 +263,17 @@ def test_radius_budget_below_one_is_domain_error(capsys, v, budget):
     assert err.startswith("error: ") and "budget" in err
 
 
+@pytest.mark.parametrize("max_weight", ["-2", "0"])
+def test_radius_max_weight_below_one_is_domain_error(capsys, max_weight):
+    code, out, err = run(
+        capsys, "radius", "--v", "3", "--k", "2", "--q", "2", "--max-weight", max_weight,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "max_weight" in err
+
+
 def test_simulate_negative_trials_is_domain_error(capsys):
     code, out, err = run(
         capsys, "simulate", "--v", "3", "--k", "2", "--q", "2", "--weight", "1",

@@ -366,6 +366,24 @@ def test_one_step_matches_scalar_scan(one_step_case, data):
     assert dec.decode(word) == scan(word)
 
 
+def test_one_step_status_matches_scalar_scan_near_the_radius(one_step_case):
+    # the one-step decoder reads codeword-ness off its syndrome, the scan
+    # asks the code: words just past the radius reach both outcomes
+    dec, scan = one_step_case
+    ell = (dec.r + dec.lambda2 - 1) // (2 * dec.lambda2)
+    rng = random.Random(11)
+    statuses = set()
+    for weight in range(ell, ell + 4):
+        for _ in range(40):
+            word = dec.code.random_codeword(rng)
+            for j in rng.sample(range(dec.n), weight):
+                word ^= 1 << j
+            out = dec.decode(word)
+            assert out == scan(word)
+            statuses.add(out.status)
+    assert statuses == {DECODED, DETECTED}
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_two_step_matches_scalar_scan(two_step_case, data):
@@ -464,6 +482,16 @@ def test_radius_rejects_a_budget_below_one(fano_pair):
         with pytest.raises(ValueError, match="budget"):
             measure_decoding_radius(dec, budget=budget)
     assert measure_decoding_radius(dec, budget=1).certified_radius == 1
+
+
+def test_radius_rejects_a_max_weight_below_one(fano_pair):
+    # a maximum weight below 1 tests nothing and would report an exhaustive sweep
+    code, fano = fano_pair
+    dec = OneStepDecoder(code, fano)
+    for max_weight in (0, -2):
+        with pytest.raises(ValueError, match="max_weight"):
+            measure_decoding_radius(dec, max_weight=max_weight)
+    assert measure_decoding_radius(dec, max_weight=1).certified_radius == 1
 
 
 def test_simulate_rejects_negative_trials(fano_pair):

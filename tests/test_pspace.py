@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from designcodes import pspace
+from designcodes.designs import trivial_design, verify_subspace_design
 from designcodes.field import FieldCtx
 from designcodes.pspace import (
     Subspace,
@@ -22,7 +23,13 @@ from designcodes.pspace import (
     superspaces,
 )
 
-from .oracles import points_walk, subspaces_of, superspaces_scan
+from .oracles import (
+    enumerate_gens,
+    points_walk,
+    rref_tuples,
+    subspaces_of,
+    superspaces_scan,
+)
 
 
 def test_gaussian_known_values():
@@ -148,13 +155,15 @@ def test_points_of_subspace_match_tuple_walk(q, seed):
 
 
 def test_spaces_without_packed_table_walk_tuples(monkeypatch):
-    # above the table's size limit, q = 2^m takes the tuple walk and the
-    # reduction of odd q; shown here by lowering the limit
+    # above the table's size limit, q = 2^m (m > 1) takes the tuple walks
+    # of odd q; shown here by lowering the limit.  q = 2 holds its
+    # subspaces as masks and keeps the table at any size.
     monkeypatch.setattr(pspace, "_VEC_INDEX_LIMIT", 0)
     point_space.cache_clear()
     try:
+        assert point_space(5, FieldCtx.of(2)).vec_index is not None
         rng = random.Random(5)
-        for q, v in [(2, 5), (4, 3), (8, 3)]:
+        for q, v in [(4, 3), (8, 3)]:
             ctx = FieldCtx.of(q)
             assert point_space(v, ctx).vec_index is None
             for dim in range(v + 1):
@@ -167,6 +176,64 @@ def test_spaces_without_packed_table_walk_tuples(monkeypatch):
                     assert list(outside_classes(b)) == want
     finally:
         point_space.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "q,v,k",
+    [(2, v, k) for v in range(8) for k in range(v + 1)]
+    + [(q, v, k) for q in (3, 4) for v in range(5) for k in range(v + 1)],
+)
+def test_enumeration_matches_tuple_oracle(q, v, k):
+    # against the coordinate-tuple enumeration: same order, same rows, and
+    # a sort key ordering like the tuples; q = 2 holds the rows as masks
+    ctx = FieldCtx.of(q)
+    subs = list(enumerate_subspaces(v, k, ctx))
+    assert [s.gen for s in subs] == list(enumerate_gens(v, k, ctx))
+    if q == 2:
+        for s in subs:
+            assert s.rows == tuple(sum(x << i for i, x in enumerate(row)) for row in s.gen)
+    assert sorted(subs, key=Subspace.sort_key) == sorted(subs, key=lambda s: s.gen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.data())
+def test_q2_masks_match_tuple_oracle(v, data):
+    # subspace() from random vectors, and the points of its result, against
+    # the tuple RREF and the tuple walk
+    ctx = FieldCtx.of(2)
+    count = data.draw(st.integers(min_value=0, max_value=v + 2))
+    vecs = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * v), min_size=count, max_size=count)
+    )
+    s = subspace(vecs, v, ctx)
+    assert s.gen == rref_tuples(vecs, v, ctx)
+    assert s == subspace(list(reversed(vecs)), v, ctx)
+    if v:
+        assert points_of_subspace(s) == points_walk(s)
+        assert points_mask(s) == sum(1 << i for i in points_walk(s))
+
+
+def test_q2_paths_use_no_tuple_arithmetic(monkeypatch, gf2):
+    # q = 2 subspaces are masks: neither the tuple RREF nor the field's
+    # per-element arithmetic runs on the q = 2 paths
+    def forbidden(*args):
+        raise AssertionError("tuple arithmetic at q = 2")
+
+    monkeypatch.setattr(pspace, "rref", forbidden)
+    for name in ("check", "add", "sub", "mul", "inv"):
+        monkeypatch.setattr(FieldCtx, name, forbidden)
+    s = subspace([(1, 1, 0, 0, 1), (0, 1, 1, 0, 0)], 5, gf2)
+    assert len(points_of_subspace(s)) == 3
+    assert len(outside_classes(s)) == 7
+    assert len(superspaces(s, 3)) == 7
+    assert verify_subspace_design(trivial_design(2, 5, 3, gf2)).verified
+
+
+def test_q2_subspace_rejects_non_binary_entries(gf2):
+    with pytest.raises(ValueError, match="2 is not an element of GF\\(2\\)"):
+        subspace([(1, 0, 2)], 3, gf2)
+    with pytest.raises(ValueError, match="-1 is not an element"):
+        subspace([(0, -1, 0)], 3, gf2)
 
 
 def test_superspace_counts(gf2):
