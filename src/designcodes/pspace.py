@@ -192,8 +192,8 @@ class Subspace:
     @property
     def points(self) -> tuple[int, ...]:
         """`points_of_subspace(self)`, computed on first use and kept.  (Not a
-        functools.cached_property: on Python 3.11 its lock costs more than a
-        small subspace's point walk.)"""
+        functools.cached_property: on Python 3.11 its lock adds about half
+        the cost of a 4-subspace's point walk.)"""
         pts = self.__dict__.get("_points")
         if pts is None:
             pts = self.__dict__["_points"] = _points(self)
