@@ -4,8 +4,9 @@ Everything here is deliberately naive: dense Gaussian elimination, raw
 subset/codeword enumeration.  The oracles share no code with the package so
 they can cross-check it, except five kinds of former package paths kept
 as references: `enumerate_gens` and `rref_tuples`, the coordinate-tuple
-subspace enumeration and RREF that q = 2 used before its subspaces were
-held as row masks (self-contained, apart from the field's arithmetic);
+subspace enumeration that every q used and the RREF that q = 2 used
+before q = 2 subspaces were held as row masks (self-contained, apart from
+the field's arithmetic);
 `superspaces_scan`, the superspace search behind `pspace.superspaces` and
 `pspace.outside_classes`, which still builds on the package's canonical
 subspaces and point order; `points_walk`, the coordinate-tuple walk that
