@@ -425,10 +425,13 @@ def contains_vector(s: Subspace, vec: Sequence[int]) -> bool:
 
 
 def subspace_contains(s: Subspace, t: Subspace) -> bool:
-    """True iff t is a subspace of s (same ambient space required)."""
+    """True iff t is a subspace of s (same ambient space required): at
+    q = 2, iff t's row masks add nothing to the rank of s's."""
     if s.v != t.v or s.ctx != t.ctx:
         raise ValueError("subspaces live in different ambient spaces")
-    return all(contains_vector(s, row) for row in t.gen)
+    if s.ctx.q == 2:
+        return len(rref_gf2(s.rows + t.rows)[0]) == s.k
+    return all(contains_vector(s, row) for row in t.rows)
 
 
 def outside_classes(b: Subspace) -> tuple[int, ...]:

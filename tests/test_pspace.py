@@ -226,6 +226,8 @@ def test_q2_paths_use_no_tuple_arithmetic(monkeypatch, gf2):
     assert len(points_of_subspace(s)) == 3
     assert len(outside_classes(s)) == 7
     assert len(superspaces(s, 3)) == 7
+    assert all(subspace_contains(sup, s) for sup in superspaces(s, 4))
+    assert not subspace_contains(s, subspace([(0, 0, 0, 1, 0)], 5, gf2))
     assert verify_subspace_design(trivial_design(2, 5, 3, gf2)).verified
 
 
