@@ -18,22 +18,38 @@ PG(2,8) were captured before the geometry of every characteristic-2 field
 walked packed vectors by XOR.  The sha256 of the `twostep-subspace`
 decoder's tables and of the block rows and order of the 4-subspaces of
 F_2^7 and of the shipped design were captured before q = 2 subspaces were
-held as row masks.
+held as row masks.  The sha256 of the written projective, affine and flats
+versions of the shipped design and of the lines of PG(2,4), and of the
+stdout of `scripts/reproduce_tables.py` and `scripts/rank_experiment.py`,
+were captured before combinatorial blocks were held as point masks.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from designcodes.cli import main
 from designcodes.codes import build_code
 from designcodes.decoders import TwoStepDecoder
-from designcodes.designs import load_subspace_design, projective_version, trivial_design
+from designcodes.designs import (
+    affine_version,
+    dumps_comb_design,
+    flats_construction,
+    load_subspace_design,
+    projective_version,
+    trivial_design,
+)
 from designcodes.field import FieldCtx
 from designcodes.pspace import enumerate_subspaces, points_of_subspace
 
 
-SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_DESIGN = ROOT / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
 
 
 def stdout_of(capsys, *argv, status=0):
@@ -202,3 +218,49 @@ def test_block_rows_and_order_golden():
     assert _sha256_of_ints([b.gen for b in shipped]) == (
         "8f07e47cdb1d0d820993bc5389f154cc95b61aa02b1b665b8ee8e7ad12e9eb05"
     )
+
+
+def _sha256_of_text(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_comb_design_files_golden():
+    shipped = load_subspace_design(SHIPPED_DESIGN)
+    pg_2_4_lines = trivial_design(2, 3, 2, FieldCtx.of(4))
+    cases = [
+        (projective_version(shipped), 1143,
+         "21920366aa3cc40d4d00313101473a94dfe0cb70fe70017791be4417552eac48"),
+        (affine_version(shipped), 1008,
+         "8d15c1134b0479062e4d4c06eddd7155f97d2a52fe882210390efccf2bb058e8"),
+        (flats_construction(shipped), 18288,
+         "b3ea451b7b7ea4d3546dba7672b6d5f7d9ea6e741273daad14877321b70222e5"),
+        (projective_version(pg_2_4_lines), 21,
+         "78081c64a72931cb7b3cc4cce850bf1791e12c1660e251137a5e853821c1fb1e"),
+        (affine_version(pg_2_4_lines), 20,
+         "204bfe672ea881e511347ec5b1d478c9bebdfa074986831d581290d5c928cced"),
+    ]
+    for comb, count, digest in cases:
+        assert len(comb.blocks) == count
+        assert _sha256_of_text(dumps_comb_design(comb)) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["reproduce_tables.py"], "822b82022f6672dffa40c14bd817aa140a5ed4b0b6cfc270ad757e2382de61af"),
+        (["rank_experiment.py"], "da3eb2948c18caabf2cd06353de5dfb4f3fdd6782ebf7b33cd407b42574c49ea"),
+        (
+            ["rank_experiment.py", "--q", "4", "--vmax", "4"],
+            "77d00237bb7531190e2be038a906b2d90a1a7be8f4bdff7dc9f1e000c0084246",
+        ),
+    ],
+)
+def test_table_scripts_stdout_golden(argv, digest):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script, *args = argv
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert _sha256_of_text(out) == digest
