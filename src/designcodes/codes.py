@@ -2,7 +2,8 @@
 
 The rows of a design's block-point incidence matrix are taken as parity
 checks of a linear code over F_p, so the code dimension is n minus the
-p-rank of the matrix.  For geometric (full subspace lattice) designs the
+p-rank of the matrix.  Over F_2 those rows are the design's block point
+masks (`CombinatorialDesign.masks`) as they are.  For geometric (full subspace lattice) designs the
 rank is also available in closed form: the general Hamada formula for
 q = p^m, and the binomial-sum shortcut when p = q = 2.
 """
@@ -99,14 +100,9 @@ class BinaryCode:
 
 
 def incidence_matrix(design: CombinatorialDesign) -> PrimeMatrix:
-    """Block-point incidence matrix, one 0/1 row per block, bit-packed."""
-    masks = []
-    for blk in design.blocks:
-        m = 0
-        for i in blk:
-            m |= 1 << i
-        masks.append(m)
-    return PrimeMatrix.from_masks(masks, design.n)
+    """Block-point incidence matrix, one 0/1 row per block: the blocks'
+    point masks."""
+    return PrimeMatrix.from_masks(design.masks, design.n)
 
 
 def build_code(

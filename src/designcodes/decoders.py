@@ -231,7 +231,7 @@ class OneStepDecoder:
             raise ValueError("design and code disagree on length")
         if design.t < 2:
             raise ValueError("one-step decoding needs a design with t >= 2")
-        block_masks = [sum(1 << i for i in blk) for blk in design.blocks]
+        block_masks = design.masks
         if sorted(code.check_masks()) != sorted(block_masks):
             raise ValueError("code checks are not the design's incidence rows")
         params = design.params()
@@ -241,7 +241,7 @@ class OneStepDecoder:
         self.lambda2 = params.lambda_s(2)
         self._columns = _columns(((mask,) for mask in block_masks), code.n)
         self._halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
-        self._evals_per_word = sum(len(blk) for blk in design.blocks)
+        self._evals_per_word = len(block_masks) * design.k  # n r
         self.check_evals = 0
 
     def decode(self, word) -> DecodeOutcome:

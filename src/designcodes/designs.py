@@ -6,10 +6,17 @@ verification, and the three ways a subspace design yields a combinatorial
 design: restriction to projective points, restriction to an affine chart,
 and (for q = 2) the union of all parallel flats.
 
+A combinatorial design holds each block as its point mask (bit i set for
+point i), from the point masks of the subspaces (`pspace.points_mask`) to
+the check rows of its code and the columns of its decoder; point tuples
+are read off the masks for output, and tuple input (files, the
+constructor, the affine and flats constructions) is checked and packed
+once.
+
 Designs are simple: duplicate blocks are a hard error, in files and in
 constructors alike.  Verification is a separate explicit step, because it
 visits every t-subspace (or t-subset) of the ambient space; its outcome is
-flagged on the value.  It transposes the block point sets once into point
+flagged on the value.  It transposes the block point masks once into point
 columns (`field._columns`, bit i of column p set when block i contains
 point p), so the blocks containing a set of points are the AND of their
 columns.
@@ -24,7 +31,15 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .field import FieldCtx, _columns, _ints, _load_file, _parse_header, _strip_lines
+from .field import (
+    FieldCtx,
+    _columns,
+    _ints,
+    _load_file,
+    _parse_header,
+    _strip_lines,
+    bit_positions,
+)
 from .pspace import (
     Subspace,
     _span,
@@ -149,36 +164,88 @@ class SubspaceDesign:
         return derive_params_q(self.t, self.v, self.k, self.lam, self.q)
 
 
-@dataclass
+# byte b with its 8 bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+@dataclass(init=False)
 class CombinatorialDesign:
-    """Blocks of size k on ground set [0, n), every t-subset in lam of them."""
+    """Blocks of size k on ground set [0, n), every t-subset in lam of them.
+
+    Each block is held as its point mask, an n-bit int with bit i set for
+    point i.  `masks` lists them in the lexicographic order of the blocks'
+    sorted point tuples, and `blocks` gives those tuples, read off the masks
+    on first use.  The constructor takes each block as a collection of
+    points, in any order; `from_masks` takes point masks.
+    """
 
     n: int
     t: int
     k: int
     lam: int
-    blocks: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     verified: bool = field(default=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.t <= self.k <= self.n:
-            raise ValueError("need 0 <= t <= k <= n")
-        blocks = []
-        for blk in self.blocks:
+    def __init__(self, n: int, t: int, k: int, lam: int, blocks, verified: bool = False):
+        _check_sizes(n, t, k)
+        masks = []
+        for blk in blocks:
+            mask = 0
+            if len(blk) == k and (not blk or (min(blk) >= 0 and max(blk) < n)):
+                for i in blk:
+                    mask |= 1 << i
+                if mask.bit_count() == k:
+                    masks.append(mask)
+                    continue
             blk = tuple(sorted(blk))
-            if len(blk) != self.k or len(set(blk)) != self.k:
-                raise ValueError(f"block {blk} does not have {self.k} distinct points")
-            if blk and (blk[0] < 0 or blk[-1] >= self.n):
-                raise ValueError(f"block {blk} has points outside [0, {self.n})")
-            blocks.append(blk)
-        blocks.sort()
-        for a, b in zip(blocks, blocks[1:]):
-            if a == b:
-                raise ValueError("duplicate block (designs are simple)")
-        self.blocks = tuple(blocks)
+            if len(blk) != k or len(set(blk)) != k:
+                raise ValueError(f"block {blk} does not have {k} distinct points")
+            raise ValueError(f"block {blk} has points outside [0, {n})")
+        self._set(n, t, k, lam, masks, verified)
+
+    @classmethod
+    def from_masks(
+        cls, n: int, t: int, k: int, lam: int, masks, verified: bool = False
+    ) -> CombinatorialDesign:
+        """The design whose blocks have the given point masks, in any order."""
+        _check_sizes(n, t, k)
+        masks = list(masks)
+        if masks and (min(masks) < 0 or max(masks) >> n or {*map(int.bit_count, masks)} != {k}):
+            bad = next(m for m in masks if m < 0 or m >> n or m.bit_count() != k)
+            raise ValueError(f"block mask {bad:#x} is not a set of {k} points of [0, {n})")
+        design = cls.__new__(cls)
+        design._set(n, t, k, lam, masks, verified)
+        return design
+
+    def _set(self, n: int, t: int, k: int, lam: int, masks: list[int], verified: bool) -> None:
+        # Of two k-sets, the one holding the lowest point where they differ
+        # comes first in the lexicographic order of sorted tuples.  With the
+        # bits of each byte reversed, a mask's little-endian bytes hold point
+        # 0 in the top bit of the first byte, so that set has the larger key.
+        width = (n + 7) // 8
+        masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED_BYTE), reverse=True)
+        if len(set(masks)) != len(masks):
+            raise ValueError("duplicate block (designs are simple)")
+        self.n, self.t, self.k, self.lam = n, t, k, lam
+        self.masks = tuple(masks)
+        self.verified = verified
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as sorted point tuples, in the order of `masks`,
+        computed on first use and kept."""
+        blocks = self.__dict__.get("_blocks")
+        if blocks is None:
+            blocks = self.__dict__["_blocks"] = tuple(map(bit_positions, self.masks))
+        return blocks
 
     def params(self) -> DesignParams:
         return derive_params_comb(self.t, self.n, self.k, self.lam)
+
+
+def _check_sizes(n: int, t: int, k: int) -> None:
+    if not 0 <= t <= k <= n:
+        raise ValueError("need 0 <= t <= k <= n")
 
 
 @dataclass(frozen=True)
@@ -214,16 +281,15 @@ def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
         (t_sub, list(map(row_point, t_sub.rows)))
         for t_sub in enumerate_subspaces(design.v, design.t, design.ctx)
     )
-    return _count_containments(design, n, map(points_mask, design.blocks), cases)
+    return _count_containments(design, n, list(map(points_mask, design.blocks)), cases)
 
 
 def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
     """Count, for every t-subset, the blocks containing it: the popcount of
     the AND of its points' columns.  On failure the witness is the first
     t-subset (in lexicographic order) with an off count."""
-    masks = (sum(1 << i for i in blk) for blk in design.blocks)
     cases = ((sub, sub) for sub in itertools.combinations(range(design.n), design.t))
-    return _count_containments(design, design.n, masks, cases)
+    return _count_containments(design, design.n, design.masks, cases)
 
 
 def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
@@ -233,7 +299,7 @@ def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
     t-subspace or t-subset, in canonical order, with its point indices.
     """
     columns = _columns(((mask,) for mask in block_masks), n)
-    every_block = (1 << len(design.blocks)) - 1
+    every_block = (1 << len(block_masks)) - 1
     witness = None
     seen = set()
     for case, points in cases:
@@ -261,16 +327,15 @@ def _lambda2(design: SubspaceDesign) -> int:
 
 
 def projective_version(design: SubspaceDesign) -> CombinatorialDesign:
-    """Blocks as point sets of the projective geometry: a 2-design."""
+    """Blocks as point sets of the projective geometry: a 2-design.  The
+    blocks' point masks (`pspace.points_mask`) are handed over as they are."""
     lam2 = _lambda2(design)
-    n = gaussian_coefficient(design.v, 1, design.q)
-    blocks = tuple(points_of_subspace(b) for b in design.blocks)
-    return CombinatorialDesign(
-        n=n,
+    return CombinatorialDesign.from_masks(
+        n=gaussian_coefficient(design.v, 1, design.q),
         t=2,
         k=gaussian_coefficient(design.k, 1, design.q),
         lam=lam2,
-        blocks=blocks,
+        masks=map(points_mask, design.blocks),
     )
 
 

@@ -10,7 +10,9 @@ p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
 rows one at a time into a growing reduced basis, so a huge row stream never
 has to be materialized for elimination.  Over GF(2) that basis is kept in
 reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
-codes read their rank, nullspace and codeword test off it.  `_columns` is
+codes read their rank, nullspace and codeword test off it.  A set of points
+(a block) is a mask too, bit i set for point i; `bit_positions` reads its
+sorted indices back for output.  `_columns` is
 the package's one GF(2) bit-matrix transpose: it turns row masks (checks or
 blocks) into one column mask per point, bit i set when row i holds the
 point.  The decoders vote with those columns, and design verification
@@ -183,6 +185,13 @@ class FieldCtx:
 
     # The tables are built on first use and kept on the instance; they are
     # not dataclass fields, so equality and hashing ignore them.
+
+    @cached_property
+    def _point_spaces(self) -> dict:
+        """The point spaces over this field by dimension, filled by
+        `pspace.point_space`: finding one neither hashes nor compares the
+        context."""
+        return {}
 
     @cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
@@ -362,6 +371,17 @@ def pack_mask(vec: Sequence[int]) -> int:
         if x:
             m |= 1 << i
     return m
+
+
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """The set bits of a nonnegative mask, ascending: a point mask's sorted
+    point indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def rref_gf2(masks: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -35,9 +35,14 @@ mask's point index is its bit reversal minus 1, so the order of the point
 indices of the rows (`subspace_order`) is the lexicographic order of the
 coordinate tuples.  `Subspace.gen` rebuilds the tuples for output.
 
-A subspace keeps its point set once computed (`Subspace.points`), so the
-design checks and constructions that each need a block's points share one
-walk.
+A subspace's point set is a mask over point indices (bit i = point i),
+computed once and kept on the subspace (`points_mask`), so the design
+checks, constructions and decoders that each need a block's points share
+one walk.  At q = 2 the walk ORs one table entry per point; the sorted
+tuple of point indices (`points_of_subspace`) is read off the mask on
+demand.  Each field context keeps its own point spaces, and at q = 2^m > 2
+a subspace also keeps the packed scalar multiples of its rows, which its
+point walk and its outside classes share.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, xor
+from operator import attrgetter, lshift, xor
 from typing import Callable, Iterator, Sequence
 
-from .field import FieldCtx, rref_gf2
+from .field import FieldCtx, bit_positions, rref_gf2
 
 Vector = tuple[int, ...]
 
@@ -97,6 +102,10 @@ def enumerate_points(v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
 # always keeps it: its subspaces are held as masks.
 _VEC_INDEX_LIMIT = 1 << 20
 
+# Largest q^v for which a space over GF(2^m) keeps `vec_bit` as a table: its
+# n distinct entries take about n^2 / 16 bytes (1 MB at q = 2).
+_VEC_BIT_LIMIT = 1 << 12
+
 
 class _PointSpace:
     """Cached canonical point order plus lookup structures for one (v, ctx).
@@ -105,7 +114,10 @@ class _PointSpace:
     of the point spanned by the nonzero vector packed as x, so each of the
     q - 1 scalar multiples of a point finds it with one lookup (entry 0 is
     unused).  For m > 1 it exists only up to q^v = 2^20; otherwise, and for
-    odd q, `vec_index` is None and vectors are coordinate tuples.
+    odd q, `vec_index` is None and vectors are coordinate tuples.  With it
+    comes `vec_bit`, whose entry x (x nonzero) is 1 << vec_index[x], the
+    bit of x's point in a point mask: a list up to q^v = 2^12, computed per
+    lookup above that.
     """
 
     def __init__(self, v: int, ctx: FieldCtx):
@@ -117,6 +129,12 @@ class _PointSpace:
         self.vec_index: list[int] | None = None
         if ctx.q == 2 or (ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT):
             self.vec_index = _vec_index(v, ctx)
+        self.vec_bit: list[int] | _ShiftedIndex | None = None
+        if self.vec_index is not None and ctx.q**v <= _VEC_BIT_LIMIT:
+            bits = [1 << i for i in range(self.n)]  # shared by the q - 1 multiples
+            self.vec_bit = [0] + [bits[i] for i in self.vec_index[1:]]
+        elif self.vec_index is not None:
+            self.vec_bit = _ShiftedIndex(self.vec_index)
         self._complements: dict[tuple[int, ...], list] = {}
 
     def complement_points(self, pivots: tuple[int, ...]) -> list:
@@ -135,6 +153,18 @@ class _PointSpace:
                 out = _one_per_point(unit, (0,) * v, _tuple_add(self.ctx))
             self._complements[pivots] = out
         return out
+
+
+class _ShiftedIndex:
+    """`vec_bit` of a space too large for its table: 1 << vec_index[x]."""
+
+    __slots__ = ("vec_index",)
+
+    def __init__(self, vec_index: list[int]):
+        self.vec_index = vec_index
+
+    def __getitem__(self, x: int) -> int:
+        return 1 << self.vec_index[x]
 
 
 def _vec_index(v: int, ctx: FieldCtx) -> list[int]:
@@ -156,9 +186,13 @@ def _vec_index(v: int, ctx: FieldCtx) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=None)
 def point_space(v: int, ctx: FieldCtx) -> _PointSpace:
-    return _PointSpace(v, ctx)
+    """The point space of F_q^v, built once per field context."""
+    spaces = ctx._point_spaces
+    sp = spaces.get(v)
+    if sp is None:
+        sp = spaces[v] = _PointSpace(v, ctx)
+    return sp
 
 
 @dataclass(frozen=True)
@@ -188,16 +222,6 @@ class Subspace:
     def sort_key(self) -> tuple:
         """Orders subspaces like their `gen` tuples (see `subspace_order`)."""
         return subspace_order(self.v, self.ctx)(self)
-
-    @property
-    def points(self) -> tuple[int, ...]:
-        """`points_of_subspace(self)`, computed on first use and kept.  (Not a
-        functools.cached_property: on Python 3.11 its lock adds about half
-        the cost of a 4-subspace's point walk.)"""
-        pts = self.__dict__.get("_points")
-        if pts is None:
-            pts = self.__dict__["_points"] = _points(self)
-        return pts
 
 
 def subspace_order(v: int, ctx: FieldCtx) -> Callable[[Subspace], tuple]:
@@ -310,15 +334,24 @@ def enumerate_subspaces(v: int, k: int, ctx: FieldCtx) -> Iterator[Subspace]:
 def _multiples(s: Subspace) -> list[list]:
     """Each row of s with its q - 1 nonzero scalar multiples, c = 1 first:
     packed ints for q = 2^m (at q = 2 the row masks themselves), coordinate
-    tuples for odd q and for spaces without the packed table."""
+    tuples for odd q and for spaces without the packed table.  Computed on
+    first use and kept on s, like its point mask."""
+    muls = s.__dict__.get("_multiples")
+    if muls is not None:
+        return muls
     ctx = s.ctx
     if ctx.q == 2:
-        return [[r] for r in s.rows]
-    muls = ctx.mul_table[1:]
-    if point_space(s.v, ctx).vec_index is None:
-        return [[tuple([mul_c[x] for x in r]) for mul_c in muls] for r in s.rows]
-    m = ctx.m
-    return [[sum(mul_c[x] << (m * i) for i, x in enumerate(r)) for mul_c in muls] for r in s.rows]
+        muls = [[r] for r in s.rows]
+    elif point_space(s.v, ctx).vec_index is None:
+        muls = [[tuple([mul_c[x] for x in r]) for mul_c in ctx.mul_table[1:]] for r in s.rows]
+    else:
+        shifts = range(0, ctx.m * s.v, ctx.m)
+        muls = [
+            [sum(map(lshift, map(mul_c.__getitem__, r), shifts)) for mul_c in ctx.mul_table[1:]]
+            for r in s.rows
+        ]
+    s.__dict__["_multiples"] = muls
+    return muls
 
 
 def _tuple_add(ctx: FieldCtx) -> Callable[[Vector, Vector], Vector]:
@@ -353,12 +386,20 @@ def _one_per_point(rows: Sequence[list], zero, add: Callable) -> list:
 
 
 def points_of_subspace(s: Subspace) -> tuple[int, ...]:
-    """Sorted point indices of the 1-subspaces contained in s.
+    """Sorted point indices of the 1-subspaces contained in s, read off
+    `points_mask(s)`."""
+    return bit_positions(points_mask(s))
 
-    Computed once per subspace and kept (`Subspace.points`), so the design
-    checks and constructions that each need a block's points share one walk.
-    """
-    return s.points
+
+def points_mask(s: Subspace) -> int:
+    """The point set of s as a mask over point indices (bit i = point i),
+    computed on first use and kept on s.  (Not a functools.cached_property:
+    on Python 3.11 its lock adds about half the cost of a 4-subspace's point
+    walk.)"""
+    mask = s.__dict__.get("_points_mask")
+    if mask is None:
+        mask = s.__dict__["_points_mask"] = _points_mask(s)
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -368,44 +409,36 @@ def _gray_steps(k: int) -> tuple[int, ...]:
     return tuple((i & -i).bit_length() - 1 for i in range(1, 1 << k))
 
 
-def _points(s: Subspace) -> tuple[int, ...]:
-    """One vector per point of s, looked up in the point space.
+def _points_mask(s: Subspace) -> int:
+    """The point mask of s: one vector per point, whose bits are ORed.
 
     At q = 2 every nonzero vector of the span of the row masks is a point:
-    the span is walked in Gray code order, one XOR and one `vec_index`
-    lookup per point.  For q = 2^m the walk (`_one_per_point`: a row of s
-    plus a combination of the later rows) runs on packed vectors by XOR,
-    from the rows and their q - 1 scalar multiples, with one `vec_index`
-    lookup per point.  Odd q (and spaces too large for the table) walk
+    the span is walked in Gray code order, one XOR and one `vec_bit` lookup
+    per point.  For q = 2^m the walk (`_one_per_point`: a row of s plus a
+    combination of the later rows) runs on packed vectors by XOR, from the
+    rows and their q - 1 scalar multiples, also with one `vec_bit` lookup
+    per point.  Odd q (and spaces too large for the packed table) walk
     coordinate tuples, which the leading coefficient 1 leaves normalized.
     """
     rows = s.rows
+    mask = 0
     if not rows:
-        return ()
-    ctx = s.ctx
-    sp = point_space(s.v, ctx)
-    idx = sp.vec_index
-    if ctx.q == 2:
+        return mask
+    sp = point_space(s.v, s.ctx)
+    bit = sp.vec_bit
+    if bit is None:
+        index = sp.index
+        for u in _one_per_point(_multiples(s), (0,) * s.v, _tuple_add(s.ctx)):
+            mask |= 1 << index[u]
+    elif s.ctx.q == 2:
         cur = 0
-        out = []
         for j in _gray_steps(len(rows)):
             cur ^= rows[j]
-            out.append(idx[cur])
-        out.sort()
-        return tuple(out)
-    rows = _multiples(s)
-    if idx is None:
-        vecs = _one_per_point(rows, (0,) * s.v, _tuple_add(s.ctx))
-        return tuple(sorted(map(sp.index.__getitem__, vecs)))
-    return tuple(sorted(map(idx.__getitem__, _one_per_point(rows, 0, xor))))
-
-
-def points_mask(s: Subspace) -> int:
-    """Point set of a subspace as a bitmask over point indices."""
-    m = 0
-    for i in s.points:
-        m |= 1 << i
-    return m
+            mask |= bit[cur]
+    else:
+        for x in _one_per_point(_multiples(s), 0, xor):
+            mask |= bit[x]
+    return mask
 
 
 def _reduce(s: Subspace, pivots: tuple[int, ...], vec: Sequence[int]) -> Sequence[int]:
@@ -446,23 +479,23 @@ def outside_classes(b: Subspace) -> tuple[int, ...]:
     q^(dim b) vectors span distinct points.  One w is taken per point of the
     coordinate subspace on the non-pivot columns of b, a complement of b.
     For q = 2^m span(b) is walked on packed vectors, from the rows of b and
-    their q - 1 scalar multiples, and each class is
-    {vec_index[w ^ s] : s in span(b)}, so every point outside b costs one
-    XOR and one lookup.  Odd q (and spaces too large for the table) add
-    coordinate tuples through the field tables and normalize each sum.
+    their q - 1 scalar multiples, and each class ORs vec_bit[w ^ s] over s
+    in span(b), so every point outside b costs one XOR and one lookup.  Odd
+    q (and spaces too large for the table) add coordinate tuples through
+    the field tables and normalize each sum.
     """
     sp = point_space(b.v, b.ctx)
     ctx = b.ctx
-    idx = sp.vec_index
     rows = _multiples(b)
     comp = sp.complement_points(_pivots(b))
     out = []
-    if idx is not None:
+    bit = sp.vec_bit
+    if bit is not None:
         span = _span(rows)
         for w in comp:
             cls = 0
             for x in span:
-                cls |= 1 << idx[w ^ x]
+                cls |= bit[w ^ x]
             out.append(cls)
         return tuple(sorted(out))
     add = _tuple_add(ctx)

@@ -14,9 +14,12 @@ subspaces and point order; `points_walk`, the coordinate-tuple walk that
 walked packed vectors, which builds on the package's point order and field
 tables; `one_step_scan` and `two_step_scan`, the scalar majority-logic
 decoders, which read the decoder's code, parameters and (two-step) the
-package's outside classes; and `verify_scan`, the design verification that
+package's outside classes; `verify_scan`, the design verification that
 tallied the t-subspaces of every block (`subspaces_of`), which builds on
-the package's canonical subspaces and subspace enumeration.
+the package's canonical subspaces and subspace enumeration; and
+`comb_design_blocks`, the `CombinatorialDesign` constructor from before
+blocks were held as point masks, which sorted, checked and ordered point
+tuples (self-contained).
 """
 
 from functools import lru_cache
@@ -219,6 +222,29 @@ def verify_scan(design):
             witness = (case, c)
     observed = seen.pop() if len(seen) == 1 else "non-constant"
     return VerifyResult(verified=witness is None, observed_lambda=observed, witness=witness)
+
+
+def comb_design_blocks(n, t, k, blocks):
+    """The blocks a t-(n, k, lambda) design holds, as the former tuple
+    constructor of `CombinatorialDesign` checked and ordered them: each
+    block sorted into a tuple of k distinct points of [0, n), the blocks in
+    lexicographic order, no block twice.  Raises the constructor's
+    ValueError otherwise."""
+    if not 0 <= t <= k <= n:
+        raise ValueError("need 0 <= t <= k <= n")
+    out = []
+    for blk in blocks:
+        blk = tuple(sorted(blk))
+        if len(blk) != k or len(set(blk)) != k:
+            raise ValueError(f"block {blk} does not have {k} distinct points")
+        if blk and (blk[0] < 0 or blk[-1] >= n):
+            raise ValueError(f"block {blk} has points outside [0, {n})")
+        out.append(blk)
+    out.sort()
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise ValueError("duplicate block (designs are simple)")
+    return tuple(out)
 
 
 def naive_min_distance(check_masks, n):

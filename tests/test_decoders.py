@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from designcodes import designs, field, pspace
 from designcodes.codes import build_code, min_distance_bruteforce
 from designcodes.decoders import (
     DECODED,
@@ -25,6 +26,7 @@ from designcodes.designs import (
     load_subspace_design,
     projective_version,
     trivial_design,
+    verify_comb_design,
 )
 from designcodes.field import FieldCtx, _columns
 
@@ -516,3 +518,21 @@ def test_as_mask_forms():
 def test_min_distance_respects_two_step_radius(twostep31):
     # d = 8 so no decoder can certify radius 4
     assert min_distance_bruteforce(twostep31.code) == 8
+
+
+def test_q2_chain_builds_no_point_tuples(monkeypatch):
+    # projective_version -> build_code -> OneStepDecoder read the blocks'
+    # point masks end to end: no sorted point tuple is read off a mask
+    def forbidden(mask):
+        raise AssertionError("point tuple built")
+
+    for module in (field, pspace, designs):
+        monkeypatch.setattr(module, "bit_positions", forbidden)
+    comb = projective_version(trivial_design(2, 5, 3, FieldCtx.of(2)))
+    code = build_code(comb, 2, "projective")
+    dec = OneStepDecoder(code, comb)
+    assert verify_comb_design(comb).verified
+    out = dec.decode(1 << 7)
+    assert out.status == DECODED and out.word == 0 and out.flips == (7,)
+    with pytest.raises(AssertionError, match="point tuple built"):
+        comb.blocks

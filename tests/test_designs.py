@@ -27,7 +27,7 @@ from designcodes.designs import (
 from designcodes.field import FieldCtx, PrimeMatrix, matrix_rank
 from designcodes.pspace import gaussian_coefficient, subspace_contains
 
-from .oracles import naive_comb_design_counts, verify_scan
+from .oracles import comb_design_blocks, naive_comb_design_counts, verify_scan
 
 FANO_BLOCKS = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2, 6)]
 
@@ -431,3 +431,49 @@ def test_verify_comb_design_matches_scan(data):
         full_lam = comb(n - t, k - t)
     lam, kept = _lambda_and_subset(data, blocks, full_lam)
     _assert_same_result(CombinatorialDesign(n=n, t=t, k=k, lam=lam, blocks=kept))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_constructor_matches_tuple_oracle(data):
+    # the mask constructor against the former tuple constructor, on valid and
+    # malformed block lists (wrong size, repeated point, point out of range,
+    # duplicate block, no blocks, k = 0): the same blocks in the same order,
+    # or the same ValueError text
+    n = data.draw(st.integers(0, 8), label="n")
+    k = data.draw(st.integers(0, n + 1), label="k")
+    t = data.draw(st.integers(0, 3), label="t")
+    malformed = st.lists(st.integers(-2, n + 1), min_size=max(k - 1, 0), max_size=k + 1)
+    if k <= n:
+        valid = st.permutations(range(n)).map(lambda perm: tuple(perm[:k]))
+        block = st.one_of(valid, valid, malformed)
+    else:
+        block = malformed
+    blocks = data.draw(st.lists(block, max_size=6), label="blocks")
+    if blocks and data.draw(st.booleans(), label="repeat a block"):
+        again = tuple(reversed(data.draw(st.sampled_from(blocks))))
+        blocks.insert(data.draw(st.integers(0, len(blocks))), again)
+    try:
+        want = comb_design_blocks(n, t, k, blocks)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            CombinatorialDesign(n=n, t=t, k=k, lam=1, blocks=blocks)
+        assert str(got.value) == str(err)
+        return
+    d = CombinatorialDesign(n=n, t=t, k=k, lam=1, blocks=blocks)
+    assert d.blocks == want
+    assert d.masks == tuple(sum(1 << i for i in blk) for blk in want)
+    assert CombinatorialDesign.from_masks(n, t, k, 1, reversed(d.masks)) == d
+
+
+def test_from_masks_rejects_malformed_masks():
+    with pytest.raises(ValueError, match=r"need 0 <= t <= k <= n"):
+        CombinatorialDesign.from_masks(n=3, t=2, k=4, lam=1, masks=[])
+    for bad, shown in [(0b1001, "0x9"), (0b111, "0x7"), (0b1, "0x1"), (-3, "-0x3")]:
+        with pytest.raises(ValueError) as err:
+            CombinatorialDesign.from_masks(n=3, t=1, k=2, lam=1, masks=[0b011, bad, 0b101])
+        assert str(err.value) == f"block mask {shown} is not a set of 2 points of [0, 3)"
+    with pytest.raises(ValueError, match="duplicate block"):
+        CombinatorialDesign.from_masks(n=3, t=1, k=2, lam=1, masks=[0b011, 0b101, 0b011])
+    d = CombinatorialDesign.from_masks(n=3, t=1, k=2, lam=1, masks=[0b110, 0b011, 0b101])
+    assert d.blocks == ((0, 1), (0, 2), (1, 2)) and d.masks == (0b011, 0b101, 0b110)

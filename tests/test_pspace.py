@@ -1,14 +1,21 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from designcodes import pspace
-from designcodes.designs import trivial_design, verify_subspace_design
+from designcodes.designs import (
+    load_subspace_design,
+    projective_version,
+    trivial_design,
+    verify_subspace_design,
+)
 from designcodes.field import FieldCtx
 from designcodes.pspace import (
     Subspace,
+    _multiples,
     enumerate_points,
     enumerate_subspaces,
     gaussian_coefficient,
@@ -158,24 +165,22 @@ def test_spaces_without_packed_table_walk_tuples(monkeypatch):
     # above the table's size limit, q = 2^m (m > 1) takes the tuple walks
     # of odd q; shown here by lowering the limit.  q = 2 holds its
     # subspaces as masks and keeps the table at any size.
+    # Each context keeps its own point spaces, so the fresh contexts below
+    # build theirs under the lowered limit.
     monkeypatch.setattr(pspace, "_VEC_INDEX_LIMIT", 0)
-    point_space.cache_clear()
-    try:
-        assert point_space(5, FieldCtx.of(2)).vec_index is not None
-        rng = random.Random(5)
-        for q, v in [(4, 3), (8, 3)]:
-            ctx = FieldCtx.of(q)
-            assert point_space(v, ctx).vec_index is None
-            for dim in range(v + 1):
-                b = random_subspace(rng, v, dim, ctx)
-                assert points_of_subspace(b) == points_walk(b)
-                if 0 < dim < v:
-                    want = sorted(
-                        points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
-                    )
-                    assert list(outside_classes(b)) == want
-    finally:
-        point_space.cache_clear()
+    assert point_space(5, FieldCtx.of(2)).vec_index is not None
+    rng = random.Random(5)
+    for q, v in [(4, 3), (8, 3)]:
+        ctx = FieldCtx.of(q)
+        assert point_space(v, ctx).vec_index is None
+        for dim in range(v + 1):
+            b = random_subspace(rng, v, dim, ctx)
+            assert points_of_subspace(b) == points_walk(b)
+            if 0 < dim < v:
+                want = sorted(
+                    points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
+                )
+                assert list(outside_classes(b)) == want
 
 
 @pytest.mark.parametrize(
@@ -336,3 +341,72 @@ def test_rref_canonicalizes_dependent_rows(gf4):
     # second row is 2 * first
     got = rref([(2, 2, 0), (3, 3, 0)], 3, gf4)
     assert got == ((1, 1, 0),)
+
+
+def test_point_space_lookups_neither_hash_nor_compare_contexts(monkeypatch):
+    # Each context keeps its own point spaces.  A loaded design's context and
+    # a caller's FieldCtx.of(2) are equal, distinct objects; building the
+    # projective version hashes and compares neither of them per block.
+    load_subspace_design(
+        Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
+    )
+    calls = []
+    eq, hash_ = FieldCtx.__eq__, FieldCtx.__hash__
+    monkeypatch.setattr(FieldCtx, "__eq__", lambda a, b: calls.append("eq") or eq(a, b))
+    monkeypatch.setattr(FieldCtx, "__hash__", lambda a: calls.append("hash") or hash_(a))
+    counts = []
+    for k in (2, 4):  # 2667 and 11811 blocks
+        calls.clear()
+        projective_version(trivial_design(2, 7, k, FieldCtx.of(2)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 8]), st.booleans(), st.integers(min_value=0, max_value=2**32))
+def test_kept_multiples_match_tuple_walk_and_superspace_scan(q, classes_first, seed):
+    # a q = 2^m subspace packs its rows' multiples once; its point walk and
+    # its outside classes, in either order, read the kept multiples
+    ctx = FieldCtx.of(q)
+    rng = random.Random(seed)
+    v = rng.randrange(2, {4: 5, 8: 4}[q] + 1)
+    dim = rng.randrange(1, v)
+    b = random_subspace(rng, v, dim, ctx)
+    want_classes = sorted(
+        points_mask(sup) & ~points_mask(fresh_copy(b)) for sup in superspaces_scan(b, dim + 1)
+    )
+    if classes_first:
+        classes = outside_classes(b)
+    muls = _multiples(b)
+    assert _multiples(b) is muls
+    assert muls == [
+        [_packed([ctx.mul(c, x) for x in r], ctx.m) for c in range(1, q)] for r in b.rows
+    ]
+    assert points_of_subspace(b) == points_walk(b)
+    if not classes_first:
+        classes = outside_classes(b)
+    assert list(classes) == want_classes
+    assert _multiples(b) is muls
+
+
+def fresh_copy(s):
+    """A fresh Subspace equal to s, with nothing computed on it yet."""
+    return Subspace(s.ctx, s.v, s.rows)
+
+
+@pytest.mark.parametrize("q,v", [(2, 5), (4, 3), (8, 2)])
+def test_spaces_without_bit_table_shift_indices(monkeypatch, q, v):
+    # above the bit table's size limit, vec_bit computes each bit from
+    # vec_index; shown here by lowering the limit for a fresh context
+    monkeypatch.setattr(pspace, "_VEC_BIT_LIMIT", 0)
+    ctx = FieldCtx.of(q)
+    assert not isinstance(point_space(v, ctx).vec_bit, list)
+    rng = random.Random(v)
+    for dim in range(v + 1):
+        b = random_subspace(rng, v, dim, ctx)
+        assert points_of_subspace(b) == points_walk(b)
+        if 0 < dim < v:
+            want = sorted(
+                points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
+            )
+            assert list(outside_classes(b)) == want
