@@ -2,10 +2,10 @@
 
 The rows of a design's block-point incidence matrix are taken as parity
 checks of a linear code over F_p, so the code dimension is n minus the
-p-rank of the matrix.  Over F_2 those rows are the design's block point
-masks (`CombinatorialDesign.masks`) as they are.  For geometric (full subspace lattice) designs the
-rank is also available in closed form: the general Hamada formula for
-q = p^m, and the binomial-sum shortcut when p = q = 2.
+p-rank of the matrix; over F_2 the rows are the design's block point masks
+(`CombinatorialDesign.masks`) as they are.  For geometric (full subspace
+lattice) designs the rank is also available in closed form: the general
+Hamada formula for q = p^m, and the binomial-sum shortcut when p = q = 2.
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ class SubspaceDesign:
 
 
 # byte b with its 8 bits in reverse order
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(init=False)
@@ -190,17 +190,12 @@ class CombinatorialDesign:
         _check_sizes(n, t, k)
         masks = []
         for blk in blocks:
-            mask = 0
-            if len(blk) == k and (not blk or (min(blk) >= 0 and max(blk) < n)):
-                for i in blk:
-                    mask |= 1 << i
-                if mask.bit_count() == k:
-                    masks.append(mask)
-                    continue
             blk = tuple(sorted(blk))
             if len(blk) != k or len(set(blk)) != k:
                 raise ValueError(f"block {blk} does not have {k} distinct points")
-            raise ValueError(f"block {blk} has points outside [0, {n})")
+            if blk and (blk[0] < 0 or blk[-1] >= n):
+                raise ValueError(f"block {blk} has points outside [0, {n})")
+            masks.append(sum([1 << i for i in blk]))
         self._set(n, t, k, lam, masks, verified)
 
     @classmethod
@@ -223,7 +218,7 @@ class CombinatorialDesign:
         # bits of each byte reversed, a mask's little-endian bytes hold point
         # 0 in the top bit of the first byte, so that set has the larger key.
         width = (n + 7) // 8
-        masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED_BYTE), reverse=True)
+        masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED), reverse=True)
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate block (designs are simple)")
         self.n, self.t, self.k, self.lam = n, t, k, lam

@@ -173,14 +173,20 @@ def test_spaces_without_packed_table_walk_tuples(monkeypatch):
     for q, v in [(4, 3), (8, 3)]:
         ctx = FieldCtx.of(q)
         assert point_space(v, ctx).vec_index is None
-        for dim in range(v + 1):
-            b = random_subspace(rng, v, dim, ctx)
-            assert points_of_subspace(b) == points_walk(b)
-            if 0 < dim < v:
-                want = sorted(
-                    points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
-                )
-                assert list(outside_classes(b)) == want
+        _assert_walks_match_oracles(rng, v, ctx)
+
+
+def _assert_walks_match_oracles(rng, v, ctx):
+    """Points and outside classes of a random subspace of each dimension
+    against the tuple walk and the superspace scan."""
+    for dim in range(v + 1):
+        b = random_subspace(rng, v, dim, ctx)
+        assert points_of_subspace(b) == points_walk(b)
+        if 0 < dim < v:
+            want = sorted(
+                points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
+            )
+            assert list(outside_classes(b)) == want
 
 
 @pytest.mark.parametrize(
@@ -401,12 +407,4 @@ def test_spaces_without_bit_table_shift_indices(monkeypatch, q, v):
     monkeypatch.setattr(pspace, "_VEC_BIT_LIMIT", 0)
     ctx = FieldCtx.of(q)
     assert not isinstance(point_space(v, ctx).vec_bit, list)
-    rng = random.Random(v)
-    for dim in range(v + 1):
-        b = random_subspace(rng, v, dim, ctx)
-        assert points_of_subspace(b) == points_walk(b)
-        if 0 < dim < v:
-            want = sorted(
-                points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
-            )
-            assert list(outside_classes(b)) == want
+    _assert_walks_match_oracles(random.Random(v), v, ctx)
