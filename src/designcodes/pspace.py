@@ -38,11 +38,11 @@ coordinate tuples.  `Subspace.gen` rebuilds the tuples for output.
 A subspace's point set is a mask over point indices (bit i = point i),
 computed once and kept on the subspace (`points_mask`), so the design
 checks, constructions and decoders that each need a block's points share
-one walk.  At q = 2 the walk ORs one table entry per point; the sorted
-tuple of point indices (`points_of_subspace`) is read off the mask on
-demand.  Each field context keeps its own point spaces, and at q = 2^m > 2
-a subspace also keeps the packed scalar multiples of its rows, which its
-point walk and its outside classes share.
+one walk, which ORs the bit of each point it finds; the sorted tuple of
+point indices (`points_of_subspace`) is read off the mask on demand.  Each
+field context keeps its own point spaces, and at q = 2^m > 2 a subspace
+also keeps the packed scalar multiples of its rows, which its point walk
+and its outside classes share.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ def enumerate_points(v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
 # always keeps it: its subspaces are held as masks.
 _VEC_INDEX_LIMIT = 1 << 20
 
-# Largest q^v for which a space over GF(2^m) keeps `vec_bit` as a table: its
-# n distinct entries take about n^2 / 16 bytes (1 MB at q = 2).
-_VEC_BIT_LIMIT = 1 << 12
-
 
 class _PointSpace:
     """Cached canonical point order plus lookup structures for one (v, ctx).
@@ -114,10 +110,7 @@ class _PointSpace:
     of the point spanned by the nonzero vector packed as x, so each of the
     q - 1 scalar multiples of a point finds it with one lookup (entry 0 is
     unused).  For m > 1 it exists only up to q^v = 2^20; otherwise, and for
-    odd q, `vec_index` is None and vectors are coordinate tuples.  With it
-    comes `vec_bit`, whose entry x (x nonzero) is 1 << vec_index[x], the
-    bit of x's point in a point mask: a list up to q^v = 2^12, computed per
-    lookup above that.
+    odd q, `vec_index` is None and vectors are coordinate tuples.
     """
 
     def __init__(self, v: int, ctx: FieldCtx):
@@ -129,12 +122,6 @@ class _PointSpace:
         self.vec_index: list[int] | None = None
         if ctx.q == 2 or (ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT):
             self.vec_index = _vec_index(v, ctx)
-        self.vec_bit: list[int] | _ShiftedIndex | None = None
-        if self.vec_index is not None and ctx.q**v <= _VEC_BIT_LIMIT:
-            bits = [1 << i for i in range(self.n)]  # shared by the q - 1 multiples
-            self.vec_bit = [0] + [bits[i] for i in self.vec_index[1:]]
-        elif self.vec_index is not None:
-            self.vec_bit = _ShiftedIndex(self.vec_index)
         self._complements: dict[tuple[int, ...], list] = {}
 
     def complement_points(self, pivots: tuple[int, ...]) -> list:
@@ -153,18 +140,6 @@ class _PointSpace:
                 out = _one_per_point(unit, (0,) * v, _tuple_add(self.ctx))
             self._complements[pivots] = out
         return out
-
-
-class _ShiftedIndex:
-    """`vec_bit` of a space too large for its table: 1 << vec_index[x]."""
-
-    __slots__ = ("vec_index",)
-
-    def __init__(self, vec_index: list[int]):
-        self.vec_index = vec_index
-
-    def __getitem__(self, x: int) -> int:
-        return 1 << self.vec_index[x]
 
 
 def _vec_index(v: int, ctx: FieldCtx) -> list[int]:
@@ -334,15 +309,15 @@ def enumerate_subspaces(v: int, k: int, ctx: FieldCtx) -> Iterator[Subspace]:
 def _multiples(s: Subspace) -> list[list]:
     """Each row of s with its q - 1 nonzero scalar multiples, c = 1 first:
     packed ints for q = 2^m (at q = 2 the row masks themselves), coordinate
-    tuples for odd q and for spaces without the packed table.  Computed on
-    first use and kept on s, like its point mask."""
+    tuples for odd q and for spaces without the packed table.  For q > 2
+    computed on first use and kept on s, like its point mask."""
+    ctx = s.ctx
+    if ctx.q == 2:
+        return [[r] for r in s.rows]
     muls = s.__dict__.get("_multiples")
     if muls is not None:
         return muls
-    ctx = s.ctx
-    if ctx.q == 2:
-        muls = [[r] for r in s.rows]
-    elif point_space(s.v, ctx).vec_index is None:
+    if point_space(s.v, ctx).vec_index is None:
         muls = [[tuple([mul_c[x] for x in r]) for mul_c in ctx.mul_table[1:]] for r in s.rows]
     else:
         shifts = range(0, ctx.m * s.v, ctx.m)
@@ -413,20 +388,21 @@ def _points_mask(s: Subspace) -> int:
     """The point mask of s: one vector per point, whose bits are ORed.
 
     At q = 2 every nonzero vector of the span of the row masks is a point:
-    the span is walked in Gray code order, one XOR and one `vec_bit` lookup
-    per point.  For q = 2^m the walk (`_one_per_point`: a row of s plus a
-    combination of the later rows) runs on packed vectors by XOR, from the
-    rows and their q - 1 scalar multiples, also with one `vec_bit` lookup
-    per point.  Odd q (and spaces too large for the packed table) walk
-    coordinate tuples, which the leading coefficient 1 leaves normalized.
+    the span is walked in Gray code order, one XOR and one `vec_index`
+    lookup per point.  For q = 2^m the walk (`_one_per_point`: a row of s
+    plus a combination of the later rows) runs on packed vectors by XOR,
+    from the rows and their q - 1 scalar multiples, also with one
+    `vec_index` lookup per point.  Odd q (and spaces too large for the
+    table) walk coordinate tuples, which the leading coefficient 1 leaves
+    normalized.
     """
     rows = s.rows
     mask = 0
     if not rows:
         return mask
     sp = point_space(s.v, s.ctx)
-    bit = sp.vec_bit
-    if bit is None:
+    idx = sp.vec_index
+    if idx is None:
         index = sp.index
         for u in _one_per_point(_multiples(s), (0,) * s.v, _tuple_add(s.ctx)):
             mask |= 1 << index[u]
@@ -434,10 +410,10 @@ def _points_mask(s: Subspace) -> int:
         cur = 0
         for j in _gray_steps(len(rows)):
             cur ^= rows[j]
-            mask |= bit[cur]
+            mask |= 1 << idx[cur]
     else:
         for x in _one_per_point(_multiples(s), 0, xor):
-            mask |= bit[x]
+            mask |= 1 << idx[x]
     return mask
 
 
@@ -479,23 +455,23 @@ def outside_classes(b: Subspace) -> tuple[int, ...]:
     q^(dim b) vectors span distinct points.  One w is taken per point of the
     coordinate subspace on the non-pivot columns of b, a complement of b.
     For q = 2^m span(b) is walked on packed vectors, from the rows of b and
-    their q - 1 scalar multiples, and each class ORs vec_bit[w ^ s] over s
-    in span(b), so every point outside b costs one XOR and one lookup.  Odd
-    q (and spaces too large for the table) add coordinate tuples through
-    the field tables and normalize each sum.
+    their q - 1 scalar multiples, and each class ORs 1 << vec_index[w ^ s]
+    over s in span(b), so every point outside b costs one XOR and one
+    lookup.  Odd q (and spaces too large for the table) add coordinate
+    tuples through the field tables and normalize each sum.
     """
     sp = point_space(b.v, b.ctx)
     ctx = b.ctx
+    idx = sp.vec_index
     rows = _multiples(b)
     comp = sp.complement_points(_pivots(b))
     out = []
-    bit = sp.vec_bit
-    if bit is not None:
+    if idx is not None:
         span = _span(rows)
         for w in comp:
             cls = 0
             for x in span:
-                cls |= bit[w ^ x]
+                cls |= 1 << idx[w ^ x]
             out.append(cls)
         return tuple(sorted(out))
     add = _tuple_add(ctx)

@@ -173,20 +173,14 @@ def test_spaces_without_packed_table_walk_tuples(monkeypatch):
     for q, v in [(4, 3), (8, 3)]:
         ctx = FieldCtx.of(q)
         assert point_space(v, ctx).vec_index is None
-        _assert_walks_match_oracles(rng, v, ctx)
-
-
-def _assert_walks_match_oracles(rng, v, ctx):
-    """Points and outside classes of a random subspace of each dimension
-    against the tuple walk and the superspace scan."""
-    for dim in range(v + 1):
-        b = random_subspace(rng, v, dim, ctx)
-        assert points_of_subspace(b) == points_walk(b)
-        if 0 < dim < v:
-            want = sorted(
-                points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
-            )
-            assert list(outside_classes(b)) == want
+        for dim in range(v + 1):
+            b = random_subspace(rng, v, dim, ctx)
+            assert points_of_subspace(b) == points_walk(b)
+            if 0 < dim < v:
+                want = sorted(
+                    points_mask(sup) & ~points_mask(b) for sup in superspaces_scan(b, dim + 1)
+                )
+                assert list(outside_classes(b)) == want
 
 
 @pytest.mark.parametrize(
@@ -236,6 +230,7 @@ def test_q2_paths_use_no_tuple_arithmetic(monkeypatch, gf2):
     s = subspace([(1, 1, 0, 0, 1), (0, 1, 1, 0, 0)], 5, gf2)
     assert len(points_of_subspace(s)) == 3
     assert len(outside_classes(s)) == 7
+    assert "_multiples" not in s.__dict__  # the row masks serve as they are
     assert len(superspaces(s, 3)) == 7
     assert all(subspace_contains(sup, s) for sup in superspaces(s, 4))
     assert not subspace_contains(s, subspace([(0, 0, 0, 1, 0)], 5, gf2))
@@ -398,13 +393,3 @@ def test_kept_multiples_match_tuple_walk_and_superspace_scan(q, classes_first, s
 def fresh_copy(s):
     """A fresh Subspace equal to s, with nothing computed on it yet."""
     return Subspace(s.ctx, s.v, s.rows)
-
-
-@pytest.mark.parametrize("q,v", [(2, 5), (4, 3), (8, 2)])
-def test_spaces_without_bit_table_shift_indices(monkeypatch, q, v):
-    # above the bit table's size limit, vec_bit computes each bit from
-    # vec_index; shown here by lowering the limit for a fresh context
-    monkeypatch.setattr(pspace, "_VEC_BIT_LIMIT", 0)
-    ctx = FieldCtx.of(q)
-    assert not isinstance(point_space(v, ctx).vec_bit, list)
-    _assert_walks_match_oracles(random.Random(v), v, ctx)
