@@ -164,6 +164,8 @@ def cmd_design_verify(args) -> int:
 
 def cmd_design_derive(args) -> int:
     if args.q is not None:
+        if args.v is None:
+            raise ValueError("need --v for subspace parameters")
         params = derive_params_q(args.t, args.v, args.k, args.lam, args.q)
     else:
         if args.n is None:

@@ -447,6 +447,8 @@ def simulate(
     n = decoder.n
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if weight < 0:
+        raise ValueError(f"weight must be non-negative, got {weight}")
     if weight > n:
         raise ValueError("error weight exceeds code length")
     start_evals = decoder.check_evals

@@ -8,10 +8,10 @@ and (for q = 2) the union of all parallel flats.
 
 A combinatorial design holds each block as its point mask (bit i set for
 point i), from the point masks of the subspaces (`pspace.points_mask`) to
-the check rows of its code and the columns of its decoder; point tuples
-are read off the masks for output, and tuple input (files, the
-constructor, the affine and flats constructions) is checked and packed
-once.
+the check rows of its code and the columns of its decoder; all three
+constructions hand over masks.  Point tuples are read off the masks for
+output, and tuple input, which comes only from files and callers of
+the constructor, is checked and packed once.
 
 Designs are simple: duplicate blocks are a hard error, in files and in
 constructors alike.  Verification is a separate explicit step, because it
@@ -47,7 +47,6 @@ from .pspace import (
     gaussian_coefficient,
     point_space,
     points_mask,
-    points_of_subspace,
     subspace,
     subspace_order,
 )
@@ -345,6 +344,9 @@ def affine_version(
     Affine point labels are dense: the chart representative is scaled so
     a . x = 1 and indexed by its remaining coordinates, least-significant
     first, the coordinate matched to a's first nonzero entry being dropped.
+    One table, built through the field tables, gives each projective point
+    its label bit (0 on the hyperplane); a block's affine mask ORs it over
+    the block's point mask.
     """
     lam2 = _lambda2(design)
     ctx, v, q = design.ctx, design.v, design.q
@@ -355,37 +357,27 @@ def affine_version(
         if len(normal) != v or not any(normal):
             raise ValueError("hyperplane normal must be a nonzero length-v vector")
     j0 = next(i for i, x in enumerate(normal) if x)
-
-    def dot(vec):
-        acc = 0
-        for a, x in zip(normal, vec):
-            if a and x:
-                acc = ctx.add(acc, ctx.mul(a, x))
-        return acc
-
-    def affine_index(vec):
-        d = dot(vec)
-        if d != 1:
-            vec = tuple(ctx.mul(ctx.inv(d), x) for x in vec)
-        idx = 0
-        weight = 1
-        for i, x in enumerate(vec):
-            if i == j0:
-                continue
-            idx += x * weight
-            weight *= q
-        return idx
-
-    sp = point_space(v, ctx)
-    blocks = []
+    weights = [0 if i == j0 else q ** (i - (i > j0)) for i in range(v)]
+    at, mt, inv = ctx.add_table, ctx.mul_table, ctx.inv_table
+    chart = []
+    for pt in point_space(v, ctx).points:
+        d = 0
+        for a, x in zip(normal, pt):
+            d = at[d][mt[a][x]]
+        if d:
+            scale = mt[inv[d]]
+            chart.append(1 << sum([scale[x] * w for x, w in zip(pt, weights)]))
+        else:
+            chart.append(0)
+    masks = []
     for blk in design.blocks:
-        pts = [sp.points[i] for i in points_of_subspace(blk)]
-        outside = [p for p in pts if dot(p) != 0]
-        if not outside:
-            continue  # block lies inside the hyperplane
-        blocks.append(tuple(sorted(affine_index(p) for p in outside)))
-    return CombinatorialDesign(
-        n=q ** (v - 1), t=2, k=q ** (design.k - 1), lam=lam2, blocks=tuple(blocks)
+        mask = 0
+        for i in bit_positions(points_mask(blk)):
+            mask |= chart[i]
+        if mask:  # else the block lies inside the hyperplane
+            masks.append(mask)
+    return CombinatorialDesign.from_masks(
+        n=q ** (v - 1), t=2, k=q ** (design.k - 1), lam=lam2, masks=masks
     )
 
 
@@ -393,25 +385,25 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
     """Union of all cosets of all blocks: a 3-design on the 2^v vectors.
 
     Only defined for q = 2.  A vector's ground-set index is sum(x_i << i).
-    Each block contributes its 2^(v-k) parallel flats.
+    Each block contributes its 2^(v-k) parallel flats, as masks over the
+    vectors.
     """
     if design.q != 2:
         raise ValueError("flats construction requires q = 2")
     lam2 = _lambda2(design)
     v = design.v
-    universe = range(1 << v)
-    blocks = set()
+    masks = []
     for blk in design.blocks:
         span = _span([[r] for r in blk.rows])
-        covered = set()
-        for a in universe:
-            if a in covered:
+        covered = 0
+        for a in range(1 << v):
+            if covered >> a & 1:
                 continue
-            coset = tuple(sorted(a ^ x for x in span))
-            covered.update(coset)
-            blocks.add(coset)
-    return CombinatorialDesign(
-        n=1 << v, t=3, k=1 << design.k, lam=lam2, blocks=tuple(sorted(blocks))
+            coset = sum([1 << (a ^ x) for x in span])
+            covered |= coset
+            masks.append(coset)
+    return CombinatorialDesign.from_masks(
+        n=1 << v, t=3, k=1 << design.k, lam=lam2, masks=masks
     )
 
 

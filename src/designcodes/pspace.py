@@ -15,8 +15,7 @@ Conventions used everywhere downstream:
 * The superspaces of a subspace b are read off the quotient by b: the
   points outside b fall into classes modulo b, one class (sup minus b) per
   (dim b + 1)-superspace sup (`outside_classes`), and `superspaces` extends
-  by one representative point per class, a point of the coordinate
-  subspace on b's non-pivot columns.
+  b by the lowest point of each class, through `subspace` at every q.
 
 For q = 2^m a vector is also handled packed, as the int sum(x_i << (m i))
 of its m-bit coordinates (for q = 2 the bitmask of `field.pack_mask`).
@@ -30,10 +29,11 @@ At q = 2 a subspace holds its canonical rows as those masks, never as
 tuples: `enumerate_subspaces` builds them directly, `subspace` reduces
 masks with `field.rref_gf2` (whose pivot, the lowest set bit, is the first
 nonzero coordinate, so the canonical form is the same), and the point
-walks, outside classes, superspaces and design verification read them.  A
+walks, outside classes, containment and design verification read them.  A
 mask's point index is its bit reversal minus 1, so the order of the point
 indices of the rows (`subspace_order`) is the lexicographic order of the
-coordinate tuples.  `Subspace.gen` rebuilds the tuples for output.
+coordinate tuples.  `Subspace.gen` rebuilds the tuples for output and for
+`superspaces`, which hands them back to `subspace`.
 
 A subspace's point set is a mask over point indices (bit i = point i),
 computed once and kept on the subspace (`points_mask`), so the design
@@ -68,20 +68,6 @@ def gaussian_coefficient(v: int, k: int, q: int) -> int:
     for i in range(k):
         g = g * (q ** (v - i) - 1) // (q ** (i + 1) - 1)
     return g
-
-
-def vec_scale(c: int, u: Vector, ctx: FieldCtx) -> Vector:
-    return tuple(ctx.mul(c, a) for a in u)
-
-
-def normalize_point(vec: Vector, ctx: FieldCtx) -> Vector:
-    """Scale so the first nonzero coordinate equals 1 (vec must be nonzero)."""
-    lead = next((x for x in vec if x), None)
-    if lead is None:
-        raise ValueError("zero vector spans no point")
-    if lead == 1:
-        return tuple(vec)
-    return vec_scale(ctx.inv(lead), vec, ctx)
 
 
 def enumerate_points(v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
@@ -243,19 +229,15 @@ def _bits(vec: Sequence[int]) -> int:
     return int("".join(["01"[x] for x in reversed(vec)]) or "0", 2)
 
 
-def _from_masks(masks: Sequence[int], v: int, ctx: FieldCtx) -> Subspace:
-    """The q = 2 subspace spanned by row masks: `field.rref_gf2` gives the
-    canonical rows, each row's pivot its lowest set bit."""
-    return Subspace(ctx, v, tuple(rref_gf2(masks)[0]))
-
-
 def subspace(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> Subspace:
-    """Canonical subspace spanned by the given vectors."""
+    """Canonical subspace spanned by the given vectors.  At q = 2 they are
+    packed into masks and reduced by `field.rref_gf2`, each row's pivot its
+    lowest set bit."""
     for r in vectors:
         if len(r) != v:
             raise ValueError(f"vector has {len(r)} coordinates, expected {v}")
     if ctx.q == 2:
-        return _from_masks([_bits(r) for r in vectors], v, ctx)
+        return Subspace(ctx, v, tuple(rref_gf2([_bits(r) for r in vectors])[0]))
     for r in vectors:
         for x in r:
             ctx.check(x)
@@ -417,30 +399,15 @@ def _points_mask(s: Subspace) -> int:
     return mask
 
 
-def _reduce(s: Subspace, pivots: tuple[int, ...], vec: Sequence[int]) -> Sequence[int]:
-    """vec minus its part in s: the representative of vec + s that is zero on
-    the pivot columns of s (pivots = _pivots(s))."""
-    ctx = s.ctx
-    r = vec
-    for row, pc in zip(s.gen, pivots):
-        c = r[pc]
-        if c:
-            r = tuple(ctx.sub(x, ctx.mul(c, y)) for x, y in zip(r, row))
-    return r
-
-
-def contains_vector(s: Subspace, vec: Sequence[int]) -> bool:
-    return not any(_reduce(s, _pivots(s), vec))
-
-
 def subspace_contains(s: Subspace, t: Subspace) -> bool:
-    """True iff t is a subspace of s (same ambient space required): at
-    q = 2, iff t's row masks add nothing to the rank of s's."""
+    """True iff t is a subspace of s (same ambient space required): iff t's
+    rows add nothing to the rank of s's, by `field.rref_gf2` on the row
+    masks at q = 2 and by `rref` on the row tuples otherwise."""
     if s.v != t.v or s.ctx != t.ctx:
         raise ValueError("subspaces live in different ambient spaces")
     if s.ctx.q == 2:
         return len(rref_gf2(s.rows + t.rows)[0]) == s.k
-    return all(contains_vector(s, row) for row in t.rows)
+    return len(rref(s.rows + t.rows, s.v, s.ctx)) == s.k
 
 
 def outside_classes(b: Subspace) -> tuple[int, ...]:
@@ -496,29 +463,23 @@ def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
     """All k-subspaces containing b, canonical, deduplicated and sorted.
 
     Built one dimension at a time: each subspace s of the frontier is
-    extended by one vector of each class of the points outside s modulo s
-    (`outside_classes`), one RREF per (dim s + 1)-superspace.  Those vectors
-    are the complement points of s's pivots (`complement_points`), whose
-    cosets are the classes: masks reduced by `field.rref_gf2` at q = 2,
-    coordinate tuples otherwise.  For k = dim(b) + 1 the count is
-    [v - dim(b), 1]_q.
+    extended by one point of each class of the points outside s modulo s
+    (`outside_classes`), its lowest, one `subspace` call per
+    (dim s + 1)-superspace.  For k = dim(b) + 1 the count is [v - dim(b), 1]_q.
     """
     if k <= b.k:
         raise ValueError("not a proper extension")
     if k > b.v:
         raise ValueError("extension exceeds ambient dimension")
     ctx, v = b.ctx, b.v
-    sp = point_space(v, ctx)
+    points = point_space(v, ctx).points
     frontier = {b}
     for _ in range(k - b.k):
         nxt = set()
         for s in frontier:
-            for w in sp.complement_points(_pivots(s)):
-                if ctx.q == 2:
-                    nxt.add(_from_masks(s.rows + (w,), v, ctx))
-                    continue
-                if sp.vec_index is not None:  # packed: the point's tuple
-                    w = sp.points[sp.vec_index[w]]
-                nxt.add(Subspace(ctx, v, rref(s.rows + (w,), v, ctx)))
+            gen = s.gen
+            for cls in outside_classes(s):
+                pt = points[(cls & -cls).bit_length() - 1]
+                nxt.add(subspace(gen + (pt,), v, ctx))
         frontier = nxt
     return tuple(sorted(frontier, key=Subspace.sort_key))

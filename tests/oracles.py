@@ -2,24 +2,28 @@
 
 Everything here is deliberately naive: dense Gaussian elimination, raw
 subset/codeword enumeration.  The oracles share no code with the package so
-they can cross-check it, except five kinds of former package paths kept
-as references: `enumerate_gens` and `rref_tuples`, the coordinate-tuple
+they can cross-check it, except these former package paths kept as
+references: `enumerate_gens` and `rref_tuples`, the coordinate-tuple
 subspace enumeration that every q used and the RREF that q = 2 used
 before q = 2 subspaces were held as row masks (self-contained, apart from
 the field's arithmetic);
 `superspaces_scan`, the superspace search behind `pspace.superspaces` and
 `pspace.outside_classes`, which still builds on the package's canonical
-subspaces and point order; `points_walk`, the coordinate-tuple walk that
+subspaces, point order and point masks; `points_walk`, the coordinate-tuple walk that
 `pspace.points_of_subspace` used for every q > 2 before characteristic 2
 walked packed vectors, which builds on the package's point order and field
 tables; `one_step_scan` and `two_step_scan`, the scalar majority-logic
 decoders, which read the decoder's code, parameters and (two-step) the
 package's outside classes; `verify_scan`, the design verification that
 tallied the t-subspaces of every block (`subspaces_of`), which builds on
-the package's canonical subspaces and subspace enumeration; and
+the package's canonical subspaces and subspace enumeration;
 `comb_design_blocks`, the `CombinatorialDesign` constructor from before
 blocks were held as point masks, which sorted, checked and ordered point
-tuples (self-contained).
+tuples (self-contained); and `affine_blocks` and `flats_blocks`, the
+affine and flats constructions from before they handed point masks over,
+which labelled coordinate tuples through the field's per-element
+arithmetic (affine) and sorted tuple cosets of the row masks (flats), and
+which build on the package's point order and point sets.
 """
 
 from functools import lru_cache
@@ -29,14 +33,12 @@ from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
 from designcodes.designs import SubspaceDesign, VerifyResult
 from designcodes.pspace import (
     Subspace,
-    contains_vector,
     enumerate_subspaces,
-    normalize_point,
     outside_classes,
     point_space,
     points_mask,
+    points_of_subspace,
     subspace,
-    vec_scale,
 )
 
 
@@ -84,6 +86,20 @@ def rref_tuples(vectors, v, ctx):
 
 def vec_add(u, w, ctx):
     return tuple(ctx.add(a, b) for a, b in zip(u, w))
+
+
+def vec_scale(c, u, ctx):
+    return tuple(ctx.mul(c, a) for a in u)
+
+
+def normalize_point(vec, ctx):
+    """Scale so the first nonzero coordinate equals 1 (vec must be nonzero)."""
+    lead = next((x for x in vec if x), None)
+    if lead is None:
+        raise ValueError("zero vector spans no point")
+    if lead == 1:
+        return tuple(vec)
+    return vec_scale(ctx.inv(lead), vec, ctx)
 
 
 def naive_rank(rows, p):
@@ -154,8 +170,8 @@ def points_walk(s):
 def superspaces_scan(b, k):
     """All k-subspaces containing b, canonical, deduplicated and sorted.
 
-    Extends every frontier subspace by every point outside it, one RREF per
-    outside point, and drops the duplicates.
+    Extends every frontier subspace by every point outside its point mask,
+    one RREF per outside point, and drops the duplicates.
     """
     if k <= b.k:
         raise ValueError("not a proper extension")
@@ -166,8 +182,9 @@ def superspaces_scan(b, k):
     for _ in range(k - b.k):
         nxt = set()
         for s in frontier:
-            for vec in sp.points:
-                if not contains_vector(s, vec):
+            inside = points_mask(s)
+            for i, vec in enumerate(sp.points):
+                if not inside >> i & 1:
                     nxt.add(subspace(s.gen + (vec,), b.v, b.ctx))
         frontier = nxt
     return tuple(sorted(frontier, key=Subspace.sort_key))
@@ -245,6 +262,74 @@ def comb_design_blocks(n, t, k, blocks):
         if a == b:
             raise ValueError("duplicate block (designs are simple)")
     return tuple(out)
+
+
+def affine_blocks(design, hyperplane=None):
+    """The blocks of `designs.affine_version`, as the former coordinate-tuple
+    construction built them: every point of every block is dotted with the
+    normal through the field's per-element arithmetic, and the points off
+    the hyperplane, scaled so a . x = 1, are labelled by their other
+    coordinates (least-significant first, coordinate j0 of a's first
+    nonzero entry dropped).  One sorted tuple per block that leaves the
+    hyperplane, in block order.  Raises the construction's ValueError for
+    a bad normal."""
+    ctx, v, q = design.ctx, design.v, design.q
+    if hyperplane is None:
+        normal = (1,) + (0,) * (v - 1)
+    else:
+        normal = tuple(ctx.check(x) for x in hyperplane)
+        if len(normal) != v or not any(normal):
+            raise ValueError("hyperplane normal must be a nonzero length-v vector")
+    j0 = next(i for i, x in enumerate(normal) if x)
+
+    def dot(vec):
+        acc = 0
+        for a, x in zip(normal, vec):
+            if a and x:
+                acc = ctx.add(acc, ctx.mul(a, x))
+        return acc
+
+    def affine_index(vec):
+        d = dot(vec)
+        if d != 1:
+            vec = tuple(ctx.mul(ctx.inv(d), x) for x in vec)
+        idx = 0
+        weight = 1
+        for i, x in enumerate(vec):
+            if i == j0:
+                continue
+            idx += x * weight
+            weight *= q
+        return idx
+
+    sp = point_space(v, ctx)
+    blocks = []
+    for blk in design.blocks:
+        pts = [sp.points[i] for i in points_of_subspace(blk)]
+        outside = [p for p in pts if dot(p) != 0]
+        if outside:
+            blocks.append(tuple(sorted(affine_index(p) for p in outside)))
+    return blocks
+
+
+def flats_blocks(design):
+    """The blocks of `designs.flats_construction` (q = 2), as the former
+    construction built them: every coset a + span of every block, as a
+    sorted tuple of the vectors sum(x_i << i), the cosets sorted."""
+    v = design.v
+    blocks = set()
+    for blk in design.blocks:
+        span = [0]
+        for row in blk.rows:
+            span += [x ^ row for x in span]
+        covered = set()
+        for a in range(1 << v):
+            if a in covered:
+                continue
+            coset = tuple(sorted(a ^ x for x in span))
+            covered.update(coset)
+            blocks.add(coset)
+    return sorted(blocks)
 
 
 def naive_min_distance(check_masks, n):

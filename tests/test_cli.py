@@ -1,11 +1,20 @@
+import contextlib
+import io
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from designcodes.cli import main
-from designcodes.designs import dumps_subspace_design, trivial_design
+from designcodes.codes import build_code
+from designcodes.designs import (
+    dumps_comb_design,
+    dumps_subspace_design,
+    projective_version,
+    trivial_design,
+)
 from designcodes.field import FieldCtx
 
 
@@ -143,6 +152,14 @@ def test_design_derive(capsys):
     assert code == 0
     pairs = kv(out)
     assert pairs["r"] == "31" and pairs["b"] == "279" and pairs["admissible"] == "true"
+
+
+def test_design_derive_q_without_v_is_domain_error(capsys):
+    code, out, err = run(
+        capsys, "design", "derive", "--t", "2", "--k", "3", "--lambda", "1", "--q", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: need --v for subspace parameters\n"
 
 
 def test_code_build_report(tmp_path, capsys):
@@ -284,6 +301,16 @@ def test_simulate_negative_trials_is_domain_error(capsys):
     assert err.startswith("error: ") and "trials" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "3"])
+def test_simulate_negative_weight_is_domain_error(capsys, trials):
+    code, out, err = run(
+        capsys, "simulate", "--v", "3", "--k", "2", "--q", "2", "--weight", "-1",
+        "--trials", trials,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: weight must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("p,m", [("4", "1"), ("2", "0")])
 def test_hamada_bad_characteristic_or_degree_is_domain_error(capsys, p, m):
     code, out, err = run(capsys, "hamada", "--v", "3", "--k", "2", "--p", p, "--m", m)
@@ -376,3 +403,81 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "2-(7,3,21)_4\t1\t341\t[5461, 1064, 136]\t5733\t16.2"
+
+
+# Valid file texts that the fuzz test below mutates: the Fano plane as a
+# 2-(3,2,1)_2 qdesign, its projective version as a cdesign and its check
+# matrix as a pmatrix, and the lines of PG(2,4) as a qdesign over GF(4).
+_FANO = trivial_design(2, 3, 2, FieldCtx.of(2))
+_FUZZ_BASES = [
+    ("d.qdesign", dumps_subspace_design(_FANO)),
+    ("d.qdesign", dumps_subspace_design(trivial_design(2, 3, 2, FieldCtx.of(4)))),
+    ("d.cdesign", dumps_comb_design(projective_version(_FANO))),
+    ("m.pmatrix", build_code(projective_version(_FANO), 2, "projective").checks.dumps()),
+]
+_JUNK = ["x", "-1", "0", "1", "2", "3", "7", "1.5", "0x1", "=", "#", ";", ""]
+
+
+@st.composite
+def _mutated(draw):
+    """A valid design or matrix text with one to three edits: a token
+    dropped, duplicated or corrupted, a line cut short, or a stray `=` or
+    `#` put into a line."""
+    name, text = draw(st.sampled_from(_FUZZ_BASES))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        edit = draw(st.sampled_from(["drop", "dup", "corrupt", "cut", "stray"]))
+        if edit in ("drop", "dup", "corrupt") and toks:
+            j = draw(st.integers(0, len(toks) - 1))
+            if edit == "drop":
+                del toks[j]
+            elif edit == "dup":
+                toks.insert(j, toks[j])
+            else:
+                toks[j] = draw(st.sampled_from(_JUNK))
+            lines[i] = " ".join(toks)
+        elif edit == "cut":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from("=#")) + lines[i][at:]
+    return name, "\n".join(lines) + "\n"
+
+
+def _commands(path):
+    if path.suffix == ".pmatrix":
+        return [("code", "rank", path), ("code", "mindist", path)]
+    cmds = [("design", "verify", path), ("code", "build", path)]
+    cmds += [("code", "build", path, "--mode", mode) for mode in ("projective", "affine", "flats")]
+    cmds.append(("decode", "one-step", "--designfile", path, "--word", "0" * 7))
+    if path.suffix == ".qdesign":
+        cmds.append(("experiment", "rank", path))
+        cmds.append(("decode", "two-step", "--designfile", path, "--word", "0" * 7))
+    return cmds
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated())
+def test_cli_survives_mutated_files(tmp_path_factory, case):
+    # every command either succeeds, exits 1 with one error line, or (design
+    # verify, experiment rank) exits 1 reporting verified=false; never an
+    # uncaught exception
+    name, text = case
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(text)
+    for argv in _commands(path):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            continue
+        assert code == 1, (argv, text)
+        if err:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, text, err)
+        else:
+            assert "verified=false" in out.splitlines(), (argv, text, out)

@@ -505,6 +505,16 @@ def test_simulate_rejects_negative_trials(fano_pair):
     assert (rep.trials, rep.successes, rep.check_evals) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("trials", [0, 3])
+def test_simulate_rejects_negative_weight(fano_pair, trials):
+    code, fano = fano_pair
+    dec = OneStepDecoder(code, fano)
+    with pytest.raises(ValueError) as err:
+        simulate(dec, weight=-1, trials=trials)
+    assert str(err.value) == "weight must be non-negative, got -1"
+    assert dec.check_evals == 0
+
+
 def test_as_mask_forms():
     assert as_mask("0110", 4) == 0b0110
     assert as_mask([0, 1, 1, 0], 4) == 0b0110

@@ -27,7 +27,13 @@ from designcodes.designs import (
 from designcodes.field import FieldCtx, PrimeMatrix, matrix_rank
 from designcodes.pspace import gaussian_coefficient, subspace_contains
 
-from .oracles import comb_design_blocks, naive_comb_design_counts, verify_scan
+from .oracles import (
+    affine_blocks,
+    comb_design_blocks,
+    flats_blocks,
+    naive_comb_design_counts,
+    verify_scan,
+)
 
 FANO_BLOCKS = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2, 6)]
 
@@ -464,6 +470,91 @@ def test_constructor_matches_tuple_oracle(data):
     assert d.blocks == want
     assert d.masks == tuple(sum(1 << i for i in blk) for blk in want)
     assert CombinatorialDesign.from_masks(n, t, k, 1, reversed(d.masks)) == d
+
+
+# (q, v, k) of the trivial designs whose blocks the construction tests below
+# sample: every field size the constructions meet, small spaces
+AFFINE_CASES = [
+    (2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 3, 2), (3, 4, 3),
+    (4, 3, 2), (4, 4, 3), (5, 3, 2), (8, 3, 2),
+]
+
+
+def _sampled_design(data, q, v, k):
+    """A 2-(v, k, lambda)_q design value over a random subset of the
+    k-subspaces; lambda is the trivial design's, so lambda_2 is integral."""
+    lam = gaussian_coefficient(v - 2, k - 2, q)
+    _, kept = _lambda_and_subset(data, _trivial_blocks(q, v, k), lam)
+    return SubspaceDesign(ctx=FieldCtx.of(q), t=2, v=v, k=k, lam=lam, blocks=kept)
+
+
+def _assert_affine_matches_oracle(design, normal):
+    try:
+        want = affine_blocks(design, normal)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            affine_version(design, hyperplane=normal)
+        assert str(got.value) == str(err)
+        return
+    got = affine_version(design, hyperplane=normal)
+    n, k, lam = design.q ** (design.v - 1), design.q ** (design.k - 1), design.params().lambda_s(2)
+    assert got.blocks == comb_design_blocks(n, 2, k, want)
+    expected = CombinatorialDesign(n=n, t=2, k=k, lam=lam, blocks=want)
+    assert dumps_comb_design(got) == dumps_comb_design(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(AFFINE_CASES), st.data())
+def test_affine_version_matches_tuple_oracle(case, data):
+    # the point-mask chart against the former tuple construction, on random
+    # block subsets and random normals (default, nonzero, or malformed:
+    # wrong length, zero, entries outside the field): the same design file,
+    # or the same ValueError text
+    q, v, k = case
+    design = _sampled_design(data, q, v, k)
+    kind = data.draw(st.sampled_from(["default", "normal", "normal", "bad"]), label="kind")
+    normal = None
+    if kind == "normal":
+        normal = data.draw(st.lists(st.integers(0, q - 1), min_size=v, max_size=v).filter(any))
+    elif kind == "bad":
+        normal = data.draw(
+            st.one_of(
+                st.lists(st.integers(0, q - 1), max_size=v + 1).filter(
+                    lambda a: len(a) != v or not any(a)
+                ),
+                st.lists(st.integers(-1, q), min_size=v, max_size=v).filter(
+                    lambda a: -1 in a or q in a
+                ),
+            )
+        )
+    _assert_affine_matches_oracle(design, normal)
+
+
+@pytest.mark.parametrize(
+    "q,v,k,normal",
+    [
+        (2, 4, 3, (0, 0, 1, 1)), (3, 3, 2, (0, 2, 1)), (3, 4, 3, (0, 0, 2, 2)),
+        (4, 3, 2, (0, 3, 2)), (5, 3, 2, (0, 0, 4)), (8, 3, 2, (0, 5, 7)),
+        (4, 4, 3, (3, 1, 0, 2)),
+    ],
+)
+def test_affine_version_matches_tuple_oracle_off_the_default_chart(q, v, k, normal):
+    # normals whose first nonzero entry is not 1, most with j0 > 0, on the
+    # full trivial design
+    _assert_affine_matches_oracle(trivial_design(2, v, k, FieldCtx.of(q)), normal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([case for case in AFFINE_CASES if case[0] == 2]), st.data())
+def test_flats_construction_matches_tuple_oracle(case, data):
+    # coset masks against the former sorted tuple cosets: the same file
+    design = _sampled_design(data, *case)
+    got = flats_construction(design)
+    n, k, lam = 1 << design.v, 1 << design.k, design.params().lambda_s(2)
+    want = flats_blocks(design)
+    assert got.blocks == comb_design_blocks(n, 3, k, want)
+    expected = CombinatorialDesign(n=n, t=3, k=k, lam=lam, blocks=want)
+    assert dumps_comb_design(got) == dumps_comb_design(expected)
 
 
 def test_from_masks_rejects_malformed_masks():

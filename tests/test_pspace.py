@@ -19,7 +19,6 @@ from designcodes.pspace import (
     enumerate_points,
     enumerate_subspaces,
     gaussian_coefficient,
-    normalize_point,
     outside_classes,
     point_space,
     points_mask,
@@ -32,6 +31,7 @@ from designcodes.pspace import (
 
 from .oracles import (
     enumerate_gens,
+    normalize_point,
     points_walk,
     rref_tuples,
     subspaces_of,
@@ -324,6 +324,17 @@ def test_contains_examples(gf2):
     assert not subspace_contains(s, subspace([(0, 0, 1)], 3, gf2))
     with pytest.raises(ValueError):
         subspace_contains(s, subspace([(1, 0)], 2, gf2))
+
+
+@pytest.mark.parametrize("q,v", [(2, 4), (3, 3), (4, 3)])
+def test_subspace_contains_matches_point_masks(q, v):
+    # every pair of subspaces of F_q^v: t lies in s iff every point of t is
+    # a point of s, read off the point walks' masks
+    ctx = FieldCtx.of(q)
+    subs = [s for k in range(v + 1) for s in enumerate_subspaces(v, k, ctx)]
+    for s in subs:
+        for t in subs:
+            assert subspace_contains(s, t) == (points_mask(t) & ~points_mask(s) == 0)
 
 
 def test_subspaces_of_counts(gf2, gf4):
