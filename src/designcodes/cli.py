@@ -6,8 +6,6 @@ Exit codes: 0 on success, 1 on a domain error (bad parameters, failed
 verification), 2 on usage errors (argparse).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from pathlib import Path

@@ -8,29 +8,28 @@ lattice) designs the rank is also available in closed form: the general
 Hamada formula for q = p^m, and the binomial-sum shortcut when p = q = 2.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
+from ._record import FrozenRecord, Record
 from .designs import CombinatorialDesign, DesignParams, SubspaceDesign, projective_version
 from .field import PrimeMatrix, is_prime, matrix_rank, rref_gf2
 from .pspace import gaussian_coefficient
 
 
-@dataclass(frozen=True)
-class CodeSource:
+class CodeSource(FrozenRecord):
     """Where a code's checks came from: construction mode plus parameters."""
 
-    mode: str  # "projective" | "affine" | "flats" | "combinatorial"
-    params: DesignParams
+    _fields = ("mode", "params")
+
+    def __init__(self, mode: str, params: DesignParams) -> None:
+        # mode: "projective" | "affine" | "flats" | "combinatorial"
+        self.__dict__.update(mode=mode, params=params)
 
 
-@dataclass
-class BinaryCode:
+class BinaryCode(Record):
     """Linear code given by parity-check rows over F_p (p = 2 throughout
     the built-in tables; the rank machinery is p-generic).
 
@@ -38,10 +37,12 @@ class BinaryCode:
     the codeword test and the nullspace basis all read that reduced form.
     """
 
-    n: int
-    p: int
-    checks: PrimeMatrix
-    source: CodeSource | None = None
+    _fields = ("n", "p", "checks", "source")
+
+    def __init__(
+        self, n: int, p: int, checks: PrimeMatrix, source: CodeSource | None = None
+    ) -> None:
+        self.n, self.p, self.checks, self.source = n, p, checks, source
 
     @cached_property
     def rank(self) -> int:
@@ -167,10 +168,11 @@ def bch_bound(v: int, k: int, q: int) -> int:
     return gaussian_coefficient(v - k + 1, 1, q) + 1
 
 
-@dataclass(frozen=True)
-class DistanceBounds:
-    lower: int
-    known_exact: int | None
+class DistanceBounds(FrozenRecord):
+    _fields = ("lower", "known_exact")
+
+    def __init__(self, lower: int, known_exact: int | None) -> None:
+        self.__dict__.update(lower=lower, known_exact=known_exact)
 
 
 def distance_bounds(v: int, k: int, q: int, mode: str) -> DistanceBounds:
@@ -223,13 +225,17 @@ def min_distance_bruteforce(code: BinaryCode, cap: int = 24) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(FrozenRecord):
     """Matrix rank next to the closed-form ranks, for the rank experiment."""
 
-    matrix_rank: int
-    hamada_rank: int | None = None
-    binary_simplified: int | None = None
+    _fields = ("matrix_rank", "hamada_rank", "binary_simplified")
+
+    def __init__(
+        self, matrix_rank: int, hamada_rank: int | None = None, binary_simplified: int | None = None
+    ) -> None:
+        self.__dict__.update(
+            matrix_rank=matrix_rank, hamada_rank=hamada_rank, binary_simplified=binary_simplified
+        )
 
     @property
     def all_agree(self) -> bool:

@@ -30,13 +30,11 @@ Capability formulas:
   (2 lambda))) with J = [v-k+1, 1]_q superspaces per block.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._record import FrozenRecord
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign
 from .field import _columns
@@ -46,12 +44,16 @@ DECODED = "decoded"
 DETECTED = "detected-uncorrectable"
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
-    status: str
-    word: int | None
-    flips: tuple[int, ...]
-    n: int
+class DecodeOutcome(FrozenRecord):
+    _fields = ("status", "word", "flips", "n")
+
+    def __init__(self, status: str, word: int | None, flips: tuple[int, ...], n: int) -> None:
+        # one outcome per decoded word: written item by item, like Subspace
+        d = self.__dict__
+        d["status"] = status
+        d["word"] = word
+        d["flips"] = flips
+        d["n"] = n
 
     def word_str(self) -> str:
         if self.word is None:
@@ -130,17 +132,29 @@ def ell_bounds(v: int, k: int, q: int, lam: int) -> tuple[int, int]:
     return (int(lower // 1), int(upper // 1))
 
 
-@dataclass(frozen=True)
-class CapabilityReport:
+class CapabilityReport(FrozenRecord):
     """Two-step capability of the geometric k-subspace code decoded through
     a (k-1)-subspace design with 2-design parameters (r, lambda_2)."""
 
-    ell_one_step: int
-    ell_bounds: tuple[int, int]
-    J: int
-    ell_two_step: int
-    r: int
-    lambda2: int
+    _fields = ("ell_one_step", "ell_bounds", "J", "ell_two_step", "r", "lambda2")
+
+    def __init__(
+        self,
+        ell_one_step: int,
+        ell_bounds: tuple[int, int],
+        J: int,
+        ell_two_step: int,
+        r: int,
+        lambda2: int,
+    ) -> None:
+        self.__dict__.update(
+            ell_one_step=ell_one_step,
+            ell_bounds=ell_bounds,
+            J=J,
+            ell_two_step=ell_two_step,
+            r=r,
+            lambda2=lambda2,
+        )
 
 
 def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
@@ -350,12 +364,18 @@ class TwoStepDecoder:
 # Empirical measurement
 
 
-@dataclass(frozen=True)
-class RadiusReport:
-    certified_radius: int
-    first_failure_weight: int | None
-    trials: int
-    exhaustive: bool
+class RadiusReport(FrozenRecord):
+    _fields = ("certified_radius", "first_failure_weight", "trials", "exhaustive")
+
+    def __init__(
+        self, certified_radius: int, first_failure_weight: int | None, trials: int, exhaustive: bool
+    ) -> None:
+        self.__dict__.update(
+            certified_radius=certified_radius,
+            first_failure_weight=first_failure_weight,
+            trials=trials,
+            exhaustive=exhaustive,
+        )
 
 
 def measure_decoding_radius(
@@ -418,15 +438,28 @@ def measure_decoding_radius(
     )
 
 
-@dataclass(frozen=True)
-class SimReport:
-    weight: int
-    trials: int
-    successes: int
-    miscorrected: int
-    detected: int
-    check_evals: int
-    seed: int
+class SimReport(FrozenRecord):
+    _fields = ("weight", "trials", "successes", "miscorrected", "detected", "check_evals", "seed")
+
+    def __init__(
+        self,
+        weight: int,
+        trials: int,
+        successes: int,
+        miscorrected: int,
+        detected: int,
+        check_evals: int,
+        seed: int,
+    ) -> None:
+        self.__dict__.update(
+            weight=weight,
+            trials=trials,
+            successes=successes,
+            miscorrected=miscorrected,
+            detected=detected,
+            check_evals=check_evals,
+            seed=seed,
+        )
 
     @property
     def success_rate(self) -> float:

@@ -22,15 +22,13 @@ point p), so the blocks containing a set of points are the AND of their
 columns.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 from typing import Sequence
 
+from ._record import FrozenRecord, Record
 from .field import (
     FieldCtx,
     _columns,
@@ -52,8 +50,7 @@ from .pspace import (
 )
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(FrozenRecord):
     """Derived parameters of a (subspace or combinatorial) t-design.
 
     q is None for combinatorial parameters; lambdas[s] is the derived
@@ -62,12 +59,12 @@ class DesignParams:
     raising.
     """
 
-    t: int
-    v: int
-    k: int
-    lam: int
-    q: int | None
-    lambdas: tuple[Fraction, ...]
+    _fields = ("t", "v", "k", "lam", "q", "lambdas")
+
+    def __init__(
+        self, t: int, v: int, k: int, lam: int, q: int | None, lambdas: tuple[Fraction, ...]
+    ) -> None:
+        self.__dict__.update(t=t, v=v, k=k, lam=lam, q=q, lambdas=lambdas)
 
     @property
     def admissible(self) -> bool:
@@ -127,33 +124,39 @@ def derive_params_comb(t: int, n: int, k: int, lam: int) -> DesignParams:
     return DesignParams(t=t, v=n, k=k, lam=lam, q=None, lambdas=lambdas)
 
 
-@dataclass
-class SubspaceDesign:
-    """A set of k-subspaces of F_q^v, every t-subspace in lam of them."""
+class SubspaceDesign(Record):
+    """A set of k-subspaces of F_q^v, every t-subspace in lam of them.
 
-    ctx: FieldCtx
-    t: int
-    v: int
-    k: int
-    lam: int
-    blocks: tuple[Subspace, ...]
-    verified: bool = field(default=False, compare=False)
+    `verified` takes no part in equality."""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.t <= self.k <= self.v:
+    _fields = ("ctx", "t", "v", "k", "lam", "blocks", "verified")
+    _uncompared = ("verified",)
+
+    def __init__(
+        self,
+        ctx: FieldCtx,
+        t: int,
+        v: int,
+        k: int,
+        lam: int,
+        blocks: tuple[Subspace, ...],
+        verified: bool = False,
+    ) -> None:
+        if not 0 <= t <= k <= v:
             raise ValueError("need 0 <= t <= k <= v")
-        v, ctx, k = self.v, self.ctx, self.k
-        for b in self.blocks:
+        for b in blocks:
             # identity first: blocks almost always share the design's context
             if b.v != v or (b.ctx is not ctx and b.ctx != ctx):
                 raise ValueError("block lives in a different ambient space")
             if len(b.rows) != k:
                 raise ValueError(f"block of dimension {b.k}, expected {k}")
-        blocks = tuple(sorted(self.blocks, key=subspace_order(v, ctx)))
+        blocks = tuple(sorted(blocks, key=subspace_order(v, ctx)))
         for a, b in zip(blocks, blocks[1:]):
             if a.rows == b.rows:
                 raise ValueError("duplicate block (designs are simple)")
+        self.ctx, self.t, self.v, self.k, self.lam = ctx, t, v, k, lam
         self.blocks = blocks
+        self.verified = verified
 
     @property
     def q(self) -> int:
@@ -167,23 +170,19 @@ class SubspaceDesign:
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-@dataclass(init=False)
-class CombinatorialDesign:
+class CombinatorialDesign(Record):
     """Blocks of size k on ground set [0, n), every t-subset in lam of them.
 
     Each block is held as its point mask, an n-bit int with bit i set for
     point i.  `masks` lists them in the lexicographic order of the blocks'
     sorted point tuples, and `blocks` gives those tuples, read off the masks
     on first use.  The constructor takes each block as a collection of
-    points, in any order; `from_masks` takes point masks.
+    points, in any order; `from_masks` takes point masks.  `verified` takes
+    no part in equality.
     """
 
-    n: int
-    t: int
-    k: int
-    lam: int
-    masks: tuple[int, ...]
-    verified: bool = field(default=False, compare=False)
+    _fields = ("n", "t", "k", "lam", "masks", "verified")
+    _uncompared = ("verified",)
 
     def __init__(self, n: int, t: int, k: int, lam: int, blocks, verified: bool = False):
         _check_sizes(n, t, k)
@@ -200,7 +199,7 @@ class CombinatorialDesign:
     @classmethod
     def from_masks(
         cls, n: int, t: int, k: int, lam: int, masks, verified: bool = False
-    ) -> CombinatorialDesign:
+    ) -> "CombinatorialDesign":
         """The design whose blocks have the given point masks, in any order."""
         _check_sizes(n, t, k)
         masks = list(masks)
@@ -242,11 +241,14 @@ def _check_sizes(n: int, t: int, k: int) -> None:
         raise ValueError("need 0 <= t <= k <= n")
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    verified: bool
-    observed_lambda: int | str  # an int, or "non-constant"
-    witness: tuple | None  # (t-subspace or t-subset, count) on failure
+class VerifyResult(FrozenRecord):
+    """Outcome of a design check.  `observed_lambda` is an int, or
+    "non-constant"; on failure `witness` is (t-subspace or t-subset, count)."""
+
+    _fields = ("verified", "observed_lambda", "witness")
+
+    def __init__(self, verified: bool, observed_lambda: int | str, witness: tuple | None) -> None:
+        self.__dict__.update(verified=verified, observed_lambda=observed_lambda, witness=witness)
 
 
 def trivial_design(t: int, v: int, k: int, ctx: FieldCtx) -> SubspaceDesign:

@@ -25,13 +25,12 @@ their errors name the file line of a bad row or block, and the loaders
 that read a path (`_load_file`) put the path in front.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+from ._record import FrozenRecord, Record
 
 _T = TypeVar("_T")
 
@@ -114,32 +113,29 @@ def default_modulus(p: int, m: int) -> int:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class FieldCtx(FrozenRecord):
     """GF(p^m) with its modulus polynomial.
 
     The modulus is encoded like elements are: sum(c_i * p**i) of its
     coefficient sequence, constant term = c_0.
     """
 
-    p: int
-    m: int
-    q: int
-    modulus: int
+    _fields = ("p", "m", "q", "modulus")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-        if self.m < 1:
+    def __init__(self, p: int, m: int, q: int, modulus: int) -> None:
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
+        if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if self.q != self.p**self.m:
-            raise ValueError(f"q={self.q} is not {self.p}^{self.m}")
-        if self.q > 512:
+        if q != p**m:
+            raise ValueError(f"q={q} is not {p}^{m}")
+        if q > 512:
             raise ValueError("fields with q > 512 are not supported")
-        if not (self.p**self.m <= self.modulus < 2 * self.p**self.m):
-            raise ValueError(f"modulus {self.modulus} is not monic of degree {self.m}")
-        if not _is_irreducible(_digits(self.modulus, self.p), self.p):
-            raise ValueError(f"modulus {self.modulus} is reducible over F_{self.p}")
+        if not (p**m <= modulus < 2 * p**m):
+            raise ValueError(f"modulus {modulus} is not monic of degree {m}")
+        if not _is_irreducible(_digits(modulus, p), p):
+            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        self.__dict__.update(p=p, m=m, q=q, modulus=modulus)
 
     @classmethod
     def of(cls, q: int, modulus: int | None = None) -> "FieldCtx":
@@ -184,7 +180,7 @@ class FieldCtx:
         return self.inv_table[a]
 
     # The tables are built on first use and kept on the instance; they are
-    # not dataclass fields, so equality and hashing ignore them.
+    # not fields, so equality and hashing ignore them.
 
     @cached_property
     def _point_spaces(self) -> dict:
@@ -226,13 +222,13 @@ class FieldCtx:
 # Matrices over the prime field
 
 
-@dataclass
-class PrimeMatrix:
+class PrimeMatrix(Record):
     """0-based matrix over F_p; rows bit-packed for p = 2, entry tuples else."""
 
-    p: int
-    ncols: int
-    rows: list
+    _fields = ("p", "ncols", "rows")
+
+    def __init__(self, p: int, ncols: int, rows: list) -> None:
+        self.p, self.ncols, self.rows = p, ncols, rows
 
     @classmethod
     def from_rows(cls, entry_rows: Iterable[Sequence[int]], p: int, ncols: int) -> "PrimeMatrix":

@@ -45,14 +45,12 @@ also keeps the packed scalar multiples of its rows, which its point walk
 and its outside classes share.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, lshift, xor
 from typing import Callable, Iterator, Sequence
 
+from ._record import FrozenRecord
 from .field import FieldCtx, bit_positions, rref_gf2
 
 Vector = tuple[int, ...]
@@ -156,8 +154,7 @@ def point_space(v: int, ctx: FieldCtx) -> _PointSpace:
     return sp
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(FrozenRecord):
     """A subspace of F_q^v held by its canonical (RREF) generator matrix.
 
     `rows` are the canonical rows, pivots ascending: int masks at q = 2
@@ -165,9 +162,15 @@ class Subspace:
     otherwise.  `gen` gives them as coordinate tuples at every q.
     """
 
-    ctx: FieldCtx
-    v: int
-    rows: tuple
+    _fields = ("ctx", "v", "rows")
+
+    def __init__(self, ctx: FieldCtx, v: int, rows: tuple) -> None:
+        # one subspace per enumerated block: item by item into __dict__ is
+        # the cheapest write that keeps the class immutable
+        d = self.__dict__
+        d["ctx"] = ctx
+        d["v"] = v
+        d["rows"] = rows
 
     @property
     def k(self) -> int:

@@ -8,11 +8,9 @@ lambda_min by scanning the divisibility conditions, and the decoder speedup
 as lambda_max over lambda_known.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .codes import binary_rank_formula, hamada_rank
 from .decoders import ell_one_step, ell_one_step_3design
 from .designs import DesignParams, derive_params_comb, derive_params_q
@@ -22,29 +20,40 @@ from .pspace import gaussian_coefficient
 MODES = ("projective", "affine", "flats")
 
 
-@dataclass(frozen=True)
-class TableRowSpec:
-    t: int
-    v: int
-    k: int
-    lam: int
-    q: int
-    mode: str
+class TableRowSpec(FrozenRecord):
+    _fields = ("t", "v", "k", "lam", "q", "mode")
+
+    def __init__(self, t: int, v: int, k: int, lam: int, q: int, mode: str) -> None:
+        self.__dict__.update(t=t, v=v, k=k, lam=lam, q=q, mode=mode)
 
     def label(self) -> str:
         return f"{self.t}-({self.v},{self.k},{self.lam})_{self.q}"
 
 
-@dataclass(frozen=True)
-class RowReport:
-    spec: TableRowSpec
-    n: int
-    dim: int
-    ell: int
-    r: int
-    lambda_min: int
-    lambda_max: int
-    speedup: Fraction | None  # None when lambda_known == lambda_max
+class RowReport(FrozenRecord):
+    _fields = ("spec", "n", "dim", "ell", "r", "lambda_min", "lambda_max", "speedup")
+
+    def __init__(
+        self,
+        spec: TableRowSpec,
+        n: int,
+        dim: int,
+        ell: int,
+        r: int,
+        lambda_min: int,
+        lambda_max: int,
+        speedup: Fraction | None,  # None when lambda_known == lambda_max
+    ) -> None:
+        self.__dict__.update(
+            spec=spec,
+            n=n,
+            dim=dim,
+            ell=ell,
+            r=r,
+            lambda_min=lambda_min,
+            lambda_max=lambda_max,
+            speedup=speedup,
+        )
 
     def speedup_str(self) -> str:
         if self.speedup is None:
