@@ -25,6 +25,7 @@ class Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         if cls._fields:
+            # _key(obj): the tuple of obj's compared fields, built in C
             compared = [f for f in cls._fields if f not in cls._uncompared]
             cls._key = staticmethod(attrgetter(*compared))
 
@@ -39,9 +40,9 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """An immutable, hashable record.  Its `__init__` writes the fields
-    straight into the instance `__dict__`, as do the lazy caches kept on
-    it; assignment and deletion raise AttributeError."""
+    """An immutable, hashable record.  A subclass's `__init__` writes the
+    fields straight into the instance `__dict__`, as the lazy caches kept
+    on an instance do; assignment and deletion raise AttributeError."""
 
     __slots__ = ()
 
