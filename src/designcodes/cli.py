@@ -28,14 +28,14 @@ from .decoders import (
     simulate,
 )
 from .designs import (
+    MODES,
     CombinatorialDesign,
     SubspaceDesign,
-    affine_version,
+    construct,
     derive_params_comb,
     derive_params_q,
     dumps_comb_design,
     dumps_subspace_design,
-    flats_construction,
     load_subspace_design,
     loads_comb_design,
     loads_subspace_design,
@@ -82,16 +82,6 @@ def _loads_design(text: str):
     raise ValueError("neither a qdesign nor a cdesign file")
 
 
-def _construct(qdesign: SubspaceDesign, mode: str, hyperplane=None) -> CombinatorialDesign:
-    if mode == "projective":
-        return projective_version(qdesign)
-    if mode == "affine":
-        return affine_version(qdesign, hyperplane=hyperplane)
-    if mode == "flats":
-        return flats_construction(qdesign)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
     """Combinatorial design for a decoder, from a file or trivial parameters."""
     if args.designfile:
@@ -100,7 +90,7 @@ def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
             return cd, "combinatorial"
     else:
         qd = trivial_design(args.t, args.v, args.k, _ctx(args))
-    return _construct(qd, args.mode), args.mode
+    return construct(qd, args.mode), args.mode
 
 
 def _code_report(code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign | None, mode: str):
@@ -109,13 +99,16 @@ def _code_report(code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign
         lines.append(f"ell={capability(comb.params())}")
     except ValueError:
         pass  # no capability formula outside t = 2, 3
-    if qd is not None and mode in ("projective", "affine"):
+    if qd is not None:
         lines += _distance_lines(qd.v, qd.k, qd.q, mode)
     return lines
 
 
 def _distance_lines(v: int, k: int, q: int, mode: str) -> list[str]:
-    b = distance_bounds(v, k, q, mode)
+    try:
+        b = distance_bounds(v, k, q, mode)
+    except ValueError:
+        return []  # no distance bounds for the mode (flats)
     exact = b.known_exact if b.known_exact is not None else ""
     return [f"d_bch={bch_bound(v, k, q)}", f"d_lower={b.lower}", f"d_exact={exact}"]
 
@@ -182,7 +175,7 @@ def cmd_code_build(args) -> int:
     qd, cd = _load_design_file(args.file)
     mode = args.mode or ("combinatorial" if cd is not None else "projective")
     if cd is None:
-        cd = _construct(qd, mode, hyperplane=_parse_hyperplane(args.hyperplane))
+        cd = construct(qd, mode, hyperplane=_parse_hyperplane(args.hyperplane))
     code = build_code(cd, args.p, mode)
     if args.design_out:
         Path(args.design_out).write_text(dumps_comb_design(cd), encoding="utf-8")
@@ -206,9 +199,7 @@ def cmd_code_params(args) -> int:
     params = comb_design_params(spec)
     n, rank = params.v, predicted_rank(spec)
     lines = [f"n={n}", f"rank={rank}", f"dim={n - rank}", f"ell={capability(params)}"]
-    if args.mode in ("projective", "affine"):
-        lines += _distance_lines(v, k, q, args.mode)
-    for line in lines:
+    for line in lines + _distance_lines(v, k, q, args.mode):
         print(line)
     return 0
 
@@ -344,7 +335,7 @@ def _add_decoder_source_args(p, two_step=False):
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--poly", type=int, default=None)
     if not two_step:
-        p.add_argument("--mode", choices=["projective", "affine", "flats"], default="projective")
+        p.add_argument("--mode", choices=MODES, default="projective")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser("build", help="code from a design file")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["projective", "affine", "flats"], default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--hyperplane", default=None, help="normal vector, e.g. '0 1 0 0'")
     p.add_argument("--matrix-out", default=None)
@@ -402,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
-    p.add_argument("--mode", choices=["projective", "affine", "flats"], default="projective")
+    p.add_argument("--mode", choices=MODES, default="projective")
     p.set_defaults(fn=cmd_code_params)
 
     p = csub.add_parser("mindist", help="exhaustive minimum distance of a pmatrix file")
@@ -450,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mode", choices=["projective", "affine", "flats"], default="projective")
+    p.add_argument("--mode", choices=MODES, default="projective")
     p.add_argument("--format", choices=["tsv", "kv"], default="tsv")
     p.set_defaults(fn=cmd_table)
 

@@ -36,7 +36,7 @@ from math import comb
 
 from ._record import FrozenRecord
 from .codes import BinaryCode
-from .designs import CombinatorialDesign, SubspaceDesign
+from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
 from .field import _columns
 from .pspace import gaussian_coefficient, outside_classes, points_mask
 
@@ -165,10 +165,7 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
     if k > v:
         raise ValueError("need k <= v")
     J = gaussian_coefficient(v - k + 1, 1, q)
-    r_frac = Fraction(lam * gaussian_coefficient(v - 1, 1, q), gaussian_coefficient(k - 2, 1, q))
-    if r_frac.denominator != 1:
-        raise ValueError(f"repetition number {r_frac} is not integral")
-    r = int(r_frac)
+    r = derive_params_q(2, v, k - 1, lam, q).r
     ell2 = ell_one_step(r, lam)
     return CapabilityReport(
         ell_one_step=ell2,
@@ -253,7 +250,7 @@ class OneStepDecoder:
         self.n = code.n
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        self._columns = _columns(((mask,) for mask in block_masks), code.n)
+        self._columns = _columns(block_masks, code.n)
         self._halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
         self._evals_per_word = len(block_masks) * design.k  # n r
         self.check_evals = 0
@@ -312,7 +309,8 @@ class TwoStepDecoder:
         self.n = n
         self.J = J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
         nb = len(step2.blocks)
-        self._members = _columns(self._member_rows(step2), n)
+        rows = [row for lane in zip(*self._member_rows(step2)) for row in lane]
+        self._members = _columns(rows, n)
         self._columns = tuple(member >> (J * nb) for member in self._members)
         self._halves = tuple(col.bit_count() // 2 for col in self._columns)
         self._lane_width = nb

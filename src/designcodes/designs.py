@@ -3,8 +3,11 @@
 Covers parameter arithmetic (derived lambdas, block count b, repetition
 number r), the trivial design of the full subspace lattice, exhaustive
 verification, and the three ways a subspace design yields a combinatorial
-design: restriction to projective points, restriction to an affine chart,
-and (for q = 2) the union of all parallel flats.
+design (`MODES`): restriction to projective points, restriction to an
+affine chart, and (for q = 2) the union of all parallel flats.  This module
+owns what each mode yields: `construction_params` is the one table of the
+combinatorial parameters per mode, which the constructions build from and
+`tables` reports, and `construct` the one dispatch by mode name.
 
 A combinatorial design holds each block as its point mask (bit i set for
 point i), from the point masks of the subspaces (`pspace.points_mask`) to
@@ -40,14 +43,17 @@ from .field import (
 )
 from .pspace import (
     Subspace,
+    _multiples,
     _span,
     enumerate_subspaces,
     gaussian_coefficient,
     point_space,
     points_mask,
+    row_points,
     subspace,
-    subspace_order,
 )
+
+MODES = ("projective", "affine", "flats")
 
 
 class DesignParams(FrozenRecord):
@@ -150,7 +156,7 @@ class SubspaceDesign(Record):
                 raise ValueError("block lives in a different ambient space")
             if len(b.rows) != k:
                 raise ValueError(f"block of dimension {b.k}, expected {k}")
-        blocks = tuple(sorted(blocks, key=subspace_order(v, ctx)))
+        blocks = tuple(sorted(blocks, key=row_points(v, ctx)))
         for a, b in zip(blocks, blocks[1:]):
             if a.rows == b.rows:
                 raise ValueError("duplicate block (designs are simple)")
@@ -262,20 +268,15 @@ def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
     """Count, for every t-subspace, the blocks containing it.
 
     A block contains a t-subspace T iff it contains the points of T's
-    canonical generator rows, so T's count is the popcount of the AND of
-    those points' columns.  Canonical rows are normalized point vectors: at
-    q = 2 each row mask is looked up in `vec_index`, otherwise each row
-    tuple in the point index.  On failure the witness is the first
-    t-subspace (in canonical enumeration order) with an off count.
+    canonical generator rows (`pspace.row_points`), so T's count is the
+    popcount of the AND of those points' columns.  On failure the witness
+    is the first t-subspace (in canonical enumeration order) with an off
+    count.
     """
-    n, row_point = 0, {}.__getitem__  # F_q^0 has no points
-    if design.v:
-        sp = point_space(design.v, design.ctx)
-        n = sp.n
-        row_point = sp.vec_index.__getitem__ if design.q == 2 else sp.index.__getitem__
+    n = gaussian_coefficient(design.v, 1, design.q)
+    rows = row_points(design.v, design.ctx)
     cases = (
-        (t_sub, list(map(row_point, t_sub.rows)))
-        for t_sub in enumerate_subspaces(design.v, design.t, design.ctx)
+        (t_sub, rows(t_sub)) for t_sub in enumerate_subspaces(design.v, design.t, design.ctx)
     )
     return _count_containments(design, n, list(map(points_mask, design.blocks)), cases)
 
@@ -294,7 +295,7 @@ def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
     `block_masks` are the blocks as n-bit point masks; `cases` yields each
     t-subspace or t-subset, in canonical order, with its point indices.
     """
-    columns = _columns(((mask,) for mask in block_masks), n)
+    columns = _columns(block_masks, n)
     every_block = (1 << len(block_masks)) - 1
     witness = None
     seen = set()
@@ -316,23 +317,49 @@ def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
 # Constructions turning a subspace design into a combinatorial design
 
 
-def _lambda2(design: SubspaceDesign) -> int:
-    if design.t < 2:
+def construction_params(params: DesignParams, mode: str) -> DesignParams:
+    """Parameters of the combinatorial design that `mode` makes of a
+    subspace design with parameters `params`.
+
+    * projective: a 2-([v, 1]_q, [k, 1]_q, lambda_2) design
+    * affine: a 3-(q^(v-1), q^(k-1), lambda_3) design when q = 2 and t >= 3
+      (three distinct affine points of F_2^v are linearly independent),
+      otherwise a 2-design with lambda_2
+    * flats (q = 2 only): a 3-(2^v, 2^k, lambda_2) design
+    """
+    q, v, k = params.q, params.v, params.k
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "flats" and q != 2:
+        raise ValueError("flats construction requires q = 2")
+    if params.t < 2:
         raise ValueError("construction needs a design with t >= 2")
-    return design.params().lambda_s(2)
+    if mode == "projective":
+        n, k = gaussian_coefficient(v, 1, q), gaussian_coefficient(k, 1, q)
+        return derive_params_comb(2, n, k, params.lambda_s(2))
+    if mode == "flats":
+        return derive_params_comb(3, 2**v, 2**k, params.lambda_s(2))
+    t = 3 if q == 2 and params.t >= 3 else 2
+    return derive_params_comb(t, q ** (v - 1), q ** (k - 1), params.lambda_s(t))
+
+
+def construct(design: SubspaceDesign, mode: str, hyperplane=None) -> CombinatorialDesign:
+    """The combinatorial design that `mode`, one of `MODES`, makes of
+    `design`; `hyperplane` is the affine chart's normal vector."""
+    if mode == "projective":
+        return projective_version(design)
+    if mode == "affine":
+        return affine_version(design, hyperplane=hyperplane)
+    if mode == "flats":
+        return flats_construction(design)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def projective_version(design: SubspaceDesign) -> CombinatorialDesign:
     """Blocks as point sets of the projective geometry: a 2-design.  The
     blocks' point masks (`pspace.points_mask`) are handed over as they are."""
-    lam2 = _lambda2(design)
-    return CombinatorialDesign.from_masks(
-        n=gaussian_coefficient(design.v, 1, design.q),
-        t=2,
-        k=gaussian_coefficient(design.k, 1, design.q),
-        lam=lam2,
-        masks=map(points_mask, design.blocks),
-    )
+    p = construction_params(design.params(), "projective")
+    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, map(points_mask, design.blocks))
 
 
 def affine_version(
@@ -350,7 +377,7 @@ def affine_version(
     its label bit (0 on the hyperplane); a block's affine mask ORs it over
     the block's point mask.
     """
-    lam2 = _lambda2(design)
+    p = construction_params(design.params(), "affine")
     ctx, v, q = design.ctx, design.v, design.q
     if hyperplane is None:
         normal = (1,) + (0,) * (v - 1)
@@ -378,9 +405,7 @@ def affine_version(
             mask |= chart[i]
         if mask:  # else the block lies inside the hyperplane
             masks.append(mask)
-    return CombinatorialDesign.from_masks(
-        n=q ** (v - 1), t=2, k=q ** (design.k - 1), lam=lam2, masks=masks
-    )
+    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, masks)
 
 
 def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
@@ -390,23 +415,18 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
     Each block contributes its 2^(v-k) parallel flats, as masks over the
     vectors.
     """
-    if design.q != 2:
-        raise ValueError("flats construction requires q = 2")
-    lam2 = _lambda2(design)
-    v = design.v
+    p = construction_params(design.params(), "flats")
     masks = []
     for blk in design.blocks:
-        span = _span([[r] for r in blk.rows])
+        span = _span(_multiples(blk))
         covered = 0
-        for a in range(1 << v):
+        for a in range(1 << design.v):
             if covered >> a & 1:
                 continue
             coset = sum([1 << (a ^ x) for x in span])
             covered |= coset
             masks.append(coset)
-    return CombinatorialDesign.from_masks(
-        n=1 << v, t=3, k=1 << design.k, lam=lam2, masks=masks
-    )
+    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ has to be materialized for elimination.  Over GF(2) that basis is kept in
 reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
 codes read their rank, nullspace and codeword test off it.  A set of points
 (a block) is a mask too, bit i set for point i; `bit_positions` reads its
-sorted indices back for output.  `_columns` is
-the package's one GF(2) bit-matrix transpose: it turns row masks (checks or
-blocks) into one column mask per point, bit i set when row i holds the
-point.  The decoders vote with those columns, and design verification
-counts the blocks through a set of points as the popcount of the AND of
-their columns.
+sorted indices back for output, and `pack_mask` is the one packer of a 0/1
+vector into a mask.  `_columns` is the package's one GF(2) bit-matrix
+transpose: it turns row masks (checks or blocks), in matrix order, into one
+column mask per point, bit i set when row i holds the point.  The decoders
+vote with those columns, and design verification counts the blocks through
+a set of points as the popcount of the AND of their columns.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`);
@@ -361,12 +361,12 @@ def _ints(tokens: Iterable[str], lineno: int) -> list[int]:
 
 
 def pack_mask(vec: Sequence[int]) -> int:
-    """Bitmask sum(x_i << i) of a 0/1 vector (coordinate 0 least significant)."""
-    m = 0
-    for i, x in enumerate(vec):
-        if x:
-            m |= 1 << i
-    return m
+    """Bitmask sum(x_i << i) of a 0/1 vector (coordinate 0 least
+    significant); any other entry is rejected."""
+    if not {*vec} <= {0, 1}:
+        bad = next(x for x in vec if x not in (0, 1))
+        raise ValueError(f"{bad} is not an element of GF(2)")
+    return int("".join(["01"[x] for x in reversed(vec)]) or "0", 2)
 
 
 def bit_positions(mask: int) -> tuple[int, ...]:
@@ -406,33 +406,23 @@ def rref_gf2(masks: Iterable[int]) -> tuple[list[int], list[int]]:
     return [basis[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
 
 
-def _columns(groups, n: int) -> tuple[int, ...]:
-    """Transpose a bit matrix given as groups of n-bit row masks, L rows to
-    a group: row c of group g is matrix row c * (number of groups) + g, so
-    the matrix holds L lanes, one row of each group per lane.  Column p is
-    returned as a mask with bit i set when matrix row i has bit p.
+def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
+    """Transpose a bit matrix given as its n-bit row masks, in order: column
+    p is returned as a mask with bit i set when row i has bit p.
 
-    The rows are packed lane by lane (strided byte slices) into w x w
-    tiles, w a power of two >= n and at least 8.  The tiles are transposed
-    32 KB at a time, each run of tiles read as one int, by log2(w) delta
-    swaps: step s exchanges bit (i, j) with bit (i + s, j - s) wherever i
-    has bit s clear and j has it set (Hacker's Delight, 7-3).  Tile row p
-    is then column p of the tile's w rows, and the tiles' row p bytes are
-    gathered into column p with strided slices.
+    The rows are packed into w x w tiles, w a power of two >= n and at
+    least 8.  The tiles are transposed 32 KB at a time, each run of tiles
+    read as one int, by log2(w) delta swaps: step s exchanges bit (i, j)
+    with bit (i + s, j - s) wherever i has bit s clear and j has it set
+    (Hacker's Delight, 7-3).  Tile row p is then column p of the tile's w
+    rows, and the tiles' row p bytes are gathered into column p with
+    strided slices.
     """
     w = max(8, 1 << (n - 1).bit_length())
     k = w // 8
-    chunks = [b"".join(row.to_bytes(k, "little") for row in group) for group in groups]
-    count = len(chunks)
-    lanes = len(chunks[0]) // k if chunks else 0
-    by_group = b"".join(chunks)
-    del chunks
-    tiles = -(-(lanes * count) // w) or 1
-    packed = bytearray(tiles * w * k)
-    for c in range(lanes):
-        for b in range(k):
-            packed[c * count * k + b : (c + 1) * count * k : k] = by_group[c * k + b :: lanes * k]
-    del by_group
+    packed = bytearray(b"".join([row.to_bytes(k, "little") for row in rows]))
+    tiles = -(-len(packed) // (w * k)) or 1
+    packed += bytes(tiles * w * k - len(packed))
     # 32 KB per pass keeps the big-int temporaries small.
     span = max(1, (1 << 15) // (w * k)) * w * k
     zero = bytes(k)

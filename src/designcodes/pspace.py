@@ -26,14 +26,19 @@ point.  The span walks of `points_of_subspace` and the cosets of
 q^v > 2^20, keep coordinate tuples.
 
 At q = 2 a subspace holds its canonical rows as those masks, never as
-tuples: `enumerate_subspaces` builds them directly, `subspace` reduces
-masks with `field.rref_gf2` (whose pivot, the lowest set bit, is the first
-nonzero coordinate, so the canonical form is the same), and the point
-walks, outside classes, containment and design verification read them.  A
-mask's point index is its bit reversal minus 1, so the order of the point
-indices of the rows (`subspace_order`) is the lexicographic order of the
-coordinate tuples.  `Subspace.gen` rebuilds the tuples for output and for
-`superspaces`, which hands them back to `subspace`.
+tuples: `enumerate_subspaces` builds them directly, `subspace` packs
+vectors with `field.pack_mask` and reduces them with `field.rref_gf2`
+(whose pivot, the lowest set bit, is the first nonzero coordinate, so the
+canonical form is the same), and the point walks, outside classes,
+containment and design verification read them.  `Subspace.gen` rebuilds the tuples for output and for `superspaces`, which
+hands them back to `subspace`.
+
+At every q the canonical rows are normalized point vectors, so
+`row_points` reads a subspace's rows as point indices (by `vec_index` at
+q = 2, by the point index otherwise).  Point indices are lexicographic
+ranks, so that key orders subspaces of one dimension like their coordinate
+tuples: designs and `superspaces` sort by it, and design verification takes
+each t-subspace's row points from it.
 
 A subspace's point set is a mask over point indices (bit i = point i),
 computed once and kept on the subspace (`points_mask`), so the design
@@ -47,11 +52,11 @@ and its outside classes share.
 
 import itertools
 from functools import lru_cache
-from operator import attrgetter, lshift, xor
+from operator import lshift, xor
 from typing import Callable, Iterator, Sequence
 
 from ._record import FrozenRecord
-from .field import FieldCtx, bit_positions, rref_gf2
+from .field import FieldCtx, bit_positions, pack_mask, rref_gf2
 
 Vector = tuple[int, ...]
 
@@ -183,21 +188,18 @@ class Subspace(FrozenRecord):
             return tuple(tuple([(r >> i) & 1 for i in range(v)]) for r in self.rows)
         return self.rows
 
-    def sort_key(self) -> tuple:
-        """Orders subspaces like their `gen` tuples (see `subspace_order`)."""
-        return subspace_order(self.v, self.ctx)(self)
 
-
-def subspace_order(v: int, ctx: FieldCtx) -> Callable[[Subspace], tuple]:
-    """Sort key putting subspaces of F_q^v in the lexicographic order of
-    their `gen` tuples, coordinate 0 first.  At q = 2 that is the order of
-    the bit-reversed row masks; the point index of a nonzero mask is its
-    bit reversal minus 1 (points are sorted the same way), so the key is
-    the rows' point indices."""
-    if ctx.q == 2 and v:
-        row_point = point_space(v, ctx).vec_index.__getitem__
-        return lambda s: tuple(map(row_point, s.rows))
-    return attrgetter("rows")
+def row_points(v: int, ctx: FieldCtx) -> Callable[[Subspace], tuple[int, ...]]:
+    """Key function giving the point indices of a subspace's canonical rows,
+    for subspaces of F_q^v: each row mask looked up in `vec_index` at q = 2,
+    each row tuple in the point index otherwise (F_q^0 has no points).
+    Sorting subspaces of one dimension by it orders them like their `gen`
+    tuples, coordinate 0 first."""
+    if not v:
+        return lambda s: ()
+    sp = point_space(v, ctx)
+    row_point = (sp.vec_index if ctx.q == 2 else sp.index).__getitem__
+    return lambda s: tuple(map(row_point, s.rows))
 
 
 def rref(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
@@ -224,14 +226,6 @@ def rref(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> tuple[Vecto
     return tuple(tuple(r) for r in rows[:piv])
 
 
-def _bits(vec: Sequence[int]) -> int:
-    """A 0/1 coordinate vector as a mask, bit i = coordinate i."""
-    if not {*vec} <= {0, 1}:
-        bad = next(x for x in vec if x not in (0, 1))
-        raise ValueError(f"{bad} is not an element of GF(2)")
-    return int("".join(["01"[x] for x in reversed(vec)]) or "0", 2)
-
-
 def subspace(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> Subspace:
     """Canonical subspace spanned by the given vectors.  At q = 2 they are
     packed into masks and reduced by `field.rref_gf2`, each row's pivot its
@@ -240,7 +234,7 @@ def subspace(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> Subspac
         if len(r) != v:
             raise ValueError(f"vector has {len(r)} coordinates, expected {v}")
     if ctx.q == 2:
-        return Subspace(ctx, v, tuple(rref_gf2([_bits(r) for r in vectors])[0]))
+        return Subspace(ctx, v, tuple(rref_gf2([pack_mask(r) for r in vectors])[0]))
     for r in vectors:
         for x in r:
             ctx.check(x)
@@ -485,4 +479,4 @@ def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
                 pt = points[(cls & -cls).bit_length() - 1]
                 nxt.add(subspace(gen + (pt,), v, ctx))
         frontier = nxt
-    return tuple(sorted(frontier, key=Subspace.sort_key))
+    return tuple(sorted(frontier, key=row_points(v, ctx)))

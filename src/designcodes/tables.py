@@ -1,9 +1,10 @@
 """Code-parameter table rows for designs taken through each construction.
 
 A row is determined by the subspace-design parameters t-(v, k, lambda)_q and
-the construction mode.  Everything is closed-form arithmetic: length and
-block counts from Gaussian coefficients, the code dimension from the
-geometric rank formulas, the decoding capability from the one-step formulas,
+the construction mode.  Everything is closed-form arithmetic: the
+combinatorial parameters from `designs.construction_params` (the table the
+constructions themselves build from), the code dimension from the geometric
+rank formulas, the decoding capability from the one-step formulas,
 lambda_min by scanning the divisibility conditions, and the decoder speedup
 as lambda_max over lambda_known.
 """
@@ -13,11 +14,9 @@ from fractions import Fraction
 from ._record import FrozenRecord
 from .codes import binary_rank_formula, hamada_rank
 from .decoders import ell_one_step, ell_one_step_3design
-from .designs import DesignParams, derive_params_comb, derive_params_q
+from .designs import MODES, DesignParams, construction_params, derive_params_q
 from .field import FieldCtx
 from .pspace import gaussian_coefficient
-
-MODES = ("projective", "affine", "flats")
 
 
 class TableRowSpec(FrozenRecord):
@@ -104,21 +103,7 @@ def comb_design_params(spec: TableRowSpec) -> DesignParams:
         raise ValueError(
             f"lambda={spec.lam} is inadmissible for {spec.label()}: {violated} is not integral"
         )
-    q, v, k = spec.q, spec.v, spec.k
-    if spec.mode == "projective":
-        return derive_params_comb(
-            2,
-            gaussian_coefficient(v, 1, q),
-            gaussian_coefficient(k, 1, q),
-            qp.lambda_s(2),
-        )
-    if spec.mode == "affine":
-        if q == 2 and spec.t >= 3:
-            return derive_params_comb(3, q ** (v - 1), q ** (k - 1), qp.lambda_s(3))
-        return derive_params_comb(2, q ** (v - 1), q ** (k - 1), qp.lambda_s(2))
-    if q != 2:
-        raise ValueError("flats construction requires q = 2")
-    return derive_params_comb(3, 2**v, 2**k, qp.lambda_s(2))
+    return construction_params(qp, spec.mode)
 
 
 def predicted_rank(spec: TableRowSpec) -> int:

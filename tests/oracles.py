@@ -32,7 +32,6 @@ from itertools import combinations, product
 from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
 from designcodes.designs import SubspaceDesign, VerifyResult
 from designcodes.pspace import (
-    Subspace,
     enumerate_subspaces,
     outside_classes,
     point_space,
@@ -187,7 +186,7 @@ def superspaces_scan(b, k):
                 if not inside >> i & 1:
                     nxt.add(subspace(s.gen + (vec,), b.v, b.ctx))
         frontier = nxt
-    return tuple(sorted(frontier, key=Subspace.sort_key))
+    return tuple(sorted(frontier, key=lambda s: s.gen))
 
 
 @lru_cache(maxsize=None)

@@ -208,6 +208,27 @@ def test_code_build_flats_design_out(tmp_path, capsys):
     assert code == 0 and kv(out)["observed_lambda"] == "1"
 
 
+def test_code_build_affine_of_t3_design_matches_params(tmp_path, capsys):
+    # over F_2 the affine version of a t >= 3 design is a 3-design with
+    # lambda_3: build reports the capability that params predicts for it
+    path = tmp_path / "t3.qdesign"
+    run(capsys, "design", "trivial", "--t", "3", "--v", "6", "--k", "4", "--q", "2",
+        "--out", str(path))
+    dout = tmp_path / "a.cdesign"
+    code, built, _ = run(
+        capsys, "code", "build", str(path), "--mode", "affine", "--design-out", str(dout),
+    )
+    assert code == 0 and kv(built)["ell"] == "3"
+    code, predicted, _ = run(
+        capsys, "code", "params", "--t", "3", "--v", "6", "--k", "4", "--q", "2",
+        "--mode", "affine",
+    )
+    assert code == 0 and kv(predicted)["ell"] == "3"
+    assert dout.read_text().splitlines()[0] == "cdesign t=3 n=32 k=8 lambda=7"
+    code, out, _ = run(capsys, "design", "verify", str(dout))
+    assert code == 0 and kv(out)["observed_lambda"] == "7"
+
+
 def test_hamada_breakdown(capsys):
     code, out, _ = run(capsys, "hamada", "--v", "7", "--k", "4", "--p", "2", "--m", "2",
                        "--breakdown")

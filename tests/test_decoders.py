@@ -311,7 +311,7 @@ def test_column_tables_transpose_the_rows(case):
     n, groups = case
     rows = [group[c] for c in range(len(groups[0]) if groups else 0) for group in groups]
     want = tuple(sum(((row >> p) & 1) << i for i, row in enumerate(rows)) for p in range(n))
-    assert _columns(iter(groups), n) == want
+    assert _columns(iter(rows), n) == want
 
 
 # Differential tests: the column-syndrome kernels against the scalar scans

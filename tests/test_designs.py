@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from designcodes.designs import (
+    MODES,
     CombinatorialDesign,
     SubspaceDesign,
     affine_version,
+    construct,
     derive_params_comb,
     derive_params_q,
     dumps_comb_design,
@@ -26,6 +28,7 @@ from designcodes.designs import (
 )
 from designcodes.field import FieldCtx, PrimeMatrix, matrix_rank
 from designcodes.pspace import gaussian_coefficient, subspace_contains
+from designcodes.tables import TableRowSpec, comb_design_params
 
 from .oracles import (
     affine_blocks,
@@ -233,6 +236,21 @@ def test_theorem_constructions_verify(v, k, q):
         fl = flats_construction(d)
         assert (fl.n, fl.t, fl.k, fl.lam) == (2**v, 3, 2**k, lam2)
         assert verify_comb_design(fl).verified
+
+
+@pytest.mark.parametrize(
+    "q,t,mode",
+    [(q, t, mode) for q in (2, 3, 4) for t in (2, 3) for mode in MODES if mode != "flats" or q == 2],
+)
+def test_constructions_yield_the_table_parameters(q, t, mode):
+    # the design each construction builds has the parameters the code table
+    # reports for it, and is a design with them (flats: q = 2 only)
+    v, k = 4, 3
+    d = trivial_design(t, v, k, FieldCtx.of(q))
+    built = construct(d, mode)
+    want = comb_design_params(TableRowSpec(t, v, k, d.lam, q, mode))
+    assert (built.n, built.t, built.k, built.lam) == (want.v, want.t, want.k, want.lam)
+    assert verify_comb_design(built).verified
 
 
 @pytest.mark.parametrize("v,k", [(4, 3), (5, 4)])

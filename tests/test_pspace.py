@@ -23,6 +23,7 @@ from designcodes.pspace import (
     point_space,
     points_mask,
     points_of_subspace,
+    row_points,
     rref,
     subspace,
     subspace_contains,
@@ -186,7 +187,8 @@ def test_spaces_without_packed_table_walk_tuples(monkeypatch):
 @pytest.mark.parametrize(
     "q,v,k",
     [(2, v, k) for v in range(8) for k in range(v + 1)]
-    + [(q, v, k) for q in (3, 4) for v in range(5) for k in range(v + 1)],
+    + [(q, v, k) for q in (3, 4) for v in range(5) for k in range(v + 1)]
+    + [(q, v, k) for q in (5, 8, 9) for v in range(4) for k in range(v + 1)],
 )
 def test_enumeration_matches_tuple_oracle(q, v, k):
     # against the coordinate-tuple enumeration: same order, same rows, and
@@ -197,7 +199,7 @@ def test_enumeration_matches_tuple_oracle(q, v, k):
     if q == 2:
         for s in subs:
             assert s.rows == tuple(sum(x << i for i, x in enumerate(row)) for row in s.gen)
-    assert sorted(subs, key=Subspace.sort_key) == sorted(subs, key=lambda s: s.gen)
+    assert sorted(subs, key=row_points(v, ctx)) == sorted(subs, key=lambda s: s.gen)
 
 
 @settings(max_examples=200, deadline=None)
