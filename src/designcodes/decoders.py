@@ -309,7 +309,7 @@ class TwoStepDecoder:
         self.n = n
         self.J = J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
         nb = len(step2.blocks)
-        rows = [row for lane in zip(*self._member_rows(step2)) for row in lane]
+        rows = (row for lane in zip(*self._member_rows(step2)) for row in lane)
         self._members = _columns(rows, n)
         self._columns = tuple(member >> (J * nb) for member in self._members)
         self._halves = tuple(col.bit_count() // 2 for col in self._columns)

@@ -420,7 +420,9 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
     """
     w = max(8, 1 << (n - 1).bit_length())
     k = w // 8
-    packed = bytearray(b"".join([row.to_bytes(k, "little") for row in rows]))
+    packed = bytearray()
+    for row in rows:  # one at a time: a list of per-row bytes would triple the peak
+        packed += row.to_bytes(k, "little")
     tiles = -(-len(packed) // (w * k)) or 1
     packed += bytes(tiles * w * k - len(packed))
     # 32 KB per pass keeps the big-int temporaries small.
