@@ -30,8 +30,9 @@ tuples: `enumerate_subspaces` builds them directly, `subspace` packs
 vectors with `field.pack_mask` and reduces them with `field.rref_gf2`
 (whose pivot, the lowest set bit, is the first nonzero coordinate, so the
 canonical form is the same), and the point walks, outside classes,
-containment and design verification read them.  `Subspace.gen` rebuilds the tuples for output and for `superspaces`, which
-hands them back to `subspace`.
+containment and design verification read them.  `Subspace.gen` rebuilds
+the tuples for output and for `superspaces`, which hands them back to
+`subspace`.
 
 At every q the canonical rows are normalized point vectors, so
 `row_points` reads a subspace's rows as point indices (by `vec_index` at

@@ -240,7 +240,7 @@ def test_theorem_constructions_verify(v, k, q):
 
 @pytest.mark.parametrize(
     "q,t,mode",
-    [(q, t, mode) for q in (2, 3, 4) for t in (2, 3) for mode in MODES if mode != "flats" or q == 2],
+    [(q, t, m) for q in (2, 3, 4) for t in (2, 3) for m in MODES if m != "flats" or q == 2],
 )
 def test_constructions_yield_the_table_parameters(q, t, mode):
     # the design each construction builds has the parameters the code table
