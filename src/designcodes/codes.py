@@ -3,7 +3,12 @@
 The rows of a design's block-point incidence matrix are taken as parity
 checks of a linear code over F_p, so the code dimension is n minus the
 p-rank of the matrix; over F_2 the rows are the design's block point masks
-(`CombinatorialDesign.masks`) as they are.  For geometric (full subspace
+(`CombinatorialDesign.masks`) as they are.  A binary code transposes its
+checks once (`BinaryCode.columns`, by `field._columns`) and reduces the
+columns, the short side of a 2-design's incidence matrix (b >= v, Fisher):
+the nullspace basis, the reduced check rows and the rank come out of that
+one `field.rref_gf2` call, and the decoders read their tables off the same
+columns.  For geometric (full subspace
 lattice) designs the rank is also available in closed form: the general
 Hamada formula for q = p^m, and the binomial-sum shortcut when p = q = 2.
 """
@@ -15,7 +20,7 @@ from math import comb
 
 from ._record import FrozenRecord, Record
 from .designs import CombinatorialDesign, DesignParams, SubspaceDesign, projective_version
-from .field import PrimeMatrix, is_prime, matrix_rank, rref_gf2
+from .field import PrimeMatrix, _columns, is_prime, matrix_rank, rref_gf2
 from .pspace import gaussian_coefficient
 
 
@@ -33,8 +38,10 @@ class BinaryCode(Record):
     """Linear code given by parity-check rows over F_p (p = 2 throughout
     the built-in tables; the rank machinery is p-generic).
 
-    For p = 2 the check rows are row-reduced once, on first use; the rank,
-    the codeword test and the nullspace basis all read that reduced form.
+    For p = 2 the checks are transposed once, on first use, into one column
+    mask per position (`columns`), and the columns are row-reduced once:
+    the nullspace basis comes out of that reduction and the reduced check
+    rows, which the rank and the codeword test read, follow from it.
     """
 
     _fields = ("n", "p", "checks", "source")
@@ -60,11 +67,36 @@ class BinaryCode(Record):
         return self.checks.rows
 
     @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Column j of the checks as a mask, bit i set when check i contains
+        position j (p = 2): the checks transposed once, by `field._columns`."""
+        return _columns(self.check_masks(), self.n)
+
+    @cached_property
     def _reduced(self) -> tuple[list[int], list[int]]:
-        """The check rows in reduced row echelon form, and their pivots."""
+        """The check rows in reduced row echelon form, and their pivots.
+
+        Read off the nullspace basis: its vectors' top bits are the free
+        positions, every other position is a pivot, and the reduced row of
+        pivot p has bit p and the free positions f whose basis vector has
+        bit p.  The reduced form is unique, so these are the rows
+        `field.rref_gf2` gives on the checks themselves.
+        """
         if self.p != 2:
             raise ValueError("bitmask reduction is implemented for p = 2 only")
-        return rref_gf2(self.check_masks())
+        basis = self._null_basis
+        free = [vec.bit_length() - 1 for vec in basis]
+        free_set = set(free)
+        rows, pivots = [], []
+        for p in range(self.n):
+            if p not in free_set:
+                row = 1 << p
+                for f, vec in zip(free, basis):
+                    if (vec >> p) & 1:
+                        row |= 1 << f
+                rows.append(row)
+                pivots.append(p)
+        return rows, pivots
 
     def is_codeword(self, word: int) -> bool:
         return all((word & row).bit_count() % 2 == 0 for row in self._reduced[0])
@@ -75,19 +107,27 @@ class BinaryCode(Record):
 
     @cached_property
     def _null_basis(self) -> list[int]:
+        """The systematic nullspace basis: for each free position f of the
+        reduced checks, ascending, the codeword with bit f and pivot bits only.
+
+        A 2-design has at least as many checks as positions (Fisher), so the
+        n columns are reduced rather than the checks.  Column j is tagged
+        with bit n - 1 - j above its check bits.  `field.rref_gf2` pivots
+        on a row's lowest bit, so the reduced rows with a pivot in the tag
+        are the relations among the columns in reduced form with the highest
+        position as pivot: the systematic basis, highest f first.
+        """
         if self.p != 2:
             raise ValueError("nullspace enumeration is implemented for p = 2 only")
-        rows, pivots = self._reduced
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.n):
-            if f in pivot_set:
-                continue
-            vec = 1 << f
-            for row, pc in zip(rows, pivots):
-                if (row >> f) & 1:
-                    vec |= 1 << pc
-            basis.append(vec)
+        n, nchecks = self.n, self.checks.nrows
+        tagged = (col | 1 << (nchecks + n - 1 - j) for j, col in enumerate(self.columns))
+        rows, pivots = rref_gf2(tagged)
+        basis = [
+            int(format(row >> nchecks, f"0{n}b")[::-1], 2)
+            for row, pc in zip(rows, pivots)
+            if pc >= nchecks
+        ]
+        basis.reverse()
         return basis
 
     def random_codeword(self, rng: random.Random) -> int:
@@ -179,13 +219,17 @@ def distance_bounds(v: int, k: int, q: int, mode: str) -> DistanceBounds:
     """Lower bound and (when known) the exact minimum distance.
 
     Projective mode: lower bound [v-k+1, 1]_q; the exact value is known for
-    q = 2 (2^(v-k+1)), even q > 2 ((q+2) q^(v-k-1)), and k = v-1 (the BCH
-    bound).  Affine mode: lower bound 2 q^(v-k), exact 2^(v-k+1) for q = 2
-    via the Reed-Muller identification.
+    k = v, where the one check is the all-ones row and the code is the
+    even-weight code (2), for q = 2 (2^(v-k+1)), even q > 2
+    ((q+2) q^(v-k-1)), and k = v-1 (the BCH bound).  Affine mode: lower
+    bound 2 q^(v-k), exact 2^(v-k+1) for q = 2 via the Reed-Muller
+    identification.
     """
     if mode == "projective":
         lower = gaussian_coefficient(v - k + 1, 1, q)
-        if q == 2:
+        if k == v:
+            exact = 2
+        elif q == 2:
             exact = 2 ** (v - k + 1)
         elif q % 2 == 0:
             exact = (q + 2) * q ** (v - k - 1)

@@ -6,12 +6,14 @@ received word and applies all flips at once; a pass that leaves some check
 unsatisfied reports detected-uncorrectable rather than iterating.  Decoded
 outputs always satisfy every parity check of the code.
 
-Both decoders run column-syndrome kernels: at build time the incidence
-matrix is transposed into one column mask per position (bit i = check i
-contains the position) by `field._columns`, the transpose that design
-verification also uses, so a decode XORs the columns of the received
-word's 1-bits into a syndrome, computing each check's parity once per word,
-and reads each position's vote count as popcount(syndrome & column).  The
+Both decoders run column-syndrome kernels on one column mask per position
+(bit i = check i contains the position).  The one-step decoder takes the
+code's own columns (`BinaryCode.columns`, the checks transposed once by
+`field._columns`); the two-step decoder reads each step-2 block's
+superspaces off them and transposes its member rows with the same
+`field._columns`.  A decode XORs the columns of the received word's 1-bits
+into a syndrome, computing each check's parity once per word, and reads
+each position's vote count as popcount(syndrome & column).  The
 scalar loops they replaced, one parity per (check, point) pair, are kept as
 test references.  `check_evals` stays the paper's cost model, the parity
 evaluations of that scalar decoder (n r per word one-step, b_2 J + n r
@@ -32,13 +34,15 @@ Capability formulas:
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import and_
 
 from ._record import FrozenRecord
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
-from .field import _columns
-from .pspace import gaussian_coefficient, outside_classes, points_mask
+from .field import _columns, bit_positions
+from .pspace import gaussian_coefficient, points_mask, row_points
 
 DECODED = "decoded"
 DETECTED = "detected-uncorrectable"
@@ -222,14 +226,14 @@ class OneStepDecoder:
     Position j is flipped iff 2 U_j > r + lambda_2 - 1, where U_j counts
     unsatisfied checks through j.  Ties never flip.
 
-    Column-syndrome kernel: at build time each position j gets a column mask
-    with bit i set when block i contains j.  A decode XORs the columns of the
-    received word's 1-bits into the syndrome (bit i = parity of block i), so
-    each check's parity is computed once per word, and U_j is
-    popcount(syndrome & column j).  The flipped word's syndrome is the
-    received syndrome XOR the flipped positions' columns, and since the
-    blocks are exactly the code's checks (checked at build time), the word
-    is a codeword iff that syndrome is zero.  `check_evals` is the model
+    Column-syndrome kernel: each position j takes the code's column mask
+    (`BinaryCode.columns`), bit i set when check i contains j; the blocks
+    are exactly the code's checks (checked at build time).  A decode XORs
+    the columns of the received word's 1-bits into the syndrome (bit i =
+    parity of check i), so each check's parity is computed once per word,
+    and U_j is popcount(syndrome & column j).  The flipped word's syndrome
+    is the received syndrome XOR the flipped positions' columns, so the
+    word is a codeword iff that syndrome is zero.  `check_evals` is the model
     count of the scalar decoder, n r parity evaluations per word (one per
     point of every block), added per call; it is not a count of machine
     operations.
@@ -250,7 +254,7 @@ class OneStepDecoder:
         self.n = code.n
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        self._columns = _columns(block_masks, code.n)
+        self._columns = code.columns
         self._halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
         self._evals_per_word = len(block_masks) * design.k  # n r
         self.check_evals = 0
@@ -263,7 +267,7 @@ class OneStepDecoder:
         flips = _majority_flips(syndrome, columns, self._halves)
         for j in flips:
             syndrome ^= columns[j]
-        # the blocks are exactly the code's checks: a zero syndrome is a codeword
+        # the syndrome is over the code's checks: zero means a codeword
         return _outcome(self.n, _flipped(received, flips), flips, not syndrome)
 
 
@@ -273,16 +277,19 @@ class TwoStepDecoder:
     Step 1 estimates the codeword parity over each (k-1)-dimensional block B
     from the J k-superspaces K of B: each K gives the parity of the received
     word over K minus B, and the majority of the J estimates wins (ties give
-    0).  The sets K minus B are the classes of the points outside B modulo B
-    (`pspace.outside_classes`), so they are built without listing the
-    superspaces themselves, once per (code, design) pair.  Step 2 sets each
-    position j to the majority, over the step-2 blocks through j, of (block
-    parity) - (received parity over the block minus j); ties keep the
-    received bit.
+    0).  The superspaces of B are the code's checks that contain B, so they
+    are read off the code's columns, once per (code, design) pair: the
+    checks set in the AND of the columns of B's row points
+    (`pspace.row_points`).  The build raises ValueError unless exactly J
+    checks contain those points and each of them contains B.  Step 2 sets
+    each position j to the majority, over the step-2 blocks through j, of
+    (block parity) - (received parity over the block minus j); ties keep
+    the received bit.
 
     Column-syndrome kernel: with b_2 step-2 blocks, each position gets a
-    member mask of J + 1 lanes of b_2 bits.  Bit c b_2 + b is set when the
-    position lies in class c of block b (c < J), or in block b itself
+    member mask of J + 1 lanes of b_2 bits.  The classes of block b are the
+    sets K minus B, in ascending order as masks.  Bit c b_2 + b is set when
+    the position lies in class c of block b (c < J), or in block b itself
     (c = J).  A decode XORs the member masks of the received 1-bits once:
     lane c holds the parity over class c of every block, lane J the
     received parity over every block.  A bit-sliced ripple-carry counter
@@ -319,12 +326,23 @@ class TwoStepDecoder:
         self.check_evals = 0
 
     def _member_rows(self, step2: SubspaceDesign):
-        """Per block: its J outside classes, then the block itself."""
-        for blk in step2.blocks:
-            diffs = outside_classes(blk)
-            if len(diffs) != self.J:
-                raise AssertionError("superspace count disagrees with J")
-            yield diffs + (points_mask(blk),)
+        """Per block: its J superspaces minus the block, sorted, then the
+        block itself.
+
+        The superspaces are the code's checks that contain the block: the
+        checks set in the AND of the columns of the block's row points.
+        Unless exactly J checks contain those points, each of them the whole
+        block, the code's checks are not the block's superspaces.
+        """
+        columns, checks = self.code.columns, self.code.check_masks()
+        key = row_points(step2.v, step2.ctx)
+        for b, blk in enumerate(step2.blocks):
+            through = reduce(and_, [columns[i] for i in key(blk)])
+            bmask = points_mask(blk)
+            sups = [checks[i] for i in bit_positions(through)]
+            if len(sups) != self.J or any(sup & bmask != bmask for sup in sups):
+                raise ValueError(f"the code's checks are not the {self.J} superspaces of block {b}")
+            yield tuple(sorted([sup ^ bmask for sup in sups])) + (bmask,)
 
     def _estimates(self, lanes: int) -> int:
         """Bit b = 1 iff more than J // 2 of the J class lanes have bit b set."""

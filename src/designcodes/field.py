@@ -10,14 +10,17 @@ p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
 rows one at a time into a growing reduced basis, so a huge row stream never
 has to be materialized for elimination.  Over GF(2) that basis is kept in
 reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
-codes read their rank, nullspace and codeword test off it.  A set of points
-(a block) is a mask too, bit i set for point i; `bit_positions` reads its
-sorted indices back for output, and `pack_mask` is the one packer of a 0/1
-vector into a mask.  `_columns` is the package's one GF(2) bit-matrix
-transpose: it turns row masks (checks or blocks), in matrix order, into one
-column mask per point, bit i set when row i holds the point.  The decoders
-vote with those columns, and design verification counts the blocks through
-a set of points as the popcount of the AND of their columns.
+a code runs it once, on its check columns, and reads its rank, nullspace
+and codeword test off the result.  A set of points (a block) is a mask too,
+bit i set for point i; `bit_positions` reads its sorted indices back, from
+the top bit down, and `pack_mask` is the one packer of a 0/1 vector into a
+mask.  `_columns` is the package's one GF(2) bit-matrix transpose: it turns
+row masks (checks or blocks), in matrix order, into one column mask per
+point, bit i set when row i holds the point.  A code transposes its checks
+once, and its reduction and both decoders read those columns; the two-step
+decoder also transposes its member rows, and design verification counts
+the blocks through a set of points as the popcount of the AND of their
+columns.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`);
@@ -373,10 +376,11 @@ def bit_positions(mask: int) -> tuple[int, ...]:
     """The set bits of a nonnegative mask, ascending: a point mask's sorted
     point indices."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    while mask:  # from the top: no negated copy of a wide, sparse mask
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 
@@ -425,8 +429,9 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
         packed += row.to_bytes(k, "little")
     tiles = -(-len(packed) // (w * k)) or 1
     packed += bytes(tiles * w * k - len(packed))
-    # 32 KB per pass keeps the big-int temporaries small.
-    span = max(1, (1 << 15) // (w * k)) * w * k
+    # 32 KB per pass keeps the big-int temporaries small; a smaller matrix
+    # takes one pass, with swap masks no longer than itself.
+    span = min(max(1, (1 << 15) // (w * k)), tiles) * w * k
     zero = bytes(k)
     swaps = []
     s = w >> 1

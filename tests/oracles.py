@@ -17,6 +17,14 @@ decoders, which read the decoder's code, parameters and (two-step) the
 package's outside classes; `verify_scan`, the design verification that
 tallied the t-subspaces of every block (`subspaces_of`), which builds on
 the package's canonical subspaces and subspace enumeration;
+`reduce_rows`, the reduction `BinaryCode` ran on its check rows before
+it reduced its columns: `field.rref_gf2` on the rows, then one
+nullspace vector per free column; `one_step_tables` and
+`two_step_tables`, the decoders' column tables as they were built before
+the decoders read the code's columns: the design's blocks transposed
+(one-step), and the outside classes of every step-2 block
+(`outside_member_rows`, on the package's `outside_classes` and point
+masks) transposed lane by lane (two-step), both through `field._columns`;
 `comb_design_blocks`, the `CombinatorialDesign` constructor from before
 blocks were held as point masks, which sorted, checked and ordered point
 tuples (self-contained); and `affine_blocks` and `flats_blocks`, the
@@ -31,8 +39,10 @@ from itertools import combinations, product
 
 from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
 from designcodes.designs import SubspaceDesign, VerifyResult
+from designcodes.field import _columns, rref_gf2
 from designcodes.pspace import (
     enumerate_subspaces,
+    gaussian_coefficient,
     outside_classes,
     point_space,
     points_mask,
@@ -145,6 +155,53 @@ def rref_masks(masks, ncols):
         rows.insert(pos, m)
         pivots.insert(pos, pc)
     return rows, pivots
+
+
+def reduce_rows(masks, n):
+    """(reduced rows, pivots, nullspace basis) of the GF(2) check rows
+    `masks` on n columns: `field.rref_gf2` on the rows, then for each free
+    column f, ascending, the vector with bit f and bit pc of every reduced
+    row with pivot pc that has bit f."""
+    rows, pivots = rref_gf2(masks)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        vec = 1 << f
+        for row, pc in zip(rows, pivots):
+            if (row >> f) & 1:
+                vec |= 1 << pc
+        basis.append(vec)
+    return rows, pivots, basis
+
+
+def one_step_tables(design):
+    """The (columns, halves) of a one-step decoder through `design`: the
+    design's block masks transposed, and (r + lambda_2 - 1) // 2 at every
+    position."""
+    params = design.params()
+    half = (params.r + params.lambda_s(2) - 1) // 2
+    return _columns(design.masks, design.n), (half,) * design.n
+
+
+def outside_member_rows(step2):
+    """Per step-2 block: its outside classes (`pspace.outside_classes`),
+    then its point mask."""
+    for blk in step2.blocks:
+        yield outside_classes(blk) + (points_mask(blk),)
+
+
+def two_step_tables(step2):
+    """The (members, columns, halves) of a two-step decoder through
+    `step2`: the member rows of `outside_member_rows` transposed lane by
+    lane, the block lane of each member mask, and half its popcount."""
+    n = gaussian_coefficient(step2.v, 1, step2.q)
+    J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
+    lanes = zip(*outside_member_rows(step2))
+    members = _columns([row for lane in lanes for row in lane], n)
+    columns = tuple(member >> (J * len(step2.blocks)) for member in members)
+    return members, columns, tuple(col.bit_count() // 2 for col in columns)
 
 
 def points_walk(s):

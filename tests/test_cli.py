@@ -194,6 +194,17 @@ def test_code_params_matches_build(capsys):
     assert pairs["n"] == "31" and pairs["dim"] == "15" and pairs["d_bch"] == "8"
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_code_params_k_equal_v_is_the_even_weight_code(capsys, q):
+    # the one check is the all-ones row: d = 2 at every q
+    code, out, _ = run(
+        capsys, "code", "params", "--t", "2", "--v", "3", "--k", "3", "--q", str(q)
+    )
+    assert code == 0
+    pairs = kv(out)
+    assert (pairs["rank"], pairs["d_bch"], pairs["d_exact"]) == ("1", "2", "2")
+
+
 def test_code_build_flats_design_out(tmp_path, capsys):
     path = tmp_path / "d.qdesign"
     run(capsys, "design", "trivial", "--t", "2", "--v", "3", "--k", "2", "--q", "2",

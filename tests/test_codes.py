@@ -1,7 +1,9 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from designcodes.codes import (
     BinaryCode,
@@ -25,7 +27,7 @@ from designcodes.designs import (
 )
 from designcodes.field import FieldCtx, PrimeMatrix, matrix_rank, rref_gf2
 
-from .oracles import naive_min_distance, rref_masks
+from .oracles import naive_min_distance, reduce_rows, rref_masks
 
 
 def proj_code(v, k, ctx, p=2):
@@ -259,3 +261,39 @@ def test_reduction_matches_reference_in_any_row_order(ncols, raw, rng):
     words += [code.random_codeword(rng) for _ in range(5)]
     for w in words:
         assert code.is_codeword(w) == all((w & row).bit_count() % 2 == 0 for row in shuffled)
+
+
+@st.composite
+def gf2_matrices(draw):
+    """(n, rows): n from 0 to 140 columns; tall, wide or empty, with zero
+    and repeated rows, and rows spanned by a few others for a low rank."""
+    n = draw(st.integers(min_value=0, max_value=140))
+    entry = st.integers(min_value=0, max_value=(1 << n) - 1)
+    base = draw(st.lists(entry, max_size=6))
+    spanned = st.sets(st.sampled_from(base)).map(lambda picked: reduce(xor, picked, 0))
+    row = st.one_of(st.just(0), entry, spanned) if base else st.one_of(st.just(0), entry)
+    height = draw(st.sampled_from([0, 8, 200]))
+    return n, draw(st.lists(row, max_size=height))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_matrices())
+@example((0, []))
+@example((0, [0, 0]))
+@example((5, []))
+@example((7, [0, 0, 0]))
+@example((3, [5, 5, 5, 6, 3, 0]))
+@example((140, [(1 << 140) - 1]))
+def test_column_reduction_matches_row_reduction(case):
+    # the code reduces its columns; the row reduction it replaced
+    # (tests/oracles.py) and the quadratic reference agree on every output
+    n, rows = case
+    code = BinaryCode(n=n, p=2, checks=PrimeMatrix.from_masks(rows, n))
+    want_rows, want_pivots, want_basis = reduce_rows(rows, n)
+    assert (want_rows, want_pivots) == rref_masks(rows, n)
+    assert code.columns == tuple(
+        sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(n)
+    )
+    assert code._reduced == (want_rows, want_pivots)
+    assert code.nullspace_basis() == want_basis
+    assert code.rank == len(want_rows) and code.dim == len(want_basis)

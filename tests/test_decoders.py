@@ -30,7 +30,7 @@ from designcodes.designs import (
 )
 from designcodes.field import FieldCtx, _columns
 
-from .oracles import one_step_scan, two_step_scan
+from .oracles import one_step_scan, one_step_tables, two_step_scan, two_step_tables
 
 SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
 
@@ -392,6 +392,52 @@ def test_two_step_matches_scalar_scan(two_step_case, data):
     dec, scan = two_step_case
     word = noisy_word(data, dec.code)
     assert dec.decode(word) == scan(word)
+
+
+# The decoders read their tables off the code's check columns; the tables
+# they built before, from the design's blocks and the geometry's outside
+# classes (tests/oracles.py), must come out identical.  (q, v, k) names the
+# code's k-subspaces of PG(v-1, q); the last case has J = 1, the whole plane
+# the one superspace of every line.
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(2, 5, 3), (3, 4, 3), (3, 5, 3), (4, 4, 3), (2, 3, 3)],
+    ids=["(2,5,3)", "(3,4,3)", "(3,5,3)", "(4,4,3)", "(2,3,3) J=1"],
+)
+def geometric_case(request):
+    q, v, k = request.param
+    ctx = FieldCtx.of(q)
+    return projective_version(trivial_design(2, v, k, ctx)), trivial_design(2, v, k - 1, ctx)
+
+
+def test_one_step_tables_match_the_block_transpose(geometric_case):
+    design, _ = geometric_case
+    dec = OneStepDecoder(build_code(design, 2, "projective"), design)
+    assert (dec._columns, dec._halves) == one_step_tables(design)
+
+
+def test_two_step_tables_match_the_outside_classes(geometric_case):
+    design, step2 = geometric_case
+    dec = TwoStepDecoder(build_code(design, 2, "projective"), step2)
+    assert (dec._members, dec._columns, dec._halves) == two_step_tables(step2)
+
+
+def test_tables_on_the_shipped_design(shipped_two_step):
+    dec, step2 = shipped_two_step
+    assert (dec._members, dec._columns, dec._halves) == two_step_tables(step2)
+    design = projective_version(step2)
+    one = OneStepDecoder(build_code(design, 2, "projective"), design)
+    assert (one._columns, one._halves) == one_step_tables(design)
+
+
+def test_two_step_rejects_checks_that_are_not_the_superspaces(gf2m):
+    # the shipped design's planes as checks: each line lies in 3 of them,
+    # not in all J = 31 of its planes
+    code = build_code(projective_version(load_subspace_design(SHIPPED_DESIGN)), 2, "projective")
+    with pytest.raises(ValueError, match="not the 31 superspaces"):
+        TwoStepDecoder(code, trivial_design(2, 7, 2, gf2m))
 
 
 def test_two_step_dimension_mismatch(gf2m):

@@ -2,9 +2,9 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from designcodes.field import FieldCtx, PrimeMatrix, default_modulus, matrix_rank
+from designcodes.field import FieldCtx, PrimeMatrix, bit_positions, default_modulus, matrix_rank
 
 from .oracles import naive_rank
 
@@ -207,3 +207,15 @@ def test_matrix_file_header_errors_name_the_problem():
         PrimeMatrix.loads("pmatrix rows=1 cols=2 p=3\n\n2x\n")
     with pytest.raises(ValueError, match="line 2: row has 2 digits, expected 3"):
         PrimeMatrix.loads("pmatrix rows=1 cols=3 p=2\n10\n")
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=12000), max_size=40))
+@example(set())
+@example({0})
+@example({5, 11810})
+def test_bit_positions_reads_the_set_bits_ascending(bits):
+    # 0, 1 and wide sparse masks such as a check set of 11811 bits
+    mask = sum(1 << i for i in bits)
+    assert bit_positions(mask) == tuple(sorted(bits))
