@@ -84,18 +84,15 @@ class BinaryCode(Record):
         """
         if self.p != 2:
             raise ValueError("bitmask reduction is implemented for p = 2 only")
-        basis = self._null_basis
-        free = [vec.bit_length() - 1 for vec in basis]
-        free_set = set(free)
-        rows, pivots = [], []
-        for p in range(self.n):
-            if p not in free_set:
-                row = 1 << p
-                for f, vec in zip(free, basis):
-                    if (vec >> p) & 1:
-                        row |= 1 << f
-                rows.append(row)
-                pivots.append(p)
+        free = {vec.bit_length() - 1: vec for vec in self._null_basis}
+        pivots = [p for p in range(self.n) if p not in free]
+        rows = []
+        for p in pivots:
+            row = 1 << p
+            for f, vec in free.items():
+                if (vec >> p) & 1:
+                    row |= 1 << f
+            rows.append(row)
         return rows, pivots
 
     def is_codeword(self, word: int) -> bool:

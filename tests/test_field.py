@@ -209,7 +209,6 @@ def test_matrix_file_header_errors_name_the_problem():
         PrimeMatrix.loads("pmatrix rows=1 cols=3 p=2\n10\n")
 
 
-
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=12000), max_size=40))
 @example(set())
