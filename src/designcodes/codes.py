@@ -8,8 +8,10 @@ checks once (`BinaryCode.columns`, by `field._columns`) and reduces the
 columns, the short side of a 2-design's incidence matrix (b >= v, Fisher):
 the nullspace basis, the reduced check rows and the rank come out of that
 one `field.rref_gf2` call, and the decoders read their tables off the same
-columns.  For geometric (full subspace
-lattice) designs the rank is also available in closed form: the general
+columns.  Random codewords and the codeword test XOR the nullspace basis
+and the reduced rows' columns at a word's set bits by `field._xor_select`,
+the package's one such kernel.  For geometric (full subspace lattice)
+designs the rank is also available in closed form: the general
 Hamada formula for q = p^m, and the binomial-sum shortcut when p = q = 2.
 """
 
@@ -20,7 +22,15 @@ from math import comb
 
 from ._record import FrozenRecord, Record
 from .designs import CombinatorialDesign, DesignParams, SubspaceDesign, projective_version
-from .field import PrimeMatrix, _columns, is_prime, matrix_rank, rref_gf2
+from .field import (
+    PrimeMatrix,
+    _columns,
+    _xor_select,
+    _xor_tables,
+    is_prime,
+    matrix_rank,
+    rref_gf2,
+)
 from .pspace import gaussian_coefficient
 
 
@@ -41,7 +51,9 @@ class BinaryCode(Record):
     For p = 2 the checks are transposed once, on first use, into one column
     mask per position (`columns`), and the columns are row-reduced once:
     the nullspace basis comes out of that reduction and the reduced check
-    rows, which the rank and the codeword test read, follow from it.
+    rows, which the rank and the codeword test read, follow from it.  The
+    tables `field._xor_select` reads for random codewords and the codeword
+    test are built on their first use.
     """
 
     _fields = ("n", "p", "checks", "source")
@@ -95,8 +107,17 @@ class BinaryCode(Record):
             rows.append(row)
         return rows, pivots
 
+    @cached_property
+    def _reduced_tables(self):
+        """`field._xor_tables` of the reduced rows' columns, column j with
+        bit i set when reduced row i contains position j."""
+        return _xor_tables(_columns(self._reduced[0], self.n))
+
     def is_codeword(self, word: int) -> bool:
-        return all((word & row).bit_count() % 2 == 0 for row in self._reduced[0])
+        """Whether `word` satisfies every check: its syndrome over the
+        reduced rows, the XOR of their columns at its set bits, is zero.
+        Only the word's low n bits are read, as the rows' AND would."""
+        return not _xor_select(self._reduced_tables, word & ((1 << self.n) - 1))
 
     def nullspace_basis(self) -> list[int]:
         """Basis of the codeword space as bitmasks (p = 2 only), cached."""
@@ -127,14 +148,16 @@ class BinaryCode(Record):
         basis.reverse()
         return basis
 
+    @cached_property
+    def _basis_tables(self):
+        """`field._xor_tables` of the nullspace basis."""
+        return _xor_tables(self.nullspace_basis())
+
     def random_codeword(self, rng: random.Random) -> int:
-        basis = self.nullspace_basis()
-        word = 0
-        bits = rng.getrandbits(len(basis)) if basis else 0
-        for i, vec in enumerate(basis):
-            if (bits >> i) & 1:
-                word ^= vec
-        return word
+        """The XOR of the basis vectors at the set bits of one
+        `rng.getrandbits(dim)` draw; a code of dimension 0 draws nothing."""
+        dim = len(self.nullspace_basis())
+        return _xor_select(self._basis_tables, rng.getrandbits(dim)) if dim else 0
 
 
 def incidence_matrix(design: CombinatorialDesign) -> PrimeMatrix:

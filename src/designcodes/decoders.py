@@ -13,11 +13,14 @@ code's own columns (`BinaryCode.columns`, the checks transposed once by
 superspaces off them and transposes its member rows with the same
 `field._columns`.  A decode XORs the columns of the received word's 1-bits
 into a syndrome, computing each check's parity once per word, and reads
-each position's vote count as popcount(syndrome & column).  The
-scalar loops they replaced, one parity per (check, point) pair, are kept as
-test references.  `check_evals` stays the paper's cost model, the parity
-evaluations of that scalar decoder (n r per word one-step, b_2 J + n r
-two-step), added per call: a model count, not a count of machine operations.
+each position's vote count as popcount(syndrome & column).  That XOR is
+`field._xor_select`, the package's one "XOR the vectors at a word's set
+bits", over tables each decoder builds from its columns at construction
+(`field._xor_tables`).  The scalar loops they replaced, one parity per
+(check, point) pair, are kept as test references.  `check_evals` stays
+the paper's cost model, the parity evaluations of that scalar decoder
+(n r per word one-step, b_2 J + n r two-step), added per call: a model
+count, not a count of machine operations.
 
 Capability formulas:
 
@@ -41,7 +44,7 @@ from operator import and_
 from ._record import FrozenRecord
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
-from .field import _columns, bit_positions
+from .field import _columns, _xor_select, _xor_tables, bit_positions
 from .pspace import gaussian_coefficient, points_mask, row_points
 
 DECODED = "decoded"
@@ -185,16 +188,6 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 # Decoders
 
 
-def _xor_columns(columns, word: int) -> int:
-    """XOR of the columns at the 1-bits of `word`: a syndrome, one bit per check."""
-    syndrome = 0
-    while word:
-        low = word & -word
-        syndrome ^= columns[low.bit_length() - 1]
-        word ^= low
-    return syndrome
-
-
 def _majority_flips(syndrome: int, columns, halves) -> tuple[int, ...]:
     """Positions j where more than halves[j] of the checks in columns[j] are
     set in `syndrome`."""
@@ -230,8 +223,9 @@ class OneStepDecoder:
     (`BinaryCode.columns`), bit i set when check i contains j; the blocks
     are exactly the code's checks (checked at build time).  A decode XORs
     the columns of the received word's 1-bits into the syndrome (bit i =
-    parity of check i), so each check's parity is computed once per word,
-    and U_j is popcount(syndrome & column j).  The flipped word's syndrome
+    parity of check i), by `field._xor_select` over the columns' tables,
+    so each check's parity is computed once per word, and U_j is
+    popcount(syndrome & column j).  The flipped word's syndrome
     is the received syndrome XOR the flipped positions' columns, so the
     word is a codeword iff that syndrome is zero.  `check_evals` is the model
     count of the scalar decoder, n r parity evaluations per word (one per
@@ -255,6 +249,7 @@ class OneStepDecoder:
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
         self._columns = code.columns
+        self._syndrome_tables = _xor_tables(self._columns)
         self._halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
         self._evals_per_word = len(block_masks) * design.k  # n r
         self.check_evals = 0
@@ -262,7 +257,7 @@ class OneStepDecoder:
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
         columns = self._columns
-        syndrome = _xor_columns(columns, received)
+        syndrome = _xor_select(self._syndrome_tables, received)
         self.check_evals += self._evals_per_word
         flips = _majority_flips(syndrome, columns, self._halves)
         for j in flips:
@@ -290,14 +285,16 @@ class TwoStepDecoder:
     member mask of J + 1 lanes of b_2 bits.  The classes of block b are the
     sets K minus B, in ascending order as masks.  Bit c b_2 + b is set when
     the position lies in class c of block b (c < J), or in block b itself
-    (c = J).  A decode XORs the member masks of the received 1-bits once:
-    lane c holds the parity over class c of every block, lane J the
-    received parity over every block.  A bit-sliced ripple-carry counter
-    adds the J class lanes and a bit-sliced compare against J // 2 + 1
-    gives the estimated block parities.  Block b's vote at j disagrees with
-    the received bit exactly when bit b of D = estimates XOR received block
-    parities is set, so j is flipped iff more than half of the blocks
-    through j are set in D, read as popcount(D & column j).  `check_evals`
+    (c = J).  A decode XORs the member masks of the received 1-bits once,
+    by `field._xor_select` over the members' tables: lane c holds the
+    parity over class c of every block, lane J the received parity over
+    every block.  A bit-sliced ripple-carry counter adds the J class lanes,
+    read low lane first off one running copy, and a bit-sliced compare
+    against J // 2 + 1 gives the estimated block parities.  Block b's vote
+    at j disagrees with the received bit exactly when bit b of D =
+    estimates XOR received block parities is set, so j is flipped iff more
+    than half of the blocks through j are set in D, read as popcount(D &
+    column j).  `check_evals`
     is the model count of the scalar decoder, b_2 J + n r parity
     evaluations per word, added per call.
     """
@@ -318,6 +315,7 @@ class TwoStepDecoder:
         nb = len(step2.blocks)
         rows = (row for lane in zip(*self._member_rows(step2)) for row in lane)
         self._members = _columns(rows, n)
+        self._member_tables = _xor_tables(self._members)
         self._columns = tuple(member >> (J * nb) for member in self._members)
         self._halves = tuple(col.bit_count() // 2 for col in self._columns)
         self._lane_width = nb
@@ -348,8 +346,9 @@ class TwoStepDecoder:
         """Bit b = 1 iff more than J // 2 of the J class lanes have bit b set."""
         nb, full, J = self._lane_width, self._lane_mask, self.J
         counter = [0] * J.bit_length()
-        for c in range(J):
-            carry = (lanes >> (c * nb)) & full
+        for _ in range(J):
+            carry = lanes & full
+            lanes >>= nb
             i = 0
             while carry:
                 counter[i], carry = counter[i] ^ carry, counter[i] & carry
@@ -367,7 +366,7 @@ class TwoStepDecoder:
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
-        lanes = _xor_columns(self._members, received)
+        lanes = _xor_select(self._member_tables, received)
         block_parities = lanes >> (self.J * self._lane_width)
         disagree = self._estimates(lanes) ^ block_parities
         self.check_evals += self._evals_per_word

@@ -20,7 +20,11 @@ point, bit i set when row i holds the point.  A code transposes its checks
 once, and its reduction and both decoders read those columns; the two-step
 decoder also transposes its member rows, and design verification counts
 the blocks through a set of points as the popcount of the AND of their
-columns.
+columns.  `_xor_select` is the package's one "XOR the vectors at a word's
+set bits", by byte lookups in tables of subset XORs (`_xor_tables`): the
+decoders' syndromes and lanes over their columns, a code's random
+codewords over its nullspace basis and its codeword test over the columns
+of its reduced rows.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`);
@@ -453,6 +457,54 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
             col[b::k] = packed[p * k + b :: w * k]
         columns.append(int.from_bytes(col, "little"))
     return tuple(columns)
+
+
+def _xor_tables(vectors: Iterable[int]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The tables `_xor_select` reads for `vectors`, in order.
+
+    Each group of 4 consecutive vectors a, b, c, d gets a table of the XORs
+    of its 16 subsets, entry s holding the XOR of the vectors at the set
+    bits of s (the "Four Russians" table of Arlazarov, Dinic, Kronrod and
+    Faradzev), built with 11 XORs.  The tables are paired per byte of a
+    selector, low nibble first, and the vector list is padded with zeros to
+    whole bytes.  The group width is fixed: tables of 8 vectors would take
+    16 times the memory of 4 for half the lookups.
+    """
+    vecs = list(vectors)
+    vecs += [0] * (-len(vecs) % 8)
+    tables = []
+    for a, b, c, d in zip(*[iter(vecs)] * 4):
+        ab, cd = a ^ b, c ^ d
+        tables.append(
+            (0, a, b, ab, c, a ^ c, b ^ c, ab ^ c)
+            + (d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd)
+        )
+    return tuple(zip(tables[::2], tables[1::2]))
+
+
+def _xor_select(tables, bits: int) -> int:
+    """XOR of the vectors at the set bits of `bits` (bit i selects vector
+    i), from their `_xor_tables`.
+
+    This is the package's one "XOR the vectors at a word's set bits": the
+    decoders' syndromes and lanes, random codewords and the codeword test.
+    A word reads two lookups per nonzero byte.  A word with fewer set bits
+    than half its bytes, such as a low-weight error pattern, reads one
+    lookup per set bit instead, the table entry that holds vector i alone:
+    a walk over every byte would cost it more.  `bits` must be nonnegative
+    and no wider than the tables.
+    """
+    acc = 0
+    if 2 * bits.bit_count() < len(tables):
+        while bits:
+            i = bits.bit_length() - 1
+            acc ^= tables[i >> 3][(i >> 2) & 1][1 << (i & 3)]
+            bits ^= 1 << i
+        return acc
+    for (lo, hi), b in zip(tables, bits.to_bytes(len(tables), "little")):
+        if b:
+            acc ^= lo[b & 15] ^ hi[b >> 4]
+    return acc
 
 
 def _rank_stream_gfp(rows: Iterable[Sequence[int]], p: int) -> int:

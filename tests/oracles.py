@@ -13,13 +13,18 @@ subspaces, point order and point masks; `points_walk`, the coordinate-tuple walk
 `pspace.points_of_subspace` used for every q > 2 before characteristic 2
 walked packed vectors, which builds on the package's point order and field
 tables; `one_step_scan` and `two_step_scan`, the scalar majority-logic
-decoders, which read the decoder's code, parameters and (two-step) the
-package's outside classes; `verify_scan`, the design verification that
+decoders, which read the decoder's check rows, parameters and (two-step)
+the package's outside classes, and test a decoded word against every
+check row; `verify_scan`, the design verification that
 tallied the t-subspaces of every block (`subspaces_of`), which builds on
 the package's canonical subspaces and subspace enumeration;
 `reduce_rows`, the reduction `BinaryCode` ran on its check rows before
 it reduced its columns: `field.rref_gf2` on the rows, then one
-nullspace vector per free column; `one_step_tables` and
+nullspace vector per free column; `xor_columns`, `random_codeword_loop`
+and `is_codeword_rows`, the loops that XORed one vector per set bit of a
+word (the decoders' syndromes and lanes, random codewords) and tested a
+word against every reduced row before `field._xor_select` did both, which
+read the package's nullspace basis and reduced rows; `one_step_tables` and
 `two_step_tables`, the decoders' column tables as they were built before
 the decoders read the code's columns: the design's blocks transposed
 (one-step), and the outside classes of every step-2 block
@@ -174,6 +179,34 @@ def reduce_rows(masks, n):
                 vec |= 1 << pc
         basis.append(vec)
     return rows, pivots, basis
+
+
+def xor_columns(columns, word):
+    """XOR of the columns at the 1-bits of `word`, lowest bit first."""
+    syndrome = 0
+    while word:
+        low = word & -word
+        syndrome ^= columns[low.bit_length() - 1]
+        word ^= low
+    return syndrome
+
+
+def random_codeword_loop(code, rng):
+    """The XOR of `code`'s basis vectors at the set bits of one
+    `rng.getrandbits(dim)` draw, one bit at a time; dimension 0 draws
+    nothing."""
+    basis = code.nullspace_basis()
+    word = 0
+    bits = rng.getrandbits(len(basis)) if basis else 0
+    for i, vec in enumerate(basis):
+        if (bits >> i) & 1:
+            word ^= vec
+    return word
+
+
+def is_codeword_rows(code, word):
+    """Whether `word` has even parity on every reduced row of `code`."""
+    return all((word & row).bit_count() % 2 == 0 for row in code._reduced[0])
 
 
 def one_step_tables(design):
@@ -467,6 +500,6 @@ def two_step_scan(decoder, step2):
 
 
 def _outcome(decoder, out, flips):
-    if decoder.code.is_codeword(out):
+    if all((out & row).bit_count() % 2 == 0 for row in decoder.code.check_masks()):
         return DecodeOutcome(status=DECODED, word=out, flips=flips, n=decoder.n)
     return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=decoder.n)

@@ -27,7 +27,13 @@ from designcodes.designs import (
 )
 from designcodes.field import FieldCtx, PrimeMatrix, matrix_rank, rref_gf2
 
-from .oracles import naive_min_distance, reduce_rows, rref_masks
+from .oracles import (
+    is_codeword_rows,
+    naive_min_distance,
+    random_codeword_loop,
+    reduce_rows,
+    rref_masks,
+)
 
 
 def proj_code(v, k, ctx, p=2):
@@ -297,3 +303,35 @@ def test_column_reduction_matches_row_reduction(case):
     assert code._reduced == (want_rows, want_pivots)
     assert code.nullspace_basis() == want_basis
     assert code.rank == len(want_rows) and code.dim == len(want_basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gf2_matrices(), st.randoms(use_true_random=False), st.lists(st.integers(), max_size=6))
+@example((0, []), random.Random(0), [-1, 1, 1 << 80])
+@example((3, [1, 2, 4]), random.Random(0), [-8, 8, -1])
+@example((5, [0b00011, 0b00110]), random.Random(1), [-(1 << 40) | 0b111, (1 << 70) | 0b11])
+def test_random_codeword_and_codeword_test_match_the_bit_loops(case, rng, extra):
+    # random codewords and the codeword test read `field._xor_select`; the
+    # loops they replaced (tests/oracles.py) give the same codewords, leave
+    # the generator in the same state, and answer alike on any int: wider
+    # than n, or negative
+    n, rows = case
+    code = BinaryCode(n=n, p=2, checks=PrimeMatrix.from_masks(rows, n))
+    seed = rng.getrandbits(32)
+    mine, former = random.Random(seed), random.Random(seed)
+    words = [code.random_codeword(mine) for _ in range(4)]
+    assert words == [random_codeword_loop(code, former) for _ in range(4)]
+    assert mine.getstate() == former.getstate()
+    high = rng.getrandbits(90) << n
+    words += [w ^ (1 << rng.randrange(n)) for w in words if n]
+    words += [w | high for w in words] + [~w for w in words] + [w - high for w in words]
+    for w in words + extra:
+        assert code.is_codeword(w) == is_codeword_rows(code, w)
+
+
+def test_random_codeword_of_dimension_zero_draws_nothing():
+    code = BinaryCode(n=3, p=2, checks=PrimeMatrix.from_masks([0b011, 0b110, 0b001], 3))
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert code.dim == 0 and code.random_codeword(rng) == 0
+    assert rng.getstate() == state

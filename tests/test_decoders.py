@@ -394,6 +394,24 @@ def test_two_step_matches_scalar_scan(two_step_case, data):
     assert dec.decode(word) == scan(word)
 
 
+def test_two_step_status_matches_scalar_scan_near_the_radius(two_step_case):
+    # the two-step decoder asks the code whether its output is a codeword,
+    # the scan tests every check row: words just past the radius J // 2
+    # reach both outcomes
+    dec, scan = two_step_case
+    rng = random.Random(11)
+    statuses = set()
+    for weight in range(dec.J // 2, dec.J // 2 + 4):
+        for _ in range(40):
+            word = dec.code.random_codeword(rng)
+            for j in rng.sample(range(dec.n), weight):
+                word ^= 1 << j
+            out = dec.decode(word)
+            assert out == scan(word)
+            statuses.add(out.status)
+    assert statuses == {DECODED, DETECTED}
+
+
 # The decoders read their tables off the code's check columns; the tables
 # they built before, from the design's blocks and the geometry's outside
 # classes (tests/oracles.py), must come out identical.  (q, v, k) names the

@@ -4,9 +4,17 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from designcodes.field import FieldCtx, PrimeMatrix, bit_positions, default_modulus, matrix_rank
+from designcodes.field import (
+    FieldCtx,
+    PrimeMatrix,
+    _xor_select,
+    _xor_tables,
+    bit_positions,
+    default_modulus,
+    matrix_rank,
+)
 
-from .oracles import naive_rank
+from .oracles import naive_rank, xor_columns
 
 # Lines of the Fano plane (points of the 3-dim binary geometry), as 0/1 rows.
 # Rank over F_2 frozen from naive_rank below: 4.
@@ -218,3 +226,41 @@ def test_bit_positions_reads_the_set_bits_ascending(bits):
     # 0, 1 and wide sparse masks such as a check set of 11811 bits
     mask = sum(1 << i for i in bits)
     assert bit_positions(mask) == tuple(sorted(bits))
+
+
+@st.composite
+def xor_cases(draw):
+    """(vectors, selector): 0 to 140 vectors of up to 200 bits, so counts
+    that fill no whole table or byte, and a selector that is zero, all
+    ones, only the top bit, a few bits (the per-bit path) or any subset."""
+    count = draw(st.integers(min_value=0, max_value=140))
+    width = draw(st.sampled_from([1, 8, 200]))
+    vectors = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count))
+    everything = (1 << count) - 1
+    few = st.sets(st.integers(0, max(count - 1, 0)), max_size=6 if count else 0)
+    bits = draw(
+        st.one_of(
+            st.just(0),
+            st.just(everything),
+            st.just(everything ^ everything >> 1),
+            few.map(lambda positions: sum(1 << i for i in positions)),
+            st.integers(min_value=0, max_value=everything),
+        )
+    )
+    return vectors, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(xor_cases())
+@example(([], 0))
+@example(([5], 1))
+@example(([1, 2, 4], 0b101))
+@example(([3] * 8, 0b10000000))
+@example(([1 << i for i in range(9)], 0b111111111))
+@example(([7] * 140, (1 << 140) - 1))
+def test_xor_select_matches_the_bit_loop(case):
+    # the one kernel against the per-bit loop it replaced (tests/oracles.py)
+    vectors, bits = case
+    tables = _xor_tables(iter(vectors))
+    assert len(tables) == -(-len(vectors) // 8)
+    assert _xor_select(tables, bits) == xor_columns(vectors, bits)
