@@ -459,27 +459,26 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def _xor_tables(vectors: Iterable[int]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The tables `_xor_select` reads for `vectors`, in order.
+def _xor_tables(vectors: Iterable[int]) -> tuple[tuple[int, ...], tuple]:
+    """The tables `_xor_select` reads for `vectors`: the vectors in order,
+    and per selector byte a pair of subset tables, low nibble first.
 
     Each group of 4 consecutive vectors a, b, c, d gets a table of the XORs
     of its 16 subsets, entry s holding the XOR of the vectors at the set
     bits of s (the "Four Russians" table of Arlazarov, Dinic, Kronrod and
-    Faradzev), built with 11 XORs.  The tables are paired per byte of a
-    selector, low nibble first, and the vector list is padded with zeros to
+    Faradzev), built with 11 XORs; the vector list is padded with zeros to
     whole bytes.  The group width is fixed: tables of 8 vectors would take
     16 times the memory of 4 for half the lookups.
     """
-    vecs = list(vectors)
-    vecs += [0] * (-len(vecs) % 8)
+    vecs = tuple(vectors)
     tables = []
-    for a, b, c, d in zip(*[iter(vecs)] * 4):
+    for a, b, c, d in zip(*[iter(vecs + (0,) * (-len(vecs) % 8))] * 4):
         ab, cd = a ^ b, c ^ d
         tables.append(
             (0, a, b, ab, c, a ^ c, b ^ c, ab ^ c)
             + (d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd)
         )
-    return tuple(zip(tables[::2], tables[1::2]))
+    return vecs, tuple(zip(tables[::2], tables[1::2]))
 
 
 def _xor_select(tables, bits: int) -> int:
@@ -488,20 +487,21 @@ def _xor_select(tables, bits: int) -> int:
 
     This is the package's one "XOR the vectors at a word's set bits": the
     decoders' syndromes and lanes, random codewords and the codeword test.
-    A word reads two lookups per nonzero byte.  A word with fewer set bits
-    than half its bytes, such as a low-weight error pattern, reads one
-    lookup per set bit instead, the table entry that holds vector i alone:
-    a walk over every byte would cost it more.  `bits` must be nonnegative
-    and no wider than the tables.
+    A word reads two subset-table lookups per nonzero byte.  A word with
+    few set bits for its length, such as a low-weight error pattern, reads
+    its vectors one by one instead, where a walk over every byte would
+    cost it more.  `bits` must be nonnegative and select no vector beyond
+    the last.
     """
+    vectors, pairs = tables
     acc = 0
-    if 2 * bits.bit_count() < len(tables):
+    if 2 * bits.bit_count() < len(pairs):
         while bits:
-            i = bits.bit_length() - 1
-            acc ^= tables[i >> 3][(i >> 2) & 1][1 << (i & 3)]
-            bits ^= 1 << i
+            low = bits & -bits
+            acc ^= vectors[low.bit_length() - 1]
+            bits ^= low
         return acc
-    for (lo, hi), b in zip(tables, bits.to_bytes(len(tables), "little")):
+    for (lo, hi), b in zip(pairs, bits.to_bytes(len(pairs), "little")):
         if b:
             acc ^= lo[b & 15] ^ hi[b >> 4]
     return acc
