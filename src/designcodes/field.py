@@ -467,8 +467,8 @@ def _xor_tables(vectors: Iterable[int]) -> tuple[tuple[int, ...], tuple]:
     of its 16 subsets, entry s holding the XOR of the vectors at the set
     bits of s (the "Four Russians" table of Arlazarov, Dinic, Kronrod and
     Faradzev), built with 11 XORs; the vector list is padded with zeros to
-    whole bytes.  The group width is fixed: tables of 8 vectors would take
-    16 times the memory of 4 for half the lookups.
+    whole bytes.  The group width is fixed: tables of 8 vectors would hold
+    8 times as many entries for half the lookups.
     """
     vecs = tuple(vectors)
     tables = []
@@ -488,10 +488,10 @@ def _xor_select(tables, bits: int) -> int:
     This is the package's one "XOR the vectors at a word's set bits": the
     decoders' syndromes and lanes, random codewords and the codeword test.
     A word reads two subset-table lookups per nonzero byte.  A word with
-    few set bits for its length, such as a low-weight error pattern, reads
-    its vectors one by one instead, where a walk over every byte would
-    cost it more.  `bits` must be nonnegative and select no vector beyond
-    the last.
+    fewer set bits than half its bytes, such as a low-weight error
+    pattern, XORs its vectors one by one instead: a walk over every byte
+    would cost it more.  `bits` must be nonnegative and select no vector
+    beyond the last.
     """
     vectors, pairs = tables
     acc = 0

@@ -368,11 +368,9 @@ def test_one_step_matches_scalar_scan(one_step_case, data):
     assert dec.decode(word) == scan(word)
 
 
-def test_one_step_status_matches_scalar_scan_near_the_radius(one_step_case):
-    # the one-step decoder reads codeword-ness off its syndrome, the scan
-    # asks the code: words just past the radius reach both outcomes
-    dec, scan = one_step_case
-    ell = (dec.r + dec.lambda2 - 1) // (2 * dec.lambda2)
+def assert_both_statuses_near_the_radius(dec, scan, ell):
+    """Words at weights ell to ell + 3 from random codewords decode as the
+    scan does and reach both outcomes."""
     rng = random.Random(11)
     statuses = set()
     for weight in range(ell, ell + 4):
@@ -386,6 +384,13 @@ def test_one_step_status_matches_scalar_scan_near_the_radius(one_step_case):
     assert statuses == {DECODED, DETECTED}
 
 
+def test_one_step_status_matches_scalar_scan_near_the_radius(one_step_case):
+    # the one-step decoder reads codeword-ness off its syndrome, the scan
+    # tests every check row
+    dec, scan = one_step_case
+    assert_both_statuses_near_the_radius(dec, scan, (dec.r + dec.lambda2 - 1) // (2 * dec.lambda2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_two_step_matches_scalar_scan(two_step_case, data):
@@ -396,20 +401,9 @@ def test_two_step_matches_scalar_scan(two_step_case, data):
 
 def test_two_step_status_matches_scalar_scan_near_the_radius(two_step_case):
     # the two-step decoder asks the code whether its output is a codeword,
-    # the scan tests every check row: words just past the radius J // 2
-    # reach both outcomes
+    # the scan tests every check row; J // 2 is the radius of all three cases
     dec, scan = two_step_case
-    rng = random.Random(11)
-    statuses = set()
-    for weight in range(dec.J // 2, dec.J // 2 + 4):
-        for _ in range(40):
-            word = dec.code.random_codeword(rng)
-            for j in rng.sample(range(dec.n), weight):
-                word ^= 1 << j
-            out = dec.decode(word)
-            assert out == scan(word)
-            statuses.add(out.status)
-    assert statuses == {DECODED, DETECTED}
+    assert_both_statuses_near_the_radius(dec, scan, dec.J // 2)
 
 
 # The decoders read their tables off the code's check columns; the tables
