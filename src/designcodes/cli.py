@@ -8,7 +8,6 @@ verification), 2 on usage errors (argparse).
 
 import argparse
 import sys
-from pathlib import Path
 
 from .codes import (
     BinaryCode,
@@ -34,12 +33,13 @@ from .designs import (
     construct,
     derive_params_comb,
     derive_params_q,
-    dumps_comb_design,
     dumps_subspace_design,
     load_subspace_design,
     loads_comb_design,
     loads_subspace_design,
     projective_version,
+    save_comb_design,
+    save_subspace_design,
     trivial_design,
     verify_comb_design,
     verify_subspace_design,
@@ -51,14 +51,6 @@ from .tables import TableRowSpec, capability, comb_design_params, predicted_rank
 
 def _ctx(args) -> FieldCtx:
     return FieldCtx.of(args.q, modulus=getattr(args, "poly", None))
-
-
-def _emit(lines, out=None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_hyperplane(arg: str | None):
@@ -126,7 +118,10 @@ def cmd_points(args) -> int:
 
 def cmd_design_trivial(args) -> int:
     d = trivial_design(args.t, args.v, args.k, _ctx(args))
-    _emit(dumps_subspace_design(d).splitlines(), args.out)
+    if args.out:
+        save_subspace_design(d, args.out)
+    else:
+        sys.stdout.write(dumps_subspace_design(d))
     return 0
 
 
@@ -178,7 +173,7 @@ def cmd_code_build(args) -> int:
         cd = construct(qd, mode, hyperplane=_parse_hyperplane(args.hyperplane))
     code = build_code(cd, args.p, mode)
     if args.design_out:
-        Path(args.design_out).write_text(dumps_comb_design(cd), encoding="utf-8")
+        save_comb_design(cd, args.design_out)
     if args.matrix_out:
         code.checks.save(args.matrix_out)
     for line in _code_report(code, cd, qd, mode):

@@ -5,14 +5,15 @@ checks of a linear code over F_p, so the code dimension is n minus the
 p-rank of the matrix; over F_2 the rows are the design's block point masks
 (`CombinatorialDesign.masks`) as they are.  A binary code transposes its
 checks once (`BinaryCode.columns`, by `field._columns`) and reduces the
-columns, the short side of a 2-design's incidence matrix (b >= v, Fisher):
-the nullspace basis, the reduced check rows and the rank come out of that
-one `field.rref_gf2` call, and the decoders read their tables off the same
-columns.  Random codewords and the codeword test XOR the nullspace basis
-and the reduced rows' columns at a word's set bits by `field._xor_select`,
-the package's one such kernel.  For geometric (full subspace lattice)
-designs the rank is also available in closed form: the general
-Hamada formula for q = p^m, and the binomial-sum shortcut when p = q = 2.
+columns once, the short side of a 2-design's incidence matrix (b >= v,
+Fisher): the systematic nullspace basis comes out of that one
+`field.rref_gf2` call, the rank and the codeword test are read off the
+basis, and the decoders read their tables off the same columns.  Random
+codewords and the codeword test XOR basis vectors at a word's set bits by
+`field._xor_select`, the package's one such kernel.  For geometric (full
+subspace lattice) designs the rank is also available in closed form: the
+general Hamada formula for q = p^m, and the binomial-sum shortcut when
+p = q = 2.
 """
 
 import itertools
@@ -49,11 +50,10 @@ class BinaryCode(Record):
     the built-in tables; the rank machinery is p-generic).
 
     For p = 2 the checks are transposed once, on first use, into one column
-    mask per position (`columns`), and the columns are row-reduced once:
-    the nullspace basis comes out of that reduction and the reduced check
-    rows, which the rank and the codeword test read, follow from it.  The
+    mask per position (`columns`), and the columns are row-reduced once
+    into the systematic nullspace basis; the rank is n minus its size.  The
     tables `field._xor_select` reads for random codewords and the codeword
-    test are built on their first use.
+    test, both over that basis, are built on their first use.
     """
 
     _fields = ("n", "p", "checks", "source")
@@ -66,7 +66,7 @@ class BinaryCode(Record):
     @cached_property
     def rank(self) -> int:
         if self.p == 2:
-            return len(self._reduced[0])
+            return self.n - len(self._null_basis)
         return matrix_rank(self.checks, self.p)
 
     @property
@@ -85,39 +85,19 @@ class BinaryCode(Record):
         return _columns(self.check_masks(), self.n)
 
     @cached_property
-    def _reduced(self) -> tuple[list[int], list[int]]:
-        """The check rows in reduced row echelon form, and their pivots.
-
-        Read off the nullspace basis: its vectors' top bits are the free
-        positions, every other position is a pivot, and the reduced row of
-        pivot p has bit p and the free positions f whose basis vector has
-        bit p.  The reduced form is unique, so these are the rows
-        `field.rref_gf2` gives on the checks themselves.
-        """
-        if self.p != 2:
-            raise ValueError("bitmask reduction is implemented for p = 2 only")
-        free = {vec.bit_length() - 1: vec for vec in self._null_basis}
-        pivots = [p for p in range(self.n) if p not in free]
-        rows = []
-        for p in pivots:
-            row = 1 << p
-            for f, vec in free.items():
-                if (vec >> p) & 1:
-                    row |= 1 << f
-            rows.append(row)
-        return rows, pivots
-
-    @cached_property
-    def _reduced_tables(self):
-        """`field._xor_tables` of the reduced rows' columns, column j with
-        bit i set when reduced row i contains position j."""
-        return _xor_tables(_columns(self._reduced[0], self.n))
+    def _codeword_tables(self):
+        """`field._xor_tables` of the nullspace basis by position: position j
+        holds the basis vector whose top (free) bit is j, a pivot position 0."""
+        by_top = {vec.bit_length() - 1: vec for vec in self._null_basis}
+        return _xor_tables(by_top.get(j, 0) for j in range(self.n))
 
     def is_codeword(self, word: int) -> bool:
-        """Whether `word` satisfies every check: its syndrome over the
-        reduced rows, the XOR of their columns at its set bits, is zero.
-        Only the word's low n bits are read, as the rows' AND would."""
-        return not _xor_select(self._reduced_tables, word & ((1 << self.n) - 1))
+        """Whether `word` satisfies every check.  A systematic basis vector
+        has exactly one free bit, its top bit, so a word is a codeword iff it
+        equals the XOR of the basis vectors at its free bits.  Only the
+        word's low n bits are read, as the checks' AND would."""
+        word &= (1 << self.n) - 1
+        return _xor_select(self._codeword_tables, word) == word
 
     def nullspace_basis(self) -> list[int]:
         """Basis of the codeword space as bitmasks (p = 2 only), cached."""

@@ -17,10 +17,19 @@ each position's vote count as popcount(syndrome & column).  That XOR is
 `field._xor_select`, the package's one "XOR the vectors at a word's set
 bits", over tables each decoder builds from its columns at construction
 (`field._xor_tables`).  The scalar loops they replaced, one parity per
-(check, point) pair, are kept as test references.  `check_evals` stays
-the paper's cost model, the parity evaluations of that scalar decoder
-(n r per word one-step, b_2 J + n r two-step), added per call: a model
-count, not a count of machine operations.
+(check, point) pair, are kept as test references.
+
+Both decoders end in one vote stage, the base class `_MajorityVote`: each
+computes its own disagreement vector (the one-step syndrome; the two-step
+step-1 estimates XOR the received block parities), and the stage flips
+every position that more than half of its column's checks or blocks
+disagree with, counts the work and builds the outcome.  Each decoder
+keeps its own codeword test: the one-step decoder reads the updated
+syndrome, the two-step decoder `BinaryCode.is_codeword`, which costs less
+than a syndrome over its code's many checks.  `check_evals` stays the
+paper's cost model, the parity evaluations of the scalar decoder (n r per
+word one-step, b_2 J + n r two-step), added per call: a model count, not
+a count of machine operations.
 
 Capability formulas:
 
@@ -188,32 +197,45 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 # Decoders
 
 
-def _majority_flips(syndrome: int, columns, halves) -> tuple[int, ...]:
-    """Positions j where more than halves[j] of the checks in columns[j] are
-    set in `syndrome`."""
-    return tuple(
-        [
-            j
-            for j, col, half in zip(range(len(columns)), columns, halves)
-            if (syndrome & col).bit_count() > half
-        ]
-    )
+class _MajorityVote:
+    """The vote stage both decoders end with.
+
+    Each position j has a column mask (bit i = check or block i through j)
+    and a half: j is flipped when more than half of the bits of its column
+    are set in the disagreement vector, popcount(disagree & column j), and
+    all flips are applied at once.  Each vote adds the decoder's model
+    count of parity evaluations per word to `check_evals`.  The flipped
+    word is decoded only if it is a codeword; each decoder tests that its
+    own way.
+    """
+
+    def __init__(self, code: BinaryCode, columns, halves, evals_per_word: int):
+        if code.p != 2:
+            raise ValueError("decoding is implemented for binary codes only")
+        self.code = code
+        self.n = code.n
+        self._columns = columns
+        self._halves = halves
+        self._evals_per_word = evals_per_word
+        self.check_evals = 0
+
+    def _vote(self, received: int, disagree: int) -> tuple[tuple[int, ...], int]:
+        """The positions that lose their vote, and the received word with
+        those positions flipped."""
+        self.check_evals += self._evals_per_word
+        votes = zip(range(self.n), self._columns, self._halves)
+        flips = tuple([j for j, col, half in votes if (disagree & col).bit_count() > half])
+        for j in flips:
+            received ^= 1 << j
+        return flips, received
+
+    def _outcome(self, out: int, flips: tuple[int, ...], codeword: bool) -> DecodeOutcome:
+        if codeword:
+            return DecodeOutcome(status=DECODED, word=out, flips=flips, n=self.n)
+        return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=self.n)
 
 
-def _flipped(received: int, flips: tuple[int, ...]) -> int:
-    for j in flips:
-        received ^= 1 << j
-    return received
-
-
-def _outcome(n: int, out: int, flips: tuple[int, ...], codeword: bool) -> DecodeOutcome:
-    """The flipped word is a decoded word only if it is a codeword."""
-    if codeword:
-        return DecodeOutcome(status=DECODED, word=out, flips=flips, n=n)
-    return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=n)
-
-
-class OneStepDecoder:
+class OneStepDecoder(_MajorityVote):
     """Per-position threshold vote over the design blocks through it.
 
     Position j is flipped iff 2 U_j > r + lambda_2 - 1, where U_j counts
@@ -234,8 +256,6 @@ class OneStepDecoder:
     """
 
     def __init__(self, code: BinaryCode, design: CombinatorialDesign):
-        if code.p != 2:
-            raise ValueError("decoding is implemented for binary codes only")
         if design.n != code.n:
             raise ValueError("design and code disagree on length")
         if design.t < 2:
@@ -244,29 +264,23 @@ class OneStepDecoder:
         if sorted(code.check_masks()) != sorted(block_masks):
             raise ValueError("code checks are not the design's incidence rows")
         params = design.params()
-        self.code = code
-        self.n = code.n
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        self._columns = code.columns
+        halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
+        super().__init__(code, code.columns, halves, len(block_masks) * design.k)  # n r
         self._syndrome_tables = _xor_tables(self._columns)
-        self._halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
-        self._evals_per_word = len(block_masks) * design.k  # n r
-        self.check_evals = 0
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
-        columns = self._columns
         syndrome = _xor_select(self._syndrome_tables, received)
-        self.check_evals += self._evals_per_word
-        flips = _majority_flips(syndrome, columns, self._halves)
+        flips, out = self._vote(received, syndrome)
         for j in flips:
-            syndrome ^= columns[j]
+            syndrome ^= self._columns[j]
         # the syndrome is over the code's checks: zero means a codeword
-        return _outcome(self.n, _flipped(received, flips), flips, not syndrome)
+        return self._outcome(out, flips, not syndrome)
 
 
-class TwoStepDecoder:
+class TwoStepDecoder(_MajorityVote):
     """Recover block parities from superspace checks, then vote per position.
 
     Step 1 estimates the codeword parity over each (k-1)-dimensional block B
@@ -300,8 +314,6 @@ class TwoStepDecoder:
     """
 
     def __init__(self, code: BinaryCode, step2: SubspaceDesign):
-        if code.p != 2:
-            raise ValueError("decoding is implemented for binary codes only")
         if step2.t < 2:
             raise ValueError("two-step decoding needs a step-2 design with t >= 2")
         n = gaussian_coefficient(step2.v, 1, step2.q)
@@ -309,21 +321,19 @@ class TwoStepDecoder:
             raise ValueError("code length does not match the design's geometry")
         if step2.k >= step2.v:
             raise ValueError("step-2 blocks leave no room for superspaces")
-        self.code = code
-        self.n = n
         self.J = J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
         nb = len(step2.blocks)
-        rows = (row for lane in zip(*self._member_rows(step2)) for row in lane)
+        rows = (row for lane in zip(*self._member_rows(code, step2)) for row in lane)
         self._members = _columns(rows, n)
         self._member_tables = _xor_tables(self._members)
-        self._columns = tuple(member >> (J * nb) for member in self._members)
-        self._halves = tuple(col.bit_count() // 2 for col in self._columns)
+        columns = tuple(member >> (J * nb) for member in self._members)
+        halves = tuple(col.bit_count() // 2 for col in columns)
+        evals = nb * J + sum(col.bit_count() for col in columns)
+        super().__init__(code, columns, halves, evals)
         self._lane_width = nb
         self._lane_mask = (1 << nb) - 1
-        self._evals_per_word = nb * J + sum(col.bit_count() for col in self._columns)
-        self.check_evals = 0
 
-    def _member_rows(self, step2: SubspaceDesign):
+    def _member_rows(self, code: BinaryCode, step2: SubspaceDesign):
         """Per block: its J superspaces minus the block, sorted, then the
         block itself.
 
@@ -332,7 +342,7 @@ class TwoStepDecoder:
         Unless exactly J checks contain those points, each of them the whole
         block, the code's checks are not the block's superspaces.
         """
-        columns, checks = self.code.columns, self.code.check_masks()
+        columns, checks = code.columns, code.check_masks()
         key = row_points(step2.v, step2.ctx)
         for b, blk in enumerate(step2.blocks):
             through = reduce(and_, [columns[i] for i in key(blk)])
@@ -369,10 +379,8 @@ class TwoStepDecoder:
         lanes = _xor_select(self._member_tables, received)
         block_parities = lanes >> (self.J * self._lane_width)
         disagree = self._estimates(lanes) ^ block_parities
-        self.check_evals += self._evals_per_word
-        flips = _majority_flips(disagree, self._columns, self._halves)
-        out = _flipped(received, flips)
-        return _outcome(self.n, out, flips, self.code.is_codeword(out))
+        flips, out = self._vote(received, disagree)
+        return self._outcome(out, flips, self.code.is_codeword(out))
 
 
 # ---------------------------------------------------------------------------

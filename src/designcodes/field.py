@@ -10,11 +10,11 @@ p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
 rows one at a time into a growing reduced basis, so a huge row stream never
 has to be materialized for elimination.  Over GF(2) that basis is kept in
 reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
-a code runs it once, on its check columns, and reads its rank, nullspace
-and codeword test off the result.  A set of points (a block) is a mask too,
-bit i set for point i; `bit_positions` reads its sorted indices back, from
-the top bit down, and `pack_mask` is the one packer of a 0/1 vector into a
-mask.  `_columns` is the package's one GF(2) bit-matrix transpose: it turns
+a code runs it once, on its check columns, for its nullspace basis, and
+reads its rank and codeword test off that basis.  A set of points (a
+block) is a mask too, bit i set for point i; `bit_positions` reads its
+sorted indices back, from the top bit down, and `pack_mask` is the one
+packer of a 0/1 vector into a mask.  `_columns` is the package's one GF(2) bit-matrix transpose: it turns
 row masks (checks or blocks), in matrix order, into one column mask per
 point, bit i set when row i holds the point.  A code transposes its checks
 once, and its reduction and both decoders read those columns; the two-step
@@ -22,9 +22,8 @@ decoder also transposes its member rows, and design verification counts
 the blocks through a set of points as the popcount of the AND of their
 columns.  `_xor_select` is the package's one "XOR the vectors at a word's
 set bits", by byte lookups in tables of subset XORs (`_xor_tables`): the
-decoders' syndromes and lanes over their columns, a code's random
-codewords over its nullspace basis and its codeword test over the columns
-of its reduced rows.
+decoders' syndromes and lanes over their columns, and a code's random
+codewords and codeword test over its nullspace basis.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`);
@@ -335,7 +334,8 @@ _COUNT_KEYS = ("rows", "cols", "n", "v", "k", "t", "lambda")
 
 
 def _parse_header(line: str, kind: str, keys: Sequence[str]) -> dict[str, int]:
-    """`kind key=value ...` header line with integer values, all `keys` present."""
+    """`kind key=value ...` header line with integer values, all `keys`
+    present and no key given twice."""
     toks = line.split()
     if not toks or toks[0] != kind:
         raise ValueError(f"expected a {kind} header, got {line!r}")
@@ -344,6 +344,8 @@ def _parse_header(line: str, kind: str, keys: Sequence[str]) -> dict[str, int]:
         key, eq, val = tok.partition("=")
         if not eq:
             raise ValueError(f"{kind} header token {tok!r} is not key=value")
+        if key in fields:
+            raise ValueError(f"{kind} header repeats key {key!r}")
         try:
             fields[key] = int(val)
         except ValueError:

@@ -23,8 +23,8 @@ it reduced its columns: `field.rref_gf2` on the rows, then one
 nullspace vector per free column; `xor_columns`, `random_codeword_loop`
 and `is_codeword_rows`, the loops that XORed one vector per set bit of a
 word (the decoders' syndromes and lanes, random codewords) and tested a
-word against every reduced row before `field._xor_select` did both, which
-read the package's nullspace basis and reduced rows; `one_step_tables` and
+word's parity on every check row before `field._xor_select` did both,
+which read the package's nullspace basis and check rows; `one_step_tables` and
 `two_step_tables`, the decoders' column tables as they were built before
 the decoders read the code's columns: the design's blocks transposed
 (one-step), and the outside classes of every step-2 block
@@ -205,8 +205,8 @@ def random_codeword_loop(code, rng):
 
 
 def is_codeword_rows(code, word):
-    """Whether `word` has even parity on every reduced row of `code`."""
-    return all((word & row).bit_count() % 2 == 0 for row in code._reduced[0])
+    """Whether `word` has even parity on every check row of `code`."""
+    return all((word & row).bit_count() % 2 == 0 for row in code.check_masks())
 
 
 def one_step_tables(design):

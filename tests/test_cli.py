@@ -513,3 +513,24 @@ def test_cli_survives_mutated_files(tmp_path_factory, case):
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, text, err)
         else:
             assert "verified=false" in out.splitlines(), (argv, text, out)
+
+
+@pytest.mark.parametrize(
+    "name, text, repeat",
+    [_FUZZ_BASES[0] + ("t=5",), _FUZZ_BASES[0] + ("t=1",)]
+    + [_FUZZ_BASES[2] + ("n=7",), _FUZZ_BASES[3] + ("p=2",)],
+    ids=["qdesign-t=5", "qdesign-t=1", "cdesign-n=7", "pmatrix-p=2"],
+)
+def test_repeated_header_key_is_domain_error(tmp_path, capsys, name, text, repeat):
+    # the last value of a repeated key used to win silently: a trailing t=1
+    # loaded a 1-design, and t=5 failed verification with a misleading message
+    path = tmp_path / name
+    argv = ("code", "rank") if name.endswith(".pmatrix") else ("design", "verify")
+    path.write_text(text)
+    assert run(capsys, *argv, str(path))[0] == 0
+    header, _, body = text.partition("\n")
+    path.write_text(f"{header} {repeat}\n{body}")
+    code, out, err = run(capsys, *argv, str(path))
+    kind, key = header.split()[0], repeat.split("=")[0]
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {kind} header repeats key {key!r}\n"
