@@ -91,7 +91,7 @@ def _code_report(code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign
         lines.append(f"ell={capability(comb.params())}")
     except ValueError:
         pass  # no capability formula outside t = 2, 3
-    if qd is not None:
+    if qd is not None and code.p == qd.ctx.p:  # the bounds are for the field's characteristic
         lines += _distance_lines(qd.v, qd.k, qd.q, mode)
     return lines
 
@@ -183,7 +183,7 @@ def cmd_code_build(args) -> int:
 
 def cmd_code_rank(args) -> int:
     m = PrimeMatrix.load(args.file)
-    print(f"rank={matrix_rank(m, args.p if args.p else m.p)}")
+    print(f"rank={matrix_rank(m, args.p if args.p is not None else m.p)}")
     return 0
 
 

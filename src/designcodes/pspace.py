@@ -12,27 +12,26 @@ Conventions used everywhere downstream:
   generator matrices are identical.
 * Subspace enumeration runs over pivot-column combinations in lexicographic
   order, free entries in odometer order, so block numbering is reproducible.
-* The superspaces of a subspace b are read off the quotient by b: the
-  points outside b fall into classes modulo b, one class (sup minus b) per
-  (dim b + 1)-superspace sup (`outside_classes`), and `superspaces` extends
-  b by the lowest point of each class, through `subspace` at every q.
+* The superspaces of a subspace b are read off the quotient by b:
+  F_q^v is the direct sum of b and the coordinate subspace C on the
+  columns outside b's pivots, so each k-superspace of b is b plus exactly
+  one (k - dim b)-subspace of C, and `superspaces` enumerates those and
+  reduces each together with b through `subspace`, one path at every q.
 
 For q = 2^m a vector is also handled packed, as the int sum(x_i << (m i))
 of its m-bit coordinates (for q = 2 the bitmask of `field.pack_mask`).
 Adding two vectors is then XOR of their packed ints, and one table per
 (v, ctx), of q^v entries, maps each packed vector to the index of its
-point.  The span walks of `points_of_subspace` and the cosets of
-`outside_classes` run on those ints; odd q, and spaces with q > 2 and
-q^v > 2^20, keep coordinate tuples.
+point.  The span walks of `points_of_subspace` run on those ints; odd q,
+and spaces with q > 2 and q^v > 2^20, keep coordinate tuples.
 
 At q = 2 a subspace holds its canonical rows as those masks, never as
 tuples: `enumerate_subspaces` builds them directly, `subspace` packs
 vectors with `field.pack_mask` and reduces them with `field.rref_gf2`
 (whose pivot, the lowest set bit, is the first nonzero coordinate, so the
-canonical form is the same), and the point walks, outside classes,
-containment and design verification read them.  `Subspace.gen` rebuilds
-the tuples for output and for `superspaces`, which hands them back to
-`subspace`.
+canonical form is the same), and the point walks and design
+verification read them.  `Subspace.gen` rebuilds the tuples for output and
+for `superspaces`, which hands them back to `subspace`.
 
 At every q the canonical rows are normalized point vectors, so
 `row_points` reads a subspace's rows as point indices (by `vec_index` at
@@ -46,9 +45,8 @@ computed once and kept on the subspace (`points_mask`), so the design
 checks, constructions and decoders that each need a block's points share
 one walk, which ORs the bit of each point it finds; the sorted tuple of
 point indices (`points_of_subspace`) is read off the mask on demand.  Each
-field context keeps its own point spaces, and at q = 2^m > 2 a subspace
-also keeps the packed scalar multiples of its rows, which its point walk
-and its outside classes share.
+field context keeps its own point spaces.  Containment is read off the
+masks: t lies in s iff points_mask(t) & ~points_mask(s) == 0.
 """
 
 import itertools
@@ -112,24 +110,6 @@ class _PointSpace:
         self.vec_index: list[int] | None = None
         if ctx.q == 2 or (ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT):
             self.vec_index = _vec_index(v, ctx)
-        self._complements: dict[tuple[int, ...], list] = {}
-
-    def complement_points(self, pivots: tuple[int, ...]) -> list:
-        """One vector per point of the coordinate subspace on the columns
-        outside `pivots`, leading coordinate 1, computed once per pivot set:
-        packed ints where `vec_index` exists, coordinate tuples otherwise."""
-        out = self._complements.get(pivots)
-        if out is None:
-            m, q, v = self.ctx.m, self.ctx.q, self.v
-            free = [j for j in range(v) if j not in pivots]
-            if self.vec_index is not None:
-                unit = [[c << (m * j) for c in range(1, q)] for j in free]
-                out = _one_per_point(unit, 0, xor)
-            else:
-                unit = [[(0,) * j + (c,) + (0,) * (v - j - 1) for c in range(1, q)] for j in free]
-                out = _one_per_point(unit, (0,) * v, _tuple_add(self.ctx))
-            self._complements[pivots] = out
-        return out
 
 
 def _vec_index(v: int, ctx: FieldCtx) -> list[int]:
@@ -289,24 +269,17 @@ def enumerate_subspaces(v: int, k: int, ctx: FieldCtx) -> Iterator[Subspace]:
 def _multiples(s: Subspace) -> list[list]:
     """Each row of s with its q - 1 nonzero scalar multiples, c = 1 first:
     packed ints for q = 2^m (at q = 2 the row masks themselves), coordinate
-    tuples for odd q and for spaces without the packed table.  For q > 2
-    computed on first use and kept on s, like its point mask."""
+    tuples for odd q and for spaces without the packed table."""
     ctx = s.ctx
     if ctx.q == 2:
         return [[r] for r in s.rows]
-    muls = s.__dict__.get("_multiples")
-    if muls is not None:
-        return muls
     if point_space(s.v, ctx).vec_index is None:
-        muls = [[tuple([mul_c[x] for x in r]) for mul_c in ctx.mul_table[1:]] for r in s.rows]
-    else:
-        shifts = range(0, ctx.m * s.v, ctx.m)
-        muls = [
-            [sum(map(lshift, map(mul_c.__getitem__, r), shifts)) for mul_c in ctx.mul_table[1:]]
-            for r in s.rows
-        ]
-    s.__dict__["_multiples"] = muls
-    return muls
+        return [[tuple([mul_c[x] for x in r]) for mul_c in ctx.mul_table[1:]] for r in s.rows]
+    shifts = range(0, ctx.m * s.v, ctx.m)
+    return [
+        [sum(map(lshift, map(mul_c.__getitem__, r), shifts)) for mul_c in ctx.mul_table[1:]]
+        for r in s.rows
+    ]
 
 
 def _tuple_add(ctx: FieldCtx) -> Callable[[Vector, Vector], Vector]:
@@ -397,87 +370,29 @@ def _points_mask(s: Subspace) -> int:
     return mask
 
 
-def subspace_contains(s: Subspace, t: Subspace) -> bool:
-    """True iff t is a subspace of s (same ambient space required): iff t's
-    rows add nothing to the rank of s's, by `field.rref_gf2` on the row
-    masks at q = 2 and by `rref` on the row tuples otherwise."""
-    if s.v != t.v or s.ctx != t.ctx:
-        raise ValueError("subspaces live in different ambient spaces")
-    if s.ctx.q == 2:
-        return len(rref_gf2(s.rows + t.rows)[0]) == s.k
-    return len(rref(s.rows + t.rows, s.v, s.ctx)) == s.k
-
-
-def outside_classes(b: Subspace) -> tuple[int, ...]:
-    """The classes of the points outside b modulo b, as point-index bitmasks.
-
-    Two points outside b lie in one class iff they span the same
-    (dim b + 1)-subspace together with b, so each class is sup minus b for
-    exactly one (dim b + 1)-superspace sup of b: there are [v - dim b, 1]_q
-    classes of q^(dim b) points each.  Returned sorted as integers.
-
-    The class of a vector w outside b is the coset w + span(b): its
-    q^(dim b) vectors span distinct points.  One w is taken per point of the
-    coordinate subspace on the non-pivot columns of b, a complement of b.
-    For q = 2^m span(b) is walked on packed vectors, from the rows of b and
-    their q - 1 scalar multiples, and each class ORs 1 << vec_index[w ^ s]
-    over s in span(b), so every point outside b costs one XOR and one
-    lookup.  Odd q (and spaces too large for the table) add coordinate
-    tuples through the field tables and normalize each sum.
-    """
-    sp = point_space(b.v, b.ctx)
-    ctx = b.ctx
-    idx = sp.vec_index
-    rows = _multiples(b)
-    comp = sp.complement_points(_pivots(b))
-    out = []
-    if idx is not None:
-        span = _span(rows)
-        for w in comp:
-            cls = 0
-            for x in span:
-                cls |= 1 << idx[w ^ x]
-            out.append(cls)
-        return tuple(sorted(out))
-    add = _tuple_add(ctx)
-    span = [(0,) * b.v]
-    for multiples in rows:
-        span += [add(x, y) for y in multiples for x in span]
-    index, mt, inv = sp.index, ctx.mul_table, ctx.inv_table
-    for w in comp:
-        cls = 0
-        for x in span:
-            u = add(w, x)
-            lead = next(filter(None, u))
-            if lead != 1:
-                scale = mt[inv[lead]]
-                u = tuple([scale[a] for a in u])
-            cls |= 1 << index[u]
-        out.append(cls)
-    return tuple(sorted(out))
-
-
 def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:
-    """All k-subspaces containing b, canonical, deduplicated and sorted.
+    """All k-subspaces containing b, canonical and sorted by `row_points`.
 
-    Built one dimension at a time: each subspace s of the frontier is
-    extended by one point of each class of the points outside s modulo s
-    (`outside_classes`), its lowest, one `subspace` call per
-    (dim s + 1)-superspace.  For k = dim(b) + 1 the count is [v - dim(b), 1]_q.
+    F_q^v is the direct sum of b and the coordinate subspace C on the
+    columns outside b's pivots, so each k-superspace of b is b plus exactly
+    one (k - dim b)-subspace of C: those are enumerated in F_q^(v - dim b),
+    their rows placed on C's columns, and each is reduced together with b's
+    rows, one `subspace` call per superspace.  For k = dim(b) + 1 the count
+    is [v - dim(b), 1]_q.
     """
     if k <= b.k:
         raise ValueError("not a proper extension")
     if k > b.v:
         raise ValueError("extension exceeds ambient dimension")
     ctx, v = b.ctx, b.v
-    points = point_space(v, ctx).points
-    frontier = {b}
-    for _ in range(k - b.k):
-        nxt = set()
-        for s in frontier:
-            gen = s.gen
-            for cls in outside_classes(s):
-                pt = points[(cls & -cls).bit_length() - 1]
-                nxt.add(subspace(gen + (pt,), v, ctx))
-        frontier = nxt
-    return tuple(sorted(frontier, key=row_points(v, ctx)))
+    pivots = _pivots(b)
+    free = [j for j in range(v) if j not in pivots]
+    # column j reads coordinate take[j] of a row of C; pivot columns read
+    # the 0 appended to it
+    take = [free.index(j) if j in free else -1 for j in range(v)]
+    gen = b.gen
+    out = []
+    for c in enumerate_subspaces(v - b.k, k - b.k, ctx):
+        rows = tuple(tuple(map((r + (0,)).__getitem__, take)) for r in c.gen)
+        out.append(subspace(gen + rows, v, ctx))
+    return tuple(sorted(out, key=row_points(v, ctx)))

@@ -7,15 +7,17 @@ references: `enumerate_gens` and `rref_tuples`, the coordinate-tuple
 subspace enumeration that every q used and the RREF that q = 2 used
 before q = 2 subspaces were held as row masks (self-contained, apart from
 the field's arithmetic);
-`superspaces_scan`, the superspace search behind `pspace.superspaces` and
-`pspace.outside_classes`, which still builds on the package's canonical
-subspaces, point order and point masks; `points_walk`, the coordinate-tuple walk that
+`superspaces_scan`, the superspace search that `pspace.superspaces` ran
+before it read superspaces off the quotient, which still builds on the
+package's canonical subspaces, point order and point masks; `points_walk`,
+the coordinate-tuple walk that
 `pspace.points_of_subspace` used for every q > 2 before characteristic 2
 walked packed vectors, which builds on the package's point order and field
 tables; `one_step_scan` and `two_step_scan`, the scalar majority-logic
 decoders, which read the decoder's check rows, parameters and (two-step)
-the package's outside classes, and test a decoded word against every
-check row; `verify_scan`, the design verification that
+each step-2 block's outside classes, its (dim + 1)-superspaces
+(`pspace.superspaces`) minus the block, and test a decoded word against
+every check row; `verify_scan`, the design verification that
 tallied the t-subspaces of every block (`subspaces_of`), which builds on
 the package's canonical subspaces and subspace enumeration;
 `reduce_rows`, the reduction `BinaryCode` ran on its check rows before
@@ -28,8 +30,8 @@ which read the package's nullspace basis and check rows; `one_step_tables` and
 `two_step_tables`, the decoders' column tables as they were built before
 the decoders read the code's columns: the design's blocks transposed
 (one-step), and the outside classes of every step-2 block
-(`outside_member_rows`, on the package's `outside_classes` and point
-masks) transposed lane by lane (two-step), both through `field._columns`;
+(`outside_member_rows`, on the package's `superspaces` and point masks)
+transposed lane by lane (two-step), both through `field._columns`;
 `comb_design_blocks`, the `CombinatorialDesign` constructor from before
 blocks were held as point masks, which sorted, checked and ordered point
 tuples (self-contained); and `affine_blocks` and `flats_blocks`, the
@@ -48,11 +50,11 @@ from designcodes.field import _columns, rref_gf2
 from designcodes.pspace import (
     enumerate_subspaces,
     gaussian_coefficient,
-    outside_classes,
     point_space,
     points_mask,
     points_of_subspace,
     subspace,
+    superspaces,
 )
 
 
@@ -218,11 +220,17 @@ def one_step_tables(design):
     return _columns(design.masks, design.n), (half,) * design.n
 
 
+def superspace_classes(blk):
+    """The classes of the points outside blk modulo blk, sorted: each
+    (dim + 1)-superspace's point mask minus blk's."""
+    bmask = points_mask(blk)
+    return sorted(points_mask(sup) ^ bmask for sup in superspaces(blk, blk.k + 1))
+
+
 def outside_member_rows(step2):
-    """Per step-2 block: its outside classes (`pspace.outside_classes`),
-    then its point mask."""
+    """Per step-2 block: its outside classes, then its point mask."""
     for blk in step2.blocks:
-        yield outside_classes(blk) + (points_mask(blk),)
+        yield (*superspace_classes(blk), points_mask(blk))
 
 
 def two_step_tables(step2):
@@ -469,7 +477,7 @@ def two_step_scan(decoder, step2):
     function of the received bitmask: one popcount per superspace estimate
     and per (block, position) vote; step-1 ties give 0, step-2 ties keep the
     received bit."""
-    estimates = [outside_classes(blk) for blk in step2.blocks]
+    estimates = [superspace_classes(blk) for blk in step2.blocks]
     votes = [[] for _ in range(decoder.n)]
     for bi, blk in enumerate(step2.blocks):
         bmask = points_mask(blk)

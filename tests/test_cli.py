@@ -184,6 +184,41 @@ def test_code_build_report(tmp_path, capsys):
     assert code == 0 and kv(out)["d"] == "8"
 
 
+@pytest.mark.parametrize(
+    "t,v,k,q,p,d_exact",
+    [
+        (2, 3, 2, 3, 2, None),  # lines of PG(2,3) over GF(2): d = 13, not 5
+        (2, 4, 3, 3, 2, None),  # planes of PG(3,3) over GF(2): dimension 0
+        (2, 3, 2, 2, 3, None),  # lines of PG(2,2) over GF(3): the all-ones word, d = 7
+        (2, 3, 2, 3, 3, "5"),
+        (2, 3, 2, 2, 2, "4"),
+    ],
+)
+def test_code_build_distance_lines_only_over_the_field_characteristic(
+    tmp_path, capsys, t, v, k, q, p, d_exact
+):
+    # the distance bounds describe the code over the design field's
+    # characteristic; a build over another p prints none of them
+    path = tmp_path / "d.qdesign"
+    run(capsys, "design", "trivial", "--t", str(t), "--v", str(v), "--k", str(k),
+        "--q", str(q), "--out", str(path))
+    code, out, _ = run(capsys, "code", "build", str(path), "--p", str(p))
+    assert code == 0
+    pairs = kv(out)
+    assert {"n", "rank", "dim"} <= pairs.keys()
+    if d_exact is None:
+        assert not [key for key in pairs if key.startswith("d_")]
+    else:
+        assert pairs["d_exact"] == d_exact and {"d_bch", "d_lower"} <= pairs.keys()
+
+
+def test_code_rank_p_zero_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "m.pmatrix"
+    path.write_text("pmatrix rows=1 cols=3 p=2\n101\n")
+    code, out, err = run(capsys, "code", "rank", str(path), "--p", "0")
+    assert (code, out, err) == (1, "", "error: 0 is not prime\n")
+
+
 def test_code_params_matches_build(capsys):
     code, out, _ = run(
         capsys, "code", "params", "--v", "5", "--k", "3", "--q", "2",

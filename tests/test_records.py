@@ -27,7 +27,7 @@ from designcodes.designs import (
     derive_params_q,
 )
 from designcodes.field import FieldCtx, PrimeMatrix
-from designcodes.pspace import Subspace, _multiples, points_mask
+from designcodes.pspace import Subspace, points_mask
 from designcodes.tables import RowReport, TableRowSpec
 
 GF2 = FieldCtx(2, 1, 2, 3)
@@ -276,8 +276,8 @@ def test_lazy_caches_outside_equality():
     assert "_points_mask" in vars(s) and "_points_mask" not in vars(t)
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
     s, t = Subspace(gf4, 2, ((1, 2),)), Subspace(fresh, 2, ((1, 2),))
-    points_mask(s), _multiples(s)
-    assert "_multiples" in vars(s) and "_multiples" not in vars(t)
+    points_mask(s)
+    assert "_points_mask" in vars(s) and "_points_mask" not in vars(t)
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
 
     c = CombinatorialDesign(3, 1, 1, 1, [(0,), (1,), (2,)])
@@ -310,3 +310,16 @@ def test_import_loads_no_other_modules():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_star_import_exports_every_name_once():
+    # a name left in __all__ after its definition is removed fails only on
+    # `from designcodes import *`, which no other test runs
+    import designcodes
+
+    namespace = {}
+    exec("from designcodes import *", namespace)
+    names = designcodes.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(designcodes, name) for name in names)
+    assert set(names) <= namespace.keys()
