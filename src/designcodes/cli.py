@@ -175,7 +175,10 @@ def cmd_code_build(args) -> int:
     if args.design_out:
         save_comb_design(cd, args.design_out)
     if args.matrix_out:
-        code.checks.save(args.matrix_out)
+        # the checks are held as a 0/1 matrix over GF(2); the file is over
+        # the code's field
+        checks = PrimeMatrix.from_rows(code.checks.iter_entry_rows(), code.p, code.n)
+        checks.save(args.matrix_out)
     for line in _code_report(code, cd, qd, mode):
         print(line)
     return 0

@@ -220,8 +220,10 @@ def distance_bounds(v: int, k: int, q: int, mode: str) -> DistanceBounds:
 
     Projective mode: lower bound [v-k+1, 1]_q; the exact value is known for
     k = v, where the one check is the all-ones row and the code is the
-    even-weight code (2), for q = 2 (2^(v-k+1)), even q > 2
-    ((q+2) q^(v-k-1)), and k = v-1 (the BCH bound).  Affine mode: lower
+    even-weight code (2), for q = 2 (2^(v-k+1)) and for even q > 2
+    ((q+2) q^(v-k-1)).  At odd q it is not given, not even for k = v-1:
+    there the BCH bound q+2 is short of the distance 2p of PG(2,p)'s line
+    code (6 at p = 3).  Affine mode: lower
     bound 2 q^(v-k), exact 2^(v-k+1) for q = 2 via the Reed-Muller
     identification.
     """
@@ -233,8 +235,6 @@ def distance_bounds(v: int, k: int, q: int, mode: str) -> DistanceBounds:
             exact = 2 ** (v - k + 1)
         elif q % 2 == 0:
             exact = (q + 2) * q ** (v - k - 1)
-        elif k == v - 1:
-            exact = bch_bound(v, k, q)
         else:
             exact = None
         return DistanceBounds(lower=lower, known_exact=exact)

@@ -43,8 +43,6 @@ from .field import (
 )
 from .pspace import (
     Subspace,
-    _multiples,
-    _span,
     enumerate_subspaces,
     gaussian_coefficient,
     point_space,
@@ -418,7 +416,9 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
     p = construction_params(design.params(), "flats")
     masks = []
     for blk in design.blocks:
-        span = _span(_multiples(blk))
+        span = [0]
+        for r in blk.rows:
+            span += [x ^ r for x in span]
         covered = 0
         for a in range(1 << design.v):
             if covered >> a & 1:

@@ -18,12 +18,16 @@ Conventions used everywhere downstream:
   one (k - dim b)-subspace of C, and `superspaces` enumerates those and
   reduces each together with b through `subspace`, one path at every q.
 
-For q = 2^m a vector is also handled packed, as the int sum(x_i << (m i))
-of its m-bit coordinates (for q = 2 the bitmask of `field.pack_mask`).
-Adding two vectors is then XOR of their packed ints, and one table per
-(v, ctx), of q^v entries, maps each packed vector to the index of its
-point.  The span walks of `points_of_subspace` run on those ints; odd q,
-and spaces with q > 2 and q^v > 2^20, keep coordinate tuples.
+The point walk of a k-subspace over GF(p^m) is the same at every q: its
+generators are its rows times 1, x, ..., x^(m-1), and one step list per
+(k, m, p) (`_point_steps`, a p-ary Gray code) adds one generator per step
+and visits each point once.  For q = 2^m a vector is handled packed, as
+the int sum(x_i << (m i)) of its m-bit coordinates (for q = 2 the bitmask
+of `field.pack_mask`).  Adding two vectors is then XOR of their packed
+ints, and one table per (v, ctx), of q^v entries, maps each packed vector
+to the index of its point, so a step is one XOR and one lookup.  Odd q,
+and spaces with q > 2 and q^v > 2^20, walk coordinate tuples through the
+field's add table.
 
 At q = 2 a subspace holds its canonical rows as those masks, never as
 tuples: `enumerate_subspaces` builds them directly, `subspace` packs
@@ -50,8 +54,7 @@ masks: t lies in s iff points_mask(t) & ~points_mask(s) == 0.
 """
 
 import itertools
-from functools import lru_cache
-from operator import lshift, xor
+from operator import lshift
 from typing import Callable, Iterator, Sequence
 
 from ._record import FrozenRecord
@@ -108,6 +111,8 @@ class _PointSpace:
         self.n = len(self.points)
         self.index = {pt: i for i, pt in enumerate(self.points)}
         self.vec_index: list[int] | None = None
+        # the point walk's step lists by subspace dimension (`_point_steps`)
+        self.steps: dict[int, tuple[int, ...]] = {}
         if ctx.q == 2 or (ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT):
             self.vec_index = _vec_index(v, ctx)
 
@@ -126,7 +131,7 @@ def _vec_index(v: int, ctx: FieldCtx) -> list[int]:
     ids = list(range(gaussian_coefficient(v, 1, q)))
     for mul_c in ctx.mul_table[1:]:
         rows = [[mul_c[d] << (m * j) for d in range(1, q)] for j in range(v)]
-        for i, x in zip(ids, _one_per_point(rows, 0, xor)):
+        for i, x in zip(ids, _one_per_point(rows)):
             table[x] = i
     return table
 
@@ -266,50 +271,17 @@ def enumerate_subspaces(v: int, k: int, ctx: FieldCtx) -> Iterator[Subspace]:
         yield Subspace(ctx, v, rows)
 
 
-def _multiples(s: Subspace) -> list[list]:
-    """Each row of s with its q - 1 nonzero scalar multiples, c = 1 first:
-    packed ints for q = 2^m (at q = 2 the row masks themselves), coordinate
-    tuples for odd q and for spaces without the packed table."""
-    ctx = s.ctx
-    if ctx.q == 2:
-        return [[r] for r in s.rows]
-    if point_space(s.v, ctx).vec_index is None:
-        return [[tuple([mul_c[x] for x in r]) for mul_c in ctx.mul_table[1:]] for r in s.rows]
-    shifts = range(0, ctx.m * s.v, ctx.m)
-    return [
-        [sum(map(lshift, map(mul_c.__getitem__, r), shifts)) for mul_c in ctx.mul_table[1:]]
-        for r in s.rows
-    ]
-
-
-def _tuple_add(ctx: FieldCtx) -> Callable[[Vector, Vector], Vector]:
-    at = ctx.add_table
-
-    def add(u: Vector, w: Vector) -> Vector:
-        return tuple([at[a][b] for a, b in zip(u, w)])
-
-    return add
-
-
-def _span(rows: Sequence[list[int]]) -> list[int]:
-    """Every packed vector of the span of the rows (q = 2^m); each row is
-    given by its q - 1 packed nonzero scalar multiples (`_multiples`)."""
-    span = [0]
-    for multiples in rows:
-        span += [x ^ y for y in multiples for x in span]
-    return span
-
-
-def _one_per_point(rows: Sequence[list], zero, add: Callable) -> list:
-    """One vector of each point of the span of the rows: row i plus a vector
-    of the span of the later rows (leading coefficient 1).  Rows are given
-    as in `_span`, row i first by itself (c = 1)."""
+def _one_per_point(rows: Sequence[list[int]]) -> list[int]:
+    """One packed vector of each point of the span of the rows (q = 2^m):
+    row i plus a vector of the span of the later rows (leading coefficient
+    1).  Each row is given by its q - 1 packed nonzero scalar multiples,
+    c = 1 first."""
     out = []
-    span = [zero]
+    span = [0]
     for i in reversed(range(len(rows))):
-        out += [add(rows[i][0], x) for x in span]
+        out += [rows[i][0] ^ x for x in span]
         if i:
-            span += [add(x, y) for y in rows[i] for x in span]
+            span += [x ^ y for y in rows[i] for x in span]
     return out
 
 
@@ -330,43 +302,75 @@ def points_mask(s: Subspace) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _gray_steps(k: int) -> tuple[int, ...]:
-    """The row flipped at each step of the k-bit Gray code: XORing them in
-    turn visits every nonzero vector of the span of k rows once."""
-    return tuple((i & -i).bit_length() - 1 for i in range(1, 1 << k))
+def _point_steps(k: int, m: int, p: int) -> tuple[int, ...]:
+    """The generator added at each step of the point walk of a k-subspace
+    over GF(p^m).  Its m k generators are its rows times 1, x, ...,
+    x^(m-1), highest-pivot row first: generator m t + j is row t of that
+    order times x^j.  For each t the walk steps onto row t (generator m t),
+    then runs the p-ary modular Gray code over the m t generators before
+    it, whose step i adds the generator at the lowest nonzero base-p digit
+    of i.  Row t then has coefficient 1, the rows before it every
+    combination once and the rows after it 0, so each point's vector with
+    leading coefficient 1 is visited once: [k, 1]_q steps.  At p = 2,
+    m = 1 this is the k-bit Gray code."""
+    steps: list[int] = []
+    gray: list[int] = []  # the Gray code's steps over generators 0, ..., g - 1
+    for g in range(m * k):
+        if g % m == 0:
+            steps += [g, *gray]
+        gray += [g, *gray] * (p - 1)
+    return tuple(steps)
+
+
+def _generators(s: Subspace, packed: bool) -> list:
+    """The GF(p) generators of the point walk of s (q > 2): each row times
+    1, x, ..., x^(m-1), highest-pivot row first, as packed ints or as
+    coordinate tuples."""
+    ctx = s.ctx
+    xs = [ctx.mul_table[ctx.p**j] for j in range(ctx.m)]
+    gens = [tuple([x[a] for a in r]) for r in reversed(s.rows) for x in xs]
+    if packed:
+        shifts = range(0, ctx.m * s.v, ctx.m)
+        gens = [sum(map(lshift, g, shifts)) for g in gens]
+    return gens
 
 
 def _points_mask(s: Subspace) -> int:
-    """The point mask of s: one vector per point, whose bits are ORed.
+    """The point mask of s: the walk of `_point_steps` over the generators
+    of s visits one vector per point, and the bit of each point is ORed.
 
-    At q = 2 every nonzero vector of the span of the row masks is a point:
-    the span is walked in Gray code order, one XOR and one `vec_index`
-    lookup per point.  For q = 2^m the walk (`_one_per_point`: a row of s
-    plus a combination of the later rows) runs on packed vectors by XOR,
-    from the rows and their q - 1 scalar multiples, also with one
-    `vec_index` lookup per point.  Odd q (and spaces too large for the
-    table) walk coordinate tuples, which the leading coefficient 1 leaves
-    normalized.
+    With the packed table (q = 2^m) the generators are packed ints, so each
+    step is one XOR and one `vec_index` lookup.  At q = 2 they are the row
+    masks in row order: every nonzero vector is a point there, so the walk
+    needs no reversed copy.  Otherwise (odd q, and spaces too large for the
+    table) they are coordinate tuples, added through the field's add table
+    and looked up in the point index; the leading coefficient 1 leaves each
+    visited vector normalized.  k = 0 has no points (and F_q^0 no point
+    space).
     """
     rows = s.rows
-    mask = 0
     if not rows:
-        return mask
-    sp = point_space(s.v, s.ctx)
+        return 0
+    ctx = s.ctx
+    sp = point_space(s.v, ctx)
+    k = len(rows)
+    steps = sp.steps.get(k)
+    if steps is None:
+        steps = sp.steps[k] = _point_steps(k, ctx.m, ctx.p)
     idx = sp.vec_index
-    if idx is None:
-        index = sp.index
-        for u in _one_per_point(_multiples(s), (0,) * s.v, _tuple_add(s.ctx)):
-            mask |= 1 << index[u]
-    elif s.ctx.q == 2:
+    gens = rows if ctx.q == 2 else _generators(s, idx is not None)
+    mask = 0
+    if idx is not None:
         cur = 0
-        for j in _gray_steps(len(rows)):
-            cur ^= rows[j]
+        for j in steps:
+            cur ^= gens[j]
             mask |= 1 << idx[cur]
     else:
-        for x in _one_per_point(_multiples(s), 0, xor):
-            mask |= 1 << idx[x]
+        at, index = ctx.add_table, sp.index
+        cur = (0,) * s.v
+        for j in steps:
+            cur = tuple([at[a][b] for a, b in zip(cur, gens[j])])
+            mask |= 1 << index[cur]
     return mask
 
 

@@ -211,6 +211,26 @@ def test_code_build_distance_lines_only_over_the_field_characteristic(
     )
 
 
+def test_code_build_matrix_out_is_over_the_code_field(tmp_path, capsys):
+    # the lines of PG(2,3): rank 7 over GF(3), 12 over GF(2); a field whose
+    # entries need more than one digit has no matrix file
+    path, matrix_path = tmp_path / "d.qdesign", tmp_path / "m.pmatrix"
+    run(capsys, "design", "trivial", "--t", "2", "--v", "3", "--k", "2", "--q", "3",
+        "--out", str(path))
+    code, out, _ = run(capsys, "code", "build", str(path), "--p", "3",
+                       "--matrix-out", str(matrix_path))
+    assert code == 0 and kv(out)["rank"] == "7"
+    assert matrix_path.read_text().splitlines()[0] == "pmatrix rows=13 cols=13 p=3"
+    code, out, _ = run(capsys, "code", "rank", str(matrix_path))
+    assert (code, kv(out)["rank"]) == (0, "7")
+    big = tmp_path / "big.pmatrix"
+    code, out, err = run(capsys, "code", "build", str(path), "--p", "11",
+                         "--matrix-out", str(big))
+    assert (code, out) == (1, "")
+    assert err == "error: matrix file format uses one digit per entry (p <= 7)\n"
+    assert not big.exists()
+
+
 def test_code_rank_p_zero_is_domain_error(tmp_path, capsys):
     path = tmp_path / "m.pmatrix"
     path.write_text("pmatrix rows=1 cols=3 p=2\n101\n")

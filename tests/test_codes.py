@@ -1,6 +1,7 @@
+import itertools
 import random
 from functools import reduce
-from operator import xor
+from operator import mul, xor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +34,7 @@ from .oracles import (
     random_codeword_loop,
     reduce_rows,
     rref_masks,
+    rref_tuples,
 )
 
 
@@ -155,11 +157,37 @@ def test_distance_bounds_examples():
     b2 = distance_bounds(4, 3, 2, "affine")
     assert b2.lower == 4 and b2.known_exact == 4
     for v, k, q in [(5, 4, 3), (7, 6, 5)]:
-        assert distance_bounds(v, k, q, "projective").known_exact == bch_bound(v, k, q)
+        assert distance_bounds(v, k, q, "projective").known_exact is None
     assert distance_bounds(5, 3, 3, "projective").known_exact is None
     assert distance_bounds(4, 2, 4, "projective").known_exact == 6 * 4
     with pytest.raises(ValueError):
         distance_bounds(4, 2, 2, "spherical")
+
+
+def test_pg_2_3_line_code_over_gf3_has_distance_six():
+    # all 3^6 codewords of the GF(3) code of PG(2,3)'s lines: d = 2p = 6,
+    # above the BCH bound q + 2 = 5, so no exact distance is claimed
+    ctx = FieldCtx.of(3)
+    code = proj_code(3, 2, ctx, p=3)
+    checks = list(code.checks.iter_entry_rows())
+    rows = rref_tuples(checks, code.n, ctx)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    basis = []
+    for f in range(code.n):
+        if f not in pivots:
+            vec = [0] * code.n
+            vec[f] = 1
+            for r, pc in zip(rows, pivots):
+                vec[pc] = -r[f] % 3
+            basis.append(vec)
+    assert len(basis) == code.dim == 6
+    weights = set()
+    for coeffs in itertools.product(range(3), repeat=len(basis)):
+        word = [sum(c * b[j] for c, b in zip(coeffs, basis)) % 3 for j in range(code.n)]
+        assert all(sum(map(mul, row, word)) % 3 == 0 for row in checks)
+        weights.add(sum(map(bool, word)))
+    assert min(weights - {0}) == 6
+    assert distance_bounds(3, 2, 3, "projective").known_exact in (None, 6)
 
 
 def test_min_distance_values(gf2):

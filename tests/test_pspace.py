@@ -14,7 +14,7 @@ from designcodes.designs import (
 )
 from designcodes.field import FieldCtx
 from designcodes.pspace import (
-    _multiples,
+    _point_steps,
     enumerate_points,
     enumerate_subspaces,
     gaussian_coefficient,
@@ -151,17 +151,28 @@ def test_odd_q_has_no_packed_vector_table(gf4):
     assert point_space(3, gf4).vec_index is not None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 4, 8]), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]), st.integers(min_value=0, max_value=2**32))
 def test_points_of_subspace_match_tuple_walk(q, seed):
     ctx = FieldCtx.of(q)
     rng = random.Random(seed)
-    # keep the point count of F_q^v at most 1365
-    v = rng.randrange(1, {2: 9, 4: 6, 8: 4}[q] + 1)
+    # keep the point count of F_q^v near 1365 at most
+    v = rng.randrange(1, {2: 10, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4, 16: 3}[q] + 1)
     s = random_subspace(rng, v, rng.randrange(0, v + 1), ctx)
     want = points_walk(s)
     assert points_of_subspace(s) == want
     assert points_mask(s) == sum(1 << i for i in want)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_point_steps_are_gray_codes_of_gaussian_length(k):
+    # at q = 2 the walk is the k-bit Gray code; at every q it takes one
+    # step per point of a k-subspace
+    assert _point_steps(k, 1, 2) == tuple((i & -i).bit_length() - 1 for i in range(1, 1 << k))
+    for q in (3, 4, 5, 7, 8, 9, 16):
+        if q**k <= 1 << 16:
+            ctx = FieldCtx.of(q)
+            assert len(_point_steps(k, ctx.m, ctx.p)) == gaussian_coefficient(k, 1, q)
 
 
 def test_spaces_without_packed_table_walk_tuples(monkeypatch):
@@ -371,17 +382,3 @@ def test_point_space_lookups_neither_hash_nor_compare_contexts(monkeypatch):
         projective_version(trivial_design(2, 7, k, FieldCtx.of(2)))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([4, 8]), st.integers(min_value=0, max_value=2**32))
-def test_multiples_are_the_packed_row_multiples(q, seed):
-    # a q = 2^m subspace's point walk reads its rows' packed multiples
-    ctx = FieldCtx.of(q)
-    rng = random.Random(seed)
-    v = rng.randrange(2, {4: 5, 8: 4}[q] + 1)
-    b = random_subspace(rng, v, rng.randrange(1, v), ctx)
-    assert _multiples(b) == [
-        [_packed([ctx.mul(c, x) for x in r], ctx.m) for c in range(1, q)] for r in b.rows
-    ]
-    assert points_of_subspace(b) == points_walk(b)
