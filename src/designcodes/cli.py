@@ -8,6 +8,7 @@ verification), 2 on usage errors (argparse).
 
 import argparse
 import sys
+from pathlib import Path
 
 from .codes import (
     BinaryCode,
@@ -33,12 +34,12 @@ from .designs import (
     construct,
     derive_params_comb,
     derive_params_q,
+    dumps_comb_design,
     dumps_subspace_design,
     load_subspace_design,
     loads_comb_design,
     loads_subspace_design,
     projective_version,
-    save_comb_design,
     save_subspace_design,
     trivial_design,
     verify_comb_design,
@@ -172,13 +173,18 @@ def cmd_code_build(args) -> int:
     if cd is None:
         cd = construct(qd, mode, hyperplane=_parse_hyperplane(args.hyperplane))
     code = build_code(cd, args.p, mode)
+    # both files are rendered before either is written, so a matrix the
+    # file format cannot hold leaves no design file behind
+    outputs = []
     if args.design_out:
-        save_comb_design(cd, args.design_out)
+        outputs.append((args.design_out, dumps_comb_design(cd)))
     if args.matrix_out:
         # the checks are held as a 0/1 matrix over GF(2); the file is over
         # the code's field
         checks = PrimeMatrix.from_rows(code.checks.iter_entry_rows(), code.p, code.n)
-        checks.save(args.matrix_out)
+        outputs.append((args.matrix_out, checks.dumps()))
+    for path, text in outputs:
+        Path(path).write_text(text, encoding="utf-8")
     for line in _code_report(code, cd, qd, mode):
         print(line)
     return 0

@@ -40,9 +40,13 @@ from .field import (
     _parse_header,
     _strip_lines,
     bit_positions,
+    pack_text,
+    rref_gf2,
 )
 from .pspace import (
     Subspace,
+    _canonical_rows,
+    _row_point,
     enumerate_subspaces,
     gaussian_coefficient,
     point_space,
@@ -266,17 +270,19 @@ def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
     """Count, for every t-subspace, the blocks containing it.
 
     A block contains a t-subspace T iff it contains the points of T's
-    canonical generator rows (`pspace.row_points`), so T's count is the
-    popcount of the AND of those points' columns.  On failure the witness
-    is the first t-subspace (in canonical enumeration order) with an off
-    count.
+    canonical generator rows (`pspace._row_point`), so T's count is the
+    popcount of the AND of those points' columns.  The canonical rows of
+    every t-subspace are walked as they are enumerated
+    (`pspace._canonical_rows`); only a witness becomes a `Subspace`.  On
+    failure the witness is the first t-subspace (in canonical enumeration
+    order) with an off count.
     """
-    n = gaussian_coefficient(design.v, 1, design.q)
-    rows = row_points(design.v, design.ctx)
-    cases = (
-        (t_sub, rows(t_sub)) for t_sub in enumerate_subspaces(design.v, design.t, design.ctx)
-    )
-    return _count_containments(design, n, list(map(points_mask, design.blocks)), cases)
+    ctx, v = design.ctx, design.v
+    n = gaussian_coefficient(v, 1, design.q)
+    row_point = _row_point(v, ctx)
+    cases = ((rows, map(row_point, rows)) for rows in _canonical_rows(v, design.t, design.q))
+    masks = list(map(points_mask, design.blocks))
+    return _count_containments(design, n, masks, cases, lambda rows: Subspace(ctx, v, rows))
 
 
 def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
@@ -284,14 +290,15 @@ def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
     the AND of its points' columns.  On failure the witness is the first
     t-subset (in lexicographic order) with an off count."""
     cases = ((sub, sub) for sub in itertools.combinations(range(design.n), design.t))
-    return _count_containments(design, design.n, design.masks, cases)
+    return _count_containments(design, design.n, design.masks, cases, tuple)
 
 
-def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
+def _count_containments(design, n: int, block_masks, cases, witness_of) -> VerifyResult:
     """Check every case against design.lam and flag the outcome on `design`.
 
     `block_masks` are the blocks as n-bit point masks; `cases` yields each
-    t-subspace or t-subset, in canonical order, with its point indices.
+    t-subspace or t-subset, in canonical order, with its point indices, and
+    `witness_of` turns the first case with an off count into the witness.
     """
     columns = _columns(block_masks, n)
     every_block = (1 << len(block_masks)) - 1
@@ -304,7 +311,7 @@ def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
         c = common.bit_count()
         seen.add(c)
         if c != design.lam and witness is None:
-            witness = (case, c)
+            witness = (witness_of(case), c)
     verified = witness is None
     observed = seen.pop() if len(seen) == 1 else "non-constant"
     design.verified = verified
@@ -457,10 +464,17 @@ def loads_subspace_design(text: str) -> SubspaceDesign:
     v, k = hdr["v"], hdr["k"]
     blocks = []
     for lineno, line in lines[1:]:
-        vectors = [_ints(part.split(), lineno) for part in line.split(";")]
-        if len(vectors) != k:
-            raise ValueError(f"line {lineno}: block has {len(vectors)} generators, expected {k}")
-        blk = subspace(vectors, v, ctx)
+        parts = [part.split() for part in line.split(";")]
+        # at q = 2 a generator of v literal 0/1 tokens is packed from its
+        # text; a line with any other generator is parsed token by token
+        masks = [pack_text(tokens, v) for tokens in parts] if ctx.q == 2 else [None]
+        vectors = [_ints(tokens, lineno) for tokens in parts] if None in masks else None
+        if len(parts) != k:
+            raise ValueError(f"line {lineno}: block has {len(parts)} generators, expected {k}")
+        if vectors is None:
+            blk = Subspace(ctx, v, tuple(rref_gf2(masks)[0]))
+        else:
+            blk = subspace(vectors, v, ctx)
         if blk.k != k:
             raise ValueError(f"line {lineno}: block generators span only {blk.k} dimensions")
         blocks.append(blk)

@@ -295,12 +295,18 @@ class PrimeMatrix(Record):
         body = lines[1:]
         if len(body) != nrows:
             raise ValueError(f"expected {nrows} rows, found {len(body)}")
-        entry_rows = []
+        # at p = 2 a row of 0/1 digits is packed from its text; any other
+        # row is parsed digit by digit and checked by `from_rows`
+        masks, entry_rows = [], []
         for lineno, ln in body:
             if len(ln) != ncols:
                 raise ValueError(f"line {lineno}: row has {len(ln)} digits, expected {ncols}")
-            entry_rows.append(_ints(ln, lineno))
-        return cls.from_rows(entry_rows, p, ncols)
+            mask = pack_text(ln, ncols) if p == 2 else None
+            if mask is None:
+                entry_rows.append(_ints(ln, lineno))
+            masks.append(mask)
+        parsed = iter(cls.from_rows(entry_rows, p, ncols).rows)
+        return cls(p=p, ncols=ncols, rows=[next(parsed) if m is None else m for m in masks])
 
     @classmethod
     def load(cls, path: str | Path) -> "PrimeMatrix":
@@ -376,6 +382,17 @@ def pack_mask(vec: Sequence[int]) -> int:
         bad = next(x for x in vec if x not in (0, 1))
         raise ValueError(f"{bad} is not an element of GF(2)")
     return int("".join(["01"[x] for x in reversed(vec)]) or "0", 2)
+
+
+def pack_text(tokens: Sequence[str], width: int) -> int | None:
+    """The mask `pack_mask` gives a 0/1 vector written as text: exactly
+    `width` tokens, each the literal `0` or `1`, coordinate 0 first.  None
+    for any other text (a token such as `01`, `+1`, `2` or `y`, or a wrong
+    count), which the caller parses token by token instead."""
+    bits = "".join(tokens)
+    if len(tokens) != width or len(bits) != width or bits.strip("01"):
+        return None
+    return int(bits[::-1] or "0", 2)
 
 
 def bit_positions(mask: int) -> tuple[int, ...]:

@@ -175,16 +175,22 @@ class Subspace(FrozenRecord):
         return self.rows
 
 
-def row_points(v: int, ctx: FieldCtx) -> Callable[[Subspace], tuple[int, ...]]:
-    """Key function giving the point indices of a subspace's canonical rows,
-    for subspaces of F_q^v: each row mask looked up in `vec_index` at q = 2,
-    each row tuple in the point index otherwise (F_q^0 has no points).
-    Sorting subspaces of one dimension by it orders them like their `gen`
-    tuples, coordinate 0 first."""
+def _row_point(v: int, ctx: FieldCtx) -> Callable:
+    """The point index of a canonical row of a subspace of F_q^v: the row
+    mask looked up in `vec_index` at q = 2, the row tuple in the point
+    index otherwise.  (F_q^0 has no points, and its subspaces no rows.)"""
     if not v:
-        return lambda s: ()
+        return {}.__getitem__
     sp = point_space(v, ctx)
-    row_point = (sp.vec_index if ctx.q == 2 else sp.index).__getitem__
+    return (sp.vec_index if ctx.q == 2 else sp.index).__getitem__
+
+
+def row_points(v: int, ctx: FieldCtx) -> Callable[[Subspace], tuple[int, ...]]:
+    """Key function giving the point indices of a subspace's canonical rows
+    (`_row_point`), for subspaces of F_q^v.  Sorting subspaces of one
+    dimension by it orders them like their `gen` tuples, coordinate 0
+    first."""
+    row_point = _row_point(v, ctx)
     return lambda s: tuple(map(row_point, s.rows))
 
 

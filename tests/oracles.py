@@ -38,7 +38,12 @@ tuples (self-contained); and `affine_blocks` and `flats_blocks`, the
 affine and flats constructions from before they handed point masks over,
 which labelled coordinate tuples through the field's per-element
 arithmetic (affine) and sorted tuple cosets of the row masks (flats), and
-which build on the package's point order and point sets.
+which build on the package's point order and point sets; and
+`loads_subspace_design_tokens` and `loads_matrix_tokens`, the `qdesign`
+and `pmatrix` loaders from before q = 2 rows of literal 0/1 tokens were
+packed from their text (`field.pack_text`), which parse every token with
+`int` and build on the package's header parser, `subspace` and record
+constructors.
 """
 
 from functools import lru_cache
@@ -46,7 +51,15 @@ from itertools import combinations, product
 
 from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
 from designcodes.designs import SubspaceDesign, VerifyResult
-from designcodes.field import _columns, rref_gf2
+from designcodes.field import (
+    FieldCtx,
+    PrimeMatrix,
+    _columns,
+    _ints,
+    _parse_header,
+    _strip_lines,
+    rref_gf2,
+)
 from designcodes.pspace import (
     enumerate_subspaces,
     gaussian_coefficient,
@@ -511,3 +524,45 @@ def _outcome(decoder, out, flips):
     if all((out & row).bit_count() % 2 == 0 for row in decoder.code.check_masks()):
         return DecodeOutcome(status=DECODED, word=out, flips=flips, n=decoder.n)
     return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=decoder.n)
+
+
+def loads_subspace_design_tokens(text):
+    """A `qdesign` text read token by token: every generator through `_ints`
+    and `subspace`."""
+    lines = _strip_lines(text)
+    if not lines:
+        raise ValueError("empty design file")
+    hdr = _parse_header(lines[0][1], "qdesign", ["t", "v", "k", "lambda", "q", "poly"])
+    ctx = FieldCtx.of(hdr["q"], modulus=hdr["poly"])
+    v, k = hdr["v"], hdr["k"]
+    blocks = []
+    for lineno, line in lines[1:]:
+        vectors = [_ints(part.split(), lineno) for part in line.split(";")]
+        if len(vectors) != k:
+            raise ValueError(f"line {lineno}: block has {len(vectors)} generators, expected {k}")
+        blk = subspace(vectors, v, ctx)
+        if blk.k != k:
+            raise ValueError(f"line {lineno}: block generators span only {blk.k} dimensions")
+        blocks.append(blk)
+    return SubspaceDesign(
+        ctx=ctx, t=hdr["t"], v=v, k=k, lam=hdr["lambda"], blocks=tuple(blocks)
+    )
+
+
+def loads_matrix_tokens(text):
+    """A `pmatrix` text read digit by digit: every row through `_ints` and
+    `PrimeMatrix.from_rows`."""
+    lines = _strip_lines(text)
+    if not lines:
+        raise ValueError("empty matrix file")
+    hdr = _parse_header(lines[0][1], "pmatrix", ["rows", "cols", "p"])
+    nrows, ncols, p = hdr["rows"], hdr["cols"], hdr["p"]
+    body = lines[1:]
+    if len(body) != nrows:
+        raise ValueError(f"expected {nrows} rows, found {len(body)}")
+    entry_rows = []
+    for lineno, ln in body:
+        if len(ln) != ncols:
+            raise ValueError(f"line {lineno}: row has {len(ln)} digits, expected {ncols}")
+        entry_rows.append(_ints(ln, lineno))
+    return PrimeMatrix.from_rows(entry_rows, p, ncols)

@@ -231,6 +231,19 @@ def test_code_build_matrix_out_is_over_the_code_field(tmp_path, capsys):
     assert not big.exists()
 
 
+def test_code_build_unwritable_matrix_writes_no_file(tmp_path, capsys):
+    # the design file used to be written before the matrix writer rejected
+    # p = 11, so the failed command left it behind
+    path, dout, mout = tmp_path / "d.qdesign", tmp_path / "x.cdesign", tmp_path / "x.pmatrix"
+    run(capsys, "design", "trivial", "--t", "2", "--v", "3", "--k", "2", "--q", "3",
+        "--out", str(path))
+    code, out, err = run(capsys, "code", "build", str(path), "--p", "11",
+                         "--design-out", str(dout), "--matrix-out", str(mout))
+    assert (code, out) == (1, "")
+    assert err == "error: matrix file format uses one digit per entry (p <= 7)\n"
+    assert not dout.exists() and not mout.exists()
+
+
 def test_code_rank_p_zero_is_domain_error(tmp_path, capsys):
     path = tmp_path / "m.pmatrix"
     path.write_text("pmatrix rows=1 cols=3 p=2\n101\n")
