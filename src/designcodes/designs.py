@@ -22,7 +22,16 @@ visits every t-subspace (or t-subset) of the ambient space; its outcome is
 flagged on the value.  It transposes the block point masks once into point
 columns (`field._columns`, bit i of column p set when block i contains
 point p), so the blocks containing a set of points are the AND of their
-columns.
+columns.  A t-subspace is read as the points of its canonical rows,
+walked straight off `pspace._canonical_rows` at every q; only a witness
+becomes a `Subspace`.
+
+A `qdesign` file at q = 2 reads a generator of exactly v tokens, each the
+literal `0` or `1`, straight into its row mask (`field.pack_text`), and
+reduces a block's masks with `field.rref_gf2`.  Any other line, and every
+line at q > 2, is parsed token by token (`field._ints`) and reduced by
+`pspace.subspace`, so both reads give the same design and the same
+errors.
 """
 
 import itertools

@@ -13,10 +13,13 @@ reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
 a code runs it once, on its check columns, for its nullspace basis, and
 reads its rank and codeword test off that basis.  A set of points (a
 block) is a mask too, bit i set for point i; `bit_positions` reads its
-sorted indices back, from the top bit down, and `pack_mask` is the one
-packer of a 0/1 vector into a mask.  `_columns` is the package's one GF(2) bit-matrix transpose: it turns
-row masks (checks or blocks), in matrix order, into one column mask per
-point, bit i set when row i holds the point.  A code transposes its checks
+sorted indices back, from the top bit down.  `pack_mask` is the one
+packer of a 0/1 vector into a mask, and `pack_text` the one packer of a
+0/1 vector written as text (literal `0` and `1` tokens), which the q = 2
+design rows and p = 2 matrix rows of files go through.  `_columns` is the
+package's one GF(2) bit-matrix transpose: it turns row masks (checks or
+blocks), in matrix order, into one column mask per point, bit i set when
+row i holds the point.  A code transposes its checks
 once, and its reduction and both decoders read those columns; the two-step
 decoder also transposes its member rows, and design verification counts
 the blocks through a set of points as the popcount of the AND of their
@@ -26,9 +29,10 @@ decoders' syndromes and lanes over their columns, and a code's random
 codewords and codeword test over its nullspace basis.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
-one header parser (`_parse_header`) and one body-token parser (`_ints`);
-their errors name the file line of a bad row or block, and the loaders
-that read a path (`_load_file`) put the path in front.
+one header parser (`_parse_header`) and one body-token parser (`_ints`)
+for every row that `pack_text` does not take; their errors name the file
+line of a bad row or block, and the loaders that read a path
+(`_load_file`) put the path in front.
 """
 
 import itertools
