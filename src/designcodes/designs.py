@@ -290,8 +290,11 @@ def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
     n = gaussian_coefficient(v, 1, design.q)
     row_point = _row_point(v, ctx)
     cases = ((rows, map(row_point, rows)) for rows in _canonical_rows(v, design.t, design.q))
-    masks = list(map(points_mask, design.blocks))
-    return _count_containments(design, n, masks, cases, lambda rows: Subspace(ctx, v, rows))
+    result = _count_containments(design, n, list(map(points_mask, design.blocks)), cases)
+    if result.witness is None:
+        return result
+    rows, c = result.witness
+    return VerifyResult(result.verified, result.observed_lambda, (Subspace(ctx, v, rows), c))
 
 
 def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
@@ -299,15 +302,14 @@ def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
     the AND of its points' columns.  On failure the witness is the first
     t-subset (in lexicographic order) with an off count."""
     cases = ((sub, sub) for sub in itertools.combinations(range(design.n), design.t))
-    return _count_containments(design, design.n, design.masks, cases, tuple)
+    return _count_containments(design, design.n, design.masks, cases)
 
 
-def _count_containments(design, n: int, block_masks, cases, witness_of) -> VerifyResult:
+def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
     """Check every case against design.lam and flag the outcome on `design`.
 
     `block_masks` are the blocks as n-bit point masks; `cases` yields each
-    t-subspace or t-subset, in canonical order, with its point indices, and
-    `witness_of` turns the first case with an off count into the witness.
+    t-subspace or t-subset, in canonical order, with its point indices.
     """
     columns = _columns(block_masks, n)
     every_block = (1 << len(block_masks)) - 1
@@ -320,7 +322,7 @@ def _count_containments(design, n: int, block_masks, cases, witness_of) -> Verif
         c = common.bit_count()
         seen.add(c)
         if c != design.lam and witness is None:
-            witness = (witness_of(case), c)
+            witness = (case, c)
     verified = witness is None
     observed = seen.pop() if len(seen) == 1 else "non-constant"
     design.verified = verified
@@ -476,11 +478,13 @@ def loads_subspace_design(text: str) -> SubspaceDesign:
         parts = [part.split() for part in line.split(";")]
         # at q = 2 a generator of v literal 0/1 tokens is packed from its
         # text; a line with any other generator is parsed token by token
-        masks = [pack_text(tokens, v) for tokens in parts] if ctx.q == 2 else [None]
-        vectors = [_ints(tokens, lineno) for tokens in parts] if None in masks else None
+        masks = [pack_text(tokens, v) for tokens in parts] if ctx.q == 2 else None
+        packed = masks is not None and None not in masks
+        if not packed:
+            vectors = [_ints(tokens, lineno) for tokens in parts]
         if len(parts) != k:
             raise ValueError(f"line {lineno}: block has {len(parts)} generators, expected {k}")
-        if vectors is None:
+        if packed:
             blk = Subspace(ctx, v, tuple(rref_gf2(masks)[0]))
         else:
             blk = subspace(vectors, v, ctx)

@@ -16,7 +16,7 @@ block) is a mask too, bit i set for point i; `bit_positions` reads its
 sorted indices back, from the top bit down.  `pack_mask` is the one
 packer of a 0/1 vector into a mask, and `pack_text` the one packer of a
 0/1 vector written as text (literal `0` and `1` tokens), which the q = 2
-design rows and p = 2 matrix rows of files go through.  `_columns` is the
+rows of design files go through.  `_columns` is the
 package's one GF(2) bit-matrix transpose: it turns row masks (checks or
 blocks), in matrix order, into one column mask per point, bit i set when
 row i holds the point.  A code transposes its checks
@@ -29,10 +29,10 @@ decoders' syndromes and lanes over their columns, and a code's random
 codewords and codeword test over its nullspace basis.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
-one header parser (`_parse_header`) and one body-token parser (`_ints`)
-for every row that `pack_text` does not take; their errors name the file
-line of a bad row or block, and the loaders that read a path
-(`_load_file`) put the path in front.
+one header parser (`_parse_header`) and one body-token parser (`_ints`),
+which reads every matrix row and every design row that `pack_text` does
+not take; their errors name the file line of a bad row or block, and the
+loaders that read a path (`_load_file`) put the path in front.
 """
 
 import itertools
@@ -299,18 +299,12 @@ class PrimeMatrix(Record):
         body = lines[1:]
         if len(body) != nrows:
             raise ValueError(f"expected {nrows} rows, found {len(body)}")
-        # at p = 2 a row of 0/1 digits is packed from its text; any other
-        # row is parsed digit by digit and checked by `from_rows`
-        masks, entry_rows = [], []
+        entry_rows = []
         for lineno, ln in body:
             if len(ln) != ncols:
                 raise ValueError(f"line {lineno}: row has {len(ln)} digits, expected {ncols}")
-            mask = pack_text(ln, ncols) if p == 2 else None
-            if mask is None:
-                entry_rows.append(_ints(ln, lineno))
-            masks.append(mask)
-        parsed = iter(cls.from_rows(entry_rows, p, ncols).rows)
-        return cls(p=p, ncols=ncols, rows=[next(parsed) if m is None else m for m in masks])
+            entry_rows.append(_ints(ln, lineno))
+        return cls.from_rows(entry_rows, p, ncols)
 
     @classmethod
     def load(cls, path: str | Path) -> "PrimeMatrix":

@@ -39,11 +39,10 @@ affine and flats constructions from before they handed point masks over,
 which labelled coordinate tuples through the field's per-element
 arithmetic (affine) and sorted tuple cosets of the row masks (flats), and
 which build on the package's point order and point sets; and
-`loads_subspace_design_tokens` and `loads_matrix_tokens`, the `qdesign`
-and `pmatrix` loaders from before q = 2 rows of literal 0/1 tokens were
-packed from their text (`field.pack_text`), which parse every token with
-`int` and build on the package's header parser, `subspace` and record
-constructors.
+`loads_subspace_design_tokens`, the `qdesign` loader from before q = 2
+rows of literal 0/1 tokens were packed from their text (`field.pack_text`),
+which parses every token with `int` and builds on the package's header
+parser, `subspace` and design record.
 """
 
 from functools import lru_cache
@@ -53,7 +52,6 @@ from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
 from designcodes.designs import SubspaceDesign, VerifyResult
 from designcodes.field import (
     FieldCtx,
-    PrimeMatrix,
     _columns,
     _ints,
     _parse_header,
@@ -548,21 +546,3 @@ def loads_subspace_design_tokens(text):
         ctx=ctx, t=hdr["t"], v=v, k=k, lam=hdr["lambda"], blocks=tuple(blocks)
     )
 
-
-def loads_matrix_tokens(text):
-    """A `pmatrix` text read digit by digit: every row through `_ints` and
-    `PrimeMatrix.from_rows`."""
-    lines = _strip_lines(text)
-    if not lines:
-        raise ValueError("empty matrix file")
-    hdr = _parse_header(lines[0][1], "pmatrix", ["rows", "cols", "p"])
-    nrows, ncols, p = hdr["rows"], hdr["cols"], hdr["p"]
-    body = lines[1:]
-    if len(body) != nrows:
-        raise ValueError(f"expected {nrows} rows, found {len(body)}")
-    entry_rows = []
-    for lineno, ln in body:
-        if len(ln) != ncols:
-            raise ValueError(f"line {lineno}: row has {len(ln)} digits, expected {ncols}")
-        entry_rows.append(_ints(ln, lineno))
-    return PrimeMatrix.from_rows(entry_rows, p, ncols)

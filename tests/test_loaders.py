@@ -1,6 +1,6 @@
-"""The `qdesign` and `pmatrix` loaders against the per-token references of
-`tests/oracles.py`: every text, valid or mutated, gives an equal design or
-matrix on both sides, or the same error text."""
+"""The `qdesign` loader against the per-token reference of
+`tests/oracles.py`: every text, valid or mutated, gives an equal design on
+both sides, or the same error text."""
 
 import random
 from functools import lru_cache
@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from designcodes.designs import SubspaceDesign, dumps_subspace_design, loads_subspace_design
-from designcodes.field import FieldCtx, PrimeMatrix, pack_mask, pack_text
+from designcodes.field import FieldCtx, pack_mask, pack_text
 from designcodes.pspace import enumerate_subspaces
 
-from .oracles import loads_matrix_tokens, loads_subspace_design_tokens
+from .oracles import loads_subspace_design_tokens
 
 # tokens that `int` reads but that are not a literal 0 or 1 (`١` is the
 # Arabic-Indic digit one), tokens it rejects, and whitespace and `;`
@@ -58,25 +58,15 @@ def _design_texts(draw):
 
 
 @st.composite
-def _matrix_texts(draw):
-    """`dumps` of a random matrix over GF(2) or GF(3)."""
-    p = draw(st.sampled_from([2, 3]))
-    ncols = draw(st.integers(1, 9))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(draw(st.integers(0, 5)))]
-    return PrimeMatrix.from_rows(rows, p, ncols).dumps()
-
-
-@st.composite
-def _mutated(draw, texts, sep):
+def _mutated(draw, texts):
     """A text from `texts` with up to three edits.  A line is split into
-    tokens at `sep` (into characters when `sep` is empty); an edit replaces,
-    inserts or drops a token, turns a separator into a tab, writes a random
-    0/1 generator (sep " "), or duplicates or drops a line."""
+    tokens at spaces; an edit replaces, inserts or drops a token, turns a
+    space into a tab, writes a random 0/1 generator, or duplicates or drops
+    a line."""
     lines = draw(texts).splitlines()
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
-        toks = lines[i].split(sep) if sep else list(lines[i])
+        toks = lines[i].split(" ")
         j = draw(st.integers(0, len(toks)))
         edit = draw(st.sampled_from(["replace", "insert", "drop", "tab", "generator", "line"]))
         if edit == "replace" and j < len(toks):
@@ -85,7 +75,7 @@ def _mutated(draw, texts, sep):
             toks.insert(j, draw(st.sampled_from(_JUNK)))
         elif edit == "drop" and j < len(toks):
             del toks[j]
-        elif edit == "generator" and sep:
+        elif edit == "generator":
             seps = [n for n, tok in enumerate(toks) if tok == ";"] or [len(toks), -1]
             toks[seps[-1] + 1 :] = [draw(st.sampled_from("01")) for _ in range(seps[0])]
         elif edit == "tab" and len(toks) > 1:
@@ -94,42 +84,24 @@ def _mutated(draw, texts, sep):
         elif edit == "line" and i:
             lines[i : i + 1] = [lines[i]] * draw(st.integers(0, 2))
             continue
-        lines[i] = sep.join(toks)
+        lines[i] = " ".join(toks)
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=400, deadline=None)
-@given(_mutated(_design_texts(), " "))
+@given(_mutated(_design_texts()))
 def test_design_loader_matches_token_reference(text):
     assert _outcome(loads_subspace_design, text) == _outcome(loads_subspace_design_tokens, text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_mutated(_matrix_texts(), ""))
-def test_matrix_loader_matches_token_reference(text):
-    assert _outcome(PrimeMatrix.loads, text) == _outcome(loads_matrix_tokens, text)
-
-
 @pytest.mark.parametrize("tok", _JUNK)
 @pytest.mark.parametrize("at", [0, 2, 4])
-def test_loaders_match_token_reference_on_each_token(tok, at):
-    # one token of a q = 2 block, and one digit of a p = 2 row, replaced
+def test_design_loader_matches_token_reference_on_each_token(tok, at):
+    # one token of a q = 2 block replaced
     line = "1 0 0 ; 0 1 0".split(" ")
     line[at] = tok
     text = "qdesign t=1 v=3 k=2 lambda=1 q=2 poly=2\n" + " ".join(line) + "\n"
     assert _outcome(loads_subspace_design, text) == _outcome(loads_subspace_design_tokens, text)
-    row = "10010"
-    text = f"pmatrix rows=2 cols=5 p=2\n11111\n{row[:at]}{tok}{row[at + 1:]}\n"
-    assert _outcome(PrimeMatrix.loads, text) == _outcome(loads_matrix_tokens, text)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_matrix_loader_reports_a_bad_token_before_a_bad_entry(p):
-    # every row is parsed before any entry is range-checked: a 3 on line 2
-    # does not hide the `y` on line 3
-    text = f"pmatrix rows=3 cols=3 p={p}\n101\n131\n1y1\n"
-    assert _outcome(PrimeMatrix.loads, text) == "error: line 4: 'y' is not an integer"
-    assert _outcome(loads_matrix_tokens, text) == "error: line 4: 'y' is not an integer"
 
 
 def test_pack_text_packs_like_pack_mask():
