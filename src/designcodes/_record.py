@@ -1,11 +1,12 @@
 """Equality, hashing and repr for the package's value and result classes.
 
-Each class names its fields, in constructor order, in `_fields` and writes
-its own `__init__`.  Two instances are equal when they have the same class
-and equal fields; fields listed in `_uncompared` (a design's `verified`
-flag), and attributes outside `_fields` (lazily kept tables and masks),
-take no part in equality.  The repr is `Name(field=value, ...)` over
-`_fields`.
+Every record is an immutable value.  Each class names its fields, in
+constructor order, in `_fields` and writes its own `__init__`, which puts
+the fields straight into the instance `__dict__`; assignment and deletion
+raise AttributeError.  Two instances are equal when they have the same
+class and equal fields, and hash by those fields; attributes outside
+`_fields` (lazily kept tables, masks and point tuples) take no part in
+equality.  The repr is `Name(field=value, ...)` over `_fields`.
 
 Plain classes, so that importing the package generates no code: building
 these methods with `exec` at import time made up most of the import's
@@ -16,38 +17,28 @@ from operator import attrgetter
 
 
 class Record:
-    """A mutable record: compared by its fields, so not hashable."""
+    """An immutable, hashable record, compared by its `_fields`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         if cls._fields:
-            # _key(obj): the tuple of obj's compared fields, built in C
-            compared = [f for f in cls._fields if f not in cls._uncompared]
-            cls._key = staticmethod(attrgetter(*compared))
+            # _key(obj): the tuple of obj's fields, built in C
+            cls._key = staticmethod(attrgetter(*cls._fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """An immutable, hashable record.  A subclass's `__init__` writes the
-    fields straight into the instance `__dict__`, as the lazy caches kept
-    on an instance do; assignment and deletion raise AttributeError."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -192,7 +192,7 @@ def cmd_code_build(args) -> int:
 
 def cmd_code_rank(args) -> int:
     m = PrimeMatrix.load(args.file)
-    print(f"rank={matrix_rank(m, args.p if args.p is not None else m.p)}")
+    print(f"rank={matrix_rank(m, args.p)}")
     return 0
 
 

@@ -21,7 +21,7 @@ import random
 from functools import cached_property
 from math import comb
 
-from ._record import FrozenRecord, Record
+from ._record import Record
 from .designs import CombinatorialDesign, DesignParams, SubspaceDesign, projective_version
 from .field import (
     PrimeMatrix,
@@ -35,7 +35,7 @@ from .field import (
 from .pspace import gaussian_coefficient
 
 
-class CodeSource(FrozenRecord):
+class CodeSource(Record):
     """Where a code's checks came from: construction mode plus parameters."""
 
     _fields = ("mode", "params")
@@ -61,7 +61,7 @@ class BinaryCode(Record):
     def __init__(
         self, n: int, p: int, checks: PrimeMatrix, source: CodeSource | None = None
     ) -> None:
-        self.n, self.p, self.checks, self.source = n, p, checks, source
+        self.__dict__.update(n=n, p=p, checks=checks, source=source)
 
     @cached_property
     def rank(self) -> int:
@@ -73,7 +73,7 @@ class BinaryCode(Record):
     def dim(self) -> int:
         return self.n - self.rank
 
-    def check_masks(self) -> list[int]:
+    def check_masks(self) -> tuple[int, ...]:
         if self.checks.p != 2:
             raise ValueError("bitmask checks require p = 2")
         return self.checks.rows
@@ -208,7 +208,7 @@ def bch_bound(v: int, k: int, q: int) -> int:
     return gaussian_coefficient(v - k + 1, 1, q) + 1
 
 
-class DistanceBounds(FrozenRecord):
+class DistanceBounds(Record):
     _fields = ("lower", "known_exact")
 
     def __init__(self, lower: int, known_exact: int | None) -> None:
@@ -269,7 +269,7 @@ def min_distance_bruteforce(code: BinaryCode, cap: int = 24) -> int:
     return best
 
 
-class RankReport(FrozenRecord):
+class RankReport(Record):
     """Matrix rank next to the closed-form ranks, for the rank experiment."""
 
     _fields = ("matrix_rank", "hamada_rank", "binary_simplified")

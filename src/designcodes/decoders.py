@@ -50,7 +50,7 @@ from functools import reduce
 from math import comb
 from operator import and_
 
-from ._record import FrozenRecord
+from ._record import Record
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
 from .field import _columns, _xor_select, _xor_tables, bit_positions
@@ -60,7 +60,7 @@ DECODED = "decoded"
 DETECTED = "detected-uncorrectable"
 
 
-class DecodeOutcome(FrozenRecord):
+class DecodeOutcome(Record):
     _fields = ("status", "word", "flips", "n")
 
     def __init__(self, status: str, word: int | None, flips: tuple[int, ...], n: int) -> None:
@@ -78,33 +78,21 @@ class DecodeOutcome(FrozenRecord):
 
 
 def as_mask(word, n: int) -> int:
-    """Accept an int bitmask, a 0/1 string, or a bit sequence."""
+    """A word given as an int bitmask or as a 0/1 string, position 0 first,
+    as a bitmask."""
     if isinstance(word, int):
         if word < 0 or word >> n:
             raise ValueError(f"word does not fit length {n}")
         return word
-    if isinstance(word, str):
-        bits = word.strip()
-        if len(bits) != n:
-            raise ValueError(f"word has length {len(bits)}, expected {n}")
-        mask = 0
-        for j, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"non-binary symbol {ch!r}")
-        return mask
-    mask = 0
-    count = 0
-    for j, bit in enumerate(word):
-        if bit not in (0, 1):
-            raise ValueError(f"non-binary symbol {bit!r}")
-        if bit:
-            mask |= 1 << j
-        count += 1
-    if count != n:
-        raise ValueError(f"word has length {count}, expected {n}")
-    return mask
+    if not isinstance(word, str):
+        raise ValueError(f"word must be an int or a 0/1 string, not {type(word).__name__}")
+    bits = word.strip()
+    if len(bits) != n:
+        raise ValueError(f"word has length {len(bits)}, expected {n}")
+    bad = next((ch for ch in bits if ch not in "01"), None)
+    if bad is not None:
+        raise ValueError(f"non-binary symbol {bad!r}")
+    return int(bits[::-1] or "0", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +136,7 @@ def ell_bounds(v: int, k: int, q: int, lam: int) -> tuple[int, int]:
     return (int(lower // 1), int(upper // 1))
 
 
-class CapabilityReport(FrozenRecord):
+class CapabilityReport(Record):
     """Two-step capability of the geometric k-subspace code decoded through
     a (k-1)-subspace design with 2-design parameters (r, lambda_2)."""
 
@@ -387,7 +375,7 @@ class TwoStepDecoder(_MajorityVote):
 # Empirical measurement
 
 
-class RadiusReport(FrozenRecord):
+class RadiusReport(Record):
     _fields = ("certified_radius", "first_failure_weight", "trials", "exhaustive")
 
     def __init__(
@@ -461,7 +449,7 @@ def measure_decoding_radius(
     )
 
 
-class SimReport(FrozenRecord):
+class SimReport(Record):
     _fields = ("weight", "trials", "successes", "miscorrected", "detected", "check_evals", "seed")
 
     def __init__(

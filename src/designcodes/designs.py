@@ -19,12 +19,13 @@ the constructor, is checked and packed once.
 Designs are simple: duplicate blocks are a hard error, in files and in
 constructors alike.  Verification is a separate explicit step, because it
 visits every t-subspace (or t-subset) of the ambient space; its outcome is
-flagged on the value.  It transposes the block point masks once into point
-columns (`field._columns`, bit i of column p set when block i contains
-point p), so the blocks containing a set of points are the AND of their
-columns.  A t-subspace is read as the points of its canonical rows,
-walked straight off `pspace._canonical_rows` at every q; only a witness
-becomes a `Subspace`.
+the `VerifyResult` it returns, and the design, an immutable value, is left
+as it was.  It transposes the block point masks once into point columns
+(`field._columns`, bit i of column p set when block i contains point p),
+so the blocks containing a set of points are the AND of their columns.
+A t-subspace is read as the points of its canonical rows, walked straight
+off `pspace._canonical_rows` at every q; only a witness becomes a
+`Subspace`.
 
 A `qdesign` file at q = 2 reads a generator of exactly v tokens, each the
 literal `0` or `1`, straight into its row mask (`field.pack_text`), and
@@ -40,7 +41,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from ._record import FrozenRecord, Record
+from ._record import Record
 from .field import (
     FieldCtx,
     _columns,
@@ -67,7 +68,7 @@ from .pspace import (
 MODES = ("projective", "affine", "flats")
 
 
-class DesignParams(FrozenRecord):
+class DesignParams(Record):
     """Derived parameters of a (subspace or combinatorial) t-design.
 
     q is None for combinatorial parameters; lambdas[s] is the derived
@@ -142,22 +143,12 @@ def derive_params_comb(t: int, n: int, k: int, lam: int) -> DesignParams:
 
 
 class SubspaceDesign(Record):
-    """A set of k-subspaces of F_q^v, every t-subspace in lam of them.
+    """A set of k-subspaces of F_q^v, every t-subspace in lam of them."""
 
-    `verified` takes no part in equality."""
-
-    _fields = ("ctx", "t", "v", "k", "lam", "blocks", "verified")
-    _uncompared = ("verified",)
+    _fields = ("ctx", "t", "v", "k", "lam", "blocks")
 
     def __init__(
-        self,
-        ctx: FieldCtx,
-        t: int,
-        v: int,
-        k: int,
-        lam: int,
-        blocks: tuple[Subspace, ...],
-        verified: bool = False,
+        self, ctx: FieldCtx, t: int, v: int, k: int, lam: int, blocks: tuple[Subspace, ...]
     ) -> None:
         if not 0 <= t <= k <= v:
             raise ValueError("need 0 <= t <= k <= v")
@@ -171,9 +162,7 @@ class SubspaceDesign(Record):
         for a, b in zip(blocks, blocks[1:]):
             if a.rows == b.rows:
                 raise ValueError("duplicate block (designs are simple)")
-        self.ctx, self.t, self.v, self.k, self.lam = ctx, t, v, k, lam
-        self.blocks = blocks
-        self.verified = verified
+        self.__dict__.update(ctx=ctx, t=t, v=v, k=k, lam=lam, blocks=blocks)
 
     @property
     def q(self) -> int:
@@ -194,14 +183,12 @@ class CombinatorialDesign(Record):
     point i.  `masks` lists them in the lexicographic order of the blocks'
     sorted point tuples, and `blocks` gives those tuples, read off the masks
     on first use.  The constructor takes each block as a collection of
-    points, in any order; `from_masks` takes point masks.  `verified` takes
-    no part in equality.
+    points, in any order; `from_masks` takes point masks.
     """
 
-    _fields = ("n", "t", "k", "lam", "masks", "verified")
-    _uncompared = ("verified",)
+    _fields = ("n", "t", "k", "lam", "masks")
 
-    def __init__(self, n: int, t: int, k: int, lam: int, blocks, verified: bool = False):
+    def __init__(self, n: int, t: int, k: int, lam: int, blocks):
         _check_sizes(n, t, k)
         masks = []
         for blk in blocks:
@@ -211,12 +198,10 @@ class CombinatorialDesign(Record):
             if blk and (blk[0] < 0 or blk[-1] >= n):
                 raise ValueError(f"block {blk} has points outside [0, {n})")
             masks.append(sum([1 << i for i in blk]))
-        self._set(n, t, k, lam, masks, verified)
+        self._set(n, t, k, lam, masks)
 
     @classmethod
-    def from_masks(
-        cls, n: int, t: int, k: int, lam: int, masks, verified: bool = False
-    ) -> "CombinatorialDesign":
+    def from_masks(cls, n: int, t: int, k: int, lam: int, masks) -> "CombinatorialDesign":
         """The design whose blocks have the given point masks, in any order."""
         _check_sizes(n, t, k)
         masks = list(masks)
@@ -224,10 +209,10 @@ class CombinatorialDesign(Record):
             bad = next(m for m in masks if m < 0 or m >> n or m.bit_count() != k)
             raise ValueError(f"block mask {bad:#x} is not a set of {k} points of [0, {n})")
         design = cls.__new__(cls)
-        design._set(n, t, k, lam, masks, verified)
+        design._set(n, t, k, lam, masks)
         return design
 
-    def _set(self, n: int, t: int, k: int, lam: int, masks: list[int], verified: bool) -> None:
+    def _set(self, n: int, t: int, k: int, lam: int, masks: list[int]) -> None:
         # Of two k-sets, the one holding the lowest point where they differ
         # comes first in the lexicographic order of sorted tuples.  With the
         # bits of each byte reversed, a mask's little-endian bytes hold point
@@ -236,9 +221,7 @@ class CombinatorialDesign(Record):
         masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED), reverse=True)
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate block (designs are simple)")
-        self.n, self.t, self.k, self.lam = n, t, k, lam
-        self.masks = tuple(masks)
-        self.verified = verified
+        self.__dict__.update(n=n, t=t, k=k, lam=lam, masks=tuple(masks))
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -258,7 +241,7 @@ def _check_sizes(n: int, t: int, k: int) -> None:
         raise ValueError("need 0 <= t <= k <= n")
 
 
-class VerifyResult(FrozenRecord):
+class VerifyResult(Record):
     """Outcome of a design check.  `observed_lambda` is an int, or
     "non-constant"; on failure `witness` is (t-subspace or t-subset, count)."""
 
@@ -272,7 +255,7 @@ def trivial_design(t: int, v: int, k: int, ctx: FieldCtx) -> SubspaceDesign:
     """All k-subspaces of F_q^v: the t-(v, k, [v-t, k-t]_q)_q design."""
     lam = gaussian_coefficient(v - t, k - t, ctx.q)
     blocks = tuple(enumerate_subspaces(v, k, ctx))
-    return SubspaceDesign(ctx=ctx, t=t, v=v, k=k, lam=lam, blocks=blocks, verified=False)
+    return SubspaceDesign(ctx=ctx, t=t, v=v, k=k, lam=lam, blocks=blocks)
 
 
 def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
@@ -290,7 +273,7 @@ def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
     n = gaussian_coefficient(v, 1, design.q)
     row_point = _row_point(v, ctx)
     cases = ((rows, map(row_point, rows)) for rows in _canonical_rows(v, design.t, design.q))
-    result = _count_containments(design, n, list(map(points_mask, design.blocks)), cases)
+    result = _count_containments(design.lam, n, list(map(points_mask, design.blocks)), cases)
     if result.witness is None:
         return result
     rows, c = result.witness
@@ -302,11 +285,11 @@ def verify_comb_design(design: CombinatorialDesign) -> VerifyResult:
     the AND of its points' columns.  On failure the witness is the first
     t-subset (in lexicographic order) with an off count."""
     cases = ((sub, sub) for sub in itertools.combinations(range(design.n), design.t))
-    return _count_containments(design, design.n, design.masks, cases)
+    return _count_containments(design.lam, design.n, design.masks, cases)
 
 
-def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
-    """Check every case against design.lam and flag the outcome on `design`.
+def _count_containments(lam: int, n: int, block_masks, cases) -> VerifyResult:
+    """Check every case against `lam`.
 
     `block_masks` are the blocks as n-bit point masks; `cases` yields each
     t-subspace or t-subset, in canonical order, with its point indices.
@@ -321,12 +304,10 @@ def _count_containments(design, n: int, block_masks, cases) -> VerifyResult:
             common &= columns[p]
         c = common.bit_count()
         seen.add(c)
-        if c != design.lam and witness is None:
+        if c != lam and witness is None:
             witness = (case, c)
-    verified = witness is None
     observed = seen.pop() if len(seen) == 1 else "non-constant"
-    design.verified = verified
-    return VerifyResult(verified=verified, observed_lambda=observed, witness=witness)
+    return VerifyResult(verified=witness is None, observed_lambda=observed, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +468,10 @@ def loads_subspace_design(text: str) -> SubspaceDesign:
         if packed:
             blk = Subspace(ctx, v, tuple(rref_gf2(masks)[0]))
         else:
-            blk = subspace(vectors, v, ctx)
+            try:
+                blk = subspace(vectors, v, ctx)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         if blk.k != k:
             raise ValueError(f"line {lineno}: block generators span only {blk.k} dimensions")
         blocks.append(blk)

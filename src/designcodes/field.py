@@ -7,9 +7,9 @@ q = 2 to a plain bit.
 
 Matrices over F_p carry one int bitmask per row (bit j = column j) when
 p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
-rows one at a time into a growing reduced basis, so a huge row stream never
-has to be materialized for elimination.  Over GF(2) that basis is kept in
-reduced row echelon form (`rref_gf2`), the package's one GF(2) elimination:
+a matrix's rows one at a time into a growing reduced basis.  Over GF(2)
+that basis is kept in reduced row echelon form (`rref_gf2`), the package's
+one GF(2) elimination:
 a code runs it once, on its check columns, for its nullspace basis, and
 reads its rank and codeword test off that basis.  A set of points (a
 block) is a mask too, bit i set for point i; `bit_positions` reads its
@@ -40,7 +40,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from ._record import FrozenRecord, Record
+from ._record import Record
 
 _T = TypeVar("_T")
 
@@ -123,7 +123,7 @@ def default_modulus(p: int, m: int) -> int:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-class FieldCtx(FrozenRecord):
+class FieldCtx(Record):
     """GF(p^m) with its modulus polynomial.
 
     The modulus is encoded like elements are: sum(c_i * p**i) of its
@@ -237,12 +237,12 @@ class PrimeMatrix(Record):
 
     _fields = ("p", "ncols", "rows")
 
-    def __init__(self, p: int, ncols: int, rows: list) -> None:
-        self.p, self.ncols, self.rows = p, ncols, rows
+    def __init__(self, p: int, ncols: int, rows: tuple) -> None:
+        self.__dict__.update(p=p, ncols=ncols, rows=rows)
 
     @classmethod
     def from_rows(cls, entry_rows: Iterable[Sequence[int]], p: int, ncols: int) -> "PrimeMatrix":
-        rows: list = []
+        rows = []
         for row in entry_rows:
             if len(row) != ncols:
                 raise ValueError(f"row has {len(row)} entries, expected {ncols}")
@@ -253,7 +253,7 @@ class PrimeMatrix(Record):
                 rows.append(pack_mask(row))
             else:
                 rows.append(tuple(row))
-        return cls(p=p, ncols=ncols, rows=rows)
+        return cls(p=p, ncols=ncols, rows=tuple(rows))
 
     @classmethod
     def from_masks(cls, masks: Iterable[int], ncols: int) -> "PrimeMatrix":
@@ -262,7 +262,7 @@ class PrimeMatrix(Record):
             if m < 0 or m >> ncols:
                 raise ValueError(f"bitmask wider than {ncols} columns")
             rows.append(m)
-        return cls(p=2, ncols=ncols, rows=rows)
+        return cls(p=2, ncols=ncols, rows=tuple(rows))
 
     @property
     def nrows(self) -> int:
@@ -542,35 +542,18 @@ def _rank_stream_gfp(rows: Iterable[Sequence[int]], p: int) -> int:
     return len(basis)
 
 
-def _checked(rows: Iterable[Sequence[int]], p: int) -> Iterator[Sequence[int]]:
-    for row in rows:
-        for x in row:
-            if not 0 <= x < p:
-                raise ValueError("entry not in prime field")
-        yield row
-
-
-def matrix_rank(matrix, p: int | None = None) -> int:
-    """Rank over F_p via streaming row reduction.
-
-    `matrix` is a PrimeMatrix or an iterable of rows (int bitmasks for p = 2,
-    entry sequences otherwise).  The result is independent of row order.
-    Raises ValueError if an entry is not reduced mod p.
+def matrix_rank(matrix: PrimeMatrix, p: int | None = None) -> int:
+    """Rank over F_p, by default the matrix's own p, via streaming row
+    reduction.  The result is independent of row order.  Over another p
+    the rows are read again through `PrimeMatrix.from_rows`, which raises
+    ValueError if an entry is not reduced mod p.
     """
-    if isinstance(matrix, PrimeMatrix):
-        if p is None:
-            p = matrix.p
-        if matrix.p == p == 2:
-            return len(rref_gf2(matrix.rows)[0])
-        rows = _checked(matrix.iter_entry_rows(), p)
-        if p == 2:
-            return len(rref_gf2(pack_mask(row) for row in rows)[0])
-    elif p is None:
-        raise ValueError("p is required when passing raw rows")
-    elif p == 2:
-        return len(rref_gf2(matrix)[0])
-    else:
-        rows = _checked(matrix, p)
+    if p is None:
+        p = matrix.p
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _rank_stream_gfp(rows, p)
+    if p != matrix.p:
+        matrix = PrimeMatrix.from_rows(matrix.iter_entry_rows(), p, matrix.ncols)
+    if p == 2:
+        return len(rref_gf2(matrix.rows)[0])
+    return _rank_stream_gfp(matrix.rows, p)

@@ -57,7 +57,7 @@ import itertools
 from operator import lshift
 from typing import Callable, Iterator, Sequence
 
-from ._record import FrozenRecord
+from ._record import Record
 from .field import FieldCtx, bit_positions, pack_mask, rref_gf2
 
 Vector = tuple[int, ...]
@@ -145,7 +145,7 @@ def point_space(v: int, ctx: FieldCtx) -> _PointSpace:
     return sp
 
 
-class Subspace(FrozenRecord):
+class Subspace(Record):
     """A subspace of F_q^v held by its canonical (RREF) generator matrix.
 
     `rows` are the canonical rows, pivots ascending: int masks at q = 2

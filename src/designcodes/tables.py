@@ -11,7 +11,7 @@ as lambda_max over lambda_known.
 
 from fractions import Fraction
 
-from ._record import FrozenRecord
+from ._record import Record
 from .codes import binary_rank_formula, hamada_rank
 from .decoders import ell_one_step, ell_one_step_3design
 from .designs import MODES, DesignParams, construction_params, derive_params_q
@@ -19,7 +19,7 @@ from .field import FieldCtx
 from .pspace import gaussian_coefficient
 
 
-class TableRowSpec(FrozenRecord):
+class TableRowSpec(Record):
     _fields = ("t", "v", "k", "lam", "q", "mode")
 
     def __init__(self, t: int, v: int, k: int, lam: int, q: int, mode: str) -> None:
@@ -29,7 +29,7 @@ class TableRowSpec(FrozenRecord):
         return f"{self.t}-({self.v},{self.k},{self.lam})_{self.q}"
 
 
-class RowReport(FrozenRecord):
+class RowReport(Record):
     _fields = ("spec", "n", "dim", "ell", "r", "lambda_min", "lambda_max", "speedup")
 
     def __init__(

@@ -325,7 +325,7 @@ def subspaces_of(s, t):
 def verify_scan(design):
     """The VerifyResult of a subspace or combinatorial design, by tallying
     every t-subspace (t-subset) of every block in a dict and then walking
-    the ambient ones in canonical order.  Leaves `design.verified` alone."""
+    the ambient ones in canonical order."""
     counts = {}
     if isinstance(design, SubspaceDesign):
         for blk in design.blocks:
@@ -538,7 +538,10 @@ def loads_subspace_design_tokens(text):
         vectors = [_ints(part.split(), lineno) for part in line.split(";")]
         if len(vectors) != k:
             raise ValueError(f"line {lineno}: block has {len(vectors)} generators, expected {k}")
-        blk = subspace(vectors, v, ctx)
+        try:
+            blk = subspace(vectors, v, ctx)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if blk.k != k:
             raise ValueError(f"line {lineno}: block generators span only {blk.k} dimensions")
         blocks.append(blk)

@@ -144,6 +144,24 @@ def test_loader_errors_name_the_file(tmp_path, capsys):
         assert err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "field, bad_block, message",
+    [
+        ("q=2 poly=2", "1 0 0 ; 0 1", "vector has 2 coordinates, expected 3"),
+        ("q=2 poly=2", "1 0 0 ; 0 0 2", "2 is not an element of GF(2)"),
+        ("q=4 poly=7", "1 0 0 ; 0 0 5", "5 is not an element of GF(4)"),
+    ],
+    ids=["short-generator", "two-at-q2", "five-at-q4"],
+)
+def test_bad_generator_names_its_line(tmp_path, capsys, field, bad_block, message):
+    # the errors a generator's coordinates raise name the block's line once
+    path = tmp_path / "a.qdesign"
+    path.write_text(f"qdesign t=1 v=3 k=2 lambda=1 {field}\n1 0 0 ; 0 1 0\n{bad_block}\n")
+    code, out, err = run(capsys, "design", "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: line 3: {message}\n"
+
+
 def test_design_derive(capsys):
     code, out, _ = run(
         capsys, "design", "derive", "--t", "2", "--v", "6", "--k", "3",

@@ -52,7 +52,7 @@ def test_incidence_matrix_fano(gf2):
 def test_incidence_single_full_block():
     d = CombinatorialDesign(n=5, t=0, k=5, lam=1, blocks=((0, 1, 2, 3, 4),))
     m = incidence_matrix(d)
-    assert m.rows == [0b11111]
+    assert m.rows == (0b11111,)
 
 
 def test_incidence_35x15(gf2):

@@ -575,12 +575,20 @@ def test_simulate_rejects_negative_weight(fano_pair, trials):
 
 def test_as_mask_forms():
     assert as_mask("0110", 4) == 0b0110
-    assert as_mask([0, 1, 1, 0], 4) == 0b0110
+    assert as_mask(" 0110\n", 4) == 0b0110
+    assert as_mask("", 0) == 0
     assert as_mask(6, 4) == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not fit length 4"):
         as_mask(16, 4)
-    with pytest.raises(ValueError):
-        as_mask([0, 1, 2, 0], 4)
+    with pytest.raises(ValueError, match="non-binary symbol '2'"):
+        as_mask("0120", 4)
+    with pytest.raises(ValueError, match="expected 4"):
+        as_mask("011", 4)
+    # the int and the 0/1 string are the only forms: a bit sequence is refused
+    for word in ([0, 1, 1, 0], (0, 1, 1, 0), b"0110", 6.0, None):
+        with pytest.raises(ValueError) as err:
+            as_mask(word, 4)
+        assert str(err.value) == f"word must be an int or a 0/1 string, not {type(word).__name__}"
 
 
 def test_min_distance_respects_two_step_radius(twostep31):

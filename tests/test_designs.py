@@ -82,7 +82,7 @@ def test_verify_trivial_designs(gf2):
     for t, v, k in [(2, 4, 2), (2, 5, 3), (1, 4, 2), (0, 3, 2)]:
         d = trivial_design(t, v, k, gf2)
         res = verify_subspace_design(d)
-        assert res.verified and d.verified
+        assert res.verified
         assert res.observed_lambda == gaussian_coefficient(v - t, k - t, 2)
 
 
@@ -92,7 +92,7 @@ def test_verify_catches_deleted_block(gf2):
         ctx=gf2, t=2, v=4, k=2, lam=d.lam, blocks=d.blocks[1:]
     )
     res = verify_subspace_design(broken)
-    assert not res.verified and not broken.verified
+    assert not res.verified
     assert res.witness is not None
     t_sub, count = res.witness
     assert count == d.lam - 1
@@ -430,7 +430,6 @@ def _assert_same_result(design):
     assert got.verified == want.verified
     assert got.observed_lambda == want.observed_lambda
     assert got.witness == want.witness
-    assert design.verified == want.verified
 
 
 @settings(max_examples=300, deadline=None)

@@ -170,11 +170,22 @@ def test_rank_invariant_under_row_shuffle(rng):
     assert a == b
 
 
-def test_streaming_rank_over_raw_rows():
-    masks = (m for m in [0b101, 0b011, 0b110])
-    assert matrix_rank(masks, p=2) == 2
-    with pytest.raises(ValueError):
-        matrix_rank([[0, 1]], p=None)
+def test_rank_over_another_prime_rereads_rows():
+    # over a p other than the matrix's own, every entry is checked again,
+    # and p must be prime whatever the matrix
+    m3 = PrimeMatrix.from_rows([[1, 2], [2, 1]], p=3, ncols=2)
+    assert matrix_rank(m3) == 1
+    assert matrix_rank(m3, p=5) == 2
+    with pytest.raises(ValueError, match="^entry not in prime field$"):
+        matrix_rank(m3, p=2)
+    m2 = PrimeMatrix.from_masks([0b101, 0b011, 0b110], 3)
+    assert matrix_rank(m2) == 2 and matrix_rank(m2, p=3) == 3
+    for p in (1, 4, 9):
+        for m in (m2, m3):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                matrix_rank(m, p)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        matrix_rank(PrimeMatrix(4, 2, ((1, 3),)))
 
 
 def test_matrix_file_roundtrip(tmp_path):

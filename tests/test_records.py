@@ -1,12 +1,12 @@
 """The contract of the package's value and result classes: construction in
 field order with the documented defaults, equality by type and fields,
-hashing, immutability of the value types, the lazy caches and `verified`
-kept out of equality, and the `Name(field=value, ...)` repr.
+hashing, immutability, the lazy caches kept out of equality, verification
+leaving a design as it was, and the `Name(field=value, ...)` repr.
 
 One table row per class: the constructor's parameter names in order, the
 positional arguments of one instance, those of an instance that differs in
-one field, the defaults of the omitted parameters, the expected repr, and
-whether instances are immutable (and hashable) values.
+one field, the defaults of the omitted parameters, and the expected repr.
+Every class is an immutable, hashable value.
 """
 
 import os
@@ -25,6 +25,10 @@ from designcodes.designs import (
     SubspaceDesign,
     VerifyResult,
     derive_params_q,
+    projective_version,
+    trivial_design,
+    verify_comb_design,
+    verify_subspace_design,
 )
 from designcodes.field import FieldCtx, PrimeMatrix
 from designcodes.pspace import Subspace, points_mask
@@ -44,17 +48,16 @@ LINE_POINTS = (Subspace(GF2, 2, (1,)), Subspace(GF2, 2, (3,)), Subspace(GF2, 2, 
 LINE_REPR = ", ".join(f"Subspace(ctx={GF2_REPR}, v=2, rows=({r},))" for r in (2, 1, 3))
 
 # (class, parameter names, args, args of an unequal instance, defaults of the
-#  omitted parameters, repr, immutable)
+#  omitted parameters, repr)
 CASES = [
-    (FieldCtx, "p m q modulus", (2, 1, 2, 3), (3, 1, 3, 3), {}, GF2_REPR, True),
+    (FieldCtx, "p m q modulus", (2, 1, 2, 3), (3, 1, 3, 3), {}, GF2_REPR),
     (
         PrimeMatrix,
         "p ncols rows",
-        (2, 3, [5, 6]),
-        (2, 3, [5]),
+        (2, 3, (5, 6)),
+        (2, 3, (5,)),
         {},
-        "PrimeMatrix(p=2, ncols=3, rows=[5, 6])",
-        False,
+        "PrimeMatrix(p=2, ncols=3, rows=(5, 6))",
     ),
     (
         Subspace,
@@ -63,7 +66,6 @@ CASES = [
         (GF2, 3, (1, 4)),
         {},
         f"Subspace(ctx={GF2_REPR}, v=3, rows=(1, 6))",
-        True,
     ),
     (
         DesignParams,
@@ -72,26 +74,22 @@ CASES = [
         (2, 7, 3, 3, None, PARAMS.lambdas),
         {},
         PARAMS_REPR,
-        True,
     ),
     (
         SubspaceDesign,
-        "ctx t v k lam blocks verified",
+        "ctx t v k lam blocks",
         (GF2, 1, 2, 1, 1, LINE_POINTS),
         (GF2, 1, 2, 1, 2, LINE_POINTS),
-        {"verified": False},
-        f"SubspaceDesign(ctx={GF2_REPR}, t=1, v=2, k=1, lam=1, blocks=({LINE_REPR}),"
-        " verified=False)",
-        False,
+        {},
+        f"SubspaceDesign(ctx={GF2_REPR}, t=1, v=2, k=1, lam=1, blocks=({LINE_REPR}))",
     ),
     (
         CombinatorialDesign,
-        "n t k lam blocks verified",
+        "n t k lam blocks",
         (3, 1, 1, 1, [(2,), (0,), (1,)]),
         (3, 1, 1, 1, [(2,), (0,)]),
-        {"verified": False},
-        "CombinatorialDesign(n=3, t=1, k=1, lam=1, masks=(1, 2, 4), verified=False)",
-        False,
+        {},
+        "CombinatorialDesign(n=3, t=1, k=1, lam=1, masks=(1, 2, 4))",
     ),
     (
         VerifyResult,
@@ -100,7 +98,6 @@ CASES = [
         (False, 2, ((0, 1), 2)),
         {},
         "VerifyResult(verified=False, observed_lambda='non-constant', witness=((0, 1), 2))",
-        True,
     ),
     (
         CodeSource,
@@ -109,16 +106,14 @@ CASES = [
         ("affine", PARAMS),
         {},
         f"CodeSource(mode='projective', params={PARAMS_REPR})",
-        True,
     ),
     (
         BinaryCode,
         "n p checks source",
-        (3, 2, PrimeMatrix(2, 3, [3, 6])),
-        (3, 2, PrimeMatrix(2, 3, [3])),
+        (3, 2, PrimeMatrix(2, 3, (3, 6))),
+        (3, 2, PrimeMatrix(2, 3, (3,))),
         {"source": None},
-        "BinaryCode(n=3, p=2, checks=PrimeMatrix(p=2, ncols=3, rows=[3, 6]), source=None)",
-        False,
+        "BinaryCode(n=3, p=2, checks=PrimeMatrix(p=2, ncols=3, rows=(3, 6)), source=None)",
     ),
     (
         DistanceBounds,
@@ -127,7 +122,6 @@ CASES = [
         (4, 8),
         {},
         "DistanceBounds(lower=4, known_exact=None)",
-        True,
     ),
     (
         RankReport,
@@ -136,7 +130,6 @@ CASES = [
         (29,),
         {"hamada_rank": None, "binary_simplified": None},
         "RankReport(matrix_rank=28, hamada_rank=None, binary_simplified=None)",
-        True,
     ),
     (
         DecodeOutcome,
@@ -145,7 +138,6 @@ CASES = [
         ("detected-uncorrectable", None, (1,), 3),
         {},
         "DecodeOutcome(status='decoded', word=5, flips=(1,), n=3)",
-        True,
     ),
     (
         CapabilityReport,
@@ -155,7 +147,6 @@ CASES = [
         {},
         "CapabilityReport(ell_one_step=10, ell_bounds=(9, 10), J=7, ell_two_step=3, r=63,"
         " lambda2=3)",
-        True,
     ),
     (
         RadiusReport,
@@ -164,7 +155,6 @@ CASES = [
         (2, None, 100, True),
         {},
         "RadiusReport(certified_radius=2, first_failure_weight=3, trials=100, exhaustive=True)",
-        True,
     ),
     (
         SimReport,
@@ -174,7 +164,6 @@ CASES = [
         {},
         "SimReport(weight=3, trials=10, successes=9, miscorrected=0, detected=1,"
         " check_evals=1000, seed=7)",
-        True,
     ),
     (
         TableRowSpec,
@@ -183,7 +172,6 @@ CASES = [
         (2, 7, 3, 3, 2, "affine"),
         {},
         SPEC_REPR,
-        True,
     ),
     (
         RowReport,
@@ -193,12 +181,11 @@ CASES = [
         {},
         f"RowReport(spec={SPEC_REPR}, n=127, dim=28, ell=10, r=63, lambda_min=1,"
         " lambda_max=31, speedup=Fraction(31, 3))",
-        True,
     ),
 ]
 
 cases = pytest.mark.parametrize(
-    "cls, names, args, other, defaults, text, frozen", CASES, ids=[c[0].__name__ for c in CASES]
+    "cls, names, args, other, defaults, text", CASES, ids=[c[0].__name__ for c in CASES]
 )
 
 
@@ -207,7 +194,7 @@ def test_table_covers_seventeen_classes():
 
 
 @cases
-def test_construction_by_position_and_keyword(cls, names, args, other, defaults, text, frozen):
+def test_construction_by_position_and_keyword(cls, names, args, other, defaults, text):
     names = names.split()
     assert names[len(args) :] == list(defaults)
     a = cls(*args)
@@ -219,7 +206,7 @@ def test_construction_by_position_and_keyword(cls, names, args, other, defaults,
 
 
 @cases
-def test_equality_by_type_and_fields(cls, names, args, other, defaults, text, frozen):
+def test_equality_by_type_and_fields(cls, names, args, other, defaults, text):
     a = cls(*args)
     assert a == cls(*args) and not a != cls(*args)
     assert a != cls(*other) and not a == cls(*other)
@@ -229,40 +216,39 @@ def test_equality_by_type_and_fields(cls, names, args, other, defaults, text, fr
 
 
 @cases
-def test_hash_of_values_only(cls, names, args, other, defaults, text, frozen):
+def test_hash_of_values_only(cls, names, args, other, defaults, text):
     a = cls(*args)
-    if frozen:
-        assert hash(a) == hash(cls(*args))
-        assert len({a, cls(*args)}) == 1
-    else:
-        with pytest.raises(TypeError):
-            hash(a)
+    assert hash(a) == hash(cls(*args))
+    assert len({a, cls(*args)}) == 1
+    assert len({a, cls(*other)}) == 2
 
 
 @cases
-def test_values_refuse_assignment(cls, names, args, other, defaults, text, frozen):
+def test_values_refuse_assignment(cls, names, args, other, defaults, text):
     a = cls(*args)
-    first = names.split()[0]
-    if frozen:
-        for name in names.split() + ["extra"]:
-            with pytest.raises(AttributeError):
-                setattr(a, name, 0)
+    for name in names.split() + ["extra"]:
         with pytest.raises(AttributeError):
-            delattr(a, first)
-        assert repr(a) == text
-    else:
-        setattr(a, first, getattr(a, first))
-        assert a == cls(*args)
+            setattr(a, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(a, names.split()[0])
+    assert repr(a) == text and a == cls(*args)
 
 
-def test_verified_outside_equality():
-    a = SubspaceDesign(GF2, 1, 2, 1, 1, LINE_POINTS)
-    b = SubspaceDesign(GF2, 1, 2, 1, 1, LINE_POINTS, verified=True)
-    assert a == b and b.verified and not a.verified
-    c = CombinatorialDesign(3, 1, 1, 1, [(0,), (1,), (2,)], verified=True)
-    d = CombinatorialDesign.from_masks(3, 1, 1, 1, [4, 2, 1])
-    assert c == d and c.verified and not d.verified
-    assert repr(d) == "CombinatorialDesign(n=3, t=1, k=1, lam=1, masks=(1, 2, 4), verified=False)"
+def test_verification_leaves_design_unchanged():
+    # a trivial design, which verifies, and the same with a deleted block,
+    # which does not: the outcome is the returned VerifyResult alone
+    def designs():
+        full = trivial_design(2, 4, 2, GF2)
+        broken = SubspaceDesign(GF2, 2, 4, 2, full.lam, full.blocks[1:])
+        return full, broken, projective_version(full), projective_version(broken)
+
+    for d, again, ok in zip(designs(), designs(), (True, False, True, False)):
+        verify = verify_subspace_design if isinstance(d, SubspaceDesign) else verify_comb_design
+        before = hash(d), repr(d)
+        assert verify(d).verified is ok
+        assert (hash(d), repr(d)) == before and d == again
+        with pytest.raises(AttributeError):
+            d.blocks = ()
 
 
 def test_lazy_caches_outside_equality():
