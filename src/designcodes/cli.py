@@ -47,7 +47,7 @@ from .designs import (
 )
 from .field import FieldCtx, PrimeMatrix, _load_file, _strip_lines, matrix_rank
 from .pspace import Subspace, enumerate_points, gaussian_coefficient
-from .tables import TableRowSpec, capability, comb_design_params, predicted_rank, table_row
+from .tables import TableRowSpec, capability, table_row
 
 
 def _ctx(args) -> FieldCtx:
@@ -199,10 +199,8 @@ def cmd_code_rank(args) -> int:
 def cmd_code_params(args) -> int:
     v, k, q = args.v, args.k, args.q
     lam = args.lam if args.lam is not None else gaussian_coefficient(v - args.t, k - args.t, q)
-    spec = TableRowSpec(t=args.t, v=v, k=k, lam=lam, q=q, mode=args.mode)
-    params = comb_design_params(spec)
-    n, rank = params.v, predicted_rank(spec)
-    lines = [f"n={n}", f"rank={rank}", f"dim={n - rank}", f"ell={capability(params)}"]
+    row = table_row(TableRowSpec(t=args.t, v=v, k=k, lam=lam, q=q, mode=args.mode))
+    lines = [f"n={row.n}", f"rank={row.n - row.dim}", f"dim={row.dim}", f"ell={row.ell}"]
     for line in lines + _distance_lines(v, k, q, args.mode):
         print(line)
     return 0
@@ -235,6 +233,11 @@ def _decoder_for(args):
     if args.designfile:
         step2 = load_subspace_design(args.designfile)
     else:
+        if args.k < 3:
+            raise ValueError(
+                f"--k {args.k} is too small for two-step decoding: the step-2 design"
+                " is a 2-design of (k - 1)-subspaces, so --k must be at least 3"
+            )
         step2 = trivial_design(2, args.v, args.k - 1, _ctx(args))
     code = build_code(
         projective_version(trivial_design(2, step2.v, step2.k + 1, step2.ctx)),

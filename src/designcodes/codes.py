@@ -100,11 +100,13 @@ class BinaryCode(Record):
         return _xor_select(self._codeword_tables, word) == word
 
     def nullspace_basis(self) -> list[int]:
-        """Basis of the codeword space as bitmasks (p = 2 only), cached."""
-        return self._null_basis
+        """Basis of the codeword space as bitmasks (p = 2 only): a fresh
+        list of the cached basis, so a caller's edit leaves the code as it
+        was."""
+        return list(self._null_basis)
 
     @cached_property
-    def _null_basis(self) -> list[int]:
+    def _null_basis(self) -> tuple[int, ...]:
         """The systematic nullspace basis: for each free position f of the
         reduced checks, ascending, the codeword with bit f and pivot bits only.
 
@@ -125,18 +127,17 @@ class BinaryCode(Record):
             for row, pc in zip(rows, pivots)
             if pc >= nchecks
         ]
-        basis.reverse()
-        return basis
+        return tuple(reversed(basis))
 
     @cached_property
     def _basis_tables(self):
         """`field._xor_tables` of the nullspace basis."""
-        return _xor_tables(self.nullspace_basis())
+        return _xor_tables(self._null_basis)
 
     def random_codeword(self, rng: random.Random) -> int:
         """The XOR of the basis vectors at the set bits of one
         `rng.getrandbits(dim)` draw; a code of dimension 0 draws nothing."""
-        dim = len(self.nullspace_basis())
+        dim = len(self._null_basis)
         return _xor_select(self._basis_tables, rng.getrandbits(dim)) if dim else 0
 
 

@@ -492,10 +492,6 @@ def dumps_comb_design(design: CombinatorialDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_comb_design(design: CombinatorialDesign, path: str | Path) -> None:
-    Path(path).write_text(dumps_comb_design(design), encoding="utf-8")
-
-
 def loads_comb_design(text: str) -> CombinatorialDesign:
     lines = _strip_lines(text)
     if not lines:

@@ -3,30 +3,38 @@
 Field elements are plain ints in [0, q): the integer sum(c_i * p**i) encodes
 the polynomial residue c_0 + c_1 x + ... + c_{m-1} x^(m-1) modulo the context
 modulus.  For m = 1 this degenerates to the ordinary residue mod p, and for
-q = 2 to a plain bit.
+q = 2 to a plain bit.  Arithmetic is read off a `FieldCtx`'s lazy tables
+(`add_table`, `mul_table`, `neg_table`, `inv_table`), which every caller
+indexes directly; `check` is the context's one per-element method.
 
 Matrices over F_p carry one int bitmask per row (bit j = column j) when
 p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
 a matrix's rows one at a time into a growing reduced basis.  Over GF(2)
 that basis is kept in reduced row echelon form (`rref_gf2`), the package's
-one GF(2) elimination:
-a code runs it once, on its check columns, for its nullspace basis, and
-reads its rank and codeword test off that basis.  A set of points (a
-block) is a mask too, bit i set for point i; `bit_positions` reads its
-sorted indices back, from the top bit down.  `pack_mask` is the one
-packer of a 0/1 vector into a mask, and `pack_text` the one packer of a
-0/1 vector written as text (literal `0` and `1` tokens), which the q = 2
-rows of design files go through.  `_columns` is the
-package's one GF(2) bit-matrix transpose: it turns row masks (checks or
-blocks), in matrix order, into one column mask per point, bit i set when
-row i holds the point.  A code transposes its checks
-once, and its reduction and both decoders read those columns; the two-step
-decoder also transposes its member rows, and design verification counts
-the blocks through a set of points as the popcount of the AND of their
-columns.  `_xor_select` is the package's one "XOR the vectors at a word's
-set bits", by byte lookups in tables of subset XORs (`_xor_tables`): the
-decoders' syndromes and lanes over their columns, and a code's random
-codewords and codeword test over its nullspace basis.
+one GF(2) elimination: a code runs it once, on its check columns, for its
+nullspace basis, and reads its rank and codeword test off that basis.
+`rref_gfq` is the same fold over coordinate tuples in GF(q), read off the
+context's add, mul, neg and inv tables: the package's one GF(q)
+elimination, which `pspace.subspace` puts every q > 2 subspace through.
+The rank over a prime field p > 2 (`_rank_stream_gfp`) folds with `%`
+arithmetic instead, which works at primes beyond a context's q <= 512 and
+builds no table.
+
+A set of points (a block) is a mask too, bit i set for point i;
+`bit_positions` reads its sorted indices back, from the top bit down.
+`pack_mask` is the one packer of a 0/1 vector into a mask, and `pack_text`
+the one packer of a 0/1 vector written as text (literal `0` and `1`
+tokens), which the q = 2 rows of design files go through.  `_columns` is
+the package's one GF(2) bit-matrix transpose: it turns row masks (checks
+or blocks), in matrix order, into one column mask per point, bit i set
+when row i holds the point.  A code transposes its checks once, and its
+reduction and both decoders read those columns; the two-step decoder also
+transposes its member rows, and design verification counts the blocks
+through a set of points as the popcount of the AND of their columns.
+`_xor_select` is the package's one "XOR the vectors at a word's set bits",
+by byte lookups in tables of subset XORs (`_xor_tables`): the decoders'
+syndromes and lanes over their columns, and a code's random codewords and
+codeword test over its nullspace basis.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`),
@@ -172,23 +180,6 @@ class FieldCtx(Record):
             raise ValueError(f"{a} is not an element of GF({self.q})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("no inverse of zero")
-        return self.inv_table[a]
-
     # The tables are built on first use and kept on the instance; they are
     # not fields, so equality and hashing ignore them.
 
@@ -285,9 +276,6 @@ class PrimeMatrix(Record):
         for i in range(self.nrows):
             lines.append("".join(str(x) for x in self.row_entries(i)))
         return "\n".join(lines) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps(), encoding="utf-8")
 
     @classmethod
     def loads(cls, text: str) -> "PrimeMatrix":
@@ -431,6 +419,41 @@ def rref_gf2(masks: Iterable[int]) -> tuple[list[int], list[int]]:
     return [basis[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
 
 
+def rref_gfq(rows: Iterable[Sequence[int]], ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon form of coordinate-tuple rows over GF(q), folded
+    in one at a time as `rref_gf2` folds masks; the package's one GF(q)
+    elimination, read off the field's tables.
+
+    Each row is reduced by the pivots so far, scaled to a leading 1 and
+    then cleared out of the other rows.  Returns the reduced rows, pivots
+    ascending: a row's pivot is its first nonzero coordinate, which holds
+    1, and no other row is nonzero there.  Zero and dependent rows are
+    dropped.  Entries must be elements of GF(q); the caller checks them.
+    """
+    add, mul, neg, inv = ctx.add_table, ctx.mul_table, ctx.neg_table, ctx.inv_table
+    basis: dict[int, tuple[int, ...]] = {}  # pivot column -> row
+
+    def minus(r, c, b):  # r - c b
+        mc = mul[neg[c]]
+        return tuple([add[x][mc[y]] for x, y in zip(r, b)])
+
+    for row in rows:
+        r = tuple(row)
+        for j, b in basis.items():
+            if r[j]:
+                r = minus(r, r[j], b)  # clears column j and no other pivot's
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        if r[lead] != 1:
+            r = tuple([mul[inv[r[lead]]][x] for x in r])
+        for j, b in basis.items():
+            if b[lead]:
+                basis[j] = minus(b, b[lead], r)
+        basis[lead] = r
+    return tuple(basis[j] for j in sorted(basis))
+
+
 def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
     """Transpose a bit matrix given as its n-bit row masks, in order: column
     p is returned as a mask with bit i set when row i has bit p.
@@ -525,6 +548,11 @@ def _xor_select(tables, bits: int) -> int:
 
 
 def _rank_stream_gfp(rows: Iterable[Sequence[int]], p: int) -> int:
+    """Rank over the prime field F_p of entry rows, by the same fold with
+    `%` arithmetic.  It stays apart from `rref_gfq`: `%` works at every
+    prime p, including p > 512, where `FieldCtx` refuses, and building a
+    field's tables costs O(q^2) (about 60 ms at p = 127 and 0.7 s at
+    p = 509) for a matrix read once."""
     basis: dict[int, tuple[int, ...]] = {}
     for row in rows:
         r = list(row)

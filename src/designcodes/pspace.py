@@ -35,7 +35,9 @@ vectors with `field.pack_mask` and reduces them with `field.rref_gf2`
 (whose pivot, the lowest set bit, is the first nonzero coordinate, so the
 canonical form is the same), and the point walks and design
 verification read them.  `Subspace.gen` rebuilds the tuples for output and
-for `superspaces`, which hands them back to `subspace`.
+for `superspaces`, which hands them back to `subspace`.  At q > 2
+`subspace` reduces coordinate tuples with `field.rref_gfq`, the same fold
+over the field's tables; this module does no elimination of its own.
 
 At every q the canonical rows are normalized point vectors, so
 `row_points` reads a subspace's rows as point indices (by `vec_index` at
@@ -58,7 +60,7 @@ from operator import lshift
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
-from .field import FieldCtx, bit_positions, pack_mask, rref_gf2
+from .field import FieldCtx, bit_positions, pack_mask, rref_gf2, rref_gfq
 
 Vector = tuple[int, ...]
 
@@ -194,34 +196,11 @@ def row_points(v: int, ctx: FieldCtx) -> Callable[[Subspace], tuple[int, ...]]:
     return lambda s: tuple(map(row_point, s.rows))
 
 
-def rref(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> tuple[Vector, ...]:
-    """Reduced row echelon form over coordinate tuples (q > 2); dependent
-    and zero rows are dropped."""
-    rows = [list(r) for r in vectors]
-    piv = 0
-    for col in range(v):
-        sel = next((i for i in range(piv, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        lead = rows[piv][col]
-        if lead != 1:
-            inv = ctx.inv(lead)
-            rows[piv] = [ctx.mul(inv, x) for x in rows[piv]]
-        for i in range(len(rows)):
-            if i != piv and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(rows[i], rows[piv])]
-        piv += 1
-        if piv == len(rows):
-            break
-    return tuple(tuple(r) for r in rows[:piv])
-
-
 def subspace(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> Subspace:
     """Canonical subspace spanned by the given vectors.  At q = 2 they are
     packed into masks and reduced by `field.rref_gf2`, each row's pivot its
-    lowest set bit."""
+    lowest set bit; otherwise their entries are checked and the coordinate
+    tuples reduced by `field.rref_gfq`."""
     for r in vectors:
         if len(r) != v:
             raise ValueError(f"vector has {len(r)} coordinates, expected {v}")
@@ -230,7 +209,7 @@ def subspace(vectors: Sequence[Sequence[int]], v: int, ctx: FieldCtx) -> Subspac
     for r in vectors:
         for x in r:
             ctx.check(x)
-    return Subspace(ctx, v, rref(vectors, v, ctx))
+    return Subspace(ctx, v, rref_gfq(vectors, ctx))
 
 
 def _pivots(s: Subspace) -> tuple[int, ...]:

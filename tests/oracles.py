@@ -101,22 +101,21 @@ def rref_tuples(vectors, v, ctx):
         rows[piv], rows[sel] = rows[sel], rows[piv]
         lead = rows[piv][col]
         if lead != 1:
-            inv = ctx.inv(lead)
-            rows[piv] = [ctx.mul(inv, x) for x in rows[piv]]
+            rows[piv] = list(vec_scale(ctx.inv_table[lead], rows[piv], ctx))
         for i in range(len(rows)):
             if i != piv and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(rows[i], rows[piv])]
+                c = ctx.neg_table[rows[i][col]]
+                rows[i] = list(vec_add(rows[i], vec_scale(c, rows[piv], ctx), ctx))
         piv += 1
     return tuple(tuple(r) for r in rows[:piv])
 
 
 def vec_add(u, w, ctx):
-    return tuple(ctx.add(a, b) for a, b in zip(u, w))
+    return tuple(ctx.add_table[a][b] for a, b in zip(u, w))
 
 
 def vec_scale(c, u, ctx):
-    return tuple(ctx.mul(c, a) for a in u)
+    return tuple(ctx.mul_table[c][a] for a in u)
 
 
 def normalize_point(vec, ctx):
@@ -126,7 +125,7 @@ def normalize_point(vec, ctx):
         raise ValueError("zero vector spans no point")
     if lead == 1:
         return tuple(vec)
-    return vec_scale(ctx.inv(lead), vec, ctx)
+    return vec_scale(ctx.inv_table[lead], vec, ctx)
 
 
 def naive_rank(rows, p):
@@ -394,13 +393,13 @@ def affine_blocks(design, hyperplane=None):
         acc = 0
         for a, x in zip(normal, vec):
             if a and x:
-                acc = ctx.add(acc, ctx.mul(a, x))
+                acc = ctx.add_table[acc][ctx.mul_table[a][x]]
         return acc
 
     def affine_index(vec):
         d = dot(vec)
         if d != 1:
-            vec = tuple(ctx.mul(ctx.inv(d), x) for x in vec)
+            vec = vec_scale(ctx.inv_table[d], vec, ctx)
         idx = 0
         weight = 1
         for i, x in enumerate(vec):

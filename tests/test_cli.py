@@ -290,6 +290,28 @@ def test_code_params_k_equal_v_is_the_even_weight_code(capsys, q):
     assert (pairs["rank"], pairs["d_bch"], pairs["d_exact"]) == ("1", "2", "2")
 
 
+@pytest.mark.parametrize("lam", ["2", "5"])
+def test_code_params_lambda_above_maximum_is_domain_error(capsys, lam):
+    # [1, 0]_2 = 1: a 2-(3, 2, lambda)_2 design has lambda at most 1, as `table` says
+    argv = ["--v", "3", "--k", "2", "--q", "2", "--lambda", lam]
+    code, out, err = run(capsys, "code", "params", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: lambda={lam} exceeds the maximum 1\n"
+    _, _, table_err = run(capsys, "table", *argv)
+    assert table_err == err
+
+
+def test_code_params_reads_the_table_row(capsys):
+    # the row of test_table_kv_format, with its distance lines after it
+    code, out, _ = run(
+        capsys, "code", "params", "--v", "9", "--k", "5", "--q", "2", "--lambda", "93"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "n=511", "rank=256", "dim=255", "ell=8", "d_bch=32", "d_lower=31", "d_exact=32"
+    ]
+
+
 def test_code_build_flats_design_out(tmp_path, capsys):
     path = tmp_path / "d.qdesign"
     run(capsys, "design", "trivial", "--t", "2", "--v", "3", "--k", "2", "--q", "2",
@@ -362,6 +384,22 @@ def test_decode_two_step(capsys):
     )
     pairs = kv(out)
     assert pairs["status"] == "decoded" and pairs["word"] == "0" * 31
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "two-step", "--word", "0" * 21],
+        ["radius", "--decoder", "two-step"],
+        ["simulate", "--decoder", "two-step", "--weight", "2", "--trials", "5"],
+    ],
+    ids=["decode", "radius", "simulate"],
+)
+def test_two_step_with_k_below_3_names_k_and_the_step2_design(capsys, argv):
+    code, out, err = run(capsys, *argv, "--v", "3", "--k", "2", "--q", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --k 2 is too small for two-step decoding")
+    assert "step-2 design" in err and err.count("\n") == 1
 
 
 def test_decode_two_step_with_designfile(tmp_path, capsys):

@@ -254,6 +254,21 @@ def test_nullspace_basis_spans_codewords(gf2):
         assert code.is_codeword(vec)
 
 
+def test_nullspace_basis_edits_leave_the_code_unchanged(gf2):
+    # PG(2, 2)'s code: a caller's edit of the returned list is its own
+    code = proj_code(3, 2, gf2)
+    basis = code.nullspace_basis()
+    want = list(basis)
+    basis.append(3)
+    basis[0] ^= 1
+    assert code.nullspace_basis() == want and code.nullspace_basis() is not basis
+    assert len(want) == code.dim == 3
+    rng = random.Random(5)
+    for _ in range(20):
+        assert code.is_codeword(code.random_codeword(rng))
+    assert min_distance_bruteforce(code) == 4
+
+
 def test_random_codeword_is_codeword(gf2):
     code = proj_code(5, 3, gf2)
     rng = random.Random(7)

@@ -51,7 +51,7 @@ def _design_texts(draw):
         gens = [list(row) for row in blk.gen]
         for _ in range(rng.randrange(3) if k > 1 else 0):
             i, j = rng.sample(range(k), 2)
-            gens[i] = [ctx.add(a, b) for a, b in zip(gens[i], gens[j])]
+            gens[i] = [ctx.add_table[a][b] for a, b in zip(gens[i], gens[j])]
         rng.shuffle(gens)
         lines.append(" ; ".join(" ".join(map(str, row)) for row in gens))
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from designcodes.designs import (
     trivial_design,
     verify_subspace_design,
 )
-from designcodes.field import FieldCtx
+from designcodes.field import FieldCtx, rref_gfq
 from designcodes.pspace import (
     _point_steps,
     enumerate_points,
@@ -22,7 +22,6 @@ from designcodes.pspace import (
     points_mask,
     points_of_subspace,
     row_points,
-    rref,
     subspace,
     superspaces,
 )
@@ -34,6 +33,8 @@ from .oracles import (
     rref_tuples,
     subspaces_of,
     superspaces_scan,
+    vec_add,
+    vec_scale,
 )
 
 
@@ -97,7 +98,7 @@ def test_enumeration_count_larger_binary(v, k, gf2):
 
 def test_enumerated_subspaces_are_canonical(gf4):
     for s in enumerate_subspaces(4, 2, gf4):
-        assert rref(s.gen, 4, gf4) == s.gen
+        assert rref_gfq(s.gen, gf4) == s.gen
 
 
 def test_enumeration_is_duplicate_free(gf2):
@@ -231,14 +232,13 @@ def test_q2_masks_match_tuple_oracle(v, data):
 
 
 def test_q2_paths_use_no_tuple_arithmetic(monkeypatch, gf2):
-    # q = 2 subspaces are masks: neither the tuple RREF nor the field's
-    # per-element arithmetic runs on the q = 2 paths
+    # q = 2 subspaces are masks: neither the GF(q) tuple reduction nor the
+    # field's entry check runs on the q = 2 paths
     def forbidden(*args):
         raise AssertionError("tuple arithmetic at q = 2")
 
-    monkeypatch.setattr(pspace, "rref", forbidden)
-    for name in ("check", "add", "sub", "mul", "inv"):
-        monkeypatch.setattr(FieldCtx, name, forbidden)
+    monkeypatch.setattr(pspace, "rref_gfq", forbidden)
+    monkeypatch.setattr(FieldCtx, "check", forbidden)
     s = subspace([(1, 1, 0, 0, 1), (0, 1, 1, 0, 0)], 5, gf2)
     assert len(points_of_subspace(s)) == 3
     assert len(superspaces(s, 3)) == 7
@@ -361,8 +361,36 @@ def test_subspaces_of_counts(gf2, gf4):
 
 def test_rref_canonicalizes_dependent_rows(gf4):
     # second row is 2 * first
-    got = rref([(2, 2, 0), (3, 3, 0)], 3, gf4)
+    got = rref_gfq([(2, 2, 0), (3, 3, 0)], gf4)
     assert got == ((1, 1, 0),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rref_gfq_matches_tuple_oracle(data):
+    # zero rows, dependent rows (combinations of earlier rows) and more
+    # rows than coordinates
+    q = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9, 16]))
+    ctx = FieldCtx.of(q)
+    v = data.draw(st.integers(1, 5))
+    entries = st.lists(st.integers(0, q - 1), min_size=v, max_size=v)
+    rows = []
+    for _ in range(data.draw(st.integers(0, v + 3))):
+        kind = data.draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append((0,) * v)
+        elif kind == "dependent" and rows:
+            row = (0,) * v
+            for other in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                c = data.draw(st.integers(0, q - 1))
+                row = vec_add(row, vec_scale(c, other, ctx), ctx)
+            rows.append(row)
+        else:
+            rows.append(tuple(data.draw(entries)))
+    want = rref_tuples(rows, v, ctx)
+    assert rref_gfq(rows, ctx) == want
+    assert rref_gfq(reversed(rows), ctx) == want
+    assert subspace(rows, v, ctx).rows == want
 
 
 def test_point_space_lookups_neither_hash_nor_compare_contexts(monkeypatch):
