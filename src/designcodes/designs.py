@@ -16,6 +16,14 @@ constructions hand over masks.  Point tuples are read off the masks for
 output, and tuple input, which comes only from files and callers of
 the constructor, is checked and packed once.
 
+A subspace design notes whether it is complete, holding every
+k-subspace.  `trivial_design` makes the complete design without listing
+it: its blocks are enumerated and sorted on the first read of `blocks`
+and kept.  The projective version of a complete design at q = 2 takes
+its masks from the hyperplane product (`pspace.subspace_masks_gf2`), so
+it never lists the blocks; every other design, and every design at
+q > 2, hands over its blocks' point masks.
+
 Designs are simple: duplicate blocks are a hard error, in files and in
 constructors alike.  Verification is a separate explicit step, because it
 visits every t-subspace (or t-subset) of the ambient space; its outcome is
@@ -63,6 +71,7 @@ from .pspace import (
     points_mask,
     row_points,
     subspace,
+    subspace_masks_gf2,
 )
 
 MODES = ("projective", "affine", "flats")
@@ -143,7 +152,16 @@ def derive_params_comb(t: int, n: int, k: int, lam: int) -> DesignParams:
 
 
 class SubspaceDesign(Record):
-    """A set of k-subspaces of F_q^v, every t-subspace in lam of them."""
+    """A set of k-subspaces of F_q^v, every t-subspace in lam of them.
+
+    The constructor sorts the blocks by `pspace.row_points` and rejects
+    duplicates.  `complete` notes whether the design holds every
+    k-subspace, which for a simple design means [v, k]_q blocks.  The
+    complete designs of `trivial_design` list their blocks on first read
+    of `blocks`, in the same order, and keep them; `projective_version` at
+    q = 2 takes a complete design's point masks from the hyperplane product
+    (`pspace.subspace_masks_gf2`) and leaves its blocks unlisted.
+    """
 
     _fields = ("ctx", "t", "v", "k", "lam", "blocks")
 
@@ -162,7 +180,19 @@ class SubspaceDesign(Record):
         for a, b in zip(blocks, blocks[1:]):
             if a.rows == b.rows:
                 raise ValueError("duplicate block (designs are simple)")
-        self.__dict__.update(ctx=ctx, t=t, v=v, k=k, lam=lam, blocks=blocks)
+        complete = len(blocks) == gaussian_coefficient(v, k, ctx.q)
+        self.__dict__.update(ctx=ctx, t=t, v=v, k=k, lam=lam, _blocks=blocks, complete=complete)
+
+    @property
+    def blocks(self) -> tuple[Subspace, ...]:
+        """The blocks, sorted by `row_points`.  A `trivial_design` enumerates
+        every k-subspace here on the first read and keeps them."""
+        blocks = self.__dict__.get("_blocks")
+        if blocks is None:
+            v, ctx = self.v, self.ctx
+            blocks = tuple(sorted(enumerate_subspaces(v, self.k, ctx), key=row_points(v, ctx)))
+            self.__dict__["_blocks"] = blocks
+        return blocks
 
     @property
     def q(self) -> int:
@@ -252,10 +282,19 @@ class VerifyResult(Record):
 
 
 def trivial_design(t: int, v: int, k: int, ctx: FieldCtx) -> SubspaceDesign:
-    """All k-subspaces of F_q^v: the t-(v, k, [v-t, k-t]_q)_q design."""
+    """All k-subspaces of F_q^v: the t-(v, k, [v-t, k-t]_q)_q design.
+
+    The parameters are checked here, but the blocks are enumerated only on
+    the first read of `blocks`; the design equals the one the constructor
+    makes of every k-subspace.  Its projective version at q = 2 never
+    lists them.
+    """
+    if not 0 <= t <= k <= v:
+        raise ValueError("need 0 <= t <= k <= v")
+    design = SubspaceDesign.__new__(SubspaceDesign)
     lam = gaussian_coefficient(v - t, k - t, ctx.q)
-    blocks = tuple(enumerate_subspaces(v, k, ctx))
-    return SubspaceDesign(ctx=ctx, t=t, v=v, k=k, lam=lam, blocks=blocks)
+    design.__dict__.update(ctx=ctx, t=t, v=v, k=k, lam=lam, complete=True)
+    return design
 
 
 def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
@@ -353,10 +392,19 @@ def construct(design: SubspaceDesign, mode: str, hyperplane=None) -> Combinatori
 
 
 def projective_version(design: SubspaceDesign) -> CombinatorialDesign:
-    """Blocks as point sets of the projective geometry: a 2-design.  The
-    blocks' point masks (`pspace.points_mask`) are handed over as they are."""
+    """Blocks as point sets of the projective geometry: a 2-design.
+
+    A complete design at q = 2 takes every k-subspace's point mask from the
+    hyperplane product (`pspace.subspace_masks_gf2`), without listing its
+    blocks; every other design hands over its blocks' point masks
+    (`pspace.points_mask`).  `from_masks` sorts both into the same design.
+    """
     p = construction_params(design.params(), "projective")
-    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, map(points_mask, design.blocks))
+    if design.q == 2 and design.complete:
+        masks = subspace_masks_gf2(design.v, design.k, design.ctx)
+    else:
+        masks = map(points_mask, design.blocks)
+    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, masks)
 
 
 def affine_version(

@@ -53,6 +53,14 @@ one walk, which ORs the bit of each point it finds; the sorted tuple of
 point indices (`points_of_subspace`) is read off the mask on demand.  Each
 field context keeps its own point spaces.  Containment is read off the
 masks: t lies in s iff points_mask(t) & ~points_mask(s) == 0.
+
+At q = 2 the point masks of all k-subspaces at once come from a
+hyperplane product instead (`subspace_masks_gf2`), in no fixed order and
+with no `Subspace` and no walk: the subspaces with one pivot set are the
+intersections of one hyperplane per non-pivot column j, whose normal is
+e_j plus any subset of the pivots below j, so their masks are the
+AND-product of those hyperplanes' masks.  `designs.projective_version`
+takes a complete q = 2 design's masks from it.
 """
 
 import itertools
@@ -357,6 +365,46 @@ def _points_mask(s: Subspace) -> int:
             cur = tuple([at[a][b] for a, b in zip(cur, gens[j])])
             mask |= 1 << index[cur]
     return mask
+
+
+def subspace_masks_gf2(v: int, k: int, ctx: FieldCtx) -> list[int]:
+    """The point mask of every k-subspace of F_2^v, in no fixed order, with
+    no `Subspace` and no point walk.
+
+    The k-subspaces with pivot set P are the intersections of one
+    hyperplane per column j outside P: x_j = sum of a_p x_p over the
+    pivots p < j, for any choice of the a_p (row p's entry in column j).
+    So their masks are the AND-product of one list of hyperplane masks per
+    such column, normal e_j plus each subset of the pivots below j, taken
+    column by column: about one AND per subspace.  The hyperplane masks
+    are indexed by the packed normal, and each is built from one with a
+    lower normal by XOR with a coordinate mask (the points whose
+    coordinate i is 1).  k = 0 gives the single mask 0.
+    """
+    if ctx.q != 2:
+        raise ValueError("subspace_masks_gf2 needs q = 2")
+    if not 0 <= k <= v:
+        return []
+    points = point_space(v, ctx).points if v else ()
+    # hyper[u]: the mask of the hyperplane with packed normal u (u = 0: every
+    # point).  Column i of the points, point 0 lowest, is the mask of the
+    # points with x_i = 1, and XOR with it adds e_i to the normal.
+    hyper = [(1 << len(points)) - 1]
+    for column in zip(*reversed(points)):
+        coord = int("".join(map(str, column)), 2)
+        hyper += [h ^ coord for h in hyper]
+    masks = []
+    for pivots in itertools.combinations(range(v), k):
+        cell = [hyper[0]]
+        below = [0]  # the subsets of the pivots below j, as packed normals
+        for j in range(v):
+            if j in pivots:
+                below += [s | 1 << j for s in below]
+            else:
+                planes = [hyper[1 << j | s] for s in below]
+                cell = [m & h for m in cell for h in planes]
+        masks += cell
+    return masks
 
 
 def superspaces(b: Subspace, k: int) -> tuple[Subspace, ...]:

@@ -42,14 +42,22 @@ which build on the package's point order and point sets; and
 `loads_subspace_design_tokens`, the `qdesign` loader from before q = 2
 rows of literal 0/1 tokens were packed from their text (`field.pack_text`),
 which parses every token with `int` and builds on the package's header
-parser, `subspace` and design record.
+parser, `subspace` and design record; and `projective_walk`, the
+projective construction from before complete q = 2 designs took their
+masks from `pspace.subspace_masks_gf2`, which hands every block's walked
+point mask (`pspace.points_mask`) to `CombinatorialDesign.from_masks`.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
 
 from designcodes.decoders import DECODED, DETECTED, DecodeOutcome
-from designcodes.designs import SubspaceDesign, VerifyResult
+from designcodes.designs import (
+    CombinatorialDesign,
+    SubspaceDesign,
+    VerifyResult,
+    construction_params,
+)
 from designcodes.field import (
     FieldCtx,
     _columns,
@@ -272,6 +280,13 @@ def points_walk(s):
                     vec = vec_add(vec, vec_scale(c, row, s.ctx), s.ctx)
             out.append(sp.index[normalize_point(vec, s.ctx)])
     return tuple(sorted(out))
+
+
+def projective_walk(design):
+    """The projective version of a subspace design from its listed blocks'
+    walked point masks, at every q and for every design."""
+    p = construction_params(design.params(), "projective")
+    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, map(points_mask, design.blocks))
 
 
 def superspaces_scan(b, k):

@@ -35,6 +35,7 @@ from .oracles import (
     comb_design_blocks,
     flats_blocks,
     naive_comb_design_counts,
+    projective_walk,
     verify_scan,
 )
 
@@ -148,6 +149,23 @@ def test_projective_version_parameters(gf2):
     proj = projective_version(d)
     assert (proj.n, proj.k, proj.lam) == (31, 7, 7)
     assert verify_comb_design(proj).verified
+
+
+@pytest.mark.parametrize(
+    "q, v, k", [(2, 3, 2), (2, 5, 3), (2, 6, 4), (3, 3, 2), (3, 4, 2), (4, 3, 2), (4, 4, 3)]
+)
+def test_projective_version_matches_walk(q, v, k):
+    # q = 2 builds a complete design's masks by the hyperplane product,
+    # other q walk each block; both equal the walk-built reference, also
+    # for a complete design given as explicit blocks and for one block less
+    ctx = FieldCtx.of(q)
+    full = loads_subspace_design(dumps_subspace_design(trivial_design(2, v, k, ctx)))
+    broken = SubspaceDesign(ctx, 2, v, k, full.lam, full.blocks[:-1])
+    assert full.complete and not broken.complete
+    for d in (trivial_design(2, v, k, ctx), full):
+        assert projective_version(d) == projective_walk(d)
+    assert projective_version(broken) == projective_walk(broken)
+    assert len(projective_version(broken).masks) == len(full.blocks) - 1
 
 
 def test_projective_needs_t2(gf2):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from designcodes.pspace import (
     points_of_subspace,
     row_points,
     subspace,
+    subspace_masks_gf2,
     superspaces,
 )
 
@@ -163,6 +165,24 @@ def test_points_of_subspace_match_tuple_walk(q, seed):
     want = points_walk(s)
     assert points_of_subspace(s) == want
     assert points_mask(s) == sum(1 << i for i in want)
+
+
+@pytest.mark.parametrize("v", range(9))
+def test_hyperplane_product_matches_point_walks(v, gf2):
+    # the kernel's masks, in no fixed order, are the walked point masks of
+    # every k-subspace, each once
+    for k in range(v + 1):
+        got = subspace_masks_gf2(v, k, gf2)
+        assert Counter(got) == Counter(map(points_mask, enumerate_subspaces(v, k, gf2)))
+        assert len(got) == gaussian_coefficient(v, k, 2)
+    assert subspace_masks_gf2(v, 0, gf2) == [0]
+    assert subspace_masks_gf2(v, v, gf2) == [(1 << 2**v - 1) - 1]
+    assert subspace_masks_gf2(v, v + 1, gf2) == []
+
+
+def test_hyperplane_product_is_q2_only(gf4):
+    with pytest.raises(ValueError, match="q = 2"):
+        subspace_masks_gf2(3, 2, gf4)
 
 
 @pytest.mark.parametrize("k", range(8))

@@ -1,7 +1,9 @@
 """The contract of the package's value and result classes: construction in
 field order with the documented defaults, equality by type and fields,
 hashing, immutability, the lazy caches kept out of equality, verification
-leaving a design as it was, and the `Name(field=value, ...)` repr.
+leaving a design as it was, and the `Name(field=value, ...)` repr.  A
+trivial design, whose blocks are listed on first read, is the same value
+as the constructor's design of every k-subspace.
 
 One table row per class: the constructor's parameter names in order, the
 positional arguments of one instance, those of an instance that differs in
@@ -31,7 +33,7 @@ from designcodes.designs import (
     verify_subspace_design,
 )
 from designcodes.field import FieldCtx, PrimeMatrix
-from designcodes.pspace import Subspace, points_mask
+from designcodes.pspace import Subspace, enumerate_subspaces, points_mask
 from designcodes.tables import RowReport, TableRowSpec
 
 GF2 = FieldCtx(2, 1, 2, 3)
@@ -249,6 +251,33 @@ def test_verification_leaves_design_unchanged():
         assert (hash(d), repr(d)) == before and d == again
         with pytest.raises(AttributeError):
             d.blocks = ()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_trivial_design_lists_its_blocks_on_first_read(q):
+    # a trivial design is the same value as the constructor's design of
+    # every k-subspace, before and after its blocks are listed
+    ctx = FieldCtx.of(q)
+    lam = 1 + q  # [2, 1]_q
+    listed = SubspaceDesign(ctx, 2, 4, 3, lam, tuple(enumerate_subspaces(4, 3, ctx)))
+    d = trivial_design(2, 4, 3, ctx)
+    assert "_blocks" not in vars(d) and d.complete
+    assert d == listed and hash(d) == hash(listed) and repr(d) == repr(listed)
+    first = d.blocks
+    assert d.blocks is first and first == listed.blocks
+    assert trivial_design(2, 4, 3, ctx) == d
+
+
+@pytest.mark.parametrize("t, v, k", [(3, 4, 2), (0, 2, 3), (-1, 3, 2), (2, 3, -1)])
+def test_trivial_design_checks_its_parameters_at_the_call(t, v, k):
+    with pytest.raises(ValueError, match="need 0 <= t <= k <= v"):
+        trivial_design(t, v, k, GF2)
+
+
+def test_q2_projective_version_leaves_trivial_blocks_unlisted():
+    d = trivial_design(2, 7, 4, GF2)
+    assert projective_version(d).n == 127
+    assert "_blocks" not in vars(d)
 
 
 def test_lazy_caches_outside_equality():
