@@ -1,12 +1,14 @@
 """Equality, hashing and repr for the package's value and result classes.
 
 Every record is an immutable value.  Each class names its fields, in
-constructor order, in `_fields` and writes its own `__init__`, which puts
-the fields straight into the instance `__dict__`; assignment and deletion
-raise AttributeError.  Two instances are equal when they have the same
-class and equal fields, and hash by those fields; attributes outside
-`_fields` (lazily kept tables, masks and point tuples) take no part in
-equality.  The repr is `Name(field=value, ...)` over `_fields`.
+constructor order, in `_fields` and writes its own `__init__`, which takes
+exactly those parameters and puts the fields straight into the instance
+`__dict__`; assignment and deletion raise AttributeError.  Two instances
+are equal when they have the same class and equal fields, and hash by
+those fields; attributes outside `_fields` (lazily kept tables, masks and
+point tuples) take no part in equality.  The repr is `Name(field=value,
+...)` over `_fields`, so it is a constructor call that rebuilds an equal
+value.
 
 Plain classes, so that importing the package generates no code: building
 these methods with `exec` at import time made up most of the import's

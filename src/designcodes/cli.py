@@ -82,7 +82,7 @@ def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
         if cd is not None:
             return cd, "combinatorial"
     else:
-        qd = trivial_design(args.t, args.v, args.k, _ctx(args))
+        qd = trivial_design(2, args.v, args.k, _ctx(args))
     return construct(qd, args.mode), args.mode
 
 
@@ -230,6 +230,11 @@ def _decoder_for(args):
     if args.decoder == "one-step":
         comb, mode = _resolve_comb(args)
         return OneStepDecoder(build_code(comb, 2, mode), comb)
+    if getattr(args, "mode", "projective") != "projective":
+        raise ValueError(
+            f"--mode {args.mode} does not apply to two-step decoding, which decodes"
+            " the projective code"
+        )
     if args.designfile:
         step2 = load_subspace_design(args.designfile)
     else:
@@ -339,7 +344,6 @@ def _add_decoder_source_args(p, two_step=False):
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--t", type=int, default=2)
     p.add_argument("--poly", type=int, default=None)
     if not two_step:
         p.add_argument("--mode", choices=MODES, default="projective")
@@ -433,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_radius)
 
-    p = sub.add_parser("simulate", help="random-error channel simulation")
+    # no abbreviations: `--t`, which no decoder command takes, would
+    # otherwise be read as `--trials`
+    p = sub.add_parser("simulate", help="random-error channel simulation", allow_abbrev=False)
     p.add_argument("--decoder", choices=["one-step", "two-step"], default="one-step")
     _add_decoder_source_args(p)
     p.add_argument("--weight", type=int, required=True)

@@ -142,9 +142,10 @@ class BinaryCode(Record):
 
 
 def incidence_matrix(design: CombinatorialDesign) -> PrimeMatrix:
-    """Block-point incidence matrix, one 0/1 row per block: the blocks'
-    point masks."""
-    return PrimeMatrix.from_masks(design.masks, design.n)
+    """Block-point incidence matrix over GF(2), one 0/1 row per block: the
+    blocks' point masks as they are, which the design checked when it was
+    built."""
+    return PrimeMatrix(p=2, ncols=design.n, rows=design.masks)
 
 
 def build_code(

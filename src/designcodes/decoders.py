@@ -53,7 +53,7 @@ from operator import and_
 from ._record import Record
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
-from .field import _columns, _xor_select, _xor_tables, bit_positions
+from .field import _columns, _xor_select, _xor_tables, bit_positions, pack_text
 from .pspace import gaussian_coefficient, points_mask, row_points
 
 DECODED = "decoded"
@@ -79,7 +79,7 @@ class DecodeOutcome(Record):
 
 def as_mask(word, n: int) -> int:
     """A word given as an int bitmask or as a 0/1 string, position 0 first,
-    as a bitmask."""
+    as a bitmask; the string's characters are packed by `field.pack_text`."""
     if isinstance(word, int):
         if word < 0 or word >> n:
             raise ValueError(f"word does not fit length {n}")
@@ -89,10 +89,11 @@ def as_mask(word, n: int) -> int:
     bits = word.strip()
     if len(bits) != n:
         raise ValueError(f"word has length {len(bits)}, expected {n}")
-    bad = next((ch for ch in bits if ch not in "01"), None)
-    if bad is not None:
+    mask = pack_text(bits, n)
+    if mask is None:
+        bad = next(ch for ch in bits if ch not in "01")
         raise ValueError(f"non-binary symbol {bad!r}")
-    return int(bits[::-1] or "0", 2)
+    return mask
 
 
 # ---------------------------------------------------------------------------

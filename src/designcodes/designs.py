@@ -11,10 +11,11 @@ combinatorial parameters per mode, which the constructions build from and
 
 A combinatorial design holds each block as its point mask (bit i set for
 point i), from the point masks of the subspaces (`pspace.points_mask`) to
-the check rows of its code and the columns of its decoder; all three
-constructions hand over masks.  Point tuples are read off the masks for
-output, and tuple input, which comes only from files and callers of
-the constructor, is checked and packed once.
+the check rows of its code and the columns of its decoder.  It has one
+constructor, which takes point masks and checks them once; all three
+constructions hand it masks.  Point tuples are read off the masks for
+output, and tuple input, which comes only from `cdesign` files, is checked
+line by line and packed by `loads_comb_design`.
 
 A subspace design notes whether it is complete, holding every
 k-subspace.  `trivial_design` makes the complete design without listing
@@ -210,39 +211,22 @@ class CombinatorialDesign(Record):
     """Blocks of size k on ground set [0, n), every t-subset in lam of them.
 
     Each block is held as its point mask, an n-bit int with bit i set for
-    point i.  `masks` lists them in the lexicographic order of the blocks'
+    point i.  The constructor takes the masks in any order and checks them
+    once: each must be a set of k points of [0, n), and no block may come
+    twice.  `masks` lists them in the lexicographic order of the blocks'
     sorted point tuples, and `blocks` gives those tuples, read off the masks
-    on first use.  The constructor takes each block as a collection of
-    points, in any order; `from_masks` takes point masks.
+    on first use.  Point tuples enter only through `loads_comb_design`.
     """
 
     _fields = ("n", "t", "k", "lam", "masks")
 
-    def __init__(self, n: int, t: int, k: int, lam: int, blocks):
-        _check_sizes(n, t, k)
-        masks = []
-        for blk in blocks:
-            blk = tuple(sorted(blk))
-            if len(blk) != k or len(set(blk)) != k:
-                raise ValueError(f"block {blk} does not have {k} distinct points")
-            if blk and (blk[0] < 0 or blk[-1] >= n):
-                raise ValueError(f"block {blk} has points outside [0, {n})")
-            masks.append(sum([1 << i for i in blk]))
-        self._set(n, t, k, lam, masks)
-
-    @classmethod
-    def from_masks(cls, n: int, t: int, k: int, lam: int, masks) -> "CombinatorialDesign":
-        """The design whose blocks have the given point masks, in any order."""
-        _check_sizes(n, t, k)
+    def __init__(self, n: int, t: int, k: int, lam: int, masks) -> None:
+        if not 0 <= t <= k <= n:
+            raise ValueError("need 0 <= t <= k <= n")
         masks = list(masks)
         if masks and (min(masks) < 0 or max(masks) >> n or {*map(int.bit_count, masks)} != {k}):
             bad = next(m for m in masks if m < 0 or m >> n or m.bit_count() != k)
             raise ValueError(f"block mask {bad:#x} is not a set of {k} points of [0, {n})")
-        design = cls.__new__(cls)
-        design._set(n, t, k, lam, masks)
-        return design
-
-    def _set(self, n: int, t: int, k: int, lam: int, masks: list[int]) -> None:
         # Of two k-sets, the one holding the lowest point where they differ
         # comes first in the lexicographic order of sorted tuples.  With the
         # bits of each byte reversed, a mask's little-endian bytes hold point
@@ -264,11 +248,6 @@ class CombinatorialDesign(Record):
 
     def params(self) -> DesignParams:
         return derive_params_comb(self.t, self.n, self.k, self.lam)
-
-
-def _check_sizes(n: int, t: int, k: int) -> None:
-    if not 0 <= t <= k <= n:
-        raise ValueError("need 0 <= t <= k <= n")
 
 
 class VerifyResult(Record):
@@ -397,14 +376,14 @@ def projective_version(design: SubspaceDesign) -> CombinatorialDesign:
     A complete design at q = 2 takes every k-subspace's point mask from the
     hyperplane product (`pspace.subspace_masks_gf2`), without listing its
     blocks; every other design hands over its blocks' point masks
-    (`pspace.points_mask`).  `from_masks` sorts both into the same design.
+    (`pspace.points_mask`).  The constructor sorts both into the same design.
     """
     p = construction_params(design.params(), "projective")
     if design.q == 2 and design.complete:
         masks = subspace_masks_gf2(design.v, design.k, design.ctx)
     else:
         masks = map(points_mask, design.blocks)
-    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, masks)
+    return CombinatorialDesign(p.v, p.t, p.k, p.lam, masks)
 
 
 def affine_version(
@@ -450,7 +429,7 @@ def affine_version(
             mask |= chart[i]
         if mask:  # else the block lies inside the hyperplane
             masks.append(mask)
-    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, masks)
+    return CombinatorialDesign(p.v, p.t, p.k, p.lam, masks)
 
 
 def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
@@ -473,7 +452,7 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
             coset = sum([1 << (a ^ x) for x in span])
             covered |= coset
             masks.append(coset)
-    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, masks)
+    return CombinatorialDesign(p.v, p.t, p.k, p.lam, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +520,23 @@ def dumps_comb_design(design: CombinatorialDesign) -> str:
 
 
 def loads_comb_design(text: str) -> CombinatorialDesign:
+    """The design of a `cdesign` file: the one place point tuples enter.
+    Each block line must hold k distinct points of [0, n), and its errors
+    name the line; it is packed into its point mask for the constructor."""
     lines = _strip_lines(text)
     if not lines:
         raise ValueError("empty design file")
     hdr = _parse_header(lines[0][1], "cdesign", ["t", "n", "k", "lambda"])
-    blocks = tuple(tuple(_ints(line.split(), lineno)) for lineno, line in lines[1:])
-    return CombinatorialDesign(
-        n=hdr["n"], t=hdr["t"], k=hdr["k"], lam=hdr["lambda"], blocks=blocks
-    )
+    n, k = hdr["n"], hdr["k"]
+    masks = []
+    for lineno, line in lines[1:]:
+        blk = tuple(sorted(_ints(line.split(), lineno)))
+        if len(blk) != k or len(set(blk)) != k:
+            raise ValueError(f"line {lineno}: block {blk} does not have {k} distinct points")
+        if blk[0] < 0 or blk[-1] >= n:
+            raise ValueError(f"line {lineno}: block {blk} has points outside [0, {n})")
+        masks.append(sum([1 << i for i in blk]))
+    return CombinatorialDesign(n, hdr["t"], k, hdr["lambda"], masks)
 
 
 def load_comb_design(path: str | Path) -> CombinatorialDesign:

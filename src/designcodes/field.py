@@ -246,15 +246,6 @@ class PrimeMatrix(Record):
                 rows.append(tuple(row))
         return cls(p=p, ncols=ncols, rows=tuple(rows))
 
-    @classmethod
-    def from_masks(cls, masks: Iterable[int], ncols: int) -> "PrimeMatrix":
-        rows = []
-        for m in masks:
-            if m < 0 or m >> ncols:
-                raise ValueError(f"bitmask wider than {ncols} columns")
-            rows.append(m)
-        return cls(p=2, ncols=ncols, rows=tuple(rows))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -34,7 +34,8 @@ the decoders read the code's columns: the design's blocks transposed
 transposed lane by lane (two-step), both through `field._columns`;
 `comb_design_blocks`, the `CombinatorialDesign` constructor from before
 blocks were held as point masks, which sorted, checked and ordered point
-tuples (self-contained); and `affine_blocks` and `flats_blocks`, the
+tuples (self-contained), and the reference for the point-tuple checks of
+`designs.loads_comb_design`; and `affine_blocks` and `flats_blocks`, the
 affine and flats constructions from before they handed point masks over,
 which labelled coordinate tuples through the field's per-element
 arithmetic (affine) and sorted tuple cosets of the row masks (flats), and
@@ -45,7 +46,11 @@ which parses every token with `int` and builds on the package's header
 parser, `subspace` and design record; and `projective_walk`, the
 projective construction from before complete q = 2 designs took their
 masks from `pspace.subspace_masks_gf2`, which hands every block's walked
-point mask (`pspace.points_mask`) to `CombinatorialDesign.from_masks`.
+point mask (`pspace.points_mask`) to the `CombinatorialDesign` constructor.
+
+`pack_blocks` is a helper, not an oracle: the point masks of blocks given as
+point tuples, the form in which tests write small designs for the
+constructor.
 """
 
 from functools import lru_cache
@@ -286,7 +291,7 @@ def projective_walk(design):
     """The projective version of a subspace design from its listed blocks'
     walked point masks, at every q and for every design."""
     p = construction_params(design.params(), "projective")
-    return CombinatorialDesign.from_masks(p.v, p.t, p.k, p.lam, map(points_mask, design.blocks))
+    return CombinatorialDesign(p.v, p.t, p.k, p.lam, map(points_mask, design.blocks))
 
 
 def superspaces_scan(b, k):
@@ -361,6 +366,11 @@ def verify_scan(design):
             witness = (case, c)
     observed = seen.pop() if len(seen) == 1 else "non-constant"
     return VerifyResult(verified=witness is None, observed_lambda=observed, witness=witness)
+
+
+def pack_blocks(blocks):
+    """The point mask of each block, a collection of point indices."""
+    return [sum(1 << i for i in blk) for blk in blocks]
 
 
 def comb_design_blocks(n, t, k, blocks):

@@ -415,6 +415,57 @@ def test_decode_two_step_with_designfile(tmp_path, capsys):
     assert pairs["status"] == "decoded" and pairs["word"] == "0" * 31
 
 
+@pytest.mark.parametrize("command", ["radius", "simulate"])
+@pytest.mark.parametrize("mode", ["affine", "flats"])
+def test_two_step_refuses_a_mode_other_than_projective(capsys, command, mode):
+    # two-step decoding always decodes the projective code; a --mode it
+    # would ignore is refused by name
+    argv = [command, "--decoder", "two-step", "--v", "5", "--k", "3", "--q", "2"]
+    if command == "simulate":
+        argv += ["--weight", "2", "--trials", "30"]
+    code, out, err = run(capsys, *argv, "--seed", "1", "--mode", mode)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --mode {mode} ") and err.count("\n") == 1
+    code, out, err = run(capsys, *argv, "--seed", "1", "--mode", "projective")
+    assert code == 0 and err == ""
+    assert run(capsys, *argv, "--seed", "1") == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "one-step", "--word", "0" * 7],
+        ["decode", "two-step", "--word", "0" * 31],
+        ["radius"],
+        ["simulate", "--weight", "1", "--trials", "1"],
+    ],
+    ids=["decode-one-step", "decode-two-step", "radius", "simulate"],
+)
+def test_decoder_commands_take_no_t(capsys, argv):
+    # no decoder reads t: one-step decodes the trivial 2-design, two-step
+    # uses t = 2 throughout
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--v", "3", "--k", "2", "--q", "2", "--t", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 1\n# comment\n0 0\n", "line 4: block (0, 0) does not have 2 distinct points"),
+        ("0 1\n1 2 0\n", "line 3: block (0, 1, 2) does not have 2 distinct points"),
+        ("0 3\n", "line 2: block (0, 3) has points outside [0, 3)"),
+        ("0 1\n1 0\n", "duplicate block (designs are simple)"),
+    ],
+)
+def test_bad_cdesign_block_names_its_line(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.cdesign"
+    path.write_text("cdesign t=1 n=3 k=2 lambda=1\n" + body)
+    code, out, err = run(capsys, "design", "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_radius_command(capsys):
     code, out, _ = run(
         capsys, "radius", "--decoder", "one-step", "--v", "3", "--k", "2", "--q", "2",

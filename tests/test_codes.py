@@ -50,7 +50,7 @@ def test_incidence_matrix_fano(gf2):
 
 
 def test_incidence_single_full_block():
-    d = CombinatorialDesign(n=5, t=0, k=5, lam=1, blocks=((0, 1, 2, 3, 4),))
+    d = CombinatorialDesign(n=5, t=0, k=5, lam=1, masks=(0b11111,))
     m = incidence_matrix(d)
     assert m.rows == (0b11111,)
 
@@ -73,7 +73,7 @@ def test_build_code_63_41(gf2):
 
 
 def test_build_code_empty_design():
-    d = CombinatorialDesign(n=6, t=0, k=2, lam=1, blocks=())
+    d = CombinatorialDesign(n=6, t=0, k=2, lam=1, masks=())
     # lambda of an empty design is vacuous; params only used for provenance
     code = build_code(d)
     assert code.rank == 0 and code.dim == 6
@@ -222,7 +222,7 @@ def test_min_distance_meets_bounds_small_geometries(gf2):
 
 
 def test_min_distance_zero_code():
-    d = CombinatorialDesign(n=3, t=1, k=1, lam=1, blocks=((0,), (1,), (2,)))
+    d = CombinatorialDesign(n=3, t=1, k=1, lam=1, masks=(0b001, 0b010, 0b100))
     code = build_code(d)
     assert code.dim == 0
     assert min_distance_bruteforce(code) == 4  # n + 1 sentinel
@@ -242,8 +242,8 @@ def test_dim_plus_rank_is_n(gf2, gf4):
 
 def test_rank_invariant_under_block_reordering(gf2):
     d = projective_version(trivial_design(2, 4, 2, gf2))
-    rev = CombinatorialDesign(n=d.n, t=d.t, k=d.k, lam=d.lam, blocks=tuple(reversed(d.blocks)))
-    assert build_code(d).rank == build_code(rev).rank
+    rev = PrimeMatrix(p=2, ncols=d.n, rows=tuple(reversed(d.masks)))
+    assert build_code(d).rank == BinaryCode(n=d.n, p=2, checks=rev).rank
 
 
 def test_nullspace_basis_spans_codewords(gf2):
@@ -303,7 +303,7 @@ def test_reduction_matches_reference_in_any_row_order(ncols, raw, rng):
     assert rref_gf2(masks) == expected
     assert rref_gf2(shuffled) == expected
 
-    code = BinaryCode(n=ncols, p=2, checks=PrimeMatrix.from_masks(shuffled, ncols))
+    code = BinaryCode(n=ncols, p=2, checks=PrimeMatrix(2, ncols, tuple(shuffled)))
     assert code.rank == len(expected[0])
     words = [rng.getrandbits(ncols) for _ in range(10)]
     words += [code.random_codeword(rng) ^ (1 << rng.randrange(ncols)) for _ in range(5)]
@@ -337,7 +337,7 @@ def test_column_reduction_matches_row_reduction(case):
     # the code reduces its columns; the row reduction it replaced
     # (tests/oracles.py) and the quadratic reference agree on every output
     n, rows = case
-    code = BinaryCode(n=n, p=2, checks=PrimeMatrix.from_masks(rows, n))
+    code = BinaryCode(n=n, p=2, checks=PrimeMatrix(2, n, tuple(rows)))
     want_rows, want_pivots, want_basis = reduce_rows(rows, n)
     assert (want_rows, want_pivots) == rref_masks(rows, n)
     assert code.columns == tuple(
@@ -358,7 +358,7 @@ def test_random_codeword_and_codeword_test_match_the_bit_loops(case, rng, extra)
     # the generator in the same state, and answer alike on any int: wider
     # than n, or negative
     n, rows = case
-    code = BinaryCode(n=n, p=2, checks=PrimeMatrix.from_masks(rows, n))
+    code = BinaryCode(n=n, p=2, checks=PrimeMatrix(2, n, tuple(rows)))
     seed = rng.getrandbits(32)
     mine, former = random.Random(seed), random.Random(seed)
     words = [code.random_codeword(mine) for _ in range(4)]
@@ -372,7 +372,7 @@ def test_random_codeword_and_codeword_test_match_the_bit_loops(case, rng, extra)
 
 
 def test_random_codeword_of_dimension_zero_draws_nothing():
-    code = BinaryCode(n=3, p=2, checks=PrimeMatrix.from_masks([0b011, 0b110, 0b001], 3))
+    code = BinaryCode(n=3, p=2, checks=PrimeMatrix(2, 3, (0b011, 0b110, 0b001)))
     rng = random.Random(5)
     state = rng.getstate()
     assert code.dim == 0 and code.random_codeword(rng) == 0

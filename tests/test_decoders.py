@@ -30,7 +30,7 @@ from designcodes.designs import (
 )
 from designcodes.field import FieldCtx, _columns
 
-from .oracles import one_step_scan, one_step_tables, two_step_scan, two_step_tables
+from .oracles import one_step_scan, one_step_tables, pack_blocks, two_step_scan, two_step_tables
 
 SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
 
@@ -523,7 +523,7 @@ def test_workload_ratio_matches_lambda_ratio(fano_pair):
     # the parity-evaluation workload scales exactly by lambda_max/lambda
     code_f, fano = fano_pair
     full = CombinatorialDesign(
-        n=7, t=2, k=3, lam=5, blocks=tuple(itertools.combinations(range(7), 3))
+        n=7, t=2, k=3, lam=5, masks=pack_blocks(itertools.combinations(range(7), 3))
     )
     code_full = build_code(full, 2, "combinatorial")
     dec_f = OneStepDecoder(code_f, fano)

@@ -35,6 +35,7 @@ from .oracles import (
     comb_design_blocks,
     flats_blocks,
     naive_comb_design_counts,
+    pack_blocks,
     projective_walk,
     verify_scan,
 )
@@ -43,7 +44,7 @@ FANO_BLOCKS = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6),
 
 
 def fano():
-    return CombinatorialDesign(n=7, t=2, k=3, lam=1, blocks=tuple(FANO_BLOCKS))
+    return CombinatorialDesign(n=7, t=2, k=3, lam=1, masks=pack_blocks(FANO_BLOCKS))
 
 
 def test_derive_params_q_examples():
@@ -117,7 +118,7 @@ def test_duplicate_blocks_rejected(gf2):
             ctx=gf2, t=2, v=3, k=2, lam=1, blocks=d.blocks + (d.blocks[0],)
         )
     with pytest.raises(ValueError, match="duplicate"):
-        CombinatorialDesign(n=4, t=1, k=2, lam=1, blocks=((0, 1), (1, 0)))
+        CombinatorialDesign(n=4, t=1, k=2, lam=1, masks=pack_blocks(((0, 1), (1, 0))))
 
 
 def test_verify_comb_fano():
@@ -129,7 +130,7 @@ def test_verify_comb_fano():
 
 
 def test_verify_comb_t0():
-    d = CombinatorialDesign(n=4, t=0, k=2, lam=6, blocks=tuple({
+    d = CombinatorialDesign(n=4, t=0, k=2, lam=6, masks=pack_blocks({
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
     }))
     res = verify_comb_design(d)
@@ -279,7 +280,7 @@ def test_affine_version_of_t3_design_is_3design(v, k, gf2):
     lam3 = d.params().lambda_s(3)
     aff = affine_version(d)
     as_3design = CombinatorialDesign(
-        n=aff.n, t=3, k=aff.k, lam=lam3, blocks=aff.blocks
+        n=aff.n, t=3, k=aff.k, lam=lam3, masks=aff.masks
     )
     res = verify_comb_design(as_3design)
     assert res.verified and res.observed_lambda == lam3
@@ -394,7 +395,7 @@ def test_verify_matches_naive_counts(rng):
     if not keep:
         keep = [FANO_BLOCKS[0]]
     naive = naive_comb_design_counts(7, 2, keep)
-    d = CombinatorialDesign(n=7, t=2, k=3, lam=1, blocks=tuple(keep))
+    d = CombinatorialDesign(n=7, t=2, k=3, lam=1, masks=pack_blocks(keep))
     res = verify_comb_design(d)
     assert res.verified == (set(naive.values()) == {1})
     if not res.verified and isinstance(res.observed_lambda, int):
@@ -472,40 +473,67 @@ def test_verify_comb_design_matches_scan(data):
         blocks = tuple(itertools.combinations(range(n), k))
         full_lam = comb(n - t, k - t)
     lam, kept = _lambda_and_subset(data, blocks, full_lam)
-    _assert_same_result(CombinatorialDesign(n=n, t=t, k=k, lam=lam, blocks=kept))
+    _assert_same_result(CombinatorialDesign(n=n, t=t, k=k, lam=lam, masks=pack_blocks(kept)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_constructor_matches_tuple_oracle(data):
-    # the mask constructor against the former tuple constructor, on valid and
-    # malformed block lists (wrong size, repeated point, point out of range,
-    # duplicate block, no blocks, k = 0): the same blocks in the same order,
-    # or the same ValueError text
+def test_cdesign_loader_matches_tuple_oracle(data):
+    # point tuples enter through the cdesign loader alone: against the former
+    # tuple constructor, on valid and malformed block lines (wrong size,
+    # repeated point, point out of range, duplicate block, no blocks, k = 0),
+    # the same blocks in the same order, or the same ValueError text, with
+    # the file line of a bad block in front
     n = data.draw(st.integers(0, 8), label="n")
-    k = data.draw(st.integers(0, n + 1), label="k")
-    t = data.draw(st.integers(0, 3), label="t")
-    malformed = st.lists(st.integers(-2, n + 1), min_size=max(k - 1, 0), max_size=k + 1)
-    if k <= n:
+    k = data.draw(st.integers(0, n), label="k")
+    t = data.draw(st.integers(0, min(k, 3)), label="t")
+    malformed = st.lists(st.integers(-2, n + 1), min_size=max(k - 1, 1), max_size=k + 1)
+    if k:
         valid = st.permutations(range(n)).map(lambda perm: tuple(perm[:k]))
         block = st.one_of(valid, valid, malformed)
     else:
-        block = malformed
+        block = malformed  # an empty block is a blank line, which a file skips
     blocks = data.draw(st.lists(block, max_size=6), label="blocks")
     if blocks and data.draw(st.booleans(), label="repeat a block"):
         again = tuple(reversed(data.draw(st.sampled_from(blocks))))
         blocks.insert(data.draw(st.integers(0, len(blocks))), again)
+    text = f"cdesign t={t} n={n} k={k} lambda=1\n# blocks\n"
+    text += "".join(" ".join(map(str, blk)) + "\n" for blk in blocks)
     try:
         want = comb_design_blocks(n, t, k, blocks)
     except ValueError as err:
+        expected = str(err)
+        if not expected.startswith("duplicate"):
+            bad = next(i for i, blk in enumerate(blocks) if _bad_tuple(n, t, k, blk))
+            expected = f"line {bad + 3}: {expected}"
         with pytest.raises(ValueError) as got:
-            CombinatorialDesign(n=n, t=t, k=k, lam=1, blocks=blocks)
-        assert str(got.value) == str(err)
+            loads_comb_design(text)
+        assert str(got.value) == expected
         return
-    d = CombinatorialDesign(n=n, t=t, k=k, lam=1, blocks=blocks)
+    d = loads_comb_design(text)
     assert d.blocks == want
     assert d.masks == tuple(sum(1 << i for i in blk) for blk in want)
-    assert CombinatorialDesign.from_masks(n, t, k, 1, reversed(d.masks)) == d
+    assert CombinatorialDesign(n, t, k, 1, reversed(d.masks)) == d
+
+
+def _bad_tuple(n, t, k, blk):
+    try:
+        comb_design_blocks(n, t, k, [blk])
+    except ValueError:
+        return True
+    return False
+
+
+def test_cdesign_header_sizes_are_checked_after_the_blocks():
+    # the constructor checks (n, t, k) once the loader has read the blocks:
+    # with no bad block a bad header is named, else the first bad line is
+    with pytest.raises(ValueError, match=r"^need 0 <= t <= k <= n$"):
+        loads_comb_design("cdesign t=3 n=4 k=2 lambda=1\n0 1\n")
+    with pytest.raises(ValueError, match=r"^need 0 <= t <= k <= n$"):
+        loads_comb_design("cdesign t=1 n=2 k=3 lambda=1\n")
+    with pytest.raises(ValueError) as err:
+        loads_comb_design("cdesign t=1 n=2 k=3 lambda=1\n0 1 2\n")
+    assert str(err.value) == "line 2: block (0, 1, 2) has points outside [0, 2)"
 
 
 # (q, v, k) of the trivial designs whose blocks the construction tests below
@@ -535,7 +563,7 @@ def _assert_affine_matches_oracle(design, normal):
     got = affine_version(design, hyperplane=normal)
     n, k, lam = design.q ** (design.v - 1), design.q ** (design.k - 1), design.params().lambda_s(2)
     assert got.blocks == comb_design_blocks(n, 2, k, want)
-    expected = CombinatorialDesign(n=n, t=2, k=k, lam=lam, blocks=want)
+    expected = CombinatorialDesign(n=n, t=2, k=k, lam=lam, masks=pack_blocks(want))
     assert dumps_comb_design(got) == dumps_comb_design(expected)
 
 
@@ -589,18 +617,19 @@ def test_flats_construction_matches_tuple_oracle(case, data):
     n, k, lam = 1 << design.v, 1 << design.k, design.params().lambda_s(2)
     want = flats_blocks(design)
     assert got.blocks == comb_design_blocks(n, 3, k, want)
-    expected = CombinatorialDesign(n=n, t=3, k=k, lam=lam, blocks=want)
+    expected = CombinatorialDesign(n=n, t=3, k=k, lam=lam, masks=pack_blocks(want))
     assert dumps_comb_design(got) == dumps_comb_design(expected)
 
 
-def test_from_masks_rejects_malformed_masks():
+def test_constructor_rejects_malformed_masks():
     with pytest.raises(ValueError, match=r"need 0 <= t <= k <= n"):
-        CombinatorialDesign.from_masks(n=3, t=2, k=4, lam=1, masks=[])
+        CombinatorialDesign(n=3, t=2, k=4, lam=1, masks=[])
     for bad, shown in [(0b1001, "0x9"), (0b111, "0x7"), (0b1, "0x1"), (-3, "-0x3")]:
         with pytest.raises(ValueError) as err:
-            CombinatorialDesign.from_masks(n=3, t=1, k=2, lam=1, masks=[0b011, bad, 0b101])
+            CombinatorialDesign(n=3, t=1, k=2, lam=1, masks=[0b011, bad, 0b101])
         assert str(err.value) == f"block mask {shown} is not a set of 2 points of [0, 3)"
     with pytest.raises(ValueError, match="duplicate block"):
-        CombinatorialDesign.from_masks(n=3, t=1, k=2, lam=1, masks=[0b011, 0b101, 0b011])
-    d = CombinatorialDesign.from_masks(n=3, t=1, k=2, lam=1, masks=[0b110, 0b011, 0b101])
+        CombinatorialDesign(n=3, t=1, k=2, lam=1, masks=[0b011, 0b101, 0b011])
+    d = CombinatorialDesign(n=3, t=1, k=2, lam=1, masks=[0b110, 0b011, 0b101])
     assert d.blocks == ((0, 1), (0, 2), (1, 2)) and d.masks == (0b011, 0b101, 0b110)
+    assert CombinatorialDesign(n=3, t=0, k=0, lam=1, masks=[0]).blocks == ((),)

@@ -179,7 +179,7 @@ def test_rank_over_another_prime_rereads_rows():
     assert matrix_rank(m3, p=5) == 2
     with pytest.raises(ValueError, match="^entry not in prime field$"):
         matrix_rank(m3, p=2)
-    m2 = PrimeMatrix.from_masks([0b101, 0b011, 0b110], 3)
+    m2 = PrimeMatrix(2, 3, (0b101, 0b011, 0b110))
     assert matrix_rank(m2) == 2 and matrix_rank(m2, p=3) == 3
     for p in (1, 4, 9):
         for m in (m2, m3):

@@ -1,9 +1,10 @@
 """The contract of the package's value and result classes: construction in
 field order with the documented defaults, equality by type and fields,
 hashing, immutability, the lazy caches kept out of equality, verification
-leaving a design as it was, and the `Name(field=value, ...)` repr.  A
-trivial design, whose blocks are listed on first read, is the same value
-as the constructor's design of every k-subspace.
+leaving a design as it was, and the `Name(field=value, ...)` repr, which
+evaluates back to an equal value.  A trivial design, whose blocks are
+listed on first read, is the same value as the constructor's design of
+every k-subspace.
 
 One table row per class: the constructor's parameter names in order, the
 positional arguments of one instance, those of an instance that differs in
@@ -87,9 +88,9 @@ CASES = [
     ),
     (
         CombinatorialDesign,
-        "n t k lam blocks",
-        (3, 1, 1, 1, [(2,), (0,), (1,)]),
-        (3, 1, 1, 1, [(2,), (0,)]),
+        "n t k lam masks",
+        (3, 1, 1, 1, [4, 1, 2]),
+        (3, 1, 1, 1, [4, 1]),
         {},
         "CombinatorialDesign(n=3, t=1, k=1, lam=1, masks=(1, 2, 4))",
     ),
@@ -207,6 +208,20 @@ def test_construction_by_position_and_keyword(cls, names, args, other, defaults,
     assert repr(a) == text
 
 
+# every name a repr in the table uses
+REPR_NAMES = {c[0].__name__: c[0] for c in CASES} | {"Fraction": Fraction}
+
+
+@cases
+def test_repr_is_a_constructor_call(cls, names, args, other, defaults, text):
+    # the repr, evaluated, builds an equal value: the constructor takes the
+    # fields the repr shows, in order and under the same names
+    assert cls._fields == tuple(names.split())
+    a = cls(*args)
+    assert eval(repr(a), REPR_NAMES) == a
+    assert eval(repr(cls(*other)), REPR_NAMES) == cls(*other)
+
+
 @cases
 def test_equality_by_type_and_fields(cls, names, args, other, defaults, text):
     a = cls(*args)
@@ -295,9 +310,9 @@ def test_lazy_caches_outside_equality():
     assert "_points_mask" in vars(s) and "_points_mask" not in vars(t)
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
 
-    c = CombinatorialDesign(3, 1, 1, 1, [(0,), (1,), (2,)])
+    c = CombinatorialDesign(3, 1, 1, 1, [1, 2, 4])
     c.blocks
-    assert c == CombinatorialDesign(3, 1, 1, 1, [(0,), (1,), (2,)])
+    assert c == CombinatorialDesign(3, 1, 1, 1, [1, 2, 4])
 
     code = build_code(c)
     code.rank, code.nullspace_basis()
