@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 
 from ._record import Record
-from .designs import CombinatorialDesign, DesignParams, SubspaceDesign, projective_version
+from .designs import CombinatorialDesign, SubspaceDesign, projective_version
 from .field import (
     PrimeMatrix,
     _columns,
@@ -36,13 +36,13 @@ from .pspace import gaussian_coefficient
 
 
 class CodeSource(Record):
-    """Where a code's checks came from: construction mode plus parameters."""
+    """Where a code's checks came from: the construction mode."""
 
-    _fields = ("mode", "params")
+    _fields = ("mode",)
 
-    def __init__(self, mode: str, params: DesignParams) -> None:
+    def __init__(self, mode: str) -> None:
         # mode: "projective" | "affine" | "flats" | "combinatorial"
-        self.__dict__.update(mode=mode, params=params)
+        self.__dict__.update(mode=mode)
 
 
 class BinaryCode(Record):
@@ -152,8 +152,7 @@ def build_code(
     design: CombinatorialDesign, p: int = 2, mode: str = "combinatorial"
 ) -> BinaryCode:
     """Code whose parity checks are the design's incidence rows."""
-    source = CodeSource(mode=mode, params=design.params())
-    return BinaryCode(n=design.n, p=p, checks=incidence_matrix(design), source=source)
+    return BinaryCode(n=design.n, p=p, checks=incidence_matrix(design), source=CodeSource(mode))
 
 
 def _binom(n: int, k: int) -> int:

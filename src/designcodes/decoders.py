@@ -328,8 +328,9 @@ class TwoStepDecoder(_MajorityVote):
 
         The superspaces are the code's checks that contain the block: the
         checks set in the AND of the columns of the block's row points.
-        Unless exactly J checks contain those points, each of them the whole
-        block, the code's checks are not the block's superspaces.
+        Unless exactly J checks contain those points, and the AND of those
+        checks with the block's mask is the whole block, the code's checks
+        are not the block's superspaces.
         """
         columns, checks = code.columns, code.check_masks()
         key = row_points(step2.v, step2.ctx)
@@ -337,7 +338,7 @@ class TwoStepDecoder(_MajorityVote):
             through = reduce(and_, [columns[i] for i in key(blk)])
             bmask = points_mask(blk)
             sups = [checks[i] for i in bit_positions(through)]
-            if len(sups) != self.J or any(sup & bmask != bmask for sup in sups):
+            if len(sups) != self.J or reduce(and_, sups, bmask) != bmask:
                 raise ValueError(f"the code's checks are not the {self.J} superspaces of block {b}")
             yield tuple(sorted([sup ^ bmask for sup in sups])) + (bmask,)
 

@@ -25,9 +25,11 @@ and visits each point once.  For q = 2^m a vector is handled packed, as
 the int sum(x_i << (m i)) of its m-bit coordinates (for q = 2 the bitmask
 of `field.pack_mask`).  Adding two vectors is then XOR of their packed
 ints, and one table per (v, ctx), of q^v entries, maps each packed vector
-to the index of its point, so a step is one XOR and one lookup.  Odd q,
-and spaces with q > 2 and q^v > 2^20, walk coordinate tuples through the
-field's add table.
+to the index of its point, so a step is one XOR and one lookup.  Each row
+is packed once, and its multiples by x, ..., x^(m-1) come from a
+bit-parallel xtime on the packed int (`_generators`).  Odd q, and spaces
+with q > 2 and q^v > 2^20, walk coordinate tuples through the field's add
+table.
 
 At q = 2 a subspace holds its canonical rows as those masks, never as
 tuples: `enumerate_subspaces` builds them directly, `subspace` packs
@@ -123,8 +125,12 @@ class _PointSpace:
         self.vec_index: list[int] | None = None
         # the point walk's step lists by subspace dimension (`_point_steps`)
         self.steps: dict[int, tuple[int, ...]] = {}
+        # the top bit of each coordinate of a packed vector, for the packed
+        # generators' xtime (`_generators`)
+        self.top = 0
         if ctx.q == 2 or (ctx.p == 2 and ctx.q**v <= _VEC_INDEX_LIMIT):
             self.vec_index = _vec_index(v, ctx)
+            self.top = sum(1 << (ctx.m * i + ctx.m - 1) for i in range(v))
 
 
 def _vec_index(v: int, ctx: FieldCtx) -> list[int]:
@@ -315,16 +321,31 @@ def _point_steps(k: int, m: int, p: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _generators(s: Subspace, packed: bool) -> list:
+def _generators(s: Subspace, sp: _PointSpace) -> list:
     """The GF(p) generators of the point walk of s (q > 2): each row times
-    1, x, ..., x^(m-1), highest-pivot row first, as packed ints or as
-    coordinate tuples."""
+    1, x, ..., x^(m-1), highest-pivot row first.
+
+    With the packed table (q = 2^m) each row is packed once, and each next
+    multiple comes from the last by xtime on the packed int, every m-bit
+    coordinate at once: shift it up one bit, and where its top bit (`sp.top`)
+    carried out add the modulus without its x^m term.  Otherwise they are
+    coordinate tuples read off the field's mul table.
+    """
     ctx = s.ctx
-    xs = [ctx.mul_table[ctx.p**j] for j in range(ctx.m)]
-    gens = [tuple([x[a] for a in r]) for r in reversed(s.rows) for x in xs]
-    if packed:
-        shifts = range(0, ctx.m * s.v, ctx.m)
-        gens = [sum(map(lshift, g, shifts)) for g in gens]
+    m = ctx.m
+    if sp.vec_index is None:
+        xs = [ctx.mul_table[ctx.p**j] for j in range(m)]
+        return [tuple([x[a] for a in r]) for r in reversed(s.rows) for x in xs]
+    top, low, up = sp.top, ctx.modulus ^ ctx.q, m - 1
+    shifts = range(0, m * s.v, m)
+    gens = []
+    for r in reversed(s.rows):
+        g = sum(map(lshift, r, shifts))
+        gens.append(g)
+        for _ in range(up):
+            hi = g & top
+            g = ((g ^ hi) << 1) ^ ((hi >> up) * low)
+            gens.append(g)
     return gens
 
 
@@ -351,7 +372,7 @@ def _points_mask(s: Subspace) -> int:
     if steps is None:
         steps = sp.steps[k] = _point_steps(k, ctx.m, ctx.p)
     idx = sp.vec_index
-    gens = rows if ctx.q == 2 else _generators(s, idx is not None)
+    gens = rows if ctx.q == 2 else _generators(s, sp)
     mask = 0
     if idx is not None:
         cur = 0

@@ -202,6 +202,17 @@ def test_code_build_report(tmp_path, capsys):
     assert code == 0 and kv(out)["d"] == "8"
 
 
+def test_code_build_of_a_lambda_zero_design(tmp_path, capsys):
+    # the header's lambda = 0 gives no design parameters, but the code is
+    # built from the blocks alone
+    path = tmp_path / "d.cdesign"
+    path.write_text("cdesign t=2 n=4 k=2 lambda=0\n0 1\n2 3\n")
+    code, out, err = run(capsys, "code", "build", str(path))
+    assert (code, err) == (0, "")
+    pairs = kv(out)
+    assert (pairs["n"], pairs["rank"], pairs["dim"]) == ("4", "2", "2")
+
+
 @pytest.mark.parametrize(
     "v,k,q,p,printed",
     [

@@ -452,6 +452,23 @@ def test_two_step_rejects_checks_that_are_not_the_superspaces(gf2m):
         TwoStepDecoder(code, trivial_design(2, 7, 2, gf2m))
 
 
+def test_two_step_rejects_a_check_that_misses_a_point_of_the_block(gf2m):
+    # PG(3,2)'s planes with one plane through block 0 swapped for a 7-point
+    # set that holds the block's row points but not its third point: exactly
+    # J = 3 checks hold the row points, and one of them misses the block
+    step2 = trivial_design(2, 4, 2, gf2m)
+    planes = projective_version(trivial_design(2, 4, 3, gf2m))
+    line = step2.blocks[0]
+    bmask = pspace.points_mask(line)
+    third = bmask ^ sum(1 << i for i in pspace.row_points(4, gf2m)(line))
+    plane = next(m for m in planes.masks if m & bmask == bmask)
+    outside = next(1 << i for i in range(15) if not plane >> i & 1)
+    masks = [m for m in planes.masks if m != plane] + [plane ^ third ^ outside]
+    code = build_code(CombinatorialDesign(15, 2, 7, 3, masks), 2, "combinatorial")
+    with pytest.raises(ValueError, match="the code's checks are not the 3 superspaces of block 0"):
+        TwoStepDecoder(code, step2)
+
+
 def test_two_step_dimension_mismatch(gf2m):
     code = build_code(projective_version(trivial_design(2, 5, 3, gf2m)), 2, "projective")
     with pytest.raises(ValueError, match="length"):

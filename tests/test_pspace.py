@@ -216,6 +216,28 @@ def test_spaces_without_packed_table_walk_tuples(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "q,modulus,top", [(4, None, 5), (8, None, 4), (8, 13, 4), (16, None, 3), (16, 25, 3)]
+)
+def test_packed_walks_match_tuple_oracle_under_each_modulus(q, modulus, top, monkeypatch):
+    # every k-subspace of F_q^v, v <= top: the packed walk's generators come
+    # from an xtime that reads the modulus's low bits, so each field is run
+    # under a second irreducible modulus too (GF(4) has only one); the tuple
+    # walk, forced by lowering the table's size limit, gives the same masks
+    packed, tuples = FieldCtx.of(q, modulus), FieldCtx.of(q, modulus)
+    with monkeypatch.context() as patch:
+        patch.setattr(pspace, "_VEC_INDEX_LIMIT", 0)
+        for v in range(1, top + 1):
+            assert point_space(v, tuples).vec_index is None
+    for v in range(1, top + 1):
+        assert point_space(v, packed).vec_index is not None
+        for k in range(1, v + 1):
+            for s in enumerate_subspaces(v, k, packed):
+                want = sum(1 << i for i in points_walk(s))
+                assert points_mask(s) == want
+                assert points_mask(pspace.Subspace(tuples, v, s.rows)) == want
+
+
+@pytest.mark.parametrize(
     "q,v,k",
     [(2, v, k) for v in range(8) for k in range(v + 1)]
     + [(q, v, k) for q in (3, 4) for v in range(5) for k in range(v + 1)]

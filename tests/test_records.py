@@ -104,11 +104,11 @@ CASES = [
     ),
     (
         CodeSource,
-        "mode params",
-        ("projective", PARAMS),
-        ("affine", PARAMS),
+        "mode",
+        ("projective",),
+        ("affine",),
         {},
-        f"CodeSource(mode='projective', params={PARAMS_REPR})",
+        "CodeSource(mode='projective')",
     ),
     (
         BinaryCode,
