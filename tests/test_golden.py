@@ -21,7 +21,9 @@ F_2^7 and of the shipped design were captured before q = 2 subspaces were
 held as row masks.  The sha256 of the written projective, affine and flats
 versions of the shipped design and of the lines of PG(2,4), and of the
 stdout of `scripts/reproduce_tables.py` and `scripts/rank_experiment.py`,
-were captured before combinatorial blocks were held as point masks.
+were captured before combinatorial blocks were held as point masks.  The
+two-step run through the shipped design (J = 15) was captured before the
+step-1 majority was counted by a halving adder tree.
 """
 
 import hashlib
@@ -85,6 +87,18 @@ def test_simulate_two_step_q4_golden(capsys):
     assert out == (
         "seed=5\nweight=3\ntrials=300\nsuccesses=0\nmiscorrected=12\ndetected=288\n"
         "success_rate=0.0\ncheck_evals=1071000\n"
+    )
+
+
+def test_simulate_two_step_shipped_design_golden(capsys):
+    # J = 15: the 4-subspace code of PG(6,2) through the shipped design
+    out = stdout_of(
+        capsys, "simulate", "--decoder", "two-step", "--designfile", str(SHIPPED_DESIGN),
+        "--weight", "8", "--trials", "300", "--seed", "5",
+    )
+    assert out == (
+        "seed=5\nweight=8\ntrials=300\nsuccesses=58\nmiscorrected=0\ndetected=242\n"
+        "success_rate=0.19333333333333333\ncheck_evals=7543800\n"
     )
 
 
