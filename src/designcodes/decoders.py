@@ -16,8 +16,11 @@ into a syndrome, computing each check's parity once per word, and reads
 each position's vote count as popcount(syndrome & column).  That XOR is
 `field._xor_select`, the package's one "XOR the vectors at a word's set
 bits", over tables each decoder builds from its columns at construction
-(`field._xor_tables`).  The scalar loops they replaced, one parity per
-(check, point) pair, are kept as test references.
+(`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
+step-2 block; its step-1 majority adds the J class lanes by a bit-sliced
+adder tree that halves them level by level into one count per block
+(`lane_majority`).  The scalar loops they replaced, one parity per
+(check, point) pair, and the per-block count are kept as test references.
 
 Both decoders end in one vote stage, the base class `_MajorityVote`: each
 computes its own disagreement vector (the one-step syndrome; the two-step
@@ -269,6 +272,82 @@ class OneStepDecoder(_MajorityVote):
         return self._outcome(out, flips, not syndrome)
 
 
+def check_step2_design(step2: SubspaceDesign) -> None:
+    """Raise ValueError unless `step2` can serve as a two-step decoder's
+    step-2 design: a 2-design (t >= 2) whose blocks have superspaces
+    (k < v)."""
+    if step2.t < 2:
+        raise ValueError(
+            f"two-step decoding needs a step-2 design with t >= 2, not t = {step2.t}"
+        )
+    if step2.k >= step2.v:
+        raise ValueError(
+            f"the step-2 design's blocks (k = {step2.k}, v = {step2.v}) leave no room"
+            " for superspaces: two-step decoding needs a step-2 design with k < v"
+        )
+
+
+def majority_tree(J: int, width: int):
+    """The halving adder tree that `lane_majority` runs over J lanes of
+    `width` bits, built once per (J, width).
+
+    Each level splits the w lanes left into a low half of ceil(w / 2) lanes
+    and a high half of floor(w / 2), shifted down onto it; a level is its
+    shift, the mask of its low half, and whether the carry out of the top
+    plane can be set.  Lane 0 holds the largest count after every level,
+    the size of the group of lanes added into it, so a carry is kept only
+    when that count needs one more plane; after the last level it is J.
+    The tree also holds the mask of the J lanes and the bits of 2^P - (J //
+    2 + 1), where P = J.bit_length() planes hold the final count.
+    """
+    levels = []
+    sizes = [1] * J
+    while len(sizes) > 1:
+        low = (len(sizes) + 1) // 2
+        grown = [a + b for a, b in zip(sizes[:low], sizes[low:] + [0])]
+        carry = grown[0].bit_length() > sizes[0].bit_length()
+        levels.append((low * width, (1 << (low * width)) - 1, carry))
+        sizes = grown
+    planes = J.bit_length()
+    complement = (1 << planes) - (J // 2 + 1)
+    bits = tuple(bool((complement >> i) & 1) for i in range(planes))
+    return (1 << (J * width)) - 1, tuple(levels), bits
+
+
+def lane_majority(lanes: int, tree) -> int:
+    """Bit b is set iff more than J // 2 of the J lanes of `tree` have bit
+    b set (ties give 0); bits above the J lanes are ignored.
+
+    The lanes are added by the halving tree of `majority_tree`, bit-sliced:
+    plane i holds bit i of every lane's count.  Each level adds the high
+    half to the low half plane by plane, a half adder on plane 0 and full
+    adders above it.  The count of the one lane left is compared with J //
+    2 + 1 as the carry out of adding 2^P - (J // 2 + 1): that constant's set
+    bits OR the carry in, its clear bits AND it.
+    """
+    mask, levels, bits = tree
+    planes = [lanes & mask]
+    for shift, low, keep in levels:
+        plane = planes[0]
+        high = plane >> shift
+        plane &= low
+        carry = plane & high
+        added = [plane ^ high]
+        for plane in planes[1:]:
+            high = plane >> shift
+            plane &= low
+            half = plane ^ high
+            added.append(half ^ carry)
+            carry = (plane & high) | (half & carry)
+        if keep:
+            added.append(carry)
+        planes = added
+    carry = 0
+    for plane, one in zip(planes, bits):
+        carry = (plane | carry) if one else (plane & carry)
+    return carry
+
+
 class TwoStepDecoder(_MajorityVote):
     """Recover block parities from superspace checks, then vote per position.
 
@@ -291,9 +370,10 @@ class TwoStepDecoder(_MajorityVote):
     (c = J).  A decode XORs the member masks of the received 1-bits once,
     by `field._xor_select` over the members' tables: lane c holds the
     parity over class c of every block, lane J the received parity over
-    every block.  A bit-sliced ripple-carry counter adds the J class lanes,
-    read low lane first off one running copy, and a bit-sliced compare
-    against J // 2 + 1 gives the estimated block parities.  Block b's vote
+    every block.  A bit-sliced halving adder tree (`lane_majority`, its
+    levels built once by `majority_tree`) adds the high half of the J class
+    lanes to the low half until one lane is left, and compares that count
+    with J // 2 + 1 to give the estimated block parities.  Block b's vote
     at j disagrees with the received bit exactly when bit b of D =
     estimates XOR received block parities is set, so j is flipped iff more
     than half of the blocks through j are set in D, read as popcount(D &
@@ -303,13 +383,10 @@ class TwoStepDecoder(_MajorityVote):
     """
 
     def __init__(self, code: BinaryCode, step2: SubspaceDesign):
-        if step2.t < 2:
-            raise ValueError("two-step decoding needs a step-2 design with t >= 2")
+        check_step2_design(step2)
         n = gaussian_coefficient(step2.v, 1, step2.q)
         if code.n != n:
             raise ValueError("code length does not match the design's geometry")
-        if step2.k >= step2.v:
-            raise ValueError("step-2 blocks leave no room for superspaces")
         self.J = J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
         nb = len(step2.blocks)
         rows = (row for lane in zip(*self._member_rows(code, step2)) for row in lane)
@@ -319,8 +396,8 @@ class TwoStepDecoder(_MajorityVote):
         halves = tuple(col.bit_count() // 2 for col in columns)
         evals = nb * J + sum(col.bit_count() for col in columns)
         super().__init__(code, columns, halves, evals)
-        self._lane_width = nb
-        self._lane_mask = (1 << nb) - 1
+        self._majority_tree = majority_tree(J, nb)
+        self._parity_shift = J * nb
 
     def _member_rows(self, code: BinaryCode, step2: SubspaceDesign):
         """Per block: its J superspaces minus the block, sorted, then the
@@ -343,31 +420,16 @@ class TwoStepDecoder(_MajorityVote):
             yield tuple(sorted([sup ^ bmask for sup in sups])) + (bmask,)
 
     def _estimates(self, lanes: int) -> int:
-        """Bit b = 1 iff more than J // 2 of the J class lanes have bit b set."""
-        nb, full, J = self._lane_width, self._lane_mask, self.J
-        counter = [0] * J.bit_length()
-        for _ in range(J):
-            carry = lanes & full
-            lanes >>= nb
-            i = 0
-            while carry:
-                counter[i], carry = counter[i] ^ carry, counter[i] & carry
-                i += 1
-        threshold = J // 2 + 1
-        above = 0
-        equal = full
-        for i in reversed(range(len(counter))):
-            if (threshold >> i) & 1:
-                equal &= counter[i]
-            else:
-                above |= equal & counter[i]
-                equal &= ~counter[i]
-        return above | equal
+        """The step-1 block parities of a word's lanes: bit b is set iff
+        more than J // 2 of the J class lanes have bit b set (ties give 0),
+        counted by the halving adder tree built at construction; the block
+        lane is ignored."""
+        return lane_majority(lanes, self._majority_tree)
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
         lanes = _xor_select(self._member_tables, received)
-        block_parities = lanes >> (self.J * self._lane_width)
+        block_parities = lanes >> self._parity_shift
         disagree = self._estimates(lanes) ^ block_parities
         flips, out = self._vote(received, disagree)
         return self._outcome(out, flips, self.code.is_codeword(out))

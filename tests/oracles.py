@@ -47,6 +47,9 @@ parser, `subspace` and design record; and `projective_walk`, the
 projective construction from before complete q = 2 designs took their
 masks from `pspace.subspace_masks_gf2`, which hands every block's walked
 point mask (`pspace.points_mask`) to the `CombinatorialDesign` constructor.
+`lane_majority_count` is the two-step step-1 majority read one block at a
+time off the packed lanes, the reference for the decoder's bit-sliced
+adder tree (self-contained).
 
 `pack_blocks` is a helper, not an oracle: the point masks of blocks given as
 point tuples, the form in which tests write small designs for the
@@ -540,6 +543,18 @@ def two_step_scan(decoder, step2):
         return _outcome(decoder, out, flips)
 
     return decode
+
+
+def lane_majority_count(lanes, J, width):
+    """The step-1 majority counted block by block: bit b is set iff more
+    than J // 2 of the J lanes of `width` bits (lane c at bits c width to
+    (c + 1) width - 1) have bit b set; bits above the J lanes are ignored."""
+    out = 0
+    for b in range(width):
+        ones = sum((lanes >> (c * width + b)) & 1 for c in range(J))
+        if 2 * ones > J:
+            out |= 1 << b
+    return out
 
 
 def _outcome(decoder, out, flips):

@@ -426,6 +426,33 @@ def test_decode_two_step_with_designfile(tmp_path, capsys):
     assert pairs["status"] == "decoded" and pairs["word"] == "0" * 31
 
 
+@pytest.mark.parametrize(
+    "t, k, message",
+    [
+        (1, 2, "two-step decoding needs a step-2 design with t >= 2, not t = 1"),
+        (2, 5, "the step-2 design's blocks (k = 5, v = 5) leave no room for superspaces"),
+    ],
+    ids=["t=1", "k=v"],
+)
+def test_two_step_checks_the_step2_file_before_building_the_code(
+    tmp_path, capsys, monkeypatch, t, k, message
+):
+    path = tmp_path / "step2.qdesign"
+    run(capsys, "design", "trivial", "--t", str(t), "--v", "5", "--k", str(k), "--q", "2",
+        "--out", str(path))
+
+    def build_code(*args):
+        raise AssertionError("the code was built before the step-2 design was checked")
+
+    monkeypatch.setattr("designcodes.cli.build_code", build_code)
+    code, out, err = run(
+        capsys, "simulate", "--decoder", "two-step", "--designfile", str(path),
+        "--weight", "1", "--trials", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["radius", "simulate"])
 @pytest.mark.parametrize("mode", ["affine", "flats"])
 def test_two_step_refuses_a_mode_other_than_projective(capsys, command, mode):

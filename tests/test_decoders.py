@@ -13,9 +13,12 @@ from designcodes.decoders import (
     OneStepDecoder,
     TwoStepDecoder,
     as_mask,
+    check_step2_design,
     ell_bounds,
     ell_one_step,
     ell_one_step_3design,
+    lane_majority,
+    majority_tree,
     measure_decoding_radius,
     simulate,
     two_step_capability,
@@ -30,7 +33,14 @@ from designcodes.designs import (
 )
 from designcodes.field import FieldCtx, _columns
 
-from .oracles import one_step_scan, one_step_tables, pack_blocks, two_step_scan, two_step_tables
+from .oracles import (
+    lane_majority_count,
+    one_step_scan,
+    one_step_tables,
+    pack_blocks,
+    two_step_scan,
+    two_step_tables,
+)
 
 SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
 
@@ -469,10 +479,57 @@ def test_two_step_rejects_a_check_that_misses_a_point_of_the_block(gf2m):
         TwoStepDecoder(code, step2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from(["random", "zeros", "ones"]),
+    st.randoms(use_true_random=False),
+)
+def test_lane_majority_matches_a_per_block_count(J, width, fill, rng):
+    # J = 1, 4, 5, 7, 13 and 15 are the package's; even J has ties, which
+    # give 0; the block lane above the J class lanes holds random bits
+    bits = {"random": rng.getrandbits(J * width), "zeros": 0, "ones": (1 << J * width) - 1}[fill]
+    lanes = bits | rng.getrandbits(width) << J * width
+    assert lane_majority(lanes, majority_tree(J, width)) == lane_majority_count(lanes, J, width)
+
+
+@pytest.mark.parametrize("J", [1, 2, 4, 5, 7, 13, 15, 16, 40])
+@pytest.mark.parametrize("width", [1, 7, 8, 29, 30, 31, 300])
+def test_lane_majority_at_the_threshold(J, width):
+    full = (1 << width) - 1
+    tree = majority_tree(J, width)
+
+    def lanes(ones):
+        # the first `ones` class lanes set, and every bit of the block lane
+        return sum(full << c * width for c in range(ones)) | full << J * width
+
+    assert lane_majority(lanes(0), tree) == 0
+    assert lane_majority(lanes(J // 2), tree) == 0  # a tie at even J
+    assert lane_majority(lanes(J // 2 + 1), tree) == full
+    assert lane_majority(lanes(J), tree) == full
+
+
 def test_two_step_dimension_mismatch(gf2m):
     code = build_code(projective_version(trivial_design(2, 5, 3, gf2m)), 2, "projective")
     with pytest.raises(ValueError, match="length"):
         TwoStepDecoder(code, trivial_design(2, 4, 2, gf2m))
+
+
+@pytest.mark.parametrize(
+    "t, v, k, message",
+    [
+        (1, 4, 2, "two-step decoding needs a step-2 design with t >= 2, not t = 1"),
+        (2, 4, 4, "the step-2 design's blocks (k = 4, v = 4) leave no room for superspaces"),
+    ],
+)
+def test_two_step_rejects_a_step2_design_by_name(gf2m, t, v, k, message):
+    step2 = trivial_design(t, v, k, gf2m)
+    code = build_code(projective_version(trivial_design(2, 4, 3, gf2m)), 2, "projective")
+    for check in (lambda: check_step2_design(step2), lambda: TwoStepDecoder(code, step2)):
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value).startswith(message)
 
 
 def test_radius_fano(fano_pair):
