@@ -245,7 +245,8 @@ def _decoder_for(args):
                 " is a 2-design of (k - 1)-subspaces, so --k must be at least 3"
             )
         step2 = trivial_design(2, args.v, args.k - 1, _ctx(args))
-    # before the code is built: its blocks are the step-2 blocks' superspaces
+    # before the code of the step-2 blocks' superspaces is built, which is
+    # most of the set-up and fails on k = v without naming the step-2 design
     check_step2_design(step2)
     code = build_code(
         projective_version(trivial_design(2, step2.v, step2.k + 1, step2.ctx)),
