@@ -47,10 +47,11 @@ Capability formulas:
   (2 lambda))) with J = [v-k+1, 1]_q superspaces per block.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import ceil, comb, log
 from operator import and_
 
 from ._record import Record
@@ -439,6 +440,44 @@ class TwoStepDecoder(_MajorityVote):
 # Empirical measurement
 
 
+def _error_mask(rng: random.Random, n: int, w: int) -> int:
+    """The mask of `rng.sample(range(n), w)`, drawn by the same
+    `rng.getrandbits` calls in the same order, so the generator ends in the
+    same state.
+
+    `random.sample` keeps a set of the positions drawn when n exceeds its
+    `setsize`, and redraws each position, by `getrandbits(n.bit_length())`,
+    until it lies below n and is not yet set; the mask is that set.
+    Otherwise it swaps each draw, below n - i at step i, out of a pool of
+    the positions left.  A weight outside 0..n raises ValueError, as
+    `sample` does.
+    """
+    if not 0 <= w <= n:
+        raise ValueError(f"error weight {w} is outside 0..{n}")
+    setsize = 21
+    if w > 5:
+        setsize += 4 ** ceil(log(3 * w, 4))
+    getrandbits = rng.getrandbits
+    mask = 0
+    if n > setsize:
+        k = n.bit_length()
+        for _ in range(w):
+            j = getrandbits(k)
+            while j >= n or mask >> j & 1:
+                j = getrandbits(k)
+            mask |= 1 << j
+        return mask
+    pool = list(range(n))
+    for left in range(n, n - w, -1):
+        k = left.bit_length()
+        j = getrandbits(k)
+        while j >= left:
+            j = getrandbits(k)
+        mask |= 1 << pool[j]
+        pool[j] = pool[left - 1]
+    return mask
+
+
 class RadiusReport(Record):
     _fields = ("certified_radius", "first_failure_weight", "trials", "exhaustive")
 
@@ -464,17 +503,20 @@ def measure_decoding_radius(
 
     Each weight is swept exhaustively while C(n, w) fits the budget and by
     uniform sampling beyond that; `exhaustive` reports whether every swept
-    weight up to the radius was exhaustive.  A budget or a maximum weight
-    below 1 tests nothing, so it is rejected.
+    weight up to the radius was exhaustive.  A sampled pattern is
+    `random.Random(seed).sample(range(n), w)`'s draw, taken as a mask by
+    the same `getrandbits` calls (`_error_mask`), so seeded reports depend
+    on the generator's `getrandbits` stream, not on how the standard
+    library implements `sample`.  A budget or a maximum weight below 1
+    tests nothing, so it is rejected.
     """
-    import itertools
-
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if max_weight is not None and max_weight < 1:
         raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     n = decoder.n
     rng = random.Random(seed)
+    bits = [1 << j for j in range(n)]
     trials = 0
     exhaustive = True
     radius = 0
@@ -483,16 +525,13 @@ def measure_decoding_radius(
     while w <= limit:
         total = comb(n, w)
         if total <= budget:
-            patterns = itertools.combinations(range(n), w)
+            masks = map(sum, itertools.combinations(bits, w))
             full = True
         else:
-            patterns = (tuple(rng.sample(range(n), w)) for _ in range(budget))
+            masks = (_error_mask(rng, n, w) for _ in range(budget))
             full = False
         failed = False
-        for pat in patterns:
-            mask = 0
-            for j in pat:
-                mask |= 1 << j
+        for mask in masks:
             trials += 1
             out = decoder.decode(mask)
             if out.status != DECODED or out.word != 0:
@@ -550,7 +589,13 @@ def simulate(
 ) -> SimReport:
     """Random-error channel: per trial, a random codeword (or zero, by
     linearity) plus a uniform weight-w error pattern is decoded; outcomes
-    and the parity-evaluation workload are tallied."""
+    and the parity-evaluation workload are tallied.
+
+    The error pattern is `random.sample(range(n), weight)`'s draw from the
+    seeded generator, taken as a mask by the same `getrandbits` calls
+    (`_error_mask`), so seeded reports depend on the generator's
+    `getrandbits` stream, not on how the standard library implements
+    `sample`."""
     rng = random.Random(seed)
     n = decoder.n
     if trials < 0:
@@ -563,10 +608,7 @@ def simulate(
     successes = miscorrected = detected = 0
     for _ in range(trials):
         codeword = 0 if zero_codeword else decoder.code.random_codeword(rng)
-        mask = 0
-        for j in rng.sample(range(n), weight):
-            mask |= 1 << j
-        out = decoder.decode(codeword ^ mask)
+        out = decoder.decode(codeword ^ _error_mask(rng, n, weight))
         if out.status == DECODED and out.word == codeword:
             successes += 1
         elif out.status == DECODED:

@@ -12,6 +12,7 @@ from designcodes.decoders import (
     DETECTED,
     OneStepDecoder,
     TwoStepDecoder,
+    _error_mask,
     as_mask,
     ell_bounds,
     ell_one_step,
@@ -642,6 +643,25 @@ def test_simulate_rejects_negative_weight(fano_pair, trials):
         simulate(dec, weight=-1, trials=trials)
     assert str(err.value) == "weight must be non-negative, got -1"
     assert dec.check_evals == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**40 + 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 21, 22, 85, 86, 127, 128, 255])
+def test_error_mask_is_the_mask_of_random_sample(n, seed):
+    # both of `random.sample`'s branches: a set of drawn positions for n
+    # above its setsize (e.g. n = 127 with w < 22), a pool otherwise; the
+    # next draw of both generators shows they end in the same state
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    for w in range(min(n, 40) + 1):
+        mask = sum(1 << j for j in stdlib.sample(range(n), w))
+        assert _error_mask(ours, n, w) == mask, (n, w)
+        assert ours.getrandbits(64) == stdlib.getrandbits(64), (n, w)
+
+
+@pytest.mark.parametrize("n, w", [(0, -1), (7, -1), (7, 8), (127, 128)])
+def test_error_mask_rejects_a_weight_outside_the_length(n, w):
+    with pytest.raises(ValueError, match="outside"):
+        _error_mask(random.Random(0), n, w)
 
 
 def test_as_mask_forms():

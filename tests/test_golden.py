@@ -23,7 +23,10 @@ versions of the shipped design and of the lines of PG(2,4), and of the
 stdout of `scripts/reproduce_tables.py` and `scripts/rank_experiment.py`,
 were captured before combinatorial blocks were held as point masks.  The
 two-step run through the shipped design (J = 15) was captured before the
-step-1 majority was counted by a halving adder tree.
+step-1 majority was counted by a halving adder tree.  The sampled one-step
+radius through the shipped design and the two-step run drawn from
+`random.sample`'s pool branch were captured before error patterns were
+drawn as masks by `decoders._error_mask`.
 """
 
 import hashlib
@@ -113,6 +116,19 @@ def test_simulate_one_step_subspace_design_golden(capsys):
     )
 
 
+def test_simulate_two_step_pool_draw_golden(capsys):
+    # n = 31 and weight 6 lie below `random.sample`'s setsize of 85, so
+    # every error pattern is drawn from its pool branch
+    out = stdout_of(
+        capsys, "simulate", "--decoder", "two-step", "--v", "5", "--k", "3", "--q", "2",
+        "--weight", "6", "--trials", "300", "--seed", "4",
+    )
+    assert out == (
+        "seed=4\nweight=6\ntrials=300\nsuccesses=0\nmiscorrected=30\ndetected=270\n"
+        "success_rate=0.0\ncheck_evals=465000\n"
+    )
+
+
 def test_simulate_two_step_q3_golden(capsys):
     out = stdout_of(
         capsys, "simulate", "--decoder", "two-step", "--v", "4", "--k", "3", "--q", "3",
@@ -138,6 +154,16 @@ def test_radius_one_step_golden(capsys):
         "--seed", "1",
     )
     assert out == "radius=3\nfirst_failure=4\ntrials=4992\nexhaustive=true\n"
+
+
+def test_radius_one_step_sampled_golden(capsys):
+    # C(127, w) exceeds the budget from w = 2 on, so every weight past the
+    # first is sampled, from `random.sample`'s set branch
+    out = stdout_of(
+        capsys, "radius", "--decoder", "one-step", "--designfile", str(SHIPPED_DESIGN),
+        "--budget", "300", "--max-weight", "14", "--seed", "2",
+    )
+    assert out == "radius=10\nfirst_failure=11\ntrials=2851\nexhaustive=false\n"
 
 
 def test_design_verify_shipped_golden(capsys):
