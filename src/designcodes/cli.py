@@ -76,11 +76,19 @@ def _loads_design(text: str):
     raise ValueError("neither a qdesign nor a cdesign file")
 
 
+def _cdesign_mode_error(mode: str) -> ValueError:
+    return ValueError(
+        f"--mode {mode} does not apply to a cdesign file, whose blocks are the code's checks"
+    )
+
+
 def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
     """Combinatorial design for a decoder, from a file or trivial parameters."""
     if args.designfile:
         qd, cd = _load_design_file(args.designfile)
         if cd is not None:
+            if args.mode != "projective":
+                raise _cdesign_mode_error(args.mode)
             return cd, "combinatorial"
     else:
         qd = trivial_design(2, args.v, args.k, _ctx(args))
@@ -170,7 +178,11 @@ def cmd_design_derive(args) -> int:
 
 def cmd_code_build(args) -> int:
     qd, cd = _load_design_file(args.file)
+    if cd is not None and args.mode is not None:
+        raise _cdesign_mode_error(args.mode)
     mode = args.mode or ("combinatorial" if cd is not None else "projective")
+    if args.hyperplane is not None and mode != "affine":
+        raise ValueError(f"--hyperplane applies only to --mode affine, not to {mode}")
     if cd is None:
         cd = construct(qd, mode, hyperplane=_parse_hyperplane(args.hyperplane))
     code = build_code(cd, args.p, mode)

@@ -10,10 +10,11 @@ Both decoders run column-syndrome kernels on one column mask per position
 (bit i = check i contains the position).  The one-step decoder takes the
 code's own columns (`BinaryCode.columns`, the checks transposed once by
 `field._columns`); the two-step decoder reads each step-2 block's
-superspaces off them and transposes its member rows with the same
-`field._columns`.  A decode XORs the columns of the received word's 1-bits
-into a syndrome, computing each check's parity once per word, and reads
-each position's vote count as popcount(syndrome & column).  That XOR is
+superspaces off them, from the block's point mask alone, and transposes
+its member rows with the same `field._columns`.  A decode XORs the
+columns of the received word's 1-bits into a syndrome, computing each
+check's parity once per word, and reads each position's vote count as
+popcount(syndrome & column).  That XOR is
 `field._xor_select`, the package's one "XOR the vectors at a word's set
 bits", over tables each decoder builds from its columns at construction
 (`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
@@ -52,13 +53,13 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import ceil, comb, log
-from operator import and_
+from operator import and_, or_
 
 from ._record import Record
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
 from .field import _columns, _xor_select, _xor_tables, bit_positions, pack_text
-from .pspace import gaussian_coefficient, points_mask, row_points
+from .pspace import gaussian_coefficient, points_mask
 
 DECODED = "decoded"
 DETECTED = "detected-uncorrectable"
@@ -357,12 +358,13 @@ class TwoStepDecoder(_MajorityVote):
     word over K minus B, and the majority of the J estimates wins (ties give
     0).  The superspaces of B are the code's checks that contain B, so they
     are read off the code's columns, once per (code, design) pair: the
-    checks set in the AND of the columns of B's row points
-    (`pspace.row_points`).  The build raises ValueError unless exactly J
-    checks contain those points and each of them contains B.  Step 2 sets
-    each position j to the majority, over the step-2 blocks through j, of
-    (block parity) - (received parity over the block minus j); ties keep
-    the received bit.
+    checks set in the AND of the columns of every point of B's mask
+    (`pspace.points_mask`).  The build raises ValueError unless exactly J
+    checks contain B and their classes K minus B are pairwise disjoint:
+    the J checks are then orthogonal on the points outside B, so at most
+    one estimate reads each error off B.  Step 2 sets each position j to
+    the majority, over the step-2 blocks through j, of (block parity) -
+    (received parity over the block minus j); ties keep the received bit.
 
     Column-syndrome kernel: with b_2 step-2 blocks, each position gets a
     member mask of J + 1 lanes of b_2 bits.  The classes of block b are the
@@ -405,33 +407,26 @@ class TwoStepDecoder(_MajorityVote):
         block itself.
 
         The superspaces are the code's checks that contain the block: the
-        checks set in the AND of the columns of the block's row points.
-        Unless exactly J checks contain those points, and the AND of those
-        checks with the block's mask is the whole block, the code's checks
-        are not the block's superspaces.
+        checks set in the AND of the columns of every point of the block's
+        mask.  Unless exactly J checks contain the block and their classes
+        (check minus block) are pairwise disjoint, which is the
+        orthogonality step 1 needs, the code's checks are not the block's
+        superspaces.
         """
         columns, checks = code.columns, code.check_masks()
-        key = row_points(step2.v, step2.ctx)
-        for b, blk in enumerate(step2.blocks):
-            through = reduce(and_, [columns[i] for i in key(blk)])
-            bmask = points_mask(blk)
-            sups = [checks[i] for i in bit_positions(through)]
-            if len(sups) != self.J or reduce(and_, sups, bmask) != bmask:
+        for b, bmask in enumerate(map(points_mask, step2.blocks)):
+            through = reduce(and_, [columns[j] for j in bit_positions(bmask)])
+            classes = [checks[i] ^ bmask for i in bit_positions(through)]
+            disjoint = sum(c.bit_count() for c in classes) == reduce(or_, classes, 0).bit_count()
+            if len(classes) != self.J or not disjoint:
                 raise ValueError(f"the code's checks are not the {self.J} superspaces of block {b}")
-            yield tuple(sorted([sup ^ bmask for sup in sups])) + (bmask,)
-
-    def _estimates(self, lanes: int) -> int:
-        """The step-1 block parities of a word's lanes: bit b is set iff
-        more than J // 2 of the J class lanes have bit b set (ties give 0),
-        counted by the halving adder tree built at construction; the block
-        lane is ignored."""
-        return lane_majority(lanes, self._majority_tree)
+            yield tuple(sorted(classes)) + (bmask,)
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
         lanes = _xor_select(self._member_tables, received)
         block_parities = lanes >> self._parity_shift
-        disagree = self._estimates(lanes) ^ block_parities
+        disagree = lane_majority(lanes, self._majority_tree) ^ block_parities
         flips, out = self._vote(received, disagree)
         return self._outcome(out, flips, self.code.is_codeword(out))
 

@@ -469,6 +469,72 @@ def test_two_step_refuses_a_mode_other_than_projective(capsys, command, mode):
     assert run(capsys, *argv, "--seed", "1") == (code, out, err)
 
 
+def _fano_files(tmp_path):
+    """The Fano plane as a qdesign file and its projective version as a
+    cdesign file."""
+    fano = trivial_design(2, 3, 2, FieldCtx.of(2))
+    qpath, cpath = tmp_path / "d.qdesign", tmp_path / "d.cdesign"
+    qpath.write_text(dumps_subspace_design(fano))
+    cpath.write_text(dumps_comb_design(projective_version(fano)))
+    return qpath, cpath
+
+
+def _refused(capsys, argv, start):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, ""), argv
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("mode", ["projective", "affine", "flats"])
+def test_code_build_of_a_cdesign_refuses_a_mode(tmp_path, capsys, mode):
+    # a cdesign's blocks are the code's checks as they stand, so no mode
+    # applies to it
+    _, cpath = _fano_files(tmp_path)
+    _refused(capsys, ["code", "build", str(cpath), "--mode", mode], f"--mode {mode} does not apply")
+    assert run(capsys, "code", "build", str(cpath))[0] == 0
+
+
+def test_code_build_refuses_a_hyperplane_outside_affine_mode(tmp_path, capsys):
+    qpath, cpath = _fano_files(tmp_path)
+    for path, mode in [(qpath, None), (qpath, "projective"), (qpath, "flats"), (cpath, None)]:
+        argv = ["code", "build", str(path), "--hyperplane", "0 1 0"]
+        argv += ["--mode", mode] if mode else []
+        _refused(capsys, argv, "--hyperplane applies only to --mode affine")
+    code, out, err = run(capsys, "code", "build", str(qpath), "--mode", "affine", "--hyperplane", "0 1 0")
+    assert code == 0 and err == "" and kv(out)["n"] == "4"
+
+
+@pytest.mark.parametrize("mode", ["affine", "flats"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "one-step", "--word", "0" * 7],
+        ["radius"],
+        ["simulate", "--weight", "1", "--trials", "3"],
+    ],
+    ids=["decode-one-step", "radius", "simulate"],
+)
+def test_one_step_commands_refuse_a_mode_with_a_cdesign(tmp_path, capsys, argv, mode):
+    _, cpath = _fano_files(tmp_path)
+    argv = argv + ["--designfile", str(cpath)]
+    _refused(capsys, argv + ["--mode", mode], f"--mode {mode} does not apply to a cdesign file")
+    code, out, err = run(capsys, *argv, "--mode", "projective")
+    assert code == 0 and err == ""
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_a_refused_option_leaves_a_malformed_file_its_own_error(tmp_path, capsys):
+    # the file is read before the options are judged against it
+    path = tmp_path / "d.cdesign"
+    path.write_text("cdesign t=2 n=3 k=2 lambda=1\n0 x\n")
+    for argv in [
+        ["code", "build", str(path), "--mode", "flats"],
+        ["code", "build", str(path), "--hyperplane", "0 1 0"],
+        ["radius", "--designfile", str(path), "--mode", "affine"],
+    ]:
+        _refused(capsys, argv, f"{path}: line 2: 'x' is not an integer")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -479,6 +479,41 @@ def test_two_step_rejects_a_check_that_misses_a_point_of_the_block(gf2m):
         TwoStepDecoder(code, step2)
 
 
+def test_two_step_rejects_superspaces_that_share_a_point_off_the_block(gf2m):
+    # PG(3,2)'s planes with plane P through block 0 swapped for P ^ y ^ x:
+    # y a point of P off the line, x a point of another plane Q through the
+    # line, off P.  Exactly J = 3 checks hold every point of block 0, but
+    # the classes of the swapped set and of Q share x, so the three checks
+    # are not orthogonal off the block
+    step2 = trivial_design(2, 4, 2, gf2m)
+    planes = projective_version(trivial_design(2, 4, 3, gf2m))
+    bmask = pspace.points_mask(step2.blocks[0])
+    plane, other = [m for m in planes.masks if m & bmask == bmask][:2]
+    y = next(1 << i for i in range(15) if (plane & ~bmask) >> i & 1)
+    x = next(1 << i for i in range(15) if (other & ~plane) >> i & 1)
+    masks = [m for m in planes.masks if m != plane] + [plane ^ y ^ x]
+    code = build_code(CombinatorialDesign(15, 2, 7, 3, masks), 2, "combinatorial")
+    with pytest.raises(ValueError, match="the code's checks are not the 3 superspaces of block 0$"):
+        TwoStepDecoder(code, step2)
+
+
+def test_two_step_ignores_a_check_that_holds_no_block(gf2m):
+    # PG(3,2)'s planes plus one more check: 7 points of the complement of a
+    # plane H, a cap that holds no line, taken to hold two points a, b of
+    # block 0 (their third point a ^ b lies in H).  It holds no whole block,
+    # so step 1 reads the same classes as from the planes alone
+    step2 = trivial_design(2, 4, 2, gf2m)
+    planes = projective_version(trivial_design(2, 4, 3, gf2m))
+    a, b = pspace.row_points(4, gf2m)(step2.blocks[0])
+    hyper = next(m for m in planes.masks if not (m >> a & 1 or m >> b & 1))
+    cap = ((1 << 15) - 1) ^ hyper
+    extra = cap ^ next(1 << i for i in range(15) if cap >> i & 1 and i not in (a, b))
+    masks = list(planes.masks) + [extra]
+    code = build_code(CombinatorialDesign(15, 2, 7, 3, masks), 2, "combinatorial")
+    plain = TwoStepDecoder(build_code(planes, 2, "projective"), step2)
+    assert TwoStepDecoder(code, step2)._members == plain._members
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=40),
