@@ -359,7 +359,7 @@ def _add_decoder_source_args(p, two_step=False):
     p.add_argument("--designfile", default=None)
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=int, default=None, help="field order (default 2)")
     p.add_argument("--poly", type=int, default=None)
     if not two_step:
         p.add_argument("--mode", choices=MODES, default="projective")
@@ -487,10 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.cmd in ("decode", "radius", "simulate") and not getattr(args, "designfile", None):
-        for name in ("v", "k"):
-            if getattr(args, name, None) is None:
-                ap.error(f"--{name} is required without --designfile")
+    if args.cmd in ("decode", "radius", "simulate"):
+        if args.designfile:
+            # the file fixes the design, its field and its geometry
+            for name in ("v", "k", "q", "poly"):
+                if getattr(args, name) is not None:
+                    ap.error(f"--{name} does not apply with --designfile")
+        else:
+            for name in ("v", "k"):
+                if getattr(args, name) is None:
+                    ap.error(f"--{name} is required without --designfile")
+            if args.q is None:
+                args.q = 2
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -36,13 +36,10 @@ from .pspace import gaussian_coefficient
 
 
 class CodeSource(Record):
-    """Where a code's checks came from: the construction mode."""
+    """Where a code's checks came from: the construction mode, one of
+    "projective", "affine", "flats" and "combinatorial"."""
 
     _fields = ("mode",)
-
-    def __init__(self, mode: str) -> None:
-        # mode: "projective" | "affine" | "flats" | "combinatorial"
-        self.__dict__.update(mode=mode)
 
 
 class BinaryCode(Record):
@@ -57,11 +54,7 @@ class BinaryCode(Record):
     """
 
     _fields = ("n", "p", "checks", "source")
-
-    def __init__(
-        self, n: int, p: int, checks: PrimeMatrix, source: CodeSource | None = None
-    ) -> None:
-        self.__dict__.update(n=n, p=p, checks=checks, source=source)
+    _defaults = {"source": None}
 
     @cached_property
     def rank(self) -> int:
@@ -212,9 +205,6 @@ def bch_bound(v: int, k: int, q: int) -> int:
 class DistanceBounds(Record):
     _fields = ("lower", "known_exact")
 
-    def __init__(self, lower: int, known_exact: int | None) -> None:
-        self.__dict__.update(lower=lower, known_exact=known_exact)
-
 
 def distance_bounds(v: int, k: int, q: int, mode: str) -> DistanceBounds:
     """Lower bound and (when known) the exact minimum distance.
@@ -274,13 +264,7 @@ class RankReport(Record):
     """Matrix rank next to the closed-form ranks, for the rank experiment."""
 
     _fields = ("matrix_rank", "hamada_rank", "binary_simplified")
-
-    def __init__(
-        self, matrix_rank: int, hamada_rank: int | None = None, binary_simplified: int | None = None
-    ) -> None:
-        self.__dict__.update(
-            matrix_rank=matrix_rank, hamada_rank=hamada_rank, binary_simplified=binary_simplified
-        )
+    _defaults = {"hamada_rank": None, "binary_simplified": None}
 
     @property
     def all_agree(self) -> bool:

@@ -148,24 +148,6 @@ class CapabilityReport(Record):
 
     _fields = ("ell_one_step", "ell_bounds", "J", "ell_two_step", "r", "lambda2")
 
-    def __init__(
-        self,
-        ell_one_step: int,
-        ell_bounds: tuple[int, int],
-        J: int,
-        ell_two_step: int,
-        r: int,
-        lambda2: int,
-    ) -> None:
-        self.__dict__.update(
-            ell_one_step=ell_one_step,
-            ell_bounds=ell_bounds,
-            J=J,
-            ell_two_step=ell_two_step,
-            r=r,
-            lambda2=lambda2,
-        )
-
 
 def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
     """J, both capability floors, and their min, for a step-2 design with
@@ -476,16 +458,6 @@ def _error_mask(rng: random.Random, n: int, w: int) -> int:
 class RadiusReport(Record):
     _fields = ("certified_radius", "first_failure_weight", "trials", "exhaustive")
 
-    def __init__(
-        self, certified_radius: int, first_failure_weight: int | None, trials: int, exhaustive: bool
-    ) -> None:
-        self.__dict__.update(
-            certified_radius=certified_radius,
-            first_failure_weight=first_failure_weight,
-            trials=trials,
-            exhaustive=exhaustive,
-        )
-
 
 def measure_decoding_radius(
     decoder,
@@ -549,26 +521,6 @@ def measure_decoding_radius(
 
 class SimReport(Record):
     _fields = ("weight", "trials", "successes", "miscorrected", "detected", "check_evals", "seed")
-
-    def __init__(
-        self,
-        weight: int,
-        trials: int,
-        successes: int,
-        miscorrected: int,
-        detected: int,
-        check_evals: int,
-        seed: int,
-    ) -> None:
-        self.__dict__.update(
-            weight=weight,
-            trials=trials,
-            successes=successes,
-            miscorrected=miscorrected,
-            detected=detected,
-            check_evals=check_evals,
-            seed=seed,
-        )
 
     @property
     def success_rate(self) -> float:

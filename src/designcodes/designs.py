@@ -89,11 +89,6 @@ class DesignParams(Record):
 
     _fields = ("t", "v", "k", "lam", "q", "lambdas")
 
-    def __init__(
-        self, t: int, v: int, k: int, lam: int, q: int | None, lambdas: tuple[Fraction, ...]
-    ) -> None:
-        self.__dict__.update(t=t, v=v, k=k, lam=lam, q=q, lambdas=lambdas)
-
     @property
     def admissible(self) -> bool:
         return all(x.denominator == 1 for x in self.lambdas)
@@ -255,9 +250,6 @@ class VerifyResult(Record):
     "non-constant"; on failure `witness` is (t-subspace or t-subset, count)."""
 
     _fields = ("verified", "observed_lambda", "witness")
-
-    def __init__(self, verified: bool, observed_lambda: int | str, witness: tuple | None) -> None:
-        self.__dict__.update(verified=verified, observed_lambda=observed_lambda, witness=witness)
 
 
 def trivial_design(t: int, v: int, k: int, ctx: FieldCtx) -> SubspaceDesign:

@@ -228,9 +228,6 @@ class PrimeMatrix(Record):
 
     _fields = ("p", "ncols", "rows")
 
-    def __init__(self, p: int, ncols: int, rows: tuple) -> None:
-        self.__dict__.update(p=p, ncols=ncols, rows=rows)
-
     @classmethod
     def from_rows(cls, entry_rows: Iterable[Sequence[int]], p: int, ncols: int) -> "PrimeMatrix":
         rows = []

@@ -22,37 +22,15 @@ from .pspace import gaussian_coefficient
 class TableRowSpec(Record):
     _fields = ("t", "v", "k", "lam", "q", "mode")
 
-    def __init__(self, t: int, v: int, k: int, lam: int, q: int, mode: str) -> None:
-        self.__dict__.update(t=t, v=v, k=k, lam=lam, q=q, mode=mode)
-
     def label(self) -> str:
         return f"{self.t}-({self.v},{self.k},{self.lam})_{self.q}"
 
 
 class RowReport(Record):
-    _fields = ("spec", "n", "dim", "ell", "r", "lambda_min", "lambda_max", "speedup")
+    """One table row: `speedup` is lambda_max / lambda_known as a Fraction,
+    or None when lambda_known == lambda_max."""
 
-    def __init__(
-        self,
-        spec: TableRowSpec,
-        n: int,
-        dim: int,
-        ell: int,
-        r: int,
-        lambda_min: int,
-        lambda_max: int,
-        speedup: Fraction | None,  # None when lambda_known == lambda_max
-    ) -> None:
-        self.__dict__.update(
-            spec=spec,
-            n=n,
-            dim=dim,
-            ell=ell,
-            r=r,
-            lambda_min=lambda_min,
-            lambda_max=lambda_max,
-            speedup=speedup,
-        )
+    _fields = ("spec", "n", "dim", "ell", "r", "lambda_min", "lambda_max", "speedup")
 
     def speedup_str(self) -> str:
         if self.speedup is None:

@@ -812,3 +812,114 @@ def test_repeated_header_key_is_domain_error(tmp_path, capsys, name, text, repea
     kind, key = header.split()[0], repeat.split("=")[0]
     assert code == 1 and out == ""
     assert err == f"error: {path}: {kind} header repeats key {key!r}\n"
+
+
+def _step2_file(tmp_path, capsys):
+    """The trivial 2-(5,2,7)_2 design as a qdesign file: a design every
+    decoder command accepts, one-step and two-step."""
+    path = tmp_path / "step2.qdesign"
+    run(capsys, "design", "trivial", "--t", "2", "--v", "5", "--k", "2", "--q", "2",
+        "--out", str(path))
+    return path
+
+
+_DECODER_COMMANDS = [
+    ["decode", "one-step", "--word", "0" * 31],
+    ["decode", "two-step", "--word", "0" * 31],
+    ["radius", "--budget", "50", "--max-weight", "2"],
+    ["simulate", "--weight", "1", "--trials", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--v", "5"), ("--k", "2"), ("--q", "2"), ("--poly", "2")]
+)
+def test_decoder_commands_refuse_a_source_option_with_a_designfile(
+    tmp_path, capsys, option, value
+):
+    # the file fixes the design, its field and its geometry: an option that
+    # would be dropped is refused, even when it agrees with the file
+    path = _step2_file(tmp_path, capsys)
+    for argv in _DECODER_COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--designfile", str(path), option, value])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {option} does not apply with --designfile" in err
+
+
+def test_decoder_commands_take_a_designfile_alone(tmp_path, capsys):
+    path = _step2_file(tmp_path, capsys)
+    for argv in _DECODER_COMMANDS:
+        code, out, err = run(capsys, *argv, "--designfile", str(path))
+        assert code == 0 and err == "" and out, argv
+
+
+def test_decoder_commands_default_to_q2_without_a_designfile(capsys):
+    for argv in _DECODER_COMMANDS:
+        code, out, err = run(capsys, *argv, "--v", "5", "--k", "3")
+        assert code == 0 and err == "" and out, argv
+        assert run(capsys, *argv, "--v", "5", "--k", "3", "--q", "2") == (code, out, err)
+
+
+def test_design_trivial_without_out_prints_the_file(tmp_path, capsys):
+    path = tmp_path / "d.qdesign"
+    argv = ["design", "trivial", "--t", "2", "--v", "4", "--k", "2", "--q", "3"]
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert run(capsys, *argv) == (0, path.read_text(), "")
+
+
+def test_design_derive_combinatorial(capsys):
+    code, out, err = run(capsys, "design", "derive", "--t", "2", "--n", "7", "--k", "3",
+                         "--lambda", "1")
+    assert code == 0 and err == ""
+    pairs = kv(out)
+    assert (pairs["b"], pairs["r"], pairs["admissible"]) == ("7", "3", "true")
+
+
+def test_design_derive_needs_q_or_n(capsys):
+    code, out, err = run(capsys, "design", "derive", "--t", "2", "--k", "3", "--lambda", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: need --q for subspace parameters or --n for combinatorial\n"
+
+
+def test_hamada_binary_prints_the_binary_formula(capsys):
+    assert run(capsys, "hamada", "--v", "7", "--k", "3", "--p", "2", "--m", "1") == (
+        0,
+        "rank=99\nbinary_formula=99\n",
+        "",
+    )
+
+
+def test_design_verify_of_a_cdesign_names_a_point_tuple_witness(tmp_path, capsys):
+    # the Fano plane without its last block, 2 4 5: the pair 2 4 lies in no block
+    _, cpath = _fano_files(tmp_path)
+    lines = cpath.read_text().splitlines()
+    assert lines[-1] == "2 4 5"
+    cpath.write_text("\n".join(lines[:-1]) + "\n")
+    code, out, err = run(capsys, "design", "verify", str(cpath))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "verified=false",
+        "observed_lambda=non-constant",
+        "witness=2 4",
+        "witness_count=0",
+    ]
+
+
+def test_experiment_rank_refuses_a_cdesign(tmp_path, capsys):
+    _, cpath = _fano_files(tmp_path)
+    _refused(capsys, ["experiment", "rank", str(cpath)], "the rank experiment needs a")
+
+
+def test_experiment_rank_with_geometric_matrix(tmp_path, capsys):
+    qpath, _ = _fano_files(tmp_path)
+    code, out, err = run(capsys, "experiment", "rank", str(qpath), "--with-geometric-matrix")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "matrix_rank=4",
+        "hamada_rank=4",
+        "binary_rank=4",
+        "geometric_matrix_rank=4",
+        "verdict=equal",
+    ]

@@ -353,3 +353,20 @@ def test_star_import_exports_every_name_once():
     assert len(set(names)) == len(names)
     assert all(hasattr(designcodes, name) for name in names)
     assert set(names) <= namespace.keys()
+
+
+@cases
+def test_construction_refuses_bad_arguments(cls, names, args, other, defaults, text):
+    # the shared constructor refuses what a written-out signature refuses;
+    # the classes with their own __init__ raise Python's own TypeError
+    names = names.split()
+    full = args + tuple(defaults.values())
+    with pytest.raises(TypeError):
+        cls(*full, full[-1])
+    with pytest.raises(TypeError, match="'extra'"):
+        cls(*args, extra=0)
+    with pytest.raises(TypeError, match=f"'{names[0]}'"):
+        cls(*args, **{names[0]: args[0]})
+    # the last positional argument has no default
+    with pytest.raises(TypeError, match=f"'{names[len(args) - 1]}'"):
+        cls(*args[:-1])
