@@ -243,11 +243,6 @@ def _decoder_for(args):
     if args.decoder == "one-step":
         comb, mode = _resolve_comb(args)
         return OneStepDecoder(build_code(comb, 2, mode), comb)
-    if getattr(args, "mode", "projective") != "projective":
-        raise ValueError(
-            f"--mode {args.mode} does not apply to two-step decoding, which decodes"
-            " the projective code"
-        )
     if args.designfile:
         step2 = load_subspace_design(args.designfile)
     else:
@@ -260,12 +255,9 @@ def _decoder_for(args):
     # before the code of the step-2 blocks' superspaces is built, which is
     # most of the set-up and fails on k = v without naming the step-2 design
     check_step2_design(step2)
-    code = build_code(
-        projective_version(trivial_design(2, step2.v, step2.k + 1, step2.ctx)),
-        2,
-        "projective",
-    )
-    return TwoStepDecoder(code, step2)
+    superspaces = trivial_design(2, step2.v, step2.k + 1, step2.ctx)
+    code = build_code(construct(superspaces, args.mode), 2, args.mode)
+    return TwoStepDecoder(code, construct(step2, args.mode))
 
 
 def cmd_decode(args) -> int:
@@ -355,14 +347,15 @@ def _add_field_args(p, need_k=True, need_t=False):
     p.add_argument("--poly", type=int, default=None, help="modulus polynomial encoding")
 
 
-def _add_decoder_source_args(p, two_step=False):
+def _add_decoder_source_args(p):
     p.add_argument("--designfile", default=None)
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--q", type=int, default=None, help="field order (default 2)")
     p.add_argument("--poly", type=int, default=None)
-    if not two_step:
-        p.add_argument("--mode", choices=MODES, default="projective")
+    p.add_argument("--mode", choices=MODES, default="projective")
+    # the source options are checked in `main`, against this parser's usage
+    p.set_defaults(usage_error=p.error)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("one-step", "two-step"):
         p = decsub.add_parser(name)
-        _add_decoder_source_args(p, two_step=name == "two-step")
+        _add_decoder_source_args(p)
         p.add_argument("--word", required=True)
         p.set_defaults(fn=cmd_decode, decoder=name)
 
@@ -492,11 +485,11 @@ def main(argv=None) -> int:
             # the file fixes the design, its field and its geometry
             for name in ("v", "k", "q", "poly"):
                 if getattr(args, name) is not None:
-                    ap.error(f"--{name} does not apply with --designfile")
+                    args.usage_error(f"--{name} does not apply with --designfile")
         else:
             for name in ("v", "k"):
                 if getattr(args, name) is None:
-                    ap.error(f"--{name} is required without --designfile")
+                    args.usage_error(f"--{name} is required without --designfile")
             if args.q is None:
                 args.q = 2
     try:

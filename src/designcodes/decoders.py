@@ -11,10 +11,12 @@ Both decoders run column-syndrome kernels on one column mask per position
 code's own columns (`BinaryCode.columns`, the checks transposed once by
 `field._columns`); the two-step decoder reads each step-2 block's
 superspaces off them, from the block's point mask alone, and transposes
-its member rows with the same `field._columns`.  A decode XORs the
-columns of the received word's 1-bits into a syndrome, computing each
-check's parity once per word, and reads each position's vote count as
-popcount(syndrome & column).  That XOR is
+its member rows with the same `field._columns`.  Nothing in it is
+projective: it reads the step-2 design's t and block masks, in any
+construction mode, and takes its length and J from the code.  A decode
+XORs the columns of the received word's 1-bits into a syndrome, computing
+each check's parity once per word, and reads each position's vote count
+as popcount(syndrome & column).  That XOR is
 `field._xor_select`, the package's one "XOR the vectors at a word's set
 bits", over tables each decoder builds from its columns at construction
 (`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
@@ -59,7 +61,7 @@ from ._record import Record
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
 from .field import _columns, _xor_select, _xor_tables, bit_positions, pack_text
-from .pspace import gaussian_coefficient, points_mask
+from .pspace import gaussian_coefficient
 
 DECODED = "decoded"
 DETECTED = "detected-uncorrectable"
@@ -256,18 +258,20 @@ class OneStepDecoder(_MajorityVote):
         return self._outcome(out, flips, not syndrome)
 
 
-def check_step2_design(step2: SubspaceDesign) -> None:
+def check_step2_design(step2: SubspaceDesign | CombinatorialDesign) -> None:
     """Raise ValueError unless `step2` can serve as a two-step decoder's
-    step-2 design: a 2-design (t >= 2) whose blocks have superspaces
-    (k < v)."""
+    step-2 design: a 2-design (t >= 2) whose blocks have superspaces (k
+    below v, the dimension of a `SubspaceDesign`'s space, or below n, the
+    points of a `CombinatorialDesign`)."""
     if step2.t < 2:
         raise ValueError(
             f"two-step decoding needs a step-2 design with t >= 2, not t = {step2.t}"
         )
-    if step2.k >= step2.v:
+    name, size = ("v", step2.v) if isinstance(step2, SubspaceDesign) else ("n", step2.n)
+    if step2.k >= size:
         raise ValueError(
-            f"the step-2 design's blocks (k = {step2.k}, v = {step2.v}) leave no room"
-            " for superspaces: two-step decoding needs a step-2 design with k < v"
+            f"the step-2 design's blocks (k = {step2.k}, {name} = {size}) leave no room"
+            f" for superspaces: two-step decoding needs a step-2 design with k < {name}"
         )
 
 
@@ -335,18 +339,30 @@ def lane_majority(lanes: int, tree) -> int:
 class TwoStepDecoder(_MajorityVote):
     """Recover block parities from superspace checks, then vote per position.
 
-    Step 1 estimates the codeword parity over each (k-1)-dimensional block B
-    from the J k-superspaces K of B: each K gives the parity of the received
-    word over K minus B, and the majority of the J estimates wins (ties give
-    0).  The superspaces of B are the code's checks that contain B, so they
-    are read off the code's columns, once per (code, design) pair: the
-    checks set in the AND of the columns of every point of B's mask
-    (`pspace.points_mask`).  The build raises ValueError unless exactly J
-    checks contain B and their classes K minus B are pairwise disjoint:
-    the J checks are then orthogonal on the points outside B, so at most
-    one estimate reads each error off B.  Step 2 sets each position j to
-    the majority, over the step-2 blocks through j, of (block parity) -
-    (received parity over the block minus j); ties keep the received bit.
+    The decoder reads only the code and the step-2 design's t and block
+    masks (`masks`, in block order): a `SubspaceDesign`, or the
+    `CombinatorialDesign` that any construction mode makes of one.  Its
+    length n is the code's, which the blocks must cover, and J = (n - |B|)
+    / (|K| - |B|) for blocks of |B| points and checks of |K| points: the
+    number of classes that partition the points off a block, [v-k, 1]_q for
+    a step-2 design of k-subspaces in the projective, affine and flats
+    modes.  The build raises ValueError unless the blocks cover the n
+    positions and the checks have one size, larger than a block's.  The
+    block order changes the tables, not an outcome or a count.
+
+    Step 1 estimates the codeword parity over each step-2 block B from its
+    J superspaces, the checks K that contain B: each K gives the parity of
+    the received word over K minus B, and the majority of the J estimates
+    wins (ties give 0).  The superspaces are read off the code's columns,
+    once per (code, design) pair: the checks set in the AND of the columns
+    of every point of B's mask.  The build raises ValueError unless exactly
+    J checks contain B and their classes K minus B are pairwise disjoint,
+    which J classes of |K| - |B| points are exactly when the J checks cover
+    every position.  The J checks are then orthogonal on the points
+    outside B, so at most one estimate reads each error off B.  Step 2 sets
+    each position j to the majority, over the step-2 blocks through j, of
+    (block parity) - (received parity over the block minus j); ties keep
+    the received bit.
 
     Column-syndrome kernel: with b_2 step-2 blocks, each position gets a
     member mask of J + 1 lanes of b_2 bits.  The classes of block b are the
@@ -367,42 +383,50 @@ class TwoStepDecoder(_MajorityVote):
     evaluations per word, added per call.
     """
 
-    def __init__(self, code: BinaryCode, step2: SubspaceDesign):
+    def __init__(self, code: BinaryCode, step2: SubspaceDesign | CombinatorialDesign):
         check_step2_design(step2)
-        n = gaussian_coefficient(step2.v, 1, step2.q)
-        if code.n != n:
+        n, blocks, checks = code.n, step2.masks, code.check_masks()
+        if reduce(or_, blocks, 0) != (1 << n) - 1:
             raise ValueError("code length does not match the design's geometry")
-        self.J = J = gaussian_coefficient(step2.v - step2.k, 1, step2.q)
-        nb = len(step2.blocks)
-        rows = (row for lane in zip(*self._member_rows(code, step2)) for row in lane)
+        # the J classes of a block's superspaces partition the n - |B|
+        # points off the block, |K| - |B| in each; where that leaves J
+        # fractional, J classes cannot cover them and `_member_rows` rejects
+        block, sizes = blocks[0].bit_count(), {check.bit_count() for check in checks}
+        if len(sizes) != 1 or max(sizes) <= block:
+            raise ValueError(
+                f"the code's checks, of sizes {sorted(sizes)}, cannot be the superspaces"
+                f" of step-2 blocks of {block} points in {n}"
+            )
+        self.J = J = (n - block) // (max(sizes) - block)
+        rows = (row for lane in zip(*self._member_rows(code, blocks)) for row in lane)
         self._members = _columns(rows, n)
         self._member_tables = _xor_tables(self._members)
-        columns = tuple(member >> (J * nb) for member in self._members)
+        # one bit of the J class lanes, and one step-1 evaluation, per
+        # (block, class)
+        self._parity_shift = classes = J * len(blocks)
+        columns = tuple(member >> classes for member in self._members)
         halves = tuple(col.bit_count() // 2 for col in columns)
-        evals = nb * J + sum(col.bit_count() for col in columns)
+        evals = classes + sum(col.bit_count() for col in columns)
         super().__init__(code, columns, halves, evals)
-        self._majority_tree = majority_tree(J, nb)
-        self._parity_shift = J * nb
+        self._majority_tree = majority_tree(J, len(blocks))
 
-    def _member_rows(self, code: BinaryCode, step2: SubspaceDesign):
+    def _member_rows(self, code: BinaryCode, blocks):
         """Per block: its J superspaces minus the block, sorted, then the
         block itself.
 
         The superspaces are the code's checks that contain the block: the
         checks set in the AND of the columns of every point of the block's
-        mask.  Unless exactly J checks contain the block and their classes
-        (check minus block) are pairwise disjoint, which is the
-        orthogonality step 1 needs, the code's checks are not the block's
-        superspaces.
+        mask.  Unless exactly J checks contain the block and together they
+        cover every position, which makes their classes pairwise disjoint,
+        the code's checks are not the block's superspaces.
         """
-        columns, checks = code.columns, code.check_masks()
-        for b, bmask in enumerate(map(points_mask, step2.blocks)):
+        columns, checks, every = code.columns, code.check_masks(), (1 << code.n) - 1
+        for b, bmask in enumerate(blocks):
             through = reduce(and_, [columns[j] for j in bit_positions(bmask)])
-            classes = [checks[i] ^ bmask for i in bit_positions(through)]
-            disjoint = sum(c.bit_count() for c in classes) == reduce(or_, classes, 0).bit_count()
-            if len(classes) != self.J or not disjoint:
+            sups = [checks[i] for i in bit_positions(through)]
+            if len(sups) != self.J or reduce(or_, sups) != every:
                 raise ValueError(f"the code's checks are not the {self.J} superspaces of block {b}")
-            yield tuple(sorted(classes)) + (bmask,)
+            yield tuple(sorted(check ^ bmask for check in sups)) + (bmask,)
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)

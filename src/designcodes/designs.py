@@ -191,6 +191,11 @@ class SubspaceDesign(Record):
         return blocks
 
     @property
+    def masks(self) -> tuple[int, ...]:
+        """The blocks' point masks (`pspace.points_mask`), in block order."""
+        return tuple(map(points_mask, self.blocks))
+
+    @property
     def q(self) -> int:
         return self.ctx.q
 
@@ -283,7 +288,7 @@ def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
     n = gaussian_coefficient(v, 1, design.q)
     row_point = _row_point(v, ctx)
     cases = ((rows, map(row_point, rows)) for rows in _canonical_rows(v, design.t, design.q))
-    result = _count_containments(design.lam, n, list(map(points_mask, design.blocks)), cases)
+    result = _count_containments(design.lam, n, design.masks, cases)
     if result.witness is None:
         return result
     rows, c = result.witness
@@ -367,14 +372,14 @@ def projective_version(design: SubspaceDesign) -> CombinatorialDesign:
 
     A complete design at q = 2 takes every k-subspace's point mask from the
     hyperplane product (`pspace.subspace_masks_gf2`), without listing its
-    blocks; every other design hands over its blocks' point masks
-    (`pspace.points_mask`).  The constructor sorts both into the same design.
+    blocks; every other design hands over its `masks`.  The constructor
+    sorts both into the same design.
     """
     p = construction_params(design.params(), "projective")
     if design.q == 2 and design.complete:
         masks = subspace_masks_gf2(design.v, design.k, design.ctx)
     else:
-        masks = map(points_mask, design.blocks)
+        masks = design.masks
     return CombinatorialDesign(p.v, p.t, p.k, p.lam, masks)
 
 
@@ -415,9 +420,9 @@ def affine_version(
         else:
             chart.append(0)
     masks = []
-    for blk in design.blocks:
+    for block in design.masks:
         mask = 0
-        for i in bit_positions(points_mask(blk)):
+        for i in bit_positions(block):
             mask |= chart[i]
         if mask:  # else the block lies inside the hyperplane
             masks.append(mask)

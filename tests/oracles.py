@@ -47,9 +47,13 @@ parser, `subspace` and design record; and `projective_walk`, the
 projective construction from before complete q = 2 designs took their
 masks from `pspace.subspace_masks_gf2`, which hands every block's walked
 point mask (`pspace.points_mask`) to the `CombinatorialDesign` constructor.
-`lane_majority_count` is the two-step step-1 majority read one block at a
-time off the packed lanes, the reference for the decoder's bit-sliced
-adder tree (self-contained).
+`two_step_mask_scan` is the scalar two-step decoder read off point masks
+alone, in every construction mode: a block's superspaces are the checks
+that hold it, the decoder's rule since it stopped taking n and J from the
+projective geometry (self-contained, apart from the code's check rows and
+the design's `masks`).  `lane_majority_count` is the two-step step-1
+majority read one block at a time off the packed lanes, the reference for
+the decoder's bit-sliced adder tree (self-contained).
 
 `pack_blocks` is a helper, not an oracle: the point masks of blocks given as
 point tuples, the form in which tests write small designs for the
@@ -541,6 +545,42 @@ def two_step_scan(decoder, step2):
                 out |= received & (1 << j)
         flips = tuple(j for j in range(decoder.n) if ((received ^ out) >> j) & 1)
         return _outcome(decoder, out, flips)
+
+    return decode
+
+
+def two_step_mask_scan(decoder, step2):
+    """The scalar two-step decode of `decoder`'s code through `step2`, read
+    off point masks alone (`step2.masks`, any construction mode), as a
+    function of the received bitmask that returns the outcome and the
+    parity evaluations made: a block's superspaces are the code's checks
+    that hold the whole block (check & block == block), each gives one
+    estimate of the block's parity and the majority wins (ties give 0);
+    then one vote per (block, position) pair, ties keeping the received
+    bit."""
+    checks = decoder.code.check_masks()
+    blocks = step2.masks
+    classes = [[check ^ block for check in checks if check & block == block] for block in blocks]
+    through = [[b for b, block in enumerate(blocks) if block >> j & 1] for j in range(decoder.n)]
+
+    def decode(received):
+        evals = 0
+        parities = []
+        for diffs in classes:
+            ones = sum((received & d).bit_count() & 1 for d in diffs)
+            evals += len(diffs)
+            parities.append(1 if 2 * ones > len(diffs) else 0)
+        out = 0
+        for j, bs in enumerate(through):
+            rest = received & ~(1 << j)
+            ones = sum(parities[b] ^ ((rest & blocks[b]).bit_count() & 1) for b in bs)
+            evals += len(bs)
+            if 2 * ones > len(bs):
+                out |= 1 << j
+            elif 2 * ones == len(bs):
+                out |= received & (1 << j)
+        flips = tuple(j for j in range(decoder.n) if ((received ^ out) >> j) & 1)
+        return _outcome(decoder, out, flips), evals
 
     return decode
 

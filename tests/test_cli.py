@@ -453,20 +453,42 @@ def test_two_step_checks_the_step2_file_before_building_the_code(
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["radius", "simulate"])
+@pytest.mark.parametrize("command", ["radius", "simulate", "decode"])
 @pytest.mark.parametrize("mode", ["affine", "flats"])
-def test_two_step_refuses_a_mode_other_than_projective(capsys, command, mode):
-    # two-step decoding always decodes the projective code; a --mode it
-    # would ignore is refused by name
-    argv = [command, "--decoder", "two-step", "--v", "5", "--k", "3", "--q", "2"]
-    if command == "simulate":
-        argv += ["--weight", "2", "--trials", "30"]
-    code, out, err = run(capsys, *argv, "--seed", "1", "--mode", mode)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: --mode {mode} ") and err.count("\n") == 1
-    code, out, err = run(capsys, *argv, "--seed", "1", "--mode", "projective")
+def test_two_step_decodes_the_code_of_every_mode(capsys, command, mode):
+    # --mode makes both the code and the step-2 design of PG(4,2), as for
+    # one-step decoding, and projective is the default; the codes have 16
+    # (affine), 32 (flats) and 31 (projective) positions
+    def argv(n):
+        return {
+            "radius": ["radius", "--decoder", "two-step", "--seed", "1"],
+            "simulate": ["simulate", "--decoder", "two-step", "--seed", "1",
+                         "--weight", "2", "--trials", "30"],
+            "decode": ["decode", "two-step", "--word", "0" * n],
+        }[command] + ["--v", "5", "--k", "3", "--q", "2"]
+
+    n = {"affine": 16, "flats": 32}[mode]
+    code, out, err = run(capsys, *argv(n), "--mode", mode)
+    assert code == 0 and err == "" and out
+    code, out, err = run(capsys, *argv(31), "--mode", "projective")
     assert code == 0 and err == ""
-    assert run(capsys, *argv, "--seed", "1") == (code, out, err)
+    assert run(capsys, *argv(31)) == (code, out, err)
+
+
+def test_two_step_refuses_a_step2_file_that_misses_a_point(tmp_path, capsys):
+    # the step-2 blocks must cover every position of the code
+    path = _step2_file(tmp_path, capsys)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+    argv = ["simulate", "--decoder", "two-step", "--designfile", str(path)]
+    code, out, err = run(capsys, *argv, "--weight", "1", "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: code length does not match the design's geometry\n"
+
+
+def test_two_step_flats_needs_q_2(capsys):
+    argv = ["simulate", "--decoder", "two-step", "--v", "4", "--k", "3", "--q", "4"]
+    code, out, err = run(capsys, *argv, "--weight", "1", "--trials", "1", "--mode", "flats")
+    assert (code, out, err) == (1, "", "error: flats construction requires q = 2\n")
 
 
 def _fano_files(tmp_path):
@@ -692,6 +714,10 @@ def test_missing_geometry_without_designfile(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decode", "one-step", "--word", "000"])
     assert exc.value.code == 2
+    # reported against the subcommand's options, not the top-level usage
+    err = capsys.readouterr().err
+    assert err.startswith("usage: designcodes decode one-step ")
+    assert err.endswith("error: --v is required without --designfile\n")
 
 
 def test_file_emit_load_emit_roundtrip(tmp_path, capsys):
@@ -846,6 +872,8 @@ def test_decoder_commands_refuse_a_source_option_with_a_designfile(
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and f"error: {option} does not apply with --designfile" in err
+        command = " ".join(argv[:2] if argv[0] == "decode" else argv[:1])
+        assert err.startswith(f"usage: designcodes {command} "), argv
 
 
 def test_decoder_commands_take_a_designfile_alone(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from designcodes import designs, field, pspace
-from designcodes.codes import build_code, min_distance_bruteforce
+from designcodes.codes import BinaryCode, build_code, min_distance_bruteforce
 from designcodes.decoders import (
     DECODED,
     DETECTED,
@@ -38,6 +38,7 @@ from .oracles import (
     one_step_scan,
     one_step_tables,
     pack_blocks,
+    two_step_mask_scan,
     two_step_scan,
     two_step_tables,
 )
@@ -416,6 +417,67 @@ def test_two_step_status_matches_scalar_scan_near_the_radius(two_step_case):
     assert_both_statuses_near_the_radius(dec, scan, dec.J // 2)
 
 
+# Two-step decoding reads n and J off the code and the step-2 blocks' masks
+# alone, so it runs in every construction mode: the code of the k-subspaces
+# and the step-2 design of the (k-1)-subspaces, both made by `mode`.  Each
+# case is checked against the scalar scan over masks; (affine, 3, 4, 3) has
+# even J = 4 (step-1 ties).
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("affine", 2, 5, 3), ("affine", 3, 4, 3), ("affine", 4, 4, 3), ("flats", 2, 5, 3)],
+    ids=["affine q=2", "affine q=3", "affine q=4", "flats q=2"],
+)
+def mode_two_step_case(request):
+    mode, q, v, k = request.param
+    ctx = FieldCtx.of(q)
+    step2 = designs.construct(trivial_design(2, v, k - 1, ctx), mode)
+    code = build_code(designs.construct(trivial_design(2, v, k, ctx), mode), 2, mode)
+    dec = TwoStepDecoder(code, step2)
+    assert dec.J == pspace.gaussian_coefficient(v - k + 1, 1, q)
+    return dec, two_step_mask_scan(dec, step2)
+
+
+def test_two_step_matches_the_mask_scan_in_every_mode(mode_two_step_case):
+    dec, scan = mode_two_step_case
+    rng = random.Random(5)
+    statuses = set()
+    for weight in range(dec.J + 2):
+        for _ in range(6):
+            word = dec.code.random_codeword(rng) ^ _error_mask(rng, dec.n, weight)
+            before = dec.check_evals
+            out = dec.decode(word)
+            assert (out, dec.check_evals - before) == scan(word)
+            statuses.add(out.status)
+    assert statuses == {DECODED, DETECTED}
+
+
+@pytest.fixture(scope="module", params=["2-(7,3,3)_2", "PG(3,4) lines"])
+def reordered_two_step(request, shipped_two_step):
+    if request.param == "2-(7,3,3)_2":
+        dec, step2 = shipped_two_step
+    else:
+        ctx = FieldCtx.of(4)
+        step2 = trivial_design(2, 4, 2, ctx)
+        code = build_code(projective_version(trivial_design(2, 4, 3, ctx)), 2, "projective")
+        dec = TwoStepDecoder(code, step2)
+    return dec, TwoStepDecoder(dec.code, designs.construct(step2, "projective"))
+
+
+def test_two_step_does_not_depend_on_the_block_order(reordered_two_step):
+    # the projective version lists the blocks in its own order, so the
+    # tables differ lane by lane, but no outcome or count may
+    dec, other = reordered_two_step
+    assert other.J == dec.J in (15, 5) and other._members != dec._members
+    rng = random.Random(3)
+    start = (dec.check_evals, other.check_evals)
+    for weight in range(2 * dec.J):
+        word = dec.code.random_codeword(rng) ^ _error_mask(rng, dec.n, weight)
+        assert dec.decode(word) == other.decode(word)
+    assert dec.check_evals - start[0] == other.check_evals - start[1] > 0
+
+
 # The decoders read their tables off the code's check columns; the tables
 # they built before, from the design's blocks and the geometry's outside
 # classes (tests/oracles.py), must come out identical.  (q, v, k) names the
@@ -552,6 +614,30 @@ def test_two_step_dimension_mismatch(gf2m):
 
 
 @pytest.mark.parametrize(
+    "checks, sizes",
+    [("lines", "[3]"), ("points", "[1]"), ("lines and planes", "[3, 7]")],
+    ids=["lines", "points", "lines and planes"],
+)
+def test_two_step_rejects_checks_no_larger_than_the_blocks(gf2m, checks, sizes):
+    # J = (n - |B|) / (|K| - |B|) needs checks of one size |K| > |B|
+    step2 = trivial_design(2, 4, 2, gf2m)
+    planes = projective_version(trivial_design(2, 4, 3, gf2m)).masks
+    masks = {
+        "lines": step2.masks,
+        "points": [1 << i for i in range(15)],
+        "lines and planes": step2.masks + planes,
+    }[checks]
+    rows = [[m >> j & 1 for j in range(15)] for m in masks]
+    code = BinaryCode(n=15, p=2, checks=field.PrimeMatrix.from_rows(rows, 2, 15))
+    with pytest.raises(ValueError) as exc:
+        TwoStepDecoder(code, step2)
+    assert str(exc.value) == (
+        f"the code's checks, of sizes {sizes}, cannot be the superspaces of step-2 blocks"
+        " of 3 points in 15"
+    )
+
+
+@pytest.mark.parametrize(
     "t, k, message",
     [
         (1, 2, "two-step decoding needs a step-2 design with t >= 2, not t = 1"),
@@ -563,6 +649,24 @@ def test_two_step_rejects_a_step2_design_by_name(gf2m, t, k, message):
     with pytest.raises(ValueError) as exc:
         TwoStepDecoder(code, trivial_design(t, 4, k, gf2m))
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "t, k, message",
+    [
+        (1, 3, "two-step decoding needs a step-2 design with t >= 2, not t = 1"),
+        (2, 7, "the step-2 design's blocks (k = 7, n = 7) leave no room for superspaces:"
+               " two-step decoding needs a step-2 design with k < n"),
+    ],
+    ids=["t=1", "k=n"],
+)
+def test_two_step_rejects_a_combinatorial_step2_design_by_name(fano_pair, t, k, message):
+    # the same rules as for a subspace design, with n in place of v
+    code, fano = fano_pair
+    step2 = CombinatorialDesign(7, t, k, 1, fano.masks if k == 3 else [(1 << 7) - 1])
+    with pytest.raises(ValueError) as exc:
+        TwoStepDecoder(code, step2)
+    assert str(exc.value) == message
 
 
 def test_radius_fano(fano_pair):
