@@ -36,12 +36,17 @@ A t-subspace is read as the points of its canonical rows, walked straight
 off `pspace._canonical_rows` at every q; only a witness becomes a
 `Subspace`.
 
-A `qdesign` file at q = 2 reads a generator of exactly v tokens, each the
-literal `0` or `1`, straight into its row mask (`field.pack_text`), and
-reduces a block's masks with `field.rref_gf2`.  Any other line, and every
-line at q > 2, is parsed token by token (`field._ints`) and reduced by
-`pspace.subspace`, so both reads give the same design and the same
-errors.
+A `qdesign` file at q = 2 whose body is in exactly the layout
+`dumps_subspace_design` writes (single `0`/`1` characters, single spaces,
+` ; ` between generators) is read in one pass: its lines are joined once,
+the layout is checked with a few strided slices, and every generator is
+packed from the one digit string (`field.pack_text_rows`); each block's
+masks are then reduced by `field.rref_gf2`.  Any other body, a k = 0 body
+and every body at q > 2 is read token by token (`field._ints`) and
+reduced by `pspace.subspace`, so both reads give the same design and the
+same errors.  A k = 0 design is not written at all: its one block, the
+zero subspace, has no generators, and the blank line that would stand for
+it reads back as no block.
 """
 
 import itertools
@@ -59,7 +64,7 @@ from .field import (
     _parse_header,
     _strip_lines,
     bit_positions,
-    pack_text,
+    pack_text_rows,
     rref_gf2,
 )
 from .pspace import (
@@ -457,6 +462,10 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
 
 
 def dumps_subspace_design(design: SubspaceDesign) -> str:
+    """The `qdesign` text of `design`: the header, then one line per block,
+    its generator rows joined by ` ; `.  A k = 0 design is refused."""
+    if design.k == 0:
+        raise ValueError("a k = 0 design cannot be written: the zero subspace has no generators")
     hdr = (
         f"qdesign t={design.t} v={design.v} k={design.k} "
         f"lambda={design.lam} q={design.q} poly={design.ctx.modulus}"
@@ -471,6 +480,34 @@ def save_subspace_design(design: SubspaceDesign, path: str | Path) -> None:
     Path(path).write_text(dumps_subspace_design(design), encoding="utf-8")
 
 
+def _written_masks(lines: Sequence[str], v: int, k: int) -> list[int] | None:
+    """The generator masks of q = 2 block lines in exactly the layout
+    `dumps_subspace_design` writes (k >= 1 generators of v single `0`/`1`
+    characters, single spaces within a generator, ` ; ` between them), in
+    order, k per line; None for any other lines, and always for v = 0 or
+    k = 0.
+
+    The lines are joined by ` ; ` into one run of generators, each 2v - 1
+    characters at a stride of 2v + 2, so the layout is a few whole-string
+    tests: every line of one length, every odd character a space and a `;`
+    at every stride; `field.pack_text_rows` checks and packs the digits.
+    """
+    if not (v and k):
+        return None
+    text = " ; ".join(lines)
+    stride = 2 * v + 2
+    if (
+        {*map(len, lines)} != {k * stride - 3}
+        or text[1::2].strip(" ")
+        or text[2 * v :: stride] != ";" * (len(lines) * k - 1)
+    ):
+        return None
+    digits = text[::2].replace(";", "")
+    if len(digits) != len(lines) * k * v:  # a `;` off the stride
+        return None
+    return pack_text_rows(digits, v)
+
+
 def loads_subspace_design(text: str) -> SubspaceDesign:
     lines = _strip_lines(text)
     if not lines:
@@ -478,20 +515,17 @@ def loads_subspace_design(text: str) -> SubspaceDesign:
     hdr = _parse_header(lines[0][1], "qdesign", ["t", "v", "k", "lambda", "q", "poly"])
     ctx = FieldCtx.of(hdr["q"], modulus=hdr["poly"])
     v, k = hdr["v"], hdr["k"]
+    body = lines[1:]
+    masks = _written_masks([line for _, line in body], v, k) if ctx.q == 2 else None
     blocks = []
-    for lineno, line in lines[1:]:
-        parts = [part.split() for part in line.split(";")]
-        # at q = 2 a generator of v literal 0/1 tokens is packed from its
-        # text; a line with any other generator is parsed token by token
-        masks = [pack_text(tokens, v) for tokens in parts] if ctx.q == 2 else None
-        packed = masks is not None and None not in masks
-        if not packed:
-            vectors = [_ints(tokens, lineno) for tokens in parts]
-        if len(parts) != k:
-            raise ValueError(f"line {lineno}: block has {len(parts)} generators, expected {k}")
-        if packed:
-            blk = Subspace(ctx, v, tuple(rref_gf2(masks)[0]))
+    for i, (lineno, line) in enumerate(body):
+        if masks is not None:
+            blk = Subspace(ctx, v, tuple(rref_gf2(masks[i * k : i * k + k])[0]))
         else:
+            vectors = [_ints(part.split(), lineno) for part in line.split(";")]
+            if len(vectors) != k:
+                got = len(vectors)
+                raise ValueError(f"line {lineno}: block has {got} generators, expected {k}")
             try:
                 blk = subspace(vectors, v, ctx)
             except ValueError as exc:

@@ -22,15 +22,20 @@ builds no table.
 
 A set of points (a block) is a mask too, bit i set for point i;
 `bit_positions` reads its sorted indices back, from the top bit down.
-`pack_mask` is the one packer of a 0/1 vector into a mask, and `pack_text`
-the one packer of a 0/1 vector written as text (literal `0` and `1`
-tokens), which the q = 2 rows of design files go through.  `_columns` is
+`pack_mask` is the one packer of a 0/1 vector into a mask.  Text is
+packed here too: `pack_text` packs one vector written as literal `0` and
+`1` characters (a word given to a decoder as a string), and
+`pack_text_rows` a run of such rows at once, with one check of every
+character and one reversed copy: the generators of a whole q = 2 design
+file whose body `designs` found in its written layout.  `_columns` is
 the package's one GF(2) bit-matrix transpose: it turns row masks (checks
 or blocks), in matrix order, into one column mask per point, bit i set
-when row i holds the point.  A code transposes its checks once, and its
-reduction and both decoders read those columns; the two-step decoder also
-transposes its member rows, and design verification counts the blocks
-through a set of points as the popcount of the AND of their columns.
+when row i holds the point.  It works on whole buffers: delta swaps on
+32 KB ints, then one strided slice per machine word of a column.  A code
+transposes its checks once, and its reduction and both decoders read
+those columns; the two-step decoder also transposes its member rows, and
+design verification counts the blocks through a set of points as the
+popcount of the AND of their columns.
 `_xor_select` is the package's one "XOR the vectors at a word's set bits",
 by byte lookups in tables of subset XORs (`_xor_tables`): the decoders'
 syndromes and lanes over their columns, and a code's random codewords and
@@ -38,9 +43,9 @@ codeword test over its nullspace basis.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`),
-which reads every matrix row and every design row that `pack_text` does
-not take; their errors name the file line of a bad row or block, and the
-loaders that read a path (`_load_file`) put the path in front.
+which reads every matrix row and every design file that `pack_text_rows`
+does not take; their errors name the file line of a bad row or block, and
+the loaders that read a path (`_load_file`) put the path in front.
 """
 
 import itertools
@@ -369,6 +374,20 @@ def pack_text(tokens: Sequence[str], width: int) -> int | None:
     return int(bits[::-1] or "0", 2)
 
 
+def pack_text_rows(bits: str, width: int) -> list[int] | None:
+    """The masks `pack_text` gives each row of `bits`, rows of `width`
+    characters written one after another, in order: one `strip` checks
+    every character and one reversed copy packs every row.  None when a
+    character is not a literal `0` or `1`, or the rows are not whole.
+    `width` must be positive."""
+    if len(bits) % width or bits.strip("01"):
+        return None
+    rev = bits[::-1]  # the last row first, each row's coordinate 0 lowest
+    masks = [int(rev[i : i + width], 2) for i in range(0, len(rev), width)]
+    masks.reverse()
+    return masks
+
+
 def bit_positions(mask: int) -> tuple[int, ...]:
     """The set bits of a nonnegative mask, ascending: a point mask's sorted
     point indices."""
@@ -442,6 +461,12 @@ def rref_gfq(rows: Iterable[Sequence[int]], ctx: FieldCtx) -> tuple[tuple[int, .
     return tuple(basis[j] for j in sorted(basis))
 
 
+# the byte whose bits j have j & s set, for the delta-swap steps s < 8
+_SWAP_BYTES = {4: b"\xf0", 2: b"\xcc", 1: b"\xaa"}
+# `memoryview.cast` formats of unsigned words by size in bytes
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
     """Transpose a bit matrix given as its n-bit row masks, in order: column
     p is returned as a mask with bit i set when row i has bit p.
@@ -450,9 +475,11 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
     least 8.  The tiles are transposed 32 KB at a time, each run of tiles
     read as one int, by log2(w) delta swaps: step s exchanges bit (i, j)
     with bit (i + s, j - s) wherever i has bit s clear and j has it set
-    (Hacker's Delight, 7-3).  Tile row p is then column p of the tile's w
-    rows, and the tiles' row p bytes are gathered into column p with
-    strided slices.
+    (Hacker's Delight, 7-3).  Each step's mask repeats one byte pattern.
+    Tile row p is then column p of the tile's w rows.  The tiles' row p
+    is gathered into column p a machine word at a time: the buffer is read
+    as words of min(w, 64) bits, and each of a row's w / 64 words (one when
+    w <= 64) takes one strided slice over all the tiles.
     """
     w = max(8, 1 << (n - 1).bit_length())
     k = w // 8
@@ -464,12 +491,17 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
     # 32 KB per pass keeps the big-int temporaries small; a smaller matrix
     # takes one pass, with swap masks no longer than itself.
     span = min(max(1, (1 << 15) // (w * k)), tiles) * w * k
-    zero = bytes(k)
     swaps = []
     s = w >> 1
     while s:
-        high = sum(1 << j for j in range(w) if j & s).to_bytes(k, "little")
-        tile = b"".join(zero if i & s else high for i in range(w))
+        # bit j of a row is in the mask when j has bit s set: within each
+        # byte for s < 8, whole bytes above that
+        if s < 8:
+            high = _SWAP_BYTES[s] * k
+        else:
+            high = (bytes(s // 8) + b"\xff" * (s // 8)) * (k // (s // 4))
+        # rows i with bit s clear take the mask, the others none
+        tile = (high * s + bytes(k * s)) * (w // (2 * s))
         swaps.append((s * (w - 1), int.from_bytes(tile * (span // len(tile)), "little")))
         s >>= 1
     for start in range(0, len(packed), span):
@@ -478,11 +510,15 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
             t = ((x >> d) ^ x) & mask
             x ^= t ^ (t << d)
         packed[start : start + span] = x.to_bytes(min(span, len(packed) - start), "little")
+    size = min(k, 8)
+    per_row = k // size  # words in one tile row
+    words = memoryview(packed).cast(_WORD_FORMATS[size])
     columns = []
     for p in range(n):
         col = bytearray(tiles * k)
-        for b in range(k):
-            col[b::k] = packed[p * k + b :: w * k]
+        col_words = memoryview(col).cast(_WORD_FORMATS[size])
+        for b in range(per_row):
+            col_words[b::per_row] = words[p * per_row + b :: w * per_row]
         columns.append(int.from_bytes(col, "little"))
     return tuple(columns)
 

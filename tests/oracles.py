@@ -41,8 +41,9 @@ which labelled coordinate tuples through the field's per-element
 arithmetic (affine) and sorted tuple cosets of the row masks (flats), and
 which build on the package's point order and point sets; and
 `loads_subspace_design_tokens`, the `qdesign` loader from before q = 2
-rows of literal 0/1 tokens were packed from their text (`field.pack_text`),
-which parses every token with `int` and builds on the package's header
+generators of literal 0/1 tokens were packed from their text (now a body
+in its written layout, in one pass, by `field.pack_text_rows`), which
+parses every token with `int` and builds on the package's header
 parser, `subspace` and design record; and `projective_walk`, the
 projective construction from before complete q = 2 designs took their
 masks from `pspace.subspace_masks_gf2`, which hands every block's walked

@@ -52,6 +52,21 @@ def test_design_trivial_verify_roundtrip(tmp_path, capsys):
     assert kv(out)["observed_lambda"] == "1"
 
 
+def test_k0_design_is_refused_at_write_time(tmp_path, capsys):
+    # the zero subspace has no generators: its file line would be blank,
+    # and a blank line reads back as no block, so the pair
+    # `design trivial --out` / `design verify` must not report a design
+    # that the file does not hold
+    path = tmp_path / "z.qdesign"
+    code, out, err = run(
+        capsys, "design", "trivial", "--t", "0", "--v", "3", "--k", "0", "--q", "2",
+        "--out", str(path),
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_design_verify_failure_exits_1(tmp_path, capsys):
     ctx = FieldCtx.of(2)
     d = trivial_design(2, 4, 2, ctx)

@@ -321,8 +321,30 @@ def test_two_step_through_nontrivial_subspace_design(shipped_two_step):
 def test_column_tables_transpose_the_rows(case):
     n, groups = case
     rows = [group[c] for c in range(len(groups[0]) if groups else 0) for group in groups]
-    want = tuple(sum(((row >> p) & 1) << i for i, row in enumerate(rows)) for p in range(n))
-    assert _columns(iter(rows), n) == want
+    assert _columns(iter(rows), n) == _columns_bit_loop(rows, n)
+
+
+def _columns_bit_loop(rows, n):
+    """Column p of the rows, bit i read from row i one bit at a time."""
+    return tuple(
+        int("".join(["01"[row >> p & 1] for row in reversed(rows)]) or "0", 2)
+        for p in range(n)
+    )
+
+
+# `_columns` transposes 32 KB of w x w tiles per pass: 262144 / w rows.
+# The workload shapes take several passes; the others end a pass one row
+# early, on the boundary and one row late, at every word size of the
+# gather (w = 8, 16, 32 and 64 one word per tile row, 128 and 256 more).
+@pytest.mark.parametrize(
+    "nrows, n",
+    [(2142, 85), (11811, 127), (18288, 127)]
+    + [(262144 // w + d, w) for w in (8, 16, 32, 64, 128, 256) for d in (-1, 0, 1)],
+)
+def test_columns_across_passes(nrows, n):
+    rng = random.Random(nrows * 1000 + n)
+    rows = [rng.getrandbits(n) for _ in range(nrows)]
+    assert _columns(iter(rows), n) == _columns_bit_loop(rows, n)
 
 
 # Differential tests: the column-syndrome kernels against the scalar scans

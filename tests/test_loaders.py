@@ -4,15 +4,24 @@ both sides, or the same error text."""
 
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from designcodes.designs import SubspaceDesign, dumps_subspace_design, loads_subspace_design
-from designcodes.field import FieldCtx, pack_mask, pack_text
+from designcodes import designs
+from designcodes.designs import (
+    SubspaceDesign,
+    dumps_subspace_design,
+    loads_subspace_design,
+    trivial_design,
+)
+from designcodes.field import FieldCtx, pack_mask, pack_text, pack_text_rows
 from designcodes.pspace import enumerate_subspaces
 
 from .oracles import loads_subspace_design_tokens
+
+SHIPPED_DESIGN = Path(__file__).resolve().parents[1] / "perfbench/designs/2-7-3-3_2.qdesign"
 
 # tokens that `int` reads but that are not a literal 0 or 1 (`١` is the
 # Arabic-Indic digit one), tokens it rejects, and whitespace and `;`
@@ -104,11 +113,49 @@ def test_design_loader_matches_token_reference_on_each_token(tok, at):
     assert _outcome(loads_subspace_design, text) == _outcome(loads_subspace_design_tokens, text)
 
 
+def test_written_q2_bodies_are_read_in_one_pass(monkeypatch):
+    # the shipped file and every q = 2 trivial design with v <= 6, k >= 1
+    # as `dumps` writes it load with the token path disabled, and equal the
+    # token reference: a silent fall back to the tokens would fail here
+    ctx = FieldCtx.of(2)
+    texts = [SHIPPED_DESIGN.read_text(encoding="utf-8")] + [
+        dumps_subspace_design(trivial_design(t, v, k, ctx))
+        for v in range(1, 7)
+        for k in range(1, v + 1)
+        for t in range(k + 1)
+    ]
+    want = [loads_subspace_design_tokens(text) for text in texts]
+
+    def token_path(*args):
+        raise AssertionError("a written q = 2 body was read token by token")
+
+    monkeypatch.setattr(designs, "_ints", token_path)
+    monkeypatch.setattr(designs, "subspace", token_path)
+    assert [loads_subspace_design(text) for text in texts] == want
+
+
+def test_k0_design_is_not_written():
+    # its one block, the zero subspace, would be a blank line, which the
+    # comment rule drops: the file would read back as a design with no block
+    design = trivial_design(0, 3, 0, FieldCtx.of(2))
+    assert len(design.blocks) == 1
+    with pytest.raises(ValueError, match="k = 0"):
+        dumps_subspace_design(design)
+
+
 def test_pack_text_packs_like_pack_mask():
     for vec in [(0,), (1,), (1, 0, 1, 1), (0, 0, 0, 1, 0, 0, 0)]:
         assert pack_text([str(x) for x in vec], len(vec)) == pack_mask(vec)
         assert pack_text("".join(map(str, vec)), len(vec)) == pack_mask(vec)
     assert pack_text([], 0) == 0
+
+
+def test_pack_text_rows_packs_each_row_like_pack_mask():
+    rows = [(1, 0, 1), (0, 0, 0), (0, 1, 1)]
+    assert pack_text_rows("101000011", 3) == [pack_mask(row) for row in rows]
+    assert pack_text_rows("", 3) == []
+    for bad in ["10100001", "10100001١", "1010 0011", "101000012"]:
+        assert pack_text_rows(bad, 3) is None
 
 
 @pytest.mark.parametrize(
