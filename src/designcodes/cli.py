@@ -83,16 +83,24 @@ def _cdesign_mode_error(mode: str) -> ValueError:
 
 
 def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
-    """Combinatorial design for a decoder, from a file or trivial parameters."""
-    if args.designfile:
-        qd, cd = _load_design_file(args.designfile)
-        if cd is not None:
-            if args.mode != "projective":
-                raise _cdesign_mode_error(args.mode)
-            return cd, "combinatorial"
+    """Combinatorial design for a one-step decoder, from trivial parameters
+    or from a file that passes verification: the decoder's threshold reads
+    the file's lambda."""
+    if not args.designfile:
+        return construct(trivial_design(2, args.v, args.k, _ctx(args)), args.mode), args.mode
+    qd, cd = _load_design_file(args.designfile)
+    if cd is None:
+        comb, mode, res = construct(qd, args.mode), args.mode, verify_subspace_design(qd)
+    elif args.mode != "projective":
+        raise _cdesign_mode_error(args.mode)
     else:
-        qd = trivial_design(2, args.v, args.k, _ctx(args))
-    return construct(qd, args.mode), args.mode
+        comb, mode, res = cd, "combinatorial", verify_comb_design(cd)
+    if not res.verified:
+        raise ValueError(
+            f"{args.designfile} fails verification (observed lambda {res.observed_lambda},"
+            f" header lambda {(qd or cd).lam}): one-step decoding needs a design"
+        )
+    return comb, mode
 
 
 def _code_report(code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign | None, mode: str):

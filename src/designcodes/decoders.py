@@ -25,17 +25,20 @@ adder tree that halves them level by level into one count per block
 (`lane_majority`).  The scalar loops they replaced, one parity per
 (check, point) pair, and the per-block count are kept as test references.
 
-Both decoders end in one vote stage, the base class `_MajorityVote`: each
-computes its own disagreement vector (the one-step syndrome; the two-step
-step-1 estimates XOR the received block parities), and the stage flips
-every position that more than half of its column's checks or blocks
-disagree with, counts the work and builds the outcome.  Each decoder
-keeps its own codeword test: the one-step decoder reads the updated
-syndrome, the two-step decoder `BinaryCode.is_codeword`, which costs less
-than a syndrome over its code's many checks.  `check_evals` stays the
-paper's cost model, the parity evaluations of the scalar decoder (n r per
-word one-step, b_2 J + n r two-step), added per call: a model count, not
-a count of machine operations.
+Both decoders end in one vote stage, the base class `_MajorityVote`, which
+owns the threshold rule and the cost model: each decoder computes its own
+disagreement vector (the one-step syndrome; the two-step step-1 estimates
+XOR the received block parities) and gives the stage its columns and its
+lambda (the design's lambda_2 one-step, 1 two-step).  The stage reads r_j,
+the popcount of column j, flips j when 2 U_j > r_j + lambda - 1 for the
+U_j disagreeing checks or blocks through j, counts the work and builds
+the outcome.  Each decoder keeps its own codeword test: the one-step
+decoder reads the updated syndrome, the two-step decoder
+`BinaryCode.is_codeword`, which costs less than a syndrome over its
+code's many checks.  `check_evals` stays the paper's cost model, the
+parity evaluations of the scalar decoder (the sum of the r_j, n r per
+word one-step, plus b_2 J step-1 evaluations two-step), added per call: a
+model count, not a count of machine operations.
 
 Capability formulas:
 
@@ -176,25 +179,31 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 
 
 class _MajorityVote:
-    """The vote stage both decoders end with.
+    """The vote stage both decoders end with, and the one owner of their
+    threshold rule and cost model.
 
     Each position j has a column mask (bit i = check or block i through j)
-    and a half: j is flipped when more than half of the bits of its column
-    are set in the disagreement vector, popcount(disagree & column j), and
-    all flips are applied at once.  Each vote adds the decoder's model
-    count of parity evaluations per word to `check_evals`.  The flipped
-    word is decoded only if it is a codeword; each decoder tests that its
-    own way.
+    of r_j = popcount(column j) bits.  j is flipped when U_j =
+    popcount(disagree & column j), the checks or blocks through j that
+    disagree, satisfies 2 U_j > r_j + lam - 1, that is U_j > half_j =
+    (r_j + lam - 1) // 2, and all flips are applied at once: Rudolph's
+    rule with the decoder's lam, and with lam = 1 a plain majority.  Each
+    vote adds the model count of parity evaluations per word to
+    `check_evals`: the decoder's `step1_evals` plus one evaluation per
+    point of every check or block, the sum of the r_j.  The flipped word
+    is decoded only if it is a codeword; each decoder tests that its own
+    way.
     """
 
-    def __init__(self, code: BinaryCode, columns, halves, evals_per_word: int):
+    def __init__(self, code: BinaryCode, columns, lam: int, step1_evals: int = 0):
         if code.p != 2:
             raise ValueError("decoding is implemented for binary codes only")
         self.code = code
         self.n = code.n
         self._columns = columns
-        self._halves = halves
-        self._evals_per_word = evals_per_word
+        counts = [col.bit_count() for col in columns]
+        self._halves = tuple([(r + lam - 1) // 2 for r in counts])
+        self._evals_per_word = step1_evals + sum(counts)
         self.check_evals = 0
 
     def _vote(self, received: int, disagree: int) -> tuple[tuple[int, ...], int]:
@@ -216,8 +225,11 @@ class _MajorityVote:
 class OneStepDecoder(_MajorityVote):
     """Per-position threshold vote over the design blocks through it.
 
-    Position j is flipped iff 2 U_j > r + lambda_2 - 1, where U_j counts
-    unsatisfied checks through j.  Ties never flip.
+    Position j is flipped iff 2 U_j > r_j + lambda_2 - 1, where U_j counts
+    unsatisfied checks through j and r_j all checks through j, the popcount
+    of its column (r at every position of a design).  Ties never flip.  The
+    rule is the vote stage's (`_MajorityVote`), given the header's
+    lambda_2; `r` and `lambda2` keep the header's values.
 
     Column-syndrome kernel: each position j takes the code's column mask
     (`BinaryCode.columns`), bit i set when check i contains j; the blocks
@@ -228,9 +240,9 @@ class OneStepDecoder(_MajorityVote):
     popcount(syndrome & column j).  The flipped word's syndrome
     is the received syndrome XOR the flipped positions' columns, so the
     word is a codeword iff that syndrome is zero.  `check_evals` is the model
-    count of the scalar decoder, n r parity evaluations per word (one per
-    point of every block), added per call; it is not a count of machine
-    operations.
+    count of the scalar decoder, the sum of the r_j (n r for a design)
+    parity evaluations per word, one per point of every block, added per
+    call; it is not a count of machine operations.
     """
 
     def __init__(self, code: BinaryCode, design: CombinatorialDesign):
@@ -238,14 +250,12 @@ class OneStepDecoder(_MajorityVote):
             raise ValueError("design and code disagree on length")
         if design.t < 2:
             raise ValueError("one-step decoding needs a design with t >= 2")
-        block_masks = design.masks
-        if sorted(code.check_masks()) != sorted(block_masks):
+        if sorted(code.check_masks()) != sorted(design.masks):
             raise ValueError("code checks are not the design's incidence rows")
         params = design.params()
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        halves = ((self.r + self.lambda2 - 1) // 2,) * code.n
-        super().__init__(code, code.columns, halves, len(block_masks) * design.k)  # n r
+        super().__init__(code, code.columns, self.lambda2)
         self._syndrome_tables = _xor_tables(self._columns)
 
     def decode(self, word) -> DecodeOutcome:
@@ -378,9 +388,9 @@ class TwoStepDecoder(_MajorityVote):
     at j disagrees with the received bit exactly when bit b of D =
     estimates XOR received block parities is set, so j is flipped iff more
     than half of the blocks through j are set in D, read as popcount(D &
-    column j).  `check_evals`
-    is the model count of the scalar decoder, b_2 J + n r parity
-    evaluations per word, added per call.
+    column j): the vote stage's rule with lambda = 1.  `check_evals` is
+    the model count of the scalar decoder, b_2 J + n r parity evaluations
+    per word, added per call.
     """
 
     def __init__(self, code: BinaryCode, step2: SubspaceDesign | CombinatorialDesign):
@@ -405,9 +415,7 @@ class TwoStepDecoder(_MajorityVote):
         # (block, class)
         self._parity_shift = classes = J * len(blocks)
         columns = tuple(member >> classes for member in self._members)
-        halves = tuple(col.bit_count() // 2 for col in columns)
-        evals = classes + sum(col.bit_count() for col in columns)
-        super().__init__(code, columns, halves, evals)
+        super().__init__(code, columns, 1, classes)
         self._majority_tree = majority_tree(J, len(blocks))
 
     def _member_rows(self, code: BinaryCode, blocks):

@@ -20,10 +20,14 @@ line by line and packed by `loads_comb_design`.
 A subspace design notes whether it is complete, holding every
 k-subspace.  `trivial_design` makes the complete design without listing
 it: its blocks are enumerated and sorted on the first read of `blocks`
-and kept.  The projective version of a complete design at q = 2 takes
-its masks from the hyperplane product (`pspace.subspace_masks_gf2`), so
-it never lists the blocks; every other design, and every design at
-q > 2, hands over its blocks' point masks.
+and kept.  One helper, `_block_masks`, decides where a subspace design's
+block point masks come from, and every construction and
+`verify_subspace_design` reads it: a complete design at q = 2 takes them
+from the hyperplane product (`pspace.subspace_masks_gf2`), so no
+construction and no check lists its blocks; every other design, and every
+design at q > 2, hands over its blocks' point masks.  The flats
+construction reads each block's span off its mask, by the point space's
+`vec_index`.
 
 Designs are simple: duplicate blocks are a hard error, in files and in
 constructors alike.  Verification is a separate explicit step, because it
@@ -159,9 +163,10 @@ class SubspaceDesign(Record):
     duplicates.  `complete` notes whether the design holds every
     k-subspace, which for a simple design means [v, k]_q blocks.  The
     complete designs of `trivial_design` list their blocks on first read
-    of `blocks`, in the same order, and keep them; `projective_version` at
-    q = 2 takes a complete design's point masks from the hyperplane product
-    (`pspace.subspace_masks_gf2`) and leaves its blocks unlisted.
+    of `blocks`, in the same order, and keep them; at q = 2 the
+    constructions and `verify_subspace_design` take a complete design's
+    point masks from the hyperplane product (`pspace.subspace_masks_gf2`)
+    and leave its blocks unlisted.
     """
 
     _fields = ("ctx", "t", "v", "k", "lam", "blocks")
@@ -267,8 +272,8 @@ def trivial_design(t: int, v: int, k: int, ctx: FieldCtx) -> SubspaceDesign:
 
     The parameters are checked here, but the blocks are enumerated only on
     the first read of `blocks`; the design equals the one the constructor
-    makes of every k-subspace.  Its projective version at q = 2 never
-    lists them.
+    makes of every k-subspace.  At q = 2 no construction and no check
+    lists them (`_block_masks`).
     """
     if not 0 <= t <= k <= v:
         raise ValueError("need 0 <= t <= k <= v")
@@ -278,22 +283,33 @@ def trivial_design(t: int, v: int, k: int, ctx: FieldCtx) -> SubspaceDesign:
     return design
 
 
+def _block_masks(design: SubspaceDesign) -> Sequence[int]:
+    """The point masks of the design's blocks, the one source every
+    construction and check reads: for a complete design at q = 2 the
+    hyperplane product (`pspace.subspace_masks_gf2`), in no fixed order
+    and with its blocks unlisted; otherwise `design.masks`, in block
+    order."""
+    if design.q == 2 and design.complete:
+        return subspace_masks_gf2(design.v, design.k, design.ctx)
+    return design.masks
+
+
 def verify_subspace_design(design: SubspaceDesign) -> VerifyResult:
     """Count, for every t-subspace, the blocks containing it.
 
     A block contains a t-subspace T iff it contains the points of T's
     canonical generator rows (`pspace._row_point`), so T's count is the
-    popcount of the AND of those points' columns.  The canonical rows of
-    every t-subspace are walked as they are enumerated
-    (`pspace._canonical_rows`); only a witness becomes a `Subspace`.  On
-    failure the witness is the first t-subspace (in canonical enumeration
-    order) with an off count.
+    popcount of the AND of those points' columns, transposed from the
+    masks of `_block_masks`.  The canonical rows of every t-subspace are
+    walked as they are enumerated (`pspace._canonical_rows`); only a
+    witness becomes a `Subspace`.  On failure the witness is the first
+    t-subspace (in canonical enumeration order) with an off count.
     """
     ctx, v = design.ctx, design.v
     n = gaussian_coefficient(v, 1, design.q)
     row_point = _row_point(v, ctx)
     cases = ((rows, map(row_point, rows)) for rows in _canonical_rows(v, design.t, design.q))
-    result = _count_containments(design.lam, n, design.masks, cases)
+    result = _count_containments(design.lam, n, _block_masks(design), cases)
     if result.witness is None:
         return result
     rows, c = result.witness
@@ -375,17 +391,11 @@ def construct(design: SubspaceDesign, mode: str, hyperplane=None) -> Combinatori
 def projective_version(design: SubspaceDesign) -> CombinatorialDesign:
     """Blocks as point sets of the projective geometry: a 2-design.
 
-    A complete design at q = 2 takes every k-subspace's point mask from the
-    hyperplane product (`pspace.subspace_masks_gf2`), without listing its
-    blocks; every other design hands over its `masks`.  The constructor
-    sorts both into the same design.
+    The blocks are the point masks of `_block_masks`, which the
+    constructor sorts into the same design from either source.
     """
     p = construction_params(design.params(), "projective")
-    if design.q == 2 and design.complete:
-        masks = subspace_masks_gf2(design.v, design.k, design.ctx)
-    else:
-        masks = design.masks
-    return CombinatorialDesign(p.v, p.t, p.k, p.lam, masks)
+    return CombinatorialDesign(p.v, p.t, p.k, p.lam, _block_masks(design))
 
 
 def affine_version(
@@ -425,7 +435,7 @@ def affine_version(
         else:
             chart.append(0)
     masks = []
-    for block in design.masks:
+    for block in _block_masks(design):
         mask = 0
         for i in bit_positions(block):
             mask |= chart[i]
@@ -438,15 +448,17 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
     """Union of all cosets of all blocks: a 3-design on the 2^v vectors.
 
     Only defined for q = 2.  A vector's ground-set index is sum(x_i << i).
-    Each block contributes its 2^(v-k) parallel flats, as masks over the
-    vectors.
+    A block's span is read off its point mask: point i is the one nonzero
+    vector that the point space's `vec_index` maps to i.  Each block
+    contributes its 2^(v-k) parallel flats, as masks over the vectors.
     """
     p = construction_params(design.params(), "flats")
+    vectors = [0] * gaussian_coefficient(design.v, 1, 2)
+    for x, i in enumerate(point_space(design.v, design.ctx).vec_index[1:], 1):
+        vectors[i] = x
     masks = []
-    for blk in design.blocks:
-        span = [0]
-        for r in blk.rows:
-            span += [x ^ r for x in span]
+    for block in _block_masks(design):
+        span = [0] + [vectors[i] for i in bit_positions(block)]
         covered = 0
         for a in range(1 << design.v):
             if covered >> a & 1:

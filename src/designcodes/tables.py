@@ -14,7 +14,7 @@ from fractions import Fraction
 from ._record import Record
 from .codes import binary_rank_formula, hamada_rank
 from .decoders import ell_one_step, ell_one_step_3design
-from .designs import MODES, DesignParams, construction_params, derive_params_q
+from .designs import DesignParams, construction_params, derive_params_q
 from .field import FieldCtx
 from .pspace import gaussian_coefficient
 
@@ -70,11 +70,8 @@ def format_one_decimal(value: Fraction) -> str:
 
 
 def comb_design_params(spec: TableRowSpec) -> DesignParams:
-    """Parameters of the combinatorial design the row's construction yields."""
-    if spec.mode not in MODES:
-        raise ValueError(f"unknown mode {spec.mode!r}")
-    if spec.t < 2:
-        raise ValueError("constructions need t >= 2")
+    """Parameters of the combinatorial design the row's construction
+    yields; `designs.construction_params` judges the mode and t."""
     qp = derive_params_q(spec.t, spec.v, spec.k, spec.lam, spec.q)
     violated = qp.violated_divisibility()
     if violated is not None:

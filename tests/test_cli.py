@@ -560,6 +560,58 @@ def test_one_step_commands_refuse_a_mode_with_a_cdesign(tmp_path, capsys, argv, 
     assert run(capsys, *argv) == (code, out, err)
 
 
+# cdesign files whose blocks fail verification: {0, 1, 2} + i mod 7, whose
+# pair counts are 2 and 1, and the Fano plane under a lambda = 2 header
+NON_DESIGNS = {
+    "cyclic": (
+        "cdesign t=2 n=7 k=3 lambda=1\n"
+        + "".join(f"{i} {(i + 1) % 7} {(i + 2) % 7}\n" for i in range(7)),
+        "non-constant",
+    ),
+    "fano-lambda-2": (
+        "cdesign t=2 n=7 k=3 lambda=2\n"
+        + "".join(f"{i} {(i + 1) % 7} {(i + 3) % 7}\n" for i in range(7)),
+        "1",
+    ),
+}
+
+_ONE_STEP_COMMANDS = [
+    ["decode", "one-step", "--word", "1000000"],
+    ["radius"],
+    ["simulate", "--weight", "1", "--trials", "3"],
+]
+
+
+@pytest.mark.parametrize("name", NON_DESIGNS)
+@pytest.mark.parametrize("argv", _ONE_STEP_COMMANDS, ids=["decode-one-step", "radius", "simulate"])
+def test_one_step_commands_refuse_a_cdesign_that_fails_verification(tmp_path, capsys, argv, name):
+    # one-step decoding reads the file's lambda, so a file whose blocks do
+    # not form its header's design is refused, naming the observed lambda
+    text, observed = NON_DESIGNS[name]
+    path = tmp_path / "bad.cdesign"
+    path.write_text(text)
+    _refused(
+        capsys,
+        argv + ["--designfile", str(path)],
+        f"{path} fails verification (observed lambda {observed}, header lambda",
+    )
+    # a mode is still refused first
+    _refused(capsys, argv + ["--designfile", str(path), "--mode", "flats"], "--mode flats")
+
+
+@pytest.mark.parametrize("argv", _ONE_STEP_COMMANDS, ids=["decode-one-step", "radius", "simulate"])
+def test_one_step_commands_refuse_a_qdesign_that_fails_verification(tmp_path, capsys, argv):
+    # the Fano plane, a 2-(3,2,1)_2 design, under a lambda = 2 header
+    qpath, _ = _fano_files(tmp_path)
+    qpath.write_text(qpath.read_text().replace("lambda=1", "lambda=2"))
+    for mode in ("projective", "affine", "flats"):
+        _refused(
+            capsys,
+            argv + ["--designfile", str(qpath), "--mode", mode],
+            f"{qpath} fails verification (observed lambda 1, header lambda 2)",
+        )
+
+
 def test_a_refused_option_leaves_a_malformed_file_its_own_error(tmp_path, capsys):
     # the file is read before the options are judged against it
     path = tmp_path / "d.cdesign"
@@ -688,6 +740,26 @@ def test_table_kv_format(capsys):
     pairs = kv(out)
     assert pairs["n"] == "511" and pairs["dim"] == "255" and pairs["ell"] == "8"
     assert pairs["r"] == "1581" and pairs["speedup"] == "127.0"
+
+
+def test_table_default_format_is_one_tsv_line(capsys):
+    code, out, err = run(
+        capsys, "table", "--t", "2", "--v", "7", "--k", "3", "--lambda", "3", "--q", "2"
+    )
+    assert (code, err) == (0, "")
+    assert out == "2-(7,3,3)_2\t1\t31\t[127, 28, 10]\t63\t10.3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--t", "1", "--v", "7", "--k", "3", "--lambda", "7", "--q", "2"],
+        ["code", "params", "--t", "1", "--v", "7", "--k", "3", "--q", "2"],
+    ],
+    ids=["table", "code-params"],
+)
+def test_constructions_below_t2_are_refused_by_construction_params(capsys, argv):
+    _refused(capsys, argv, "construction needs a design with t >= 2\n")
 
 
 def test_table_inadmissible_lambda_is_domain_error(capsys):

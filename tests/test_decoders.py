@@ -228,6 +228,41 @@ def test_one_step_rejects_mismatched_design(fano_pair, gf2m):
         OneStepDecoder(code, other)
 
 
+def test_one_step_rejects_a_design_below_t2(fano_pair):
+    code, d = fano_pair
+    one = CombinatorialDesign(n=7, t=1, k=3, lam=3, masks=d.masks)
+    with pytest.raises(ValueError, match=r"one-step decoding needs a design with t >= 2"):
+        OneStepDecoder(code, one)
+
+
+def test_one_step_rejects_checks_that_are_not_the_blocks(fano_pair):
+    # the same length and parameters, other blocks: {0, 1, 2} + i mod 7
+    code, _ = fano_pair
+    cyclic = pack_blocks([(i, (i + 1) % 7, (i + 2) % 7) for i in range(7)])
+    other = CombinatorialDesign(n=7, t=2, k=3, lam=1, masks=cyclic)
+    with pytest.raises(ValueError, match=r"code checks are not the design's incidence rows"):
+        OneStepDecoder(code, other)
+
+
+def test_vote_stage_refuses_a_code_over_another_field(fano_pair):
+    _, d = fano_pair
+    with pytest.raises(ValueError, match=r"decoding is implemented for binary codes only"):
+        OneStepDecoder(build_code(d, 3, "projective"), d)
+
+
+def test_one_step_votes_with_each_columns_own_r(fano_pair):
+    # the Fano blocks under a lambda = 2 header: the header's r = 6 and
+    # lambda_2 = 2 give the threshold U_j > 3, which no single error meets
+    # through 3 checks; the threshold of each column's own r_j = 3 is
+    # U_j > 2, so every single error is corrected
+    code, fano = fano_pair
+    dec = OneStepDecoder(code, CombinatorialDesign(n=7, t=2, k=3, lam=2, masks=fano.masks))
+    assert (dec.r, dec.lambda2) == (6, 2)
+    for j in range(7):
+        out = dec.decode(1 << j)
+        assert (out.status, out.word, out.flips) == (DECODED, 0, (j,))
+
+
 def test_two_step_zero_and_codewords(twostep31):
     dec = twostep31
     out = dec.decode(0)

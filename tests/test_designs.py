@@ -6,12 +6,15 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from designcodes import designs
 from designcodes.designs import (
     MODES,
     CombinatorialDesign,
     SubspaceDesign,
+    VerifyResult,
     affine_version,
     construct,
+    construction_params,
     derive_params_comb,
     derive_params_q,
     dumps_comb_design,
@@ -619,6 +622,57 @@ def test_flats_construction_matches_tuple_oracle(case, data):
     assert got.blocks == comb_design_blocks(n, 3, k, want)
     expected = CombinatorialDesign(n=n, t=3, k=k, lam=lam, masks=pack_blocks(want))
     assert dumps_comb_design(got) == dumps_comb_design(expected)
+
+
+# every q = 2 trivial design with v <= 7 and 2 <= k < v; v = 7 takes seconds
+Q2_COMPLETE = [
+    pytest.param(v, k, marks=pytest.mark.slow) if v == 7 else (v, k)
+    for v in range(3, 8)
+    for k in range(2, v)
+]
+
+
+@lru_cache(maxsize=None)
+def _listed_constructions(v, k):
+    """The three constructions of the trivial 2-(v, k)_2 design, built by the
+    oracles from its listed blocks: each block's walked point mask, its
+    coordinate-tuple affine chart and its sorted tuple cosets."""
+    design = trivial_design(2, v, k, FieldCtx.of(2))
+    out = {"projective": projective_walk(design)}
+    for mode, blocks in (("affine", affine_blocks(design)), ("flats", flats_blocks(design))):
+        p = construction_params(design.params(), mode)
+        out[mode] = CombinatorialDesign(p.v, p.t, p.k, p.lam, pack_blocks(blocks))
+    return out
+
+
+@pytest.mark.parametrize("v, k", Q2_COMPLETE)
+def test_complete_q2_constructions_match_the_listed_blocks(gf2, v, k):
+    # a complete q = 2 design's masks come from the hyperplane product in
+    # every mode; the design each mode builds equals the oracles' from the
+    # listed blocks, and verification passes with the trivial lambda
+    want = _listed_constructions(v, k)
+    for mode in MODES:
+        assert construct(trivial_design(2, v, k, gf2), mode) == want[mode], mode
+    design = trivial_design(2, v, k, gf2)
+    assert verify_subspace_design(design) == VerifyResult(True, design.lam, None)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_complete_q2_design_is_never_listed(monkeypatch, gf2, k):
+    # no construction and no check lists the blocks of a complete q = 2
+    # design: with the enumeration patched to raise, all still succeed
+    want = _listed_constructions(6, k)
+
+    def listed(*args):
+        raise AssertionError("the blocks of a complete q = 2 design were listed")
+
+    monkeypatch.setattr(designs, "enumerate_subspaces", listed)
+    design = trivial_design(2, 6, k, gf2)
+    for mode in MODES:
+        assert construct(design, mode) == want[mode], mode
+    assert verify_subspace_design(design) == VerifyResult(True, design.lam, None)
+    with pytest.raises(AssertionError, match="were listed"):
+        design.blocks
 
 
 def test_constructor_rejects_malformed_masks():

@@ -95,6 +95,21 @@ def test_capability_dispatch():
     assert capability(p3) == ell_one_step_3design(35, 7, 1) == 3
 
 
+@pytest.mark.parametrize("t, n, k, lam", [(1, 7, 3, 3), (4, 8, 5, 1), (0, 7, 3, 7)])
+def test_capability_needs_t2_or_t3(t, n, k, lam):
+    with pytest.raises(ValueError, match=rf"no capability formula for t = {t}"):
+        capability(derive_params_comb(t, n, k, lam))
+
+
+@pytest.mark.parametrize("mode", ["projective", "affine", "flats"])
+def test_construction_validity_has_one_message(mode):
+    # `designs.construction_params` judges a row's t and mode
+    spec = TableRowSpec(t=1, v=7, k=3, lam=7, q=2, mode=mode)
+    with pytest.raises(ValueError) as err:
+        table_row(spec)
+    assert str(err.value) == "construction needs a design with t >= 2"
+
+
 def test_tsv_matches_published_shape():
     rep = table_row(TableRowSpec(2, 13, 3, 1, 2, "projective"))
     assert rep.tsv() == "2-(13,3,1)_2\t1\t2047\t[8191, 91, 682]\t1365\t2047.0"
