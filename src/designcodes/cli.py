@@ -76,6 +76,12 @@ def _loads_design(text: str):
     raise ValueError("neither a qdesign nor a cdesign file")
 
 
+def _verify_design_file(qd: SubspaceDesign | None, cd: CombinatorialDesign | None):
+    """Verify what `_load_design_file` read: a qdesign's subspace design, or
+    a cdesign's blocks against its header."""
+    return verify_subspace_design(qd) if qd is not None else verify_comb_design(cd)
+
+
 def _cdesign_mode_error(mode: str) -> ValueError:
     return ValueError(
         f"--mode {mode} does not apply to a cdesign file, whose blocks are the code's checks"
@@ -90,11 +96,12 @@ def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
         return construct(trivial_design(2, args.v, args.k, _ctx(args)), args.mode), args.mode
     qd, cd = _load_design_file(args.designfile)
     if cd is None:
-        comb, mode, res = construct(qd, args.mode), args.mode, verify_subspace_design(qd)
+        comb, mode = construct(qd, args.mode), args.mode
     elif args.mode != "projective":
         raise _cdesign_mode_error(args.mode)
     else:
-        comb, mode, res = cd, "combinatorial", verify_comb_design(cd)
+        comb, mode = cd, "combinatorial"
+    res = _verify_design_file(qd, cd)
     if not res.verified:
         raise ValueError(
             f"{args.designfile} fails verification (observed lambda {res.observed_lambda},"
@@ -103,12 +110,17 @@ def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
     return comb, mode
 
 
-def _code_report(code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign | None, mode: str):
+def _code_report(
+    code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign | None, mode: str, verified: bool
+):
+    """The `code build` lines.  `ell=` reads the header's parameters, so it
+    is printed only for a file that passes verification."""
     lines = [f"n={code.n}", f"rank={code.rank}", f"dim={code.dim}"]
-    try:
-        lines.append(f"ell={capability(comb.params())}")
-    except ValueError:
-        pass  # no capability formula outside t = 2, 3
+    if verified:
+        try:
+            lines.append(f"ell={capability(comb.params())}")
+        except ValueError:
+            pass  # no capability formula outside t = 2, 3
     if qd is not None and code.p == qd.ctx.p:  # the bounds are for the field's characteristic
         lines += _distance_lines(qd.v, qd.k, qd.q, mode)
     return lines
@@ -159,7 +171,7 @@ def _print_witness(res) -> None:
 
 def cmd_design_verify(args) -> int:
     qd, cd = _load_design_file(args.file)
-    res = verify_subspace_design(qd) if qd is not None else verify_comb_design(cd)
+    res = _verify_design_file(qd, cd)
     print(f"verified={'true' if res.verified else 'false'}")
     print(f"observed_lambda={res.observed_lambda}")
     _print_witness(res)
@@ -191,6 +203,7 @@ def cmd_code_build(args) -> int:
     mode = args.mode or ("combinatorial" if cd is not None else "projective")
     if args.hyperplane is not None and mode != "affine":
         raise ValueError(f"--hyperplane applies only to --mode affine, not to {mode}")
+    verified = _verify_design_file(qd, cd).verified
     if cd is None:
         cd = construct(qd, mode, hyperplane=_parse_hyperplane(args.hyperplane))
     code = build_code(cd, args.p, mode)
@@ -206,7 +219,7 @@ def cmd_code_build(args) -> int:
         outputs.append((args.matrix_out, checks.dumps()))
     for path, text in outputs:
         Path(path).write_text(text, encoding="utf-8")
-    for line in _code_report(code, cd, qd, mode):
+    for line in _code_report(code, cd, qd, mode, verified):
         print(line)
     return 0
 

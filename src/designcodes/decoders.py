@@ -15,30 +15,36 @@ its member rows with the same `field._columns`.  Nothing in it is
 projective: it reads the step-2 design's t and block masks, in any
 construction mode, and takes its length and J from the code.  A decode
 XORs the columns of the received word's 1-bits into a syndrome, computing
-each check's parity once per word, and reads each position's vote count
-as popcount(syndrome & column).  That XOR is
-`field._xor_select`, the package's one "XOR the vectors at a word's set
-bits", over tables each decoder builds from its columns at construction
-(`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
-step-2 block; its step-1 majority adds the J class lanes by a bit-sliced
-adder tree that halves them level by level into one count per block
-(`lane_majority`).  The scalar loops they replaced, one parity per
-(check, point) pair, and the per-block count are kept as test references.
+each check's parity once per word.  That XOR is `field._xor_select`, the
+package's one "XOR the vectors at a word's set bits", over tables each
+decoder builds from its columns at construction (`field._xor_tables`).
+The two-step XOR gives J + 1 lanes of one bit per step-2 block; its
+step-1 majority adds the J class lanes by a bit-sliced adder tree that
+halves them level by level into one count per block (`lane_majority`).
+The scalar loops they replaced, one parity per (check, point) pair, and
+the per-block count are kept as test references.
 
 Both decoders end in one vote stage, the base class `_MajorityVote`, which
 owns the threshold rule and the cost model: each decoder computes its own
 disagreement vector (the one-step syndrome; the two-step step-1 estimates
-XOR the received block parities) and gives the stage its columns and its
-lambda (the design's lambda_2 one-step, 1 two-step).  The stage reads r_j,
-the popcount of column j, flips j when 2 U_j > r_j + lambda - 1 for the
-U_j disagreeing checks or blocks through j, counts the work and builds
-the outcome.  Each decoder keeps its own codeword test: the one-step
-decoder reads the updated syndrome, the two-step decoder
-`BinaryCode.is_codeword`, which costs less than a syndrome over its
-code's many checks.  `check_evals` stays the paper's cost model, the
-parity evaluations of the scalar decoder (the sum of the r_j, n r per
-word one-step, plus b_2 J step-1 evaluations two-step), added per call: a
-model count, not a count of machine operations.
+XOR the received block parities) and gives the stage its columns, the b
+rows they transpose (the code's checks one-step, the step-2 blocks
+two-step) and its lambda (the design's lambda_2 one-step, 1 two-step).
+The stage reads r_j, the popcount of column j, flips j when 2 U_j > r_j +
+lambda - 1 for the U_j disagreeing checks or blocks through j, counts the
+work and builds the outcome.  It counts the U_j by one of two kernels,
+picked at build time from b against the n positions: a popcount loop,
+popcount(disagree & column j) per position, or, when b <= 6 n, a count
+table that adds the disagreeing rows into one bit field per position by
+`field._sum_select`, the adding sibling of `_xor_select`, and reads every
+flip off the fields' top bits at once.  Both give the same flips.  Each
+decoder keeps its own codeword test: the one-step decoder reads the
+updated syndrome, the two-step decoder `BinaryCode.is_codeword`, which
+costs less than a syndrome over its code's many checks.  `check_evals`
+stays the paper's cost model, the parity evaluations of the scalar
+decoder (the sum of the r_j, n r per word one-step, plus b_2 J step-1
+evaluations two-step), added per call: a model count, not a count of
+machine operations, the same whichever kernel votes.
 
 Capability formulas:
 
@@ -58,12 +64,12 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import ceil, comb, log
-from operator import and_, or_
+from operator import add, and_, or_
 
 from ._record import Record
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
-from .field import _columns, _xor_select, _xor_tables, bit_positions, pack_text
+from .field import _columns, _sum_select, _xor_select, _xor_tables, bit_positions, pack_text
 from .pspace import gaussian_coefficient
 
 DECODED = "decoded"
@@ -178,24 +184,88 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 # Decoders
 
 
+# The vote stage takes the count-table kernel while there are at most this
+# many checks (or step-2 blocks) per position, b <= 6 n: at b = 4.2 n
+# (`twostep-q4`) it votes in about 70% of the popcount loop's time, at
+# b = 9 n (`onestep-subspace`, `twostep-subspace`) in 130-155%
+# (in-process timings on both sides in BENCH_count_vote.json).
+_COUNT_TABLE_CHECKS_PER_POSITION = 6
+
+
+def count_tables(rows, counts, halves):
+    """The count-table kernel's tables for the check (or block) masks `rows`,
+    in the order of the columns' bits, with r_j = counts[j] and the
+    thresholds `halves` of the n positions.
+
+    Position j owns an F-bit field of one int, bits F j to F j + F - 1,
+    with F = max over j of max(r_j, half_j), `.bit_length() + 1`.  The
+    field starts at the bias 2^(F-1) - 1 - half_j, which that F keeps
+    nonnegative, and counts up to U_j <= r_j without overflow, so its top
+    bit is set exactly when U_j > half_j.  Each row, bit j spread to bit
+    F j, goes into `field._xor_tables(combine=operator.add)`.  Returns F,
+    the bias, the mask of the fields' top bits and the tables.
+    """
+    F = max(max(counts), max(halves)).bit_length() + 1
+    bias = top = 0
+    for half in reversed(halves):
+        bias = (bias << F) | ((1 << (F - 1)) - 1 - half)
+        top = (top << F) | (1 << (F - 1))
+    units = [1 << (F * j) for j in range(len(halves))]
+    spread = []
+    for row in rows:
+        wide = 0
+        while row:
+            low = row & -row
+            wide += units[low.bit_length() - 1]
+            row ^= low
+        spread.append(wide)
+    return F, bias, top, _xor_tables(spread, add)
+
+
+def count_table_flips(tables, disagree: int) -> tuple[int, ...]:
+    """The positions j, ascending, with U_j = popcount(disagree & column
+    j) > half_j, read off `count_tables`: one `field._sum_select` of the
+    disagreeing rows onto the bias, one AND with the fields' top bits, and
+    j = p // F for each top bit p left."""
+    F, bias, top, sums = tables
+    top &= _sum_select(sums, disagree) + bias
+    flips = []
+    while top:
+        low = top & -top
+        flips.append(low.bit_length() // F - 1)
+        top ^= low
+    return tuple(flips)
+
+
 class _MajorityVote:
     """The vote stage both decoders end with, and the one owner of their
     threshold rule and cost model.
 
     Each position j has a column mask (bit i = check or block i through j)
-    of r_j = popcount(column j) bits.  j is flipped when U_j =
-    popcount(disagree & column j), the checks or blocks through j that
-    disagree, satisfies 2 U_j > r_j + lam - 1, that is U_j > half_j =
-    (r_j + lam - 1) // 2, and all flips are applied at once: Rudolph's
-    rule with the decoder's lam, and with lam = 1 a plain majority.  Each
-    vote adds the model count of parity evaluations per word to
-    `check_evals`: the decoder's `step1_evals` plus one evaluation per
-    point of every check or block, the sum of the r_j.  The flipped word
-    is decoded only if it is a codeword; each decoder tests that its own
-    way.
+    of r_j = popcount(column j) bits; the decoder also gives the b rows
+    those columns transpose, the checks' or blocks' point masks in the
+    order of the columns' bits.  j is flipped when U_j, the checks or
+    blocks through j that disagree, satisfies 2 U_j > r_j + lam - 1, that
+    is U_j > half_j = (r_j + lam - 1) // 2, and all flips are applied at
+    once: Rudolph's rule with the decoder's lam, and with lam = 1 a plain
+    majority.  Each vote adds the model count of parity evaluations per
+    word to `check_evals`: the decoder's `step1_evals` plus one evaluation
+    per point of every check or block, the sum of the r_j.  The flipped
+    word is decoded only if it is a codeword; each decoder tests that its
+    own way.
+
+    The stage counts U_j by one of two kernels, both giving the same
+    flips; it picks one at build time from the b rows (checks or blocks)
+    it is given against the n positions.  The popcount loop reads U_j as
+    popcount(disagree & column j), one AND and one popcount per position
+    however few the checks.  The count table (`count_tables`), taken when
+    b <= 6 n, sums the disagreeing rows into one F-bit counter per
+    position through the sums of every subset of 4 rows, one lookup per
+    nibble of each nonzero byte of the disagreement vector, and reads
+    every flip off the counters' top bits at once (`count_table_flips`).
     """
 
-    def __init__(self, code: BinaryCode, columns, lam: int, step1_evals: int = 0):
+    def __init__(self, code: BinaryCode, columns, rows, lam: int, step1_evals: int = 0):
         if code.p != 2:
             raise ValueError("decoding is implemented for binary codes only")
         self.code = code
@@ -204,14 +274,20 @@ class _MajorityVote:
         counts = [col.bit_count() for col in columns]
         self._halves = tuple([(r + lam - 1) // 2 for r in counts])
         self._evals_per_word = step1_evals + sum(counts)
+        self._count_tables = None
+        if len(rows) <= _COUNT_TABLE_CHECKS_PER_POSITION * self.n:
+            self._count_tables = count_tables(rows, counts, self._halves)
         self.check_evals = 0
 
     def _vote(self, received: int, disagree: int) -> tuple[tuple[int, ...], int]:
         """The positions that lose their vote, and the received word with
         those positions flipped."""
         self.check_evals += self._evals_per_word
-        votes = zip(range(self.n), self._columns, self._halves)
-        flips = tuple([j for j, col, half in votes if (disagree & col).bit_count() > half])
+        if self._count_tables is None:
+            votes = zip(range(self.n), self._columns, self._halves)
+            flips = tuple([j for j, col, half in votes if (disagree & col).bit_count() > half])
+        else:
+            flips = count_table_flips(self._count_tables, disagree)
         for j in flips:
             received ^= 1 << j
         return flips, received
@@ -236,13 +312,14 @@ class OneStepDecoder(_MajorityVote):
     are exactly the code's checks (checked at build time).  A decode XORs
     the columns of the received word's 1-bits into the syndrome (bit i =
     parity of check i), by `field._xor_select` over the columns' tables,
-    so each check's parity is computed once per word, and U_j is
-    popcount(syndrome & column j).  The flipped word's syndrome
-    is the received syndrome XOR the flipped positions' columns, so the
-    word is a codeword iff that syndrome is zero.  `check_evals` is the model
-    count of the scalar decoder, the sum of the r_j (n r for a design)
-    parity evaluations per word, one per point of every block, added per
-    call; it is not a count of machine operations.
+    so each check's parity is computed once per word, and the vote stage
+    counts U_j, the 1-bits of the syndrome in column j, over the code's
+    checks as its rows.  The flipped word's syndrome is the received
+    syndrome XOR the flipped positions' columns, so the word is a codeword
+    iff that syndrome is zero.  `check_evals` is the model count of the
+    scalar decoder, the sum of the r_j (n r for a design) parity
+    evaluations per word, one per point of every block, added per call; it
+    is not a count of machine operations.
     """
 
     def __init__(self, code: BinaryCode, design: CombinatorialDesign):
@@ -255,7 +332,7 @@ class OneStepDecoder(_MajorityVote):
         params = design.params()
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        super().__init__(code, code.columns, self.lambda2)
+        super().__init__(code, code.columns, code.check_masks(), self.lambda2)
         self._syndrome_tables = _xor_tables(self._columns)
 
     def decode(self, word) -> DecodeOutcome:
@@ -387,10 +464,10 @@ class TwoStepDecoder(_MajorityVote):
     with J // 2 + 1 to give the estimated block parities.  Block b's vote
     at j disagrees with the received bit exactly when bit b of D =
     estimates XOR received block parities is set, so j is flipped iff more
-    than half of the blocks through j are set in D, read as popcount(D &
-    column j): the vote stage's rule with lambda = 1.  `check_evals` is
-    the model count of the scalar decoder, b_2 J + n r parity evaluations
-    per word, added per call.
+    than half of the blocks through j are set in D, counted by the vote
+    stage over the step-2 block masks as its rows: its rule with lambda =
+    1.  `check_evals` is the model count of the scalar decoder, b_2 J + n r
+    parity evaluations per word, added per call.
     """
 
     def __init__(self, code: BinaryCode, step2: SubspaceDesign | CombinatorialDesign):
@@ -415,7 +492,7 @@ class TwoStepDecoder(_MajorityVote):
         # (block, class)
         self._parity_shift = classes = J * len(blocks)
         columns = tuple(member >> classes for member in self._members)
-        super().__init__(code, columns, 1, classes)
+        super().__init__(code, columns, blocks, 1, classes)
         self._majority_tree = majority_tree(J, len(blocks))
 
     def _member_rows(self, code: BinaryCode, blocks):

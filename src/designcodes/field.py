@@ -39,7 +39,9 @@ popcount of the AND of their columns.
 `_xor_select` is the package's one "XOR the vectors at a word's set bits",
 by byte lookups in tables of subset XORs (`_xor_tables`): the decoders'
 syndromes and lanes over their columns, and a code's random codewords and
-codeword test over its nullspace basis.
+codeword test over its nullspace basis.  `_sum_select` is its adding
+sibling, over the same tables built by addition: the decoders'
+count-table vote.
 
 The matrix and design file loaders share one comment rule (`_strip_lines`),
 one header parser (`_parse_header`) and one body-token parser (`_ints`),
@@ -50,6 +52,7 @@ the loaders that read a path (`_load_file`) put the path in front.
 
 import itertools
 from functools import cached_property
+from operator import xor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -523,24 +526,29 @@ def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def _xor_tables(vectors: Iterable[int]) -> tuple[tuple[int, ...], tuple]:
+def _xor_tables(
+    vectors: Iterable[int], combine: Callable[[int, int], int] = xor
+) -> tuple[tuple[int, ...], tuple]:
     """The tables `_xor_select` reads for `vectors`: the vectors in order,
-    and per selector byte a pair of subset tables, low nibble first.
+    and per selector byte a pair of subset tables, low nibble first.  With
+    `combine=operator.add` they are the tables of its adding sibling,
+    `_sum_select`.
 
-    Each group of 4 consecutive vectors a, b, c, d gets a table of the XORs
-    of its 16 subsets, entry s holding the XOR of the vectors at the set
-    bits of s (the "Four Russians" table of Arlazarov, Dinic, Kronrod and
-    Faradzev), built with 11 XORs; the vector list is padded with zeros to
-    whole bytes.  The group width is fixed: tables of 8 vectors would hold
-    8 times as many entries for half the lookups.
+    Each group of 4 consecutive vectors a, b, c, d gets a table of the
+    combinations of its 16 subsets, entry s combining the vectors at the
+    set bits of s (the "Four Russians" table of Arlazarov, Dinic, Kronrod
+    and Faradzev), built with 11 combinations; the vector list is padded
+    with zeros to whole bytes.  The group width is fixed: tables of 8
+    vectors would hold 8 times as many entries for half the lookups.
     """
     vecs = tuple(vectors)
     tables = []
     for a, b, c, d in zip(*[iter(vecs + (0,) * (-len(vecs) % 8))] * 4):
-        ab, cd = a ^ b, c ^ d
+        ab, cd = combine(a, b), combine(c, d)
         tables.append(
-            (0, a, b, ab, c, a ^ c, b ^ c, ab ^ c)
-            + (d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd)
+            (0, a, b, ab, c, combine(a, c), combine(b, c), combine(ab, c))
+            + (d, combine(a, d), combine(b, d), combine(ab, d))
+            + (cd, combine(a, cd), combine(b, cd), combine(ab, cd))
         )
     return vecs, tuple(zip(tables[::2], tables[1::2]))
 
@@ -568,6 +576,25 @@ def _xor_select(tables, bits: int) -> int:
     for (lo, hi), b in zip(pairs, bits.to_bytes(len(pairs), "little")):
         if b:
             acc ^= lo[b & 15] ^ hi[b >> 4]
+    return acc
+
+
+def _sum_select(tables, bits: int) -> int:
+    """Sum of the vectors at the set bits of `bits`, from their
+    `_xor_tables(vectors, combine=operator.add)`: `_xor_select` with
+    addition, by the same lookups and the same rule for a sparse word.
+    The decoders' count-table vote adds its spread check rows with it."""
+    vectors, pairs = tables
+    acc = 0
+    if 2 * bits.bit_count() < len(pairs):
+        while bits:
+            low = bits & -bits
+            acc += vectors[low.bit_length() - 1]
+            bits ^= low
+        return acc
+    for (lo, hi), b in zip(pairs, bits.to_bytes(len(pairs), "little")):
+        if b:
+            acc += lo[b & 15] + hi[b >> 4]
     return acc
 
 

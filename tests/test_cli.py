@@ -612,6 +612,24 @@ def test_one_step_commands_refuse_a_qdesign_that_fails_verification(tmp_path, ca
         )
 
 
+def test_code_build_prints_no_ell_for_a_file_that_fails_verification(tmp_path, capsys):
+    # `ell=` reads the header's parameters, so it is left out for the
+    # cyclic cdesign, whose blocks form no 2-(7,3,1) design, and for the
+    # Fano plane under a lambda = 2 header; the code is still built
+    path = tmp_path / "bad.cdesign"
+    path.write_text(NON_DESIGNS["cyclic"][0])
+    code, out, err = run(capsys, "code", "build", str(path))
+    assert (code, err) == (0, "")
+    assert out == "n=7\nrank=7\ndim=0\n"
+    qpath, cpath = _fano_files(tmp_path)
+    code, out, _ = run(capsys, "code", "build", str(cpath))
+    assert code == 0 and kv(out)["ell"] == "1"
+    qpath.write_text(qpath.read_text().replace("lambda=1", "lambda=2"))
+    code, out, err = run(capsys, "code", "build", str(qpath))
+    assert (code, err) == (0, "")
+    assert {"n", "rank", "dim", "d_bch"} <= kv(out).keys() and "ell" not in kv(out)
+
+
 def test_a_refused_option_leaves_a_malformed_file_its_own_error(tmp_path, capsys):
     # the file is read before the options are judged against it
     path = tmp_path / "d.cdesign"

@@ -1,5 +1,8 @@
+import copy
 import itertools
 import random
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from designcodes.decoders import (
     TwoStepDecoder,
     _error_mask,
     as_mask,
+    count_tables,
     ell_bounds,
     ell_one_step,
     ell_one_step_3design,
@@ -899,3 +903,113 @@ def test_q2_chain_builds_no_point_tuples(monkeypatch):
     assert out.status == DECODED and out.word == 0 and out.flips == (7,)
     with pytest.raises(AssertionError, match="point tuple built"):
         comb.blocks
+
+
+# ---------------------------------------------------------------------------
+# The vote stage's two kernels: the popcount loop and the count table, each
+# forced in turn on a copy of one decoder, must give the same flips, and
+# both must follow the rule U_j > half_j read off the columns.
+
+
+def _kernel_votes(dec, rows, vectors):
+    """Per kernel (the loop, then the count table of `rows`), the vote of a
+    copy of `dec` forced onto it, (flips, flip mask), for each vector."""
+    counts = [col.bit_count() for col in dec._columns]
+    votes = []
+    for tables in (None, count_tables(rows, counts, dec._halves)):
+        forced = copy.copy(dec)
+        forced._count_tables = tables
+        votes.append([forced._vote(0, d) for d in vectors])
+    return votes
+
+
+def _rule_flips(dec, disagree):
+    columns = zip(dec._columns, dec._halves)
+    return tuple(j for j, (col, half) in enumerate(columns) if (disagree & col).bit_count() > half)
+
+
+def _assert_kernels_agree(dec, rows, vectors):
+    loop, table = _kernel_votes(dec, rows, vectors)
+    assert loop == table
+    assert [flips for flips, _ in table] == [_rule_flips(dec, d) for d in vectors]
+    assert all(mask == sum(1 << j for j in flips) for flips, mask in table)
+    return [flips for flips, _ in table]
+
+
+@pytest.fixture(scope="module")
+def benchmark_decoders(shipped_two_step):
+    """perfbench's three decoders, each with the rows its columns
+    transpose: the code's checks one-step, the step-2 blocks two-step."""
+    shipped = projective_version(load_subspace_design(SHIPPED_DESIGN))
+    one = OneStepDecoder(build_code(shipped, 2, "projective"), shipped)
+    ctx = FieldCtx.of(4)
+    lines = trivial_design(2, 4, 2, ctx)
+    planes = build_code(projective_version(trivial_design(2, 4, 3, ctx)), 2, "projective")
+    two, step2 = shipped_two_step
+    return {
+        "onestep-subspace": (one, one.code.check_masks()),
+        "twostep-subspace": (two, step2.masks),
+        "twostep-q4": (TwoStepDecoder(planes, lines), lines.masks),
+    }
+
+
+@pytest.mark.parametrize(
+    "name,tables",
+    [("onestep-subspace", False), ("twostep-subspace", False), ("twostep-q4", True)],
+)
+def test_the_rule_puts_each_benchmark_decoder_on_its_kernel(benchmark_decoders, name, tables):
+    # b = 1143 checks or blocks at n = 127 is above 6 n; 357 blocks at
+    # n = 85 is below it
+    dec, rows = benchmark_decoders[name]
+    assert (len(rows), dec.n) == {"twostep-q4": (357, 85)}.get(name, (1143, 127))
+    assert (dec._count_tables is not None) is tables
+
+
+@pytest.mark.parametrize("name", ["onestep-subspace", "twostep-subspace", "twostep-q4"])
+def test_both_kernels_flip_alike_on_the_benchmark_decoders(benchmark_decoders, name):
+    # uniform vectors put U_j around half_j at every position; sparse ones
+    # take `_sum_select`'s per-vector path; the XOR of a few columns flips
+    # their positions
+    dec, rows = benchmark_decoders[name]
+    rng = random.Random(7)
+    b = len(rows)
+    vectors = [rng.getrandbits(b) for _ in range(60)]
+    vectors += [sum(1 << i for i in rng.sample(range(b), rng.randrange(1, 40))) for _ in range(60)]
+    for _ in range(60):
+        picked = rng.sample(dec._columns, rng.randrange(1, 6))
+        vectors.append(reduce(xor, picked))
+    flips = _assert_kernels_agree(dec, rows, vectors)
+    assert any(flips) and not all(flips)
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_both_kernels_flip_alike_on_every_fano_vector(fano_pair, lam):
+    # every disagreement vector over the 7 checks, a count that fills no
+    # whole byte; under the lambda = 2 header the threshold rises from
+    # U_j > 1 to U_j > 2
+    code, fano = fano_pair
+    dec = OneStepDecoder(code, CombinatorialDesign(n=7, t=2, k=3, lam=lam, masks=fano.masks))
+    assert dec._count_tables is not None and set(dec._halves) == {lam}
+    flips = _assert_kernels_agree(dec, code.check_masks(), range(1 << 7))
+    assert max(map(len, flips)) == 7 and flips[0] == ()
+
+
+@pytest.mark.parametrize("lam", [1, 2, 5])
+@pytest.mark.parametrize(
+    "blocks",
+    [[(0, 1, 2), (0, 3, 4), (1, 3, 5)], [(0, 1, 2)]],
+    ids=["three-blocks", "one-block"],
+)
+def test_both_kernels_flip_alike_with_uneven_columns(blocks, lam):
+    # blocks of a Fano header that are not all of its lines: r_j runs from
+    # 0 to 2, so half_j = (r_j + lam - 1) // 2 reaches r_j (a position
+    # that can never flip) and, at lam = 5, exceeds it; the last case has
+    # a single check
+    design = CombinatorialDesign(n=7, t=2, k=3, lam=lam, masks=pack_blocks(blocks))
+    dec = OneStepDecoder(build_code(design), design)
+    assert dec._count_tables is not None
+    never = {j for j, (col, half) in enumerate(zip(dec._columns, dec._halves)) if half >= col.bit_count()}
+    assert 6 in never and (lam == 1 or 5 in never)
+    flips = _assert_kernels_agree(dec, design.masks, range(1 << len(blocks)))
+    assert never.isdisjoint(j for vote in flips for j in vote)
+    assert any(flips) == (len(never) < 7)

@@ -1,5 +1,6 @@
 import itertools
 import time
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from designcodes.field import (
     FieldCtx,
     PrimeMatrix,
+    _sum_select,
     _xor_select,
     _xor_tables,
     bit_positions,
@@ -273,3 +275,18 @@ def test_xor_select_matches_the_bit_loop(case):
     tables = _xor_tables(iter(vectors))
     assert tables[0] == tuple(vectors) and len(tables[1]) == -(-len(vectors) // 8)
     assert _xor_select(tables, bits) == xor_columns(vectors, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xor_cases())
+@example(([], 0))
+@example(([5], 1))
+@example(([3] * 8, 0b10000000))
+@example(([7] * 140, (1 << 140) - 1))
+def test_sum_select_matches_the_bit_loop(case):
+    # the adding sibling of `_xor_select`, over the same layout of tables
+    # built by addition, against a plain sum of the selected vectors
+    vectors, bits = case
+    tables = _xor_tables(iter(vectors), add)
+    assert tables[0] == tuple(vectors) and len(tables[1]) == -(-len(vectors) // 8)
+    assert _sum_select(tables, bits) == sum(v for i, v in enumerate(vectors) if bits >> i & 1)
