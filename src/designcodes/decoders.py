@@ -14,15 +14,17 @@ superspaces off them, from the block's point mask alone, and transposes
 its member rows with the same `field._columns`.  Nothing in it is
 projective: it reads the step-2 design's t and block masks, in any
 construction mode, and takes its length and J from the code.  A decode
-XORs the columns of the received word's 1-bits into a syndrome, computing
-each check's parity once per word.  That XOR is `field._xor_select`, the
-package's one "XOR the vectors at a word's set bits", over tables each
-decoder builds from its columns at construction (`field._xor_tables`).
-The two-step XOR gives J + 1 lanes of one bit per step-2 block; its
-step-1 majority adds the J class lanes by a bit-sliced adder tree that
-halves them level by level into one count per block (`lane_majority`).
-The scalar loops they replaced, one parity per (check, point) pair, and
-the per-block count are kept as test references.
+XORs the vectors of the received word's 1-bits, computing each check's
+parity once per word: the columns into a syndrome, or, where the
+one-step decoder votes in slot lanes (below), each position's slot lanes
+into R lanes of one bit per position.  That XOR is `field._xor_select`,
+the package's one "XOR the vectors at a word's set bits", over tables
+each decoder builds from its vectors at construction
+(`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
+step-2 block; its step-1 majority adds the J class lanes by a bit-sliced
+adder tree that halves them level by level into one count per block
+(`lane_majority`).  The scalar loops they replaced, one parity per
+(check, point) pair, and the per-block count are kept as test references.
 
 Both decoders end in one vote stage, the base class `_MajorityVote`, which
 owns the threshold rule and the cost model: each decoder computes its own
@@ -32,19 +34,25 @@ rows they transpose (the code's checks one-step, the step-2 blocks
 two-step) and its lambda (the design's lambda_2 one-step, 1 two-step).
 The stage reads r_j, the popcount of column j, flips j when 2 U_j > r_j +
 lambda - 1 for the U_j disagreeing checks or blocks through j, counts the
-work and builds the outcome.  It counts the U_j by one of two kernels,
-picked at build time from b against the n positions: a popcount loop,
-popcount(disagree & column j) per position, or, when b <= 6 n, a count
-table that adds the disagreeing rows into one bit field per position by
-`field._sum_select`, the adding sibling of `_xor_select`, and reads every
-flip off the fields' top bits at once.  Both give the same flips.  Each
-decoder keeps its own codeword test: the one-step decoder reads the
-updated syndrome, the two-step decoder `BinaryCode.is_codeword`, which
-costs less than a syndrome over its code's many checks.  `check_evals`
-stays the paper's cost model, the parity evaluations of the scalar
-decoder (the sum of the r_j, n r per word one-step, plus b_2 J step-1
-evaluations two-step), added per call: a model count, not a count of
-machine operations, the same whichever kernel votes.
+work and builds the outcome.  It counts the U_j by one of three kernels,
+picked at build time from b against the n positions.  When b <= 6 n, a
+count table adds the disagreeing rows into one bit field per position
+by `field._sum_select`, the adding sibling of `_xor_select`, and reads
+every flip off the fields' top bits at once.  Above that the one-step
+decoder votes in slot lanes: slot (t, j) holds the t-th check through j,
+so its syndrome comes as R = max r_j lanes of one bit per position, and
+the adder tree of `lane_majority` counts each position's set lane bits
+against its own threshold.  The two-step decoder, whose disagreement
+vector is not a sum of per-position vectors, keeps the popcount loop
+there, popcount(disagree & column j) per position.  All three give the
+same flips.  Each decoder keeps its own codeword test: the one-step
+decoder reads the updated syndrome or lanes, the two-step decoder
+`BinaryCode.is_codeword`, which costs less than a syndrome over its
+code's many checks.  `check_evals` stays the paper's cost model, the
+parity evaluations of the scalar decoder (the sum of the r_j, n r per
+word one-step, plus b_2 J step-1 evaluations two-step), added per call:
+a model count, not a count of machine operations, the same whichever
+kernel votes.
 
 Capability formulas:
 
@@ -65,11 +73,20 @@ from fractions import Fraction
 from functools import reduce
 from math import ceil, comb, log
 from operator import add, and_, or_
+from typing import Sequence
 
 from ._record import Record
 from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
-from .field import _columns, _sum_select, _xor_select, _xor_tables, bit_positions, pack_text
+from .field import (
+    _columns,
+    _sum_select,
+    _xor_select,
+    _xor_tables,
+    bit_positions,
+    pack_mask,
+    pack_text,
+)
 from .pspace import gaussian_coefficient
 
 DECODED = "decoded"
@@ -188,7 +205,9 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 # many checks (or step-2 blocks) per position, b <= 6 n: at b = 4.2 n
 # (`twostep-q4`) it votes in about 70% of the popcount loop's time, at
 # b = 9 n (`onestep-subspace`, `twostep-subspace`) in 130-155%
-# (in-process timings on both sides in BENCH_count_vote.json).
+# (in-process timings on both sides in BENCH_count_vote.json).  Above it
+# the one-step decoder votes in slot lanes, at b = 9 n (`onestep-subspace`)
+# in about 63% of the loop's time (BENCH_lane_vote.json).
 _COUNT_TABLE_CHECKS_PER_POSITION = 6
 
 
@@ -254,15 +273,19 @@ class _MajorityVote:
     word is decoded only if it is a codeword; each decoder tests that its
     own way.
 
-    The stage counts U_j by one of two kernels, both giving the same
+    The stage counts U_j by one of three kernels, all giving the same
     flips; it picks one at build time from the b rows (checks or blocks)
-    it is given against the n positions.  The popcount loop reads U_j as
-    popcount(disagree & column j), one AND and one popcount per position
-    however few the checks.  The count table (`count_tables`), taken when
-    b <= 6 n, sums the disagreeing rows into one F-bit counter per
-    position through the sums of every subset of 4 rows, one lookup per
-    nibble of each nonzero byte of the disagreement vector, and reads
-    every flip off the counters' top bits at once (`count_table_flips`).
+    it is given against the n positions.  The count table
+    (`count_tables`), taken when b <= 6 n, sums the disagreeing rows into
+    one F-bit counter per position through the sums of every subset of 4
+    rows, one lookup per nibble of each nonzero byte of the disagreement
+    vector, and reads every flip off the counters' top bits at once
+    (`count_table_flips`).  Above 6 n the one-step decoder sets the lane
+    tree (`majority_tree` over its thresholds) and gives its disagreement
+    in slot lanes (`slot_lanes`): the tree counts each position's lane
+    bits and its set bits are the flips.  Otherwise the popcount loop
+    reads U_j as popcount(disagree & column j), one AND and one popcount
+    per position however few the checks.
     """
 
     def __init__(self, code: BinaryCode, columns, rows, lam: int, step1_evals: int = 0):
@@ -277,17 +300,21 @@ class _MajorityVote:
         self._count_tables = None
         if len(rows) <= _COUNT_TABLE_CHECKS_PER_POSITION * self.n:
             self._count_tables = count_tables(rows, counts, self._halves)
+        self._lane_tree = None
         self.check_evals = 0
 
     def _vote(self, received: int, disagree: int) -> tuple[tuple[int, ...], int]:
         """The positions that lose their vote, and the received word with
         those positions flipped."""
         self.check_evals += self._evals_per_word
-        if self._count_tables is None:
+        if self._count_tables is not None:
+            flips = count_table_flips(self._count_tables, disagree)
+        elif self._lane_tree is not None:
+            flipped = lane_majority(disagree, self._lane_tree)
+            return bit_positions(flipped), received ^ flipped
+        else:
             votes = zip(range(self.n), self._columns, self._halves)
             flips = tuple([j for j, col, half in votes if (disagree & col).bit_count() > half])
-        else:
-            flips = count_table_flips(self._count_tables, disagree)
         for j in flips:
             received ^= 1 << j
         return flips, received
@@ -296,6 +323,31 @@ class _MajorityVote:
         if codeword:
             return DecodeOutcome(status=DECODED, word=out, flips=flips, n=self.n)
         return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=self.n)
+
+
+def slot_lanes(checks, n: int) -> tuple[tuple[int, ...], int]:
+    """The one-step lane vote's vectors for the checks `checks`, n-bit
+    point masks in the order of the columns' bits, and R = max over j of
+    r_j.
+
+    The r_j checks through position j, ascending, fill the slots (0, j) to
+    (r_j - 1, j); the slots (t, j) with r_j <= t < R hold no check.  Lane
+    vector p has bit t n + j set when p lies in the check in slot (t, j):
+    the transpose (`field._columns`) of the R n slot rows in the order of
+    t n + j, each check packed once and the empty slots given the zero
+    row.
+    """
+    slots = [[] for _ in range(n)]
+    bits = [1 << j for j in range(n)]
+    for i, check in enumerate(checks):
+        while check:
+            top = check.bit_length() - 1
+            slots[top].append(i)
+            check ^= bits[top]
+    R = max(map(len, slots))
+    empty = len(checks)
+    order = itertools.chain.from_iterable(zip(*[s + [empty] * (R - len(s)) for s in slots]))
+    return _columns((*checks, 0), n, order), R
 
 
 class OneStepDecoder(_MajorityVote):
@@ -314,10 +366,15 @@ class OneStepDecoder(_MajorityVote):
     parity of check i), by `field._xor_select` over the columns' tables,
     so each check's parity is computed once per word, and the vote stage
     counts U_j, the 1-bits of the syndrome in column j, over the code's
-    checks as its rows.  The flipped word's syndrome is the received
-    syndrome XOR the flipped positions' columns, so the word is a codeword
-    iff that syndrome is zero.  `check_evals` is the model count of the
-    scalar decoder, the sum of the r_j (n r for a design) parity
+    checks as its rows.  Where the stage takes no count table (more than 6
+    checks per position), the decoder votes in slot lanes instead: it XORs
+    each received 1-bit's slot lane vector (`slot_lanes`), so lane t holds
+    at bit j the parity of the t-th check through j, and the stage's lane
+    tree counts U_j as the set lane bits at offset j, against half_j.  The
+    flipped word's syndrome (or lanes) is the received one XOR the flipped
+    positions' vectors, so the word is a codeword iff it is zero: every
+    check sits in at least one slot.  `check_evals` is the model count of
+    the scalar decoder, the sum of the r_j (n r for a design) parity
     evaluations per word, one per point of every block, added per call; it
     is not a count of machine operations.
     """
@@ -327,21 +384,28 @@ class OneStepDecoder(_MajorityVote):
             raise ValueError("design and code disagree on length")
         if design.t < 2:
             raise ValueError("one-step decoding needs a design with t >= 2")
-        if sorted(code.check_masks()) != sorted(design.masks):
+        checks = code.check_masks()
+        # the same tuple whenever the code was built from the design
+        if checks != design.masks and sorted(checks) != sorted(design.masks):
             raise ValueError("code checks are not the design's incidence rows")
         params = design.params()
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        super().__init__(code, code.columns, code.check_masks(), self.lambda2)
-        self._syndrome_tables = _xor_tables(self._columns)
+        super().__init__(code, code.columns, checks, self.lambda2)
+        vectors = self._columns
+        if self._count_tables is None:
+            vectors, R = slot_lanes(checks, self.n)
+            self._lane_tree = majority_tree(R, self.n, self._halves)
+        self._syndrome_tables = _xor_tables(vectors)
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
         syndrome = _xor_select(self._syndrome_tables, received)
         flips, out = self._vote(received, syndrome)
+        vectors = self._syndrome_tables[0]
         for j in flips:
-            syndrome ^= self._columns[j]
-        # the syndrome is over the code's checks: zero means a codeword
+            syndrome ^= vectors[j]
+        # every check is in the syndrome: zero means a codeword
         return self._outcome(out, flips, not syndrome)
 
 
@@ -362,9 +426,11 @@ def check_step2_design(step2: SubspaceDesign | CombinatorialDesign) -> None:
         )
 
 
-def majority_tree(J: int, width: int):
+def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
     """The halving adder tree that `lane_majority` runs over J lanes of
-    `width` bits, built once per (J, width).
+    `width` bits, built once per decoder.  Offset b of the lanes is set in
+    the result when more than halves[b] of its J lane bits are set; by
+    default halves[b] = J // 2 at every offset, a plain majority.
 
     Each level splits the w lanes left into a low half of ceil(w / 2) lanes
     and a high half of floor(w / 2), shifted down onto it; a level is its
@@ -372,8 +438,12 @@ def majority_tree(J: int, width: int):
     plane can be set.  Lane 0 holds the largest count after every level,
     the size of the group of lanes added into it, so a carry is kept only
     when that count needs one more plane; after the last level it is J.
-    The tree also holds the mask of the J lanes and the bits of 2^P - (J //
-    2 + 1), where P = J.bit_length() planes hold the final count.
+    The tree also holds the mask of the J lanes and, for each of the P =
+    J.bit_length() planes of the final count, the mask of the offsets b
+    whose constant 2^P - (halves[b] + 1) has that bit set, and whether
+    any of them sets some offsets but not all; if none does, each plane
+    keeps only whether its bit is set.  An offset with halves[b] >= 2^P,
+    whose count can never exceed it, takes the constant 0.
     """
     levels = []
     sizes = [1] * J
@@ -384,23 +454,39 @@ def majority_tree(J: int, width: int):
         levels.append((low * width, (1 << (low * width)) - 1, carry))
         sizes = grown
     planes = J.bit_length()
-    complement = (1 << planes) - (J // 2 + 1)
-    bits = tuple(bool((complement >> i) & 1) for i in range(planes))
-    return (1 << (J * width)) - 1, tuple(levels), bits
+    if halves is None:
+        halves = (J // 2,) * width
+    ones = [0] * planes
+    for half in set(halves):
+        complement = max(0, (1 << planes) - (half + 1))
+        offsets = pack_mask([int(h == half) for h in halves])
+        for i in range(planes):
+            if complement >> i & 1:
+                ones[i] |= offsets
+    every = (1 << width) - 1
+    per_offset = any(0 < one < every for one in ones)
+    if not per_offset:
+        ones = [one == every for one in ones]
+    return (1 << (J * width)) - 1, tuple(levels), tuple(ones), per_offset
 
 
 def lane_majority(lanes: int, tree) -> int:
-    """Bit b is set iff more than J // 2 of the J lanes of `tree` have bit
-    b set (ties give 0); bits above the J lanes are ignored.
+    """Bit b is set iff more than halves[b] of the J lanes of `tree` have
+    bit b set (`majority_tree`; more than J // 2 by default, ties giving
+    0); bits above the J lanes are ignored.
 
     The lanes are added by the halving tree of `majority_tree`, bit-sliced:
     plane i holds bit i of every lane's count.  Each level adds the high
     half to the low half plane by plane, a half adder on plane 0 and full
-    adders above it.  The count of the one lane left is compared with J //
-    2 + 1 as the carry out of adding 2^P - (J // 2 + 1): that constant's set
-    bits OR the carry in, its clear bits AND it.
+    adders above it.  The count of the one lane left is compared with
+    halves[b] + 1 at each offset as the carry out of adding the constant
+    2^P - (halves[b] + 1): the carry out of each plane is the majority of
+    the plane, the carry in and the constant's bit there, which is the
+    plane OR the carry in where the bit is set, AND it where it is clear.
+    When every plane's bit is alike at every offset, as under a single
+    threshold, each plane takes just that OR or that AND.
     """
-    mask, levels, bits = tree
+    mask, levels, ones, per_offset = tree
     planes = [lanes & mask]
     for shift, low, keep in levels:
         plane = planes[0]
@@ -418,8 +504,12 @@ def lane_majority(lanes: int, tree) -> int:
             added.append(carry)
         planes = added
     carry = 0
-    for plane, one in zip(planes, bits):
-        carry = (plane | carry) if one else (plane & carry)
+    if per_offset:
+        for plane, one in zip(planes, ones):
+            carry = (plane & carry) | ((plane | carry) & one)
+    else:
+        for plane, one in zip(planes, ones):
+            carry = (plane | carry) if one else (plane & carry)
     return carry
 
 

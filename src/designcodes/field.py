@@ -30,10 +30,11 @@ character and one reversed copy: the generators of a whole q = 2 design
 file whose body `designs` found in its written layout.  `_columns` is
 the package's one GF(2) bit-matrix transpose: it turns row masks (checks
 or blocks), in matrix order, into one column mask per point, bit i set
-when row i holds the point.  It works on whole buffers: delta swaps on
-32 KB ints, then one strided slice per machine word of a column.  A code
-transposes its checks once, and its reduction and both decoders read
-those columns; the two-step decoder also transposes its member rows, and
+when row i holds the point.  It works on whole buffers: delta swaps of
+8 x 8 bit blocks on 32 KB ints, then one strided byte slice per column.
+A code transposes its checks once, and its reduction and both decoders
+read those columns; the two-step decoder also transposes its member
+rows, the one-step lane vote its slot rows (each check packed once), and
 design verification counts the blocks through a set of points as the
 popcount of the AND of their columns.
 `_xor_select` is the package's one "XOR the vectors at a word's set bits",
@@ -464,66 +465,55 @@ def rref_gfq(rows: Iterable[Sequence[int]], ctx: FieldCtx) -> tuple[tuple[int, .
     return tuple(basis[j] for j in sorted(basis))
 
 
-# the byte whose bits j have j & s set, for the delta-swap steps s < 8
-_SWAP_BYTES = {4: b"\xf0", 2: b"\xcc", 1: b"\xaa"}
-# `memoryview.cast` formats of unsigned words by size in bytes
-_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# per delta-swap step s, the byte whose bits j have j & s set
+_SWAP_BYTES = ((4, b"\xf0"), (2, b"\xcc"), (1, b"\xaa"))
 
 
-def _columns(rows: Iterable[int], n: int) -> tuple[int, ...]:
+def _columns(
+    rows: Iterable[int], n: int, order: Iterable[int] | None = None
+) -> tuple[int, ...]:
     """Transpose a bit matrix given as its n-bit row masks, in order: column
-    p is returned as a mask with bit i set when row i has bit p.
+    p is returned as a mask with bit i set when row i has bit p.  With
+    `order`, row i of the matrix is rows[order[i]] instead, for a matrix
+    that repeats a few distinct rows: each of `rows` is packed once, and
+    the packed rows are joined in `order`.
 
-    The rows are packed into w x w tiles, w a power of two >= n and at
-    least 8.  The tiles are transposed 32 KB at a time, each run of tiles
-    read as one int, by log2(w) delta swaps: step s exchanges bit (i, j)
-    with bit (i + s, j - s) wherever i has bit s clear and j has it set
-    (Hacker's Delight, 7-3).  Each step's mask repeats one byte pattern.
-    Tile row p is then column p of the tile's w rows.  The tiles' row p
-    is gathered into column p a machine word at a time: the buffer is read
-    as words of min(w, 64) bits, and each of a row's w / 64 words (one when
-    w <= 64) takes one strided slice over all the tiles.
+    Each row is packed into k = ceil(n / 8) bytes, and the buffer is padded
+    to whole groups of 8 rows.  The 8 x 8 bit blocks (8 rows of one byte
+    column) are transposed in place 32 KB at a time, each run of groups
+    read as one int, by 3 delta swaps: step s = 4, 2, 1 exchanges bit (i,
+    j) with bit (i + s, j - s) wherever i has bit s clear and j has it set
+    (Hacker's Delight, 7-3).  Byte u of byte column c in a group then holds
+    the group's 8 bits of column p = 8 c + u, so column p is one strided
+    slice of the buffer, a byte per group.
     """
-    w = max(8, 1 << (n - 1).bit_length())
-    k = w // 8
-    packed = bytearray()
-    for row in rows:  # one at a time: a list of per-row bytes would triple the peak
-        packed += row.to_bytes(k, "little")
-    tiles = -(-len(packed) // (w * k)) or 1
-    packed += bytes(tiles * w * k - len(packed))
+    k = max(1, -(-n // 8))
+    if order is None:
+        packed = bytearray()
+        for row in rows:  # one at a time: a list of per-row bytes would triple the peak
+            packed += row.to_bytes(k, "little")
+    else:
+        each = [row.to_bytes(k, "little") for row in rows]
+        packed = bytearray().join(map(each.__getitem__, order))
+    group = 8 * k
+    packed += bytes(-len(packed) % group)
     # 32 KB per pass keeps the big-int temporaries small; a smaller matrix
     # takes one pass, with swap masks no longer than itself.
-    span = min(max(1, (1 << 15) // (w * k)), tiles) * w * k
+    span = min(max(1, (1 << 15) // group), max(1, len(packed) // group)) * group
     swaps = []
-    s = w >> 1
-    while s:
-        # bit j of a row is in the mask when j has bit s set: within each
-        # byte for s < 8, whole bytes above that
-        if s < 8:
-            high = _SWAP_BYTES[s] * k
-        else:
-            high = (bytes(s // 8) + b"\xff" * (s // 8)) * (k // (s // 4))
-        # rows i with bit s clear take the mask, the others none
-        tile = (high * s + bytes(k * s)) * (w // (2 * s))
-        swaps.append((s * (w - 1), int.from_bytes(tile * (span // len(tile)), "little")))
-        s >>= 1
+    for s, byte in _SWAP_BYTES:
+        # rows i with bit s clear take the byte in every byte column
+        block = (byte * (k * s) + bytes(k * s)) * (4 // s)
+        swaps.append((s * (group - 1), int.from_bytes(block * (span // group), "little")))
     for start in range(0, len(packed), span):
         x = int.from_bytes(packed[start : start + span], "little")
         for d, mask in swaps:
             t = ((x >> d) ^ x) & mask
             x ^= t ^ (t << d)
         packed[start : start + span] = x.to_bytes(min(span, len(packed) - start), "little")
-    size = min(k, 8)
-    per_row = k // size  # words in one tile row
-    words = memoryview(packed).cast(_WORD_FORMATS[size])
-    columns = []
-    for p in range(n):
-        col = bytearray(tiles * k)
-        col_words = memoryview(col).cast(_WORD_FORMATS[size])
-        for b in range(per_row):
-            col_words[b::per_row] = words[p * per_row + b :: w * per_row]
-        columns.append(int.from_bytes(col, "little"))
-    return tuple(columns)
+    return tuple(
+        int.from_bytes(packed[(p & 7) * k + (p >> 3) :: group], "little") for p in range(n)
+    )
 
 
 def _xor_tables(

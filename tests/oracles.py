@@ -586,14 +586,15 @@ def two_step_mask_scan(decoder, step2):
     return decode
 
 
-def lane_majority_count(lanes, J, width):
+def lane_majority_count(lanes, J, width, halves=None):
     """The step-1 majority counted block by block: bit b is set iff more
     than J // 2 of the J lanes of `width` bits (lane c at bits c width to
-    (c + 1) width - 1) have bit b set; bits above the J lanes are ignored."""
+    (c + 1) width - 1) have bit b set, or more than halves[b] when
+    `halves` is given; bits above the J lanes are ignored."""
     out = 0
     for b in range(width):
         ones = sum((lanes >> (c * width + b)) & 1 for c in range(J))
-        if 2 * ones > J:
+        if ones > (J // 2 if halves is None else halves[b]):
             out |= 1 << b
     return out
 

@@ -25,6 +25,7 @@ from designcodes.decoders import (
     majority_tree,
     measure_decoding_radius,
     simulate,
+    slot_lanes,
     two_step_capability,
 )
 from designcodes.designs import (
@@ -371,19 +372,40 @@ def _columns_bit_loop(rows, n):
     )
 
 
-# `_columns` transposes 32 KB of w x w tiles per pass: 262144 / w rows.
+# `_columns` transposes whole groups of 8 rows of k = ceil(n / 8) bytes,
+# 32 KB // 8 k of them per pass: 262144 / n rows for n = 8, 16, ..., 256.
 # The workload shapes take several passes; the others end a pass one row
-# early, on the boundary and one row late, at every word size of the
-# gather (w = 8, 16, 32 and 64 one word per tile row, 128 and 256 more).
+# early, on the boundary and one row late, at those n and at n = 85, whose
+# 11-byte rows fill a pass with 372 groups, 2976 rows.
 @pytest.mark.parametrize(
     "nrows, n",
     [(2142, 85), (11811, 127), (18288, 127)]
-    + [(262144 // w + d, w) for w in (8, 16, 32, 64, 128, 256) for d in (-1, 0, 1)],
+    + [(262144 // w + d, w) for w in (8, 16, 32, 64, 128, 256) for d in (-1, 0, 1)]
+    + [(2976 + d, 85) for d in (-1, 0, 1)],
 )
 def test_columns_across_passes(nrows, n):
     rng = random.Random(nrows * 1000 + n)
     rows = [rng.getrandbits(n) for _ in range(nrows)]
     assert _columns(iter(rows), n) == _columns_bit_loop(rows, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=140).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12),
+            st.lists(st.integers(0, 11), max_size=400),
+        )
+    )
+)
+def test_columns_of_rows_in_an_order(case):
+    # each given row packed once and gathered by `order`, repeats and all:
+    # the transpose of the gathered rows
+    n, rows, order = case
+    order = [i % len(rows) for i in order]
+    gathered = [rows[i] for i in order]
+    assert _columns(rows, n, iter(order)) == _columns_bit_loop(gathered, n)
 
 
 # Differential tests: the column-syndrome kernels against the scalar scans
@@ -918,7 +940,7 @@ def _kernel_votes(dec, rows, vectors):
     votes = []
     for tables in (None, count_tables(rows, counts, dec._halves)):
         forced = copy.copy(dec)
-        forced._count_tables = tables
+        forced._count_tables, forced._lane_tree = tables, None
         votes.append([forced._vote(0, d) for d in vectors])
     return votes
 
@@ -953,16 +975,23 @@ def benchmark_decoders(shipped_two_step):
     }
 
 
+def _kernel(dec):
+    if dec._lane_tree is not None:
+        return "lanes"
+    return "loop" if dec._count_tables is None else "table"
+
+
 @pytest.mark.parametrize(
-    "name,tables",
-    [("onestep-subspace", False), ("twostep-subspace", False), ("twostep-q4", True)],
+    "name,kernel",
+    [("onestep-subspace", "lanes"), ("twostep-subspace", "loop"), ("twostep-q4", "table")],
 )
-def test_the_rule_puts_each_benchmark_decoder_on_its_kernel(benchmark_decoders, name, tables):
-    # b = 1143 checks or blocks at n = 127 is above 6 n; 357 blocks at
-    # n = 85 is below it
+def test_the_rule_puts_each_benchmark_decoder_on_its_kernel(benchmark_decoders, name, kernel):
+    # b = 1143 checks or blocks at n = 127 is above 6 n, where the one-step
+    # decoder votes in slot lanes and the two-step decoder in the loop;
+    # 357 blocks at n = 85 is below it
     dec, rows = benchmark_decoders[name]
     assert (len(rows), dec.n) == {"twostep-q4": (357, 85)}.get(name, (1143, 127))
-    assert (dec._count_tables is not None) is tables
+    assert _kernel(dec) == kernel
 
 
 @pytest.mark.parametrize("name", ["onestep-subspace", "twostep-subspace", "twostep-q4"])
@@ -1013,3 +1042,131 @@ def test_both_kernels_flip_alike_with_uneven_columns(blocks, lam):
     flips = _assert_kernels_agree(dec, design.masks, range(1 << len(blocks)))
     assert never.isdisjoint(j for vote in flips for j in vote)
     assert any(flips) == (len(never) < 7)
+
+
+# ---------------------------------------------------------------------------
+# The one-step lane kernel: above 6 checks per position the one-step
+# decoder votes in slot lanes.  Its flips must follow the rule on the
+# syndrome, and its outcomes and counts must be those of a copy forced
+# onto the popcount loop over the code's columns.
+
+
+def _loop_copy(dec):
+    """A copy of the one-step decoder `dec` that votes by the popcount loop
+    over the syndrome of the code's columns."""
+    forced = copy.copy(dec)
+    forced._lane_tree = None
+    forced._syndrome_tables = field._xor_tables(dec._columns)
+    return forced
+
+
+def _assert_lanes_match_the_loop(dec, words):
+    assert _kernel(dec) == "lanes"
+    loop = _loop_copy(dec)
+    start = (dec.check_evals, loop.check_evals)
+    flips = []
+    for word in words:
+        out = dec.decode(word)
+        assert out == loop.decode(word)
+        syndrome = field._xor_select(loop._syndrome_tables, word)
+        assert out.flips == _rule_flips(dec, syndrome)
+        flips.append(out.flips)
+    assert dec.check_evals - start[0] == loop.check_evals - start[1] == len(words) * sum(
+        col.bit_count() for col in dec._columns
+    )
+    return flips
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("shipped", "projective", 127, 10),
+        ("shipped", "affine", 64, 10),
+        ((7, 3), "projective", 127, 10),
+        ((6, 2), "projective", 63, 15),
+        ((6, 3), "projective", 63, 5),
+    ],
+    ids=["2-(7,3,3)_2", "2-(7,3,3)_2 affine", "2-(7,3,31)_2", "PG(5,2) lines", "PG(5,2) planes"],
+)
+def lane_decoder(request):
+    source, mode, n, ell = request.param
+    if source == "shipped":
+        design = load_subspace_design(SHIPPED_DESIGN)
+    else:
+        design = trivial_design(2, *source, FieldCtx.of(2))
+    comb = designs.construct(design, mode)
+    dec = OneStepDecoder(build_code(comb, 2, mode), comb)
+    assert dec.n == n and ell_one_step(dec.r, dec.lambda2) == ell
+    return dec, ell
+
+
+def test_lane_kernel_matches_the_loop_at_every_weight(lane_decoder):
+    # seeded codewords plus errors of every weight from 0 to 2 ell + 2:
+    # every word within the radius decodes to its codeword, and some word
+    # beyond it does not
+    dec, ell = lane_decoder
+    assert len(dec.code.check_masks()) > 6 * dec.n
+    rng = random.Random(ell * 1000 + dec.n)
+    sent = []
+    for weight in range(2 * ell + 3):
+        for _ in range(4):
+            codeword = dec.code.random_codeword(rng)
+            sent.append((weight, codeword, codeword ^ _error_mask(rng, dec.n, weight)))
+    flips = _assert_lanes_match_the_loop(dec, [word for _, _, word in sent])
+    assert flips[0] == () and any(flips)
+    decoded = [dec.decode(word).word == codeword for _, codeword, word in sent]
+    assert all(ok for (weight, _, _), ok in zip(sent, decoded) if weight <= ell)
+    assert not all(decoded)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 5])
+def test_lane_kernel_matches_the_loop_with_uneven_columns(lam):
+    # every 3-subset of 8 points and one more check {0, 1, 8}: b = 57 > 6 n
+    # at n = 9, r_j runs 22, 21 and 1, so R = 22 lanes leave empty slots,
+    # and at lam >= 2 position 8's half_j reaches r_j = 1: it can never
+    # flip.  Every word of length 9 is voted.
+    blocks = list(itertools.combinations(range(8), 3)) + [(0, 1, 8)]
+    design = CombinatorialDesign(n=9, t=2, k=3, lam=lam, masks=pack_blocks(blocks))
+    dec = OneStepDecoder(build_code(design), design)
+    assert [col.bit_count() for col in dec._columns] == [22, 22] + [21] * 6 + [1]
+    never = {j for j, (col, half) in enumerate(zip(dec._columns, dec._halves)) if half >= col.bit_count()}
+    assert never == ({8} if lam > 1 else set())
+    flips = _assert_lanes_match_the_loop(dec, range(1 << 9))
+    assert never.isdisjoint(j for vote in flips for j in vote)
+    assert any(8 in vote for vote in flips) is (lam == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=70).flatmap(
+        lambda J: st.tuples(
+            st.just(J),
+            st.lists(st.integers(0, J + 70), min_size=1, max_size=130),
+            st.sampled_from(["random", "zeros", "ones"]),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_lane_majority_per_position_threshold(case):
+    # each offset b against its own halves[b], from 0 past J and past the
+    # 2^P the final count's planes hold, against a count per offset
+    J, halves, fill, rng = case
+    width = len(halves)
+    bits = {"random": rng.getrandbits(J * width), "zeros": 0, "ones": (1 << J * width) - 1}[fill]
+    lanes = bits | rng.getrandbits(width) << J * width
+    tree = majority_tree(J, width, halves)
+    assert lane_majority(lanes, tree) == lane_majority_count(lanes, J, width, halves)
+
+
+def test_slot_lanes_hold_the_checks_through_each_position(fano_pair):
+    # the Fano plane's 7 lines, 3 through each point: lane vector p has bit
+    # t n + j set when p lies in the t-th line through j
+    code, _ = fano_pair
+    checks = code.check_masks()
+    lanes, R = slot_lanes(checks, 7)
+    assert R == 3
+    through = [[c for c in checks if c >> j & 1] for j in range(7)]
+    for p in range(7):
+        assert lanes[p] == sum(
+            1 << (t * 7 + j) for j in range(7) for t in range(3) if through[j][t] >> p & 1
+        )
