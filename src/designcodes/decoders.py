@@ -275,20 +275,25 @@ class _MajorityVote:
 
     The stage counts U_j by one of three kernels, all giving the same
     flips; it picks one at build time from the b rows (checks or blocks)
-    it is given against the n positions.  The count table
-    (`count_tables`), taken when b <= 6 n, sums the disagreeing rows into
-    one F-bit counter per position through the sums of every subset of 4
-    rows, one lookup per nibble of each nonzero byte of the disagreement
-    vector, and reads every flip off the counters' top bits at once
-    (`count_table_flips`).  Above 6 n the one-step decoder sets the lane
-    tree (`majority_tree` over its thresholds) and gives its disagreement
-    in slot lanes (`slot_lanes`): the tree counts each position's lane
-    bits and its set bits are the flips.  Otherwise the popcount loop
-    reads U_j as popcount(disagree & column j), one AND and one popcount
-    per position however few the checks.
+    it is given against the n positions, and from whether the decoder's
+    disagreement vector is a syndrome, the XOR of the columns at the
+    received 1-bits (`syndrome`).  The count table (`count_tables`),
+    taken when b <= 6 n, sums the disagreeing rows into one F-bit counter
+    per position through the sums of every subset of 4 rows, one lookup
+    per nibble of each nonzero byte of the disagreement vector, and reads
+    every flip off the counters' top bits at once (`count_table_flips`).
+    Above 6 n a syndrome is voted in slot lanes (`slot_lanes`): the
+    decoder XORs the lane vectors in place of the columns, and the lane
+    tree (`majority_tree` over the thresholds) counts each position's lane
+    bits, its set bits the flips.  Otherwise the popcount loop reads U_j
+    as popcount(disagree & column j), one AND and one popcount per
+    position however few the checks.  A syndrome decoder XORs the vectors
+    of `_syndrome_tables`: the columns', or the lane vectors'.
     """
 
-    def __init__(self, code: BinaryCode, columns, rows, lam: int, step1_evals: int = 0):
+    def __init__(
+        self, code: BinaryCode, columns, rows, lam: int, step1_evals: int = 0, syndrome: bool = False
+    ):
         if code.p != 2:
             raise ValueError("decoding is implemented for binary codes only")
         self.code = code
@@ -297,10 +302,15 @@ class _MajorityVote:
         counts = [col.bit_count() for col in columns]
         self._halves = tuple([(r + lam - 1) // 2 for r in counts])
         self._evals_per_word = step1_evals + sum(counts)
-        self._count_tables = None
+        self._count_tables = self._lane_tree = self._syndrome_tables = None
+        vectors = columns
         if len(rows) <= _COUNT_TABLE_CHECKS_PER_POSITION * self.n:
             self._count_tables = count_tables(rows, counts, self._halves)
-        self._lane_tree = None
+        elif syndrome:
+            vectors, R = slot_lanes(rows, self.n)
+            self._lane_tree = majority_tree(R, self.n, self._halves)
+        if syndrome:
+            self._syndrome_tables = _xor_tables(vectors)
         self.check_evals = 0
 
     def _vote(self, received: int, disagree: int) -> tuple[tuple[int, ...], int]:
@@ -366,11 +376,13 @@ class OneStepDecoder(_MajorityVote):
     parity of check i), by `field._xor_select` over the columns' tables,
     so each check's parity is computed once per word, and the vote stage
     counts U_j, the 1-bits of the syndrome in column j, over the code's
-    checks as its rows.  Where the stage takes no count table (more than 6
-    checks per position), the decoder votes in slot lanes instead: it XORs
-    each received 1-bit's slot lane vector (`slot_lanes`), so lane t holds
-    at bit j the parity of the t-th check through j, and the stage's lane
-    tree counts U_j as the set lane bits at offset j, against half_j.  The
+    checks as its rows.  The decoder tells the stage its disagreement is a
+    syndrome, so where the stage takes no count table (more than 6 checks
+    per position) it builds the tables of the slot lane vectors
+    (`slot_lanes`) instead: the decoder XORs each received 1-bit's lane
+    vector, so lane t holds at bit j the parity of the t-th check through
+    j, and the stage's lane tree counts U_j as the set lane bits at offset
+    j, against half_j.  The
     flipped word's syndrome (or lanes) is the received one XOR the flipped
     positions' vectors, so the word is a codeword iff it is zero: every
     check sits in at least one slot.  `check_evals` is the model count of
@@ -391,12 +403,7 @@ class OneStepDecoder(_MajorityVote):
         params = design.params()
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        super().__init__(code, code.columns, checks, self.lambda2)
-        vectors = self._columns
-        if self._count_tables is None:
-            vectors, R = slot_lanes(checks, self.n)
-            self._lane_tree = majority_tree(R, self.n, self._halves)
-        self._syndrome_tables = _xor_tables(vectors)
+        super().__init__(code, code.columns, checks, self.lambda2, syndrome=True)
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
@@ -440,10 +447,9 @@ def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
     when that count needs one more plane; after the last level it is J.
     The tree also holds the mask of the J lanes and, for each of the P =
     J.bit_length() planes of the final count, the mask of the offsets b
-    whose constant 2^P - (halves[b] + 1) has that bit set, and whether
-    any of them sets some offsets but not all; if none does, each plane
-    keeps only whether its bit is set.  An offset with halves[b] >= 2^P,
-    whose count can never exceed it, takes the constant 0.
+    whose constant 2^P - (halves[b] + 1) has that bit set.  An offset with
+    halves[b] >= 2^P, whose count can never exceed it, takes the constant
+    0.
     """
     levels = []
     sizes = [1] * J
@@ -463,11 +469,7 @@ def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
         for i in range(planes):
             if complement >> i & 1:
                 ones[i] |= offsets
-    every = (1 << width) - 1
-    per_offset = any(0 < one < every for one in ones)
-    if not per_offset:
-        ones = [one == every for one in ones]
-    return (1 << (J * width)) - 1, tuple(levels), tuple(ones), per_offset
+    return (1 << (J * width)) - 1, tuple(levels), tuple(ones)
 
 
 def lane_majority(lanes: int, tree) -> int:
@@ -483,10 +485,8 @@ def lane_majority(lanes: int, tree) -> int:
     2^P - (halves[b] + 1): the carry out of each plane is the majority of
     the plane, the carry in and the constant's bit there, which is the
     plane OR the carry in where the bit is set, AND it where it is clear.
-    When every plane's bit is alike at every offset, as under a single
-    threshold, each plane takes just that OR or that AND.
     """
-    mask, levels, ones, per_offset = tree
+    mask, levels, ones = tree
     planes = [lanes & mask]
     for shift, low, keep in levels:
         plane = planes[0]
@@ -504,12 +504,8 @@ def lane_majority(lanes: int, tree) -> int:
             added.append(carry)
         planes = added
     carry = 0
-    if per_offset:
-        for plane, one in zip(planes, ones):
-            carry = (plane & carry) | ((plane | carry) & one)
-    else:
-        for plane, one in zip(planes, ones):
-            carry = (plane | carry) if one else (plane & carry)
+    for plane, one in zip(planes, ones):
+        carry = (plane & carry) | ((plane | carry) & one)
     return carry
 
 
