@@ -32,12 +32,12 @@ from .designs import (
     MODES,
     CombinatorialDesign,
     SubspaceDesign,
+    block_line,
     construct,
     derive_params_comb,
     derive_params_q,
     dumps_comb_design,
     dumps_subspace_design,
-    load_subspace_design,
     loads_comb_design,
     loads_subspace_design,
     projective_version,
@@ -47,7 +47,7 @@ from .designs import (
     verify_subspace_design,
 )
 from .field import FieldCtx, PrimeMatrix, _load_file, _strip_lines, matrix_rank
-from .pspace import Subspace, enumerate_points, gaussian_coefficient
+from .pspace import enumerate_points, gaussian_coefficient
 from .tables import TableRowSpec, capability, table_row
 
 
@@ -61,31 +61,45 @@ def _parse_hyperplane(arg: str | None):
     return tuple(int(x) for x in arg.replace(",", " ").split())
 
 
-def _load_design_file(path: str):
-    """Returns (SubspaceDesign | None, CombinatorialDesign | None)."""
+def _load_design_file(path: str) -> SubspaceDesign | CombinatorialDesign:
+    """The design a qdesign or cdesign file holds."""
     return _load_file(path, _loads_design)
 
 
-def _loads_design(text: str):
+def _loads_design(text: str) -> SubspaceDesign | CombinatorialDesign:
     lines = _strip_lines(text)
     head = lines[0][1].split(None, 1)[0] if lines else ""
     if head == "qdesign":
-        return loads_subspace_design(text), None
+        return loads_subspace_design(text)
     if head == "cdesign":
-        return None, loads_comb_design(text)
+        return loads_comb_design(text)
     raise ValueError("neither a qdesign nor a cdesign file")
 
 
-def _verify_design_file(qd: SubspaceDesign | None, cd: CombinatorialDesign | None):
-    """Verify what `_load_design_file` read: a qdesign's subspace design, or
-    a cdesign's blocks against its header."""
-    return verify_subspace_design(qd) if qd is not None else verify_comb_design(cd)
+def _verify(design: SubspaceDesign | CombinatorialDesign):
+    """Verify a qdesign's subspace design, or a cdesign's blocks against its
+    header."""
+    if isinstance(design, SubspaceDesign):
+        return verify_subspace_design(design)
+    return verify_comb_design(design)
 
 
-def _cdesign_mode_error(mode: str) -> ValueError:
-    return ValueError(
-        f"--mode {mode} does not apply to a cdesign file, whose blocks are the code's checks"
-    )
+def _resolve_design_file(path: str, mode: str | None, hyperplane: str | None = None):
+    """(file design, combinatorial design, mode, verification result) of a
+    design file whose blocks, or the construction `mode` makes of them,
+    are a code's checks.  A cdesign's blocks are the checks as they stand,
+    so no `mode` applies to it; `hyperplane` applies only to affine."""
+    design = _load_design_file(path)
+    is_comb = isinstance(design, CombinatorialDesign)
+    if is_comb and mode is not None:
+        raise ValueError(
+            f"--mode {mode} does not apply to a cdesign file, whose blocks are the code's checks"
+        )
+    mode = "combinatorial" if is_comb else mode or "projective"
+    if hyperplane is not None and mode != "affine":
+        raise ValueError(f"--hyperplane applies only to --mode affine, not to {mode}")
+    comb = design if is_comb else construct(design, mode, hyperplane=_parse_hyperplane(hyperplane))
+    return design, comb, mode, _verify(design)
 
 
 def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
@@ -93,36 +107,30 @@ def _resolve_comb(args) -> tuple[CombinatorialDesign, str]:
     or from a file that passes verification: the decoder's threshold reads
     the file's lambda."""
     if not args.designfile:
-        return construct(trivial_design(2, args.v, args.k, _ctx(args)), args.mode), args.mode
-    qd, cd = _load_design_file(args.designfile)
-    if cd is None:
-        comb, mode = construct(qd, args.mode), args.mode
-    elif args.mode != "projective":
-        raise _cdesign_mode_error(args.mode)
-    else:
-        comb, mode = cd, "combinatorial"
-    res = _verify_design_file(qd, cd)
+        mode = args.mode or "projective"
+        return construct(trivial_design(2, args.v, args.k, _ctx(args)), mode), mode
+    design, comb, mode, res = _resolve_design_file(args.designfile, args.mode)
     if not res.verified:
         raise ValueError(
             f"{args.designfile} fails verification (observed lambda {res.observed_lambda},"
-            f" header lambda {(qd or cd).lam}): one-step decoding needs a design"
+            f" header lambda {design.lam}): one-step decoding needs a design"
         )
     return comb, mode
 
 
-def _code_report(
-    code: BinaryCode, comb: CombinatorialDesign, qd: SubspaceDesign | None, mode: str, verified: bool
-):
-    """The `code build` lines.  `ell=` reads the header's parameters, so it
-    is printed only for a file that passes verification."""
+def _code_report(code: BinaryCode, design, comb: CombinatorialDesign, mode: str, verified: bool):
+    """The `code build` lines of the code of a design file.  `ell=` reads
+    the header's parameters, so it is printed only for a file that passes
+    verification."""
     lines = [f"n={code.n}", f"rank={code.rank}", f"dim={code.dim}"]
     if verified:
         try:
             lines.append(f"ell={capability(comb.params())}")
         except ValueError:
             pass  # no capability formula outside t = 2, 3
-    if qd is not None and code.p == qd.ctx.p:  # the bounds are for the field's characteristic
-        lines += _distance_lines(qd.v, qd.k, qd.q, mode)
+    # the bounds are for a qdesign's geometry, over its field's characteristic
+    if isinstance(design, SubspaceDesign) and code.p == design.ctx.p:
+        lines += _distance_lines(design.v, design.k, design.q, mode)
     return lines
 
 
@@ -161,17 +169,12 @@ def _print_witness(res) -> None:
     if res.witness is None:
         return
     witness, count = res.witness
-    if isinstance(witness, Subspace):
-        desc = " ; ".join(" ".join(str(x) for x in row) for row in witness.gen)
-    else:
-        desc = " ".join(str(i) for i in witness)
-    print(f"witness={desc}")
+    print(f"witness={block_line(witness)}")
     print(f"witness_count={count}")
 
 
 def cmd_design_verify(args) -> int:
-    qd, cd = _load_design_file(args.file)
-    res = _verify_design_file(qd, cd)
+    res = _verify(_load_design_file(args.file))
     print(f"verified={'true' if res.verified else 'false'}")
     print(f"observed_lambda={res.observed_lambda}")
     _print_witness(res)
@@ -197,21 +200,13 @@ def cmd_design_derive(args) -> int:
 
 
 def cmd_code_build(args) -> int:
-    qd, cd = _load_design_file(args.file)
-    if cd is not None and args.mode is not None:
-        raise _cdesign_mode_error(args.mode)
-    mode = args.mode or ("combinatorial" if cd is not None else "projective")
-    if args.hyperplane is not None and mode != "affine":
-        raise ValueError(f"--hyperplane applies only to --mode affine, not to {mode}")
-    verified = _verify_design_file(qd, cd).verified
-    if cd is None:
-        cd = construct(qd, mode, hyperplane=_parse_hyperplane(args.hyperplane))
-    code = build_code(cd, args.p, mode)
+    design, comb, mode, res = _resolve_design_file(args.file, args.mode, args.hyperplane)
+    code = build_code(comb, args.p, mode)
     # both files are rendered before either is written, so a matrix the
     # file format cannot hold leaves no design file behind
     outputs = []
     if args.design_out:
-        outputs.append((args.design_out, dumps_comb_design(cd)))
+        outputs.append((args.design_out, dumps_comb_design(comb)))
     if args.matrix_out:
         # the checks are held as a 0/1 matrix over GF(2); the file is over
         # the code's field
@@ -219,7 +214,7 @@ def cmd_code_build(args) -> int:
         outputs.append((args.matrix_out, checks.dumps()))
     for path, text in outputs:
         Path(path).write_text(text, encoding="utf-8")
-    for line in _code_report(code, cd, qd, mode, verified):
+    for line in _code_report(code, design, comb, mode, res.verified):
         print(line)
     return 0
 
@@ -265,7 +260,11 @@ def _decoder_for(args):
         comb, mode = _resolve_comb(args)
         return OneStepDecoder(build_code(comb, 2, mode), comb)
     if args.designfile:
-        step2 = load_subspace_design(args.designfile)
+        step2 = _load_design_file(args.designfile)
+        if not isinstance(step2, SubspaceDesign):
+            raise ValueError(
+                f"{args.designfile}: two-step decoding needs a qdesign file, not a cdesign"
+            )
     else:
         if args.k < 3:
             raise ValueError(
@@ -276,9 +275,10 @@ def _decoder_for(args):
     # before the code of the step-2 blocks' superspaces is built, which is
     # most of the set-up and fails on k = v without naming the step-2 design
     check_step2_design(step2)
+    mode = args.mode or "projective"
     superspaces = trivial_design(2, step2.v, step2.k + 1, step2.ctx)
-    code = build_code(construct(superspaces, args.mode), 2, args.mode)
-    return TwoStepDecoder(code, construct(step2, args.mode))
+    code = build_code(construct(superspaces, mode), 2, mode)
+    return TwoStepDecoder(code, construct(step2, mode))
 
 
 def cmd_decode(args) -> int:
@@ -334,8 +334,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_experiment_rank(args) -> int:
-    qd, cd = _load_design_file(args.file)
-    if qd is None:
+    qd = _load_design_file(args.file)
+    if not isinstance(qd, SubspaceDesign):
         raise ValueError("the rank experiment needs a subspace-design (qdesign) file")
     res = verify_subspace_design(qd)
     if not res.verified:
@@ -374,7 +374,7 @@ def _add_decoder_source_args(p):
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--q", type=int, default=None, help="field order (default 2)")
     p.add_argument("--poly", type=int, default=None)
-    p.add_argument("--mode", choices=MODES, default="projective")
+    p.add_argument("--mode", choices=MODES, default=None)
     # the source options are checked in `main`, against this parser's usage
     p.set_defaults(usage_error=p.error)
 

@@ -85,7 +85,7 @@ from .field import (
     _xor_tables,
     bit_positions,
     pack_mask,
-    pack_text,
+    pack_text_rows,
 )
 from .pspace import gaussian_coefficient
 
@@ -112,7 +112,7 @@ class DecodeOutcome(Record):
 
 def as_mask(word, n: int) -> int:
     """A word given as an int bitmask or as a 0/1 string, position 0 first,
-    as a bitmask; the string's characters are packed by `field.pack_text`."""
+    as a bitmask; a string is packed as one row by `field.pack_text_rows`."""
     if isinstance(word, int):
         if word < 0 or word >> n:
             raise ValueError(f"word does not fit length {n}")
@@ -122,11 +122,11 @@ def as_mask(word, n: int) -> int:
     bits = word.strip()
     if len(bits) != n:
         raise ValueError(f"word has length {len(bits)}, expected {n}")
-    mask = pack_text(bits, n)
-    if mask is None:
+    masks = pack_text_rows(bits, n) if n else [0]  # it takes a positive width only
+    if masks is None:
         bad = next(ch for ch in bits if ch not in "01")
         raise ValueError(f"non-binary symbol {bad!r}")
-    return mask
+    return masks[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ design (`MODES`): restriction to projective points, restriction to an
 affine chart, and (for q = 2) the union of all parallel flats.  This module
 owns what each mode yields: `construction_params` is the one table of the
 combinatorial parameters per mode, which the constructions build from and
-`tables` reports, and `construct` the one dispatch by mode name.
+`tables` reports, and `construct` the one dispatch by mode name.  The
+derived lambdas of subspace and combinatorial parameters come from one
+quotient (`_derive_params`), which `tables.lambda_min` reads too.
 
 A combinatorial design holds each block as its point mask (bit i set for
 point i), from the point masks of the subspaces (`pspace.points_mask`) to
@@ -40,9 +42,11 @@ A t-subspace is read as the points of its canonical rows, walked straight
 off `pspace._canonical_rows` at every q; only a witness becomes a
 `Subspace`.
 
-A `qdesign` file at q = 2 whose body is in exactly the layout
-`dumps_subspace_design` writes (single `0`/`1` characters, single spaces,
-` ; ` between generators) is read in one pass: its lines are joined once,
+Both file writers, and the witness lines the command line prints, write
+a block's line with one formatter, `block_line`.  A `qdesign` file at
+q = 2 whose body is in exactly the layout `dumps_subspace_design` writes
+(single `0`/`1` characters, single spaces, ` ; ` between generators) is
+read in one pass: its lines are joined once,
 the layout is checked with a few strided slices, and every generator is
 packed from the one digit string (`field.pack_text_rows`); each block's
 masks are then reduced by `field.rref_gf2`.  Any other body, a k = 0 body
@@ -65,8 +69,7 @@ from .field import (
     _columns,
     _ints,
     _load_file,
-    _parse_header,
-    _strip_lines,
+    _parse_file,
     bit_positions,
     pack_text_rows,
     rref_gf2,
@@ -129,31 +132,30 @@ class DesignParams(Record):
 
 def derive_params_q(t: int, v: int, k: int, lam: int, q: int) -> DesignParams:
     """Derived lambdas of a t-(v,k,lam)_q subspace design (exact)."""
-    if not 0 <= t <= k <= v:
-        raise ValueError("need 0 <= t <= k <= v")
-    if lam < 1:
-        raise ValueError("lambda must be positive")
-    lambdas = tuple(
-        Fraction(lam)
-        * Fraction(
-            gaussian_coefficient(v - s, t - s, q), gaussian_coefficient(k - s, t - s, q)
-        )
-        for s in range(t + 1)
-    )
-    return DesignParams(t=t, v=v, k=k, lam=lam, q=q, lambdas=lambdas)
+    return _derive_params(t, v, k, lam, q, "v")
 
 
 def derive_params_comb(t: int, n: int, k: int, lam: int) -> DesignParams:
     """Derived lambdas of a combinatorial t-(n,k,lam) design (exact)."""
-    if not 0 <= t <= k <= n:
-        raise ValueError("need 0 <= t <= k <= n")
+    return _derive_params(t, n, k, lam, None, "n")
+
+
+def _derive_params(t: int, v: int, k: int, lam: int, q: int | None, v_name: str) -> DesignParams:
+    """lambda_s = lam * N(v - s, t - s) / N(k - s, t - s) for 0 <= s <= t,
+    N the Gaussian coefficient at q, or the binomial when q is None; the
+    package's one derivation.  `v_name` names v in the range error."""
+    if not 0 <= t <= k <= v:
+        raise ValueError(f"need 0 <= t <= k <= {v_name}")
     if lam < 1:
         raise ValueError("lambda must be positive")
+
+    def count(m: int, j: int) -> int:
+        return comb(m, j) if q is None else gaussian_coefficient(m, j, q)
+
     lambdas = tuple(
-        Fraction(lam) * Fraction(comb(n - s, t - s), comb(k - s, t - s))
-        for s in range(t + 1)
+        Fraction(lam * count(v - s, t - s), count(k - s, t - s)) for s in range(t + 1)
     )
-    return DesignParams(t=t, v=n, k=k, lam=lam, q=None, lambdas=lambdas)
+    return DesignParams(t=t, v=v, k=k, lam=lam, q=q, lambdas=lambdas)
 
 
 class SubspaceDesign(Record):
@@ -473,6 +475,15 @@ def flats_construction(design: SubspaceDesign) -> CombinatorialDesign:
 # Design files
 
 
+def block_line(block: Subspace | tuple[int, ...]) -> str:
+    """The design-file text of one block: a subspace's generator rows, each
+    its entries joined by spaces, joined by ` ; ` (a `qdesign` line), or a
+    point tuple's points joined by spaces (a `cdesign` line)."""
+    if isinstance(block, Subspace):
+        return " ; ".join(" ".join(map(str, row)) for row in block.gen)
+    return " ".join(map(str, block))
+
+
 def dumps_subspace_design(design: SubspaceDesign) -> str:
     """The `qdesign` text of `design`: the header, then one line per block,
     its generator rows joined by ` ; `.  A k = 0 design is refused."""
@@ -482,10 +493,7 @@ def dumps_subspace_design(design: SubspaceDesign) -> str:
         f"qdesign t={design.t} v={design.v} k={design.k} "
         f"lambda={design.lam} q={design.q} poly={design.ctx.modulus}"
     )
-    lines = [hdr]
-    for blk in design.blocks:
-        lines.append(" ; ".join(" ".join(str(x) for x in row) for row in blk.gen))
-    return "\n".join(lines) + "\n"
+    return "\n".join([hdr, *map(block_line, design.blocks)]) + "\n"
 
 
 def save_subspace_design(design: SubspaceDesign, path: str | Path) -> None:
@@ -521,13 +529,9 @@ def _written_masks(lines: Sequence[str], v: int, k: int) -> list[int] | None:
 
 
 def loads_subspace_design(text: str) -> SubspaceDesign:
-    lines = _strip_lines(text)
-    if not lines:
-        raise ValueError("empty design file")
-    hdr = _parse_header(lines[0][1], "qdesign", ["t", "v", "k", "lambda", "q", "poly"])
+    hdr, body = _parse_file(text, "qdesign", ["t", "v", "k", "lambda", "q", "poly"])
     ctx = FieldCtx.of(hdr["q"], modulus=hdr["poly"])
     v, k = hdr["v"], hdr["k"]
-    body = lines[1:]
     masks = _written_masks([line for _, line in body], v, k) if ctx.q == 2 else None
     blocks = []
     for i, (lineno, line) in enumerate(body):
@@ -556,23 +560,17 @@ def load_subspace_design(path: str | Path) -> SubspaceDesign:
 
 def dumps_comb_design(design: CombinatorialDesign) -> str:
     hdr = f"cdesign t={design.t} n={design.n} k={design.k} lambda={design.lam}"
-    lines = [hdr]
-    for blk in design.blocks:
-        lines.append(" ".join(str(i) for i in blk))
-    return "\n".join(lines) + "\n"
+    return "\n".join([hdr, *map(block_line, design.blocks)]) + "\n"
 
 
 def loads_comb_design(text: str) -> CombinatorialDesign:
     """The design of a `cdesign` file: the one place point tuples enter.
     Each block line must hold k distinct points of [0, n), and its errors
     name the line; it is packed into its point mask for the constructor."""
-    lines = _strip_lines(text)
-    if not lines:
-        raise ValueError("empty design file")
-    hdr = _parse_header(lines[0][1], "cdesign", ["t", "n", "k", "lambda"])
+    hdr, body = _parse_file(text, "cdesign", ["t", "n", "k", "lambda"])
     n, k = hdr["n"], hdr["k"]
     masks = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         blk = tuple(sorted(_ints(line.split(), lineno)))
         if len(blk) != k or len(set(blk)) != k:
             raise ValueError(f"line {lineno}: block {blk} does not have {k} distinct points")

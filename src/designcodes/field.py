@@ -22,16 +22,17 @@ builds no table.
 
 A set of points (a block) is a mask too, bit i set for point i;
 `bit_positions` reads its sorted indices back, from the top bit down.
-`pack_mask` is the one packer of a 0/1 vector into a mask.  Text is
-packed here too: `pack_text` packs one vector written as literal `0` and
-`1` characters (a word given to a decoder as a string), and
-`pack_text_rows` a run of such rows at once, with one check of every
-character and one reversed copy: the generators of a whole q = 2 design
-file whose body `designs` found in its written layout.  `_columns` is
-the package's one GF(2) bit-matrix transpose: it turns row masks (checks
-or blocks), in matrix order, into one column mask per point, bit i set
-when row i holds the point.  It works on whole buffers: delta swaps of
-8 x 8 bit blocks on 32 KB ints, then one strided byte slice per column.
+`pack_mask` is the one packer of a 0/1 vector into a mask, and
+`pack_text_rows` the one packer of 0/1 text: rows written as literal `0`
+and `1` characters, packed at once with one check of every character and
+one reversed copy.  It packs a word given to a decoder as a string (one
+row) and the generators of a whole q = 2 design file whose body `designs`
+found in its written layout.
+`_columns` is the package's one GF(2) bit-matrix transpose: it turns row
+masks (checks or blocks), in matrix order, into one column mask per
+point, bit i set when row i holds the point.  It works on whole buffers:
+delta swaps of 8 x 8 bit blocks on 32 KB ints, then one strided byte
+slice per column.
 A code transposes its checks once, and its reduction and both decoders
 read those columns; the two-step decoder also transposes its member
 rows, the one-step lane vote its slot rows (each check packed once), and
@@ -44,8 +45,9 @@ codeword test over its nullspace basis.  `_sum_select` is its adding
 sibling, over the same tables built by addition: the decoders'
 count-table vote.
 
-The matrix and design file loaders share one comment rule (`_strip_lines`),
-one header parser (`_parse_header`) and one body-token parser (`_ints`),
+The matrix and design file loaders share one opening (`_parse_file`: the
+comment rule `_strip_lines`, the refusal of an empty file and the header
+parser `_parse_header`) and one body-token parser (`_ints`),
 which reads every matrix row and every design file that `pack_text_rows`
 does not take; their errors name the file line of a bad row or block, and
 the loaders that read a path (`_load_file`) put the path in front.
@@ -276,12 +278,8 @@ class PrimeMatrix(Record):
 
     @classmethod
     def loads(cls, text: str) -> "PrimeMatrix":
-        lines = _strip_lines(text)
-        if not lines:
-            raise ValueError("empty matrix file")
-        hdr = _parse_header(lines[0][1], "pmatrix", ["rows", "cols", "p"])
+        hdr, body = _parse_file(text, "pmatrix", ["rows", "cols", "p"])
         nrows, ncols, p = hdr["rows"], hdr["cols"], hdr["p"]
-        body = lines[1:]
         if len(body) != nrows:
             raise ValueError(f"expected {nrows} rows, found {len(body)}")
         entry_rows = []
@@ -316,6 +314,18 @@ def _strip_lines(text: str) -> list[tuple[int, str]]:
         if line:
             out.append((lineno, line))
     return out
+
+
+def _parse_file(
+    text: str, kind: str, keys: Sequence[str]
+) -> tuple[dict[str, int], list[tuple[int, str]]]:
+    """The header fields (`_parse_header`) and the numbered body lines
+    (`_strip_lines`) of a `kind` file, the opening of every file the
+    package reads; a file with no line is refused."""
+    lines = _strip_lines(text)
+    if not lines:
+        raise ValueError(f"empty {kind[1:]} file")  # a (p)matrix or (q/c)design file
+    return _parse_header(lines[0][1], kind, keys), lines[1:]
 
 
 # header keys that count something and so cannot be negative
@@ -367,23 +377,12 @@ def pack_mask(vec: Sequence[int]) -> int:
     return int("".join(["01"[x] for x in reversed(vec)]) or "0", 2)
 
 
-def pack_text(tokens: Sequence[str], width: int) -> int | None:
-    """The mask `pack_mask` gives a 0/1 vector written as text: exactly
-    `width` tokens, each the literal `0` or `1`, coordinate 0 first.  None
-    for any other text (a token such as `01`, `+1`, `2` or `y`, or a wrong
-    count), which the caller parses token by token instead."""
-    bits = "".join(tokens)
-    if len(tokens) != width or len(bits) != width or bits.strip("01"):
-        return None
-    return int(bits[::-1] or "0", 2)
-
-
 def pack_text_rows(bits: str, width: int) -> list[int] | None:
-    """The masks `pack_text` gives each row of `bits`, rows of `width`
-    characters written one after another, in order: one `strip` checks
-    every character and one reversed copy packs every row.  None when a
-    character is not a literal `0` or `1`, or the rows are not whole.
-    `width` must be positive."""
+    """The mask `pack_mask` gives each row of `bits`, rows of `width`
+    literal `0` and `1` characters (coordinate 0 first) written one after
+    another, in order: one `strip` checks every character and one reversed
+    copy packs every row.  None when a character is not a literal `0` or
+    `1`, or the rows are not whole.  `width` must be positive."""
     if len(bits) % width or bits.strip("01"):
         return None
     rev = bits[::-1]  # the last row first, each row's coordinate 0 lowest

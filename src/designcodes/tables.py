@@ -5,11 +5,13 @@ the construction mode.  Everything is closed-form arithmetic: the
 combinatorial parameters from `designs.construction_params` (the table the
 constructions themselves build from), the code dimension from the geometric
 rank formulas, the decoding capability from the one-step formulas,
-lambda_min by scanning the divisibility conditions, and the decoder speedup
-as lambda_max over lambda_known.
+lambda_min as the lcm of the denominators of the derived parameters at
+lambda = 1 (`designs.derive_params_q`), and the decoder speedup as
+lambda_max over lambda_known.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from ._record import Record
 from .codes import binary_rank_formula, hamada_rank
@@ -107,16 +109,10 @@ def capability(params: DesignParams) -> int:
 
 
 def lambda_min(t: int, v: int, k: int, q: int) -> int:
-    """Smallest lambda whose derived parameters are all integral."""
-    lam_max = gaussian_coefficient(v - t, k - t, q)
-    quotients = [
-        (gaussian_coefficient(v - s, t - s, q), gaussian_coefficient(k - s, t - s, q))
-        for s in range(t + 1)
-    ]
-    for lam in range(1, lam_max + 1):
-        if all(lam * num % den == 0 for num, den in quotients):
-            return lam
-    raise AssertionError("trivial lambda must be admissible")  # unreachable
+    """Smallest lambda whose derived parameters are all integral: the lcm
+    of the denominators of the derived parameters at lambda = 1, since each
+    lambda_s is lambda times its value there."""
+    return lcm(*(x.denominator for x in derive_params_q(t, v, k, 1, q).lambdas))
 
 
 def table_row(spec: TableRowSpec) -> RowReport:

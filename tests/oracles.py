@@ -54,7 +54,10 @@ that hold it, the decoder's rule since it stopped taking n and J from the
 projective geometry (self-contained, apart from the code's check rows and
 the design's `masks`).  `lane_majority_count` is the two-step step-1
 majority read one block at a time off the packed lanes, the reference for
-the decoder's bit-sliced adder tree (self-contained).
+the decoder's bit-sliced adder tree (self-contained).  `lambda_min_scan`
+is the search over lambda = 1, 2, ... that `tables.lambda_min` ran before
+it took the lcm of the denominators of the derived parameters at
+lambda = 1, which builds on the package's Gaussian coefficients.
 
 `pack_blocks` is a helper, not an oracle: the point masks of blocks given as
 point tuples, the form in which tests write small designs for the
@@ -630,3 +633,17 @@ def loads_subspace_design_tokens(text):
         ctx=ctx, t=hdr["t"], v=v, k=k, lam=hdr["lambda"], blocks=tuple(blocks)
     )
 
+
+def lambda_min_scan(t, v, k, q):
+    """The smallest lambda whose derived parameters are all integral, found
+    by trying lambda = 1, 2, ... against each quotient
+    [v - s, t - s]_q / [k - s, t - s]_q."""
+    lam_max = gaussian_coefficient(v - t, k - t, q)
+    quotients = [
+        (gaussian_coefficient(v - s, t - s, q), gaussian_coefficient(k - s, t - s, q))
+        for s in range(t + 1)
+    ]
+    for lam in range(1, lam_max + 1):
+        if all(lam * num % den == 0 for num, den in quotients):
+            return lam
+    raise AssertionError("trivial lambda must be admissible")  # unreachable

@@ -149,6 +149,7 @@ def test_loader_errors_name_the_file(tmp_path, capsys):
         ("code", "rank", "m.pmatrix"),
         ("simulate", "--designfile", "d.txt", "--weight", "1", "--trials", "1"),
         ("decode", "two-step", "--designfile", "d.qdesign", "--word", "0"),
+        ("decode", "two-step", "--designfile", "d.txt", "--word", "0"),
     ]:
         name = next(a for a in argv if a in files)
         path = tmp_path / name
@@ -522,12 +523,22 @@ def _refused(capsys, argv, start):
     assert err.startswith(f"error: {start}") and err.count("\n") == 1, (argv, err)
 
 
+def _refuses_cdesign_mode(capsys, argv, mode):
+    # every command that reads a cdesign's blocks as the code's checks
+    # refuses every mode, with one message
+    code, out, err = run(capsys, *argv, "--mode", mode)
+    assert (code, out) == (1, ""), argv
+    assert err == (
+        f"error: --mode {mode} does not apply to a cdesign file, whose blocks are the code's checks\n"
+    )
+
+
 @pytest.mark.parametrize("mode", ["projective", "affine", "flats"])
 def test_code_build_of_a_cdesign_refuses_a_mode(tmp_path, capsys, mode):
     # a cdesign's blocks are the code's checks as they stand, so no mode
     # applies to it
     _, cpath = _fano_files(tmp_path)
-    _refused(capsys, ["code", "build", str(cpath), "--mode", mode], f"--mode {mode} does not apply")
+    _refuses_cdesign_mode(capsys, ["code", "build", str(cpath)], mode)
     assert run(capsys, "code", "build", str(cpath))[0] == 0
 
 
@@ -541,7 +552,7 @@ def test_code_build_refuses_a_hyperplane_outside_affine_mode(tmp_path, capsys):
     assert code == 0 and err == "" and kv(out)["n"] == "4"
 
 
-@pytest.mark.parametrize("mode", ["affine", "flats"])
+@pytest.mark.parametrize("mode", ["affine", "flats", "projective"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -552,12 +563,32 @@ def test_code_build_refuses_a_hyperplane_outside_affine_mode(tmp_path, capsys):
     ids=["decode-one-step", "radius", "simulate"],
 )
 def test_one_step_commands_refuse_a_mode_with_a_cdesign(tmp_path, capsys, argv, mode):
+    # as `code build` does: --mode projective is refused too, not read as
+    # the cdesign's blocks as they stand
     _, cpath = _fano_files(tmp_path)
     argv = argv + ["--designfile", str(cpath)]
-    _refused(capsys, argv + ["--mode", mode], f"--mode {mode} does not apply to a cdesign file")
-    code, out, err = run(capsys, *argv, "--mode", "projective")
+    _refuses_cdesign_mode(capsys, argv, mode)
+    code, _, err = run(capsys, *argv)
     assert code == 0 and err == ""
-    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("mode", [None, "projective"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "two-step", "--word", "0" * 7],
+        ["radius", "--decoder", "two-step"],
+        ["simulate", "--decoder", "two-step", "--weight", "1", "--trials", "1"],
+    ],
+    ids=["decode-two-step", "radius", "simulate"],
+)
+def test_two_step_commands_refuse_a_cdesign(tmp_path, capsys, argv, mode):
+    # the step-2 design is a subspace design, whose superspaces make the code
+    _, cpath = _fano_files(tmp_path)
+    argv = argv + ["--designfile", str(cpath)] + (["--mode", mode] if mode else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {cpath}: two-step decoding needs a qdesign file, not a cdesign\n"
 
 
 # cdesign files whose blocks fail verification: {0, 1, 2} + i mod 7, whose
@@ -610,6 +641,23 @@ def test_one_step_commands_refuse_a_qdesign_that_fails_verification(tmp_path, ca
             argv + ["--designfile", str(qpath), "--mode", mode],
             f"{qpath} fails verification (observed lambda 1, header lambda 2)",
         )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _ONE_STEP_COMMANDS + [["code", "build"]],
+    ids=["decode-one-step", "radius", "simulate", "code-build"],
+)
+def test_a_construction_error_comes_before_verification(tmp_path, capsys, argv):
+    # the lines of PG(2,3), a 2-(3,2,1)_3 design, under a lambda = 2 header:
+    # the flats construction refuses q = 3 before the file is verified
+    path = tmp_path / "d.qdesign"
+    text = dumps_subspace_design(trivial_design(2, 3, 2, FieldCtx.of(3)))
+    path.write_text(text.replace("lambda=1", "lambda=2"))
+    assert run(capsys, "design", "verify", str(path))[0] == 1
+    argv = argv + ([str(path)] if argv[0] == "code" else ["--designfile", str(path)])
+    code, out, err = run(capsys, *argv, "--mode", "flats")
+    assert (code, out, err) == (1, "", "error: flats construction requires q = 2\n")
 
 
 def test_code_build_prints_no_ell_for_a_file_that_fails_verification(tmp_path, capsys):

@@ -14,6 +14,7 @@ from designcodes.tables import (
     table_row,
 )
 
+from .oracles import lambda_min_scan
 from .reference_tables import ALL_TABLES
 
 
@@ -86,6 +87,21 @@ def test_lambda_min_examples():
     assert lambda_min(2, 9, 5, 2) == 31
     assert lambda_min(2, 7, 4, 4) == 17
     assert lambda_min(3, 8, 4, 2) == 1
+
+
+def test_lambda_min_matches_scan():
+    # every t <= k <= v with 2 <= v <= 11 at q = 2 and 2 <= v <= 6 at odd
+    # and even q up to 9: 840 parameter sets
+    sets = [
+        (t, v, k, q)
+        for q, v_max in [(2, 11), (3, 6), (4, 6), (5, 6), (7, 6), (8, 6), (9, 6)]
+        for v in range(2, v_max + 1)
+        for k in range(v + 1)
+        for t in range(k + 1)
+    ]
+    assert len(sets) == 840
+    for params in sets:
+        assert lambda_min(*params) == lambda_min_scan(*params), params
 
 
 def test_capability_dispatch():
