@@ -67,8 +67,10 @@ def _load_design_file(path: str) -> SubspaceDesign | CombinatorialDesign:
 
 
 def _loads_design(text: str) -> SubspaceDesign | CombinatorialDesign:
-    lines = _strip_lines(text)
-    head = lines[0][1].split(None, 1)[0] if lines else ""
+    # the header word, read off the first line the comment rule keeps: the
+    # chosen loader reads the whole file
+    _, first = next(_strip_lines(text), (0, ""))
+    head = first.split(None, 1)[0] if first else ""
     if head == "qdesign":
         return loads_subspace_design(text)
     if head == "cdesign":

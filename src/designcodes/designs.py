@@ -46,15 +46,15 @@ Both file writers, and the witness lines the command line prints, write
 a block's line with one formatter, `block_line`.  A `qdesign` file at
 q = 2 whose body is in exactly the layout `dumps_subspace_design` writes
 (single `0`/`1` characters, single spaces, ` ; ` between generators) is
-read in one pass: its lines are joined once,
-the layout is checked with a few strided slices, and every generator is
-packed from the one digit string (`field.pack_text_rows`); each block's
-masks are then reduced by `field.rref_gf2`.  Any other body, a k = 0 body
-and every body at q > 2 is read token by token (`field._ints`) and
-reduced by `pspace.subspace`, so both reads give the same design and the
-same errors.  A k = 0 design is not written at all: its one block, the
-zero subspace, has no generators, and the blank line that would stand for
-it reads back as no block.
+read in one pass: its lines are joined once, the layout is checked with
+a few strided slices, every generator is packed from the one digit string
+(`field.pack_text_rows`), and every block is reduced at once, one lane
+per block (`field.rref_gf2_lanes`).  Any other body, a k = 0 body and
+every body at q > 2 is read token by token (`field._ints`) and reduced by
+`pspace.subspace`, line by line, so both reads give the same design and
+the same errors.  A k = 0 design is not written at all: its one block,
+the zero subspace, has no generators, and the blank line that would stand
+for it reads back as no block.
 """
 
 import itertools
@@ -72,7 +72,7 @@ from .field import (
     _parse_file,
     bit_positions,
     pack_text_rows,
-    rref_gf2,
+    rref_gf2_lanes,
 )
 from .pspace import (
     Subspace,
@@ -529,14 +529,21 @@ def _written_masks(lines: Sequence[str], v: int, k: int) -> list[int] | None:
 
 
 def loads_subspace_design(text: str) -> SubspaceDesign:
+    """The design of a `qdesign` file.  A q = 2 body in its written layout
+    (`_written_masks`) has all its blocks reduced in one pass
+    (`field.rref_gf2_lanes`); any other body is read line by line, token
+    by token.  An error names the first bad line: a block whose generators
+    span fewer than k dimensions, and on the token path a bad token or a
+    wrong generator count."""
     hdr, body = _parse_file(text, "qdesign", ["t", "v", "k", "lambda", "q", "poly"])
     ctx = FieldCtx.of(hdr["q"], modulus=hdr["poly"])
     v, k = hdr["v"], hdr["k"]
     masks = _written_masks([line for _, line in body], v, k) if ctx.q == 2 else None
+    reduced = None if masks is None else rref_gf2_lanes(masks, k, v)
     blocks = []
     for i, (lineno, line) in enumerate(body):
-        if masks is not None:
-            blk = Subspace(ctx, v, tuple(rref_gf2(masks[i * k : i * k + k])[0]))
+        if reduced is not None:
+            blk = Subspace(ctx, v, reduced[i])
         else:
             vectors = [_ints(part.split(), lineno) for part in line.split(";")]
             if len(vectors) != k:

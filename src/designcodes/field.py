@@ -11,8 +11,14 @@ Matrices over F_p carry one int bitmask per row (bit j = column j) when
 p = 2, and one entry tuple per row otherwise.  Rank is computed by folding
 a matrix's rows one at a time into a growing reduced basis.  Over GF(2)
 that basis is kept in reduced row echelon form (`rref_gf2`), the package's
-one GF(2) elimination: a code runs it once, on its check columns, for its
-nullspace basis, and reads its rank and codeword test off that basis.
+one GF(2) elimination of one matrix: a code runs it once, on its check
+columns, for its nullspace basis, and reads its rank and codeword test off
+that basis.  `rref_gf2_lanes` gives the same rows for many small matrices
+at once, each in its own byte lane of k shared ints, eliminated column by
+column with per-lane flags: the blocks of a q = 2 design file read in its
+written layout.  The two stay apart because their traffic differs: lanes
+pay a whole-buffer operation per column and row, which suits thousands of
+k-row matrices of a few columns, not one matrix of many wide rows.
 `rref_gfq` is the same fold over coordinate tuples in GF(q), read off the
 context's add, mul, neg and inv tables: the package's one GF(q)
 elimination, which `pspace.subspace` puts every q > 2 subspace through.
@@ -304,16 +310,15 @@ def _load_file(path: str | Path, loads: Callable[[str], _T]) -> _T:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _strip_lines(text: str) -> list[tuple[int, str]]:
+def _strip_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, content) of the non-blank lines of a text file, with `#`
-    comments removed; the comment rule of every file format the package
-    reads.  Line numbers count from 1 and include the dropped lines."""
-    out = []
+    comments removed, as they are reached; the comment rule of every file
+    format the package reads.  Line numbers count from 1 and include the
+    dropped lines."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((lineno, line))
-    return out
+            yield lineno, line
 
 
 def _parse_file(
@@ -322,7 +327,7 @@ def _parse_file(
     """The header fields (`_parse_header`) and the numbered body lines
     (`_strip_lines`) of a `kind` file, the opening of every file the
     package reads; a file with no line is refused."""
-    lines = _strip_lines(text)
+    lines = list(_strip_lines(text))
     if not lines:
         raise ValueError(f"empty {kind[1:]} file")  # a (p)matrix or (q/c)design file
     return _parse_header(lines[0][1], kind, keys), lines[1:]
@@ -427,6 +432,80 @@ def rref_gf2(masks: Iterable[int]) -> tuple[list[int], list[int]]:
             pivot_bits |= low
     order = sorted(basis)
     return [basis[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
+
+
+def _lane_bytes(values: Sequence[int], width: int) -> bytes:
+    """`values` (each below 256**width) as one little-endian byte string,
+    `width` bytes each."""
+    if width == 1:
+        return bytes(values)
+    return b"".join([x.to_bytes(width, "little") for x in values])
+
+
+def _lane_ints(buf: bytes, width: int) -> Sequence[int]:
+    """The values `_lane_bytes` packed into `buf`."""
+    if width == 1:
+        return buf
+    return [int.from_bytes(buf[j : j + width], "little") for j in range(0, len(buf), width)]
+
+
+def rref_gf2_lanes(masks: Sequence[int], k: int, v: int) -> list[tuple[int, ...]]:
+    """The reduced rows `rref_gf2` gives each k-row matrix
+    `masks[i k : i k + k]` of v-bit masks, all reduced at once.
+
+    Every matrix gets a lane of ceil(v / 8) bytes, and row i of every
+    matrix is packed into one int.  Columns are eliminated in ascending
+    order with per-lane flags at bit 0 of each lane (the rows with the
+    column's bit, the rows not yet a pivot): the first free row with the
+    bit becomes the lane's pivot, a flag times 2^lane_bits - 1 covers its
+    whole lane, and the pivot is XORed into every other row with the bit.
+    The t-th pivot a lane finds is its output row t, so pivots ascend; a
+    matrix of rank r gets r rows, its rank read off the lane's pivot
+    count.  `k` and `v` must be positive.
+    """
+    width = -(-v // 8)
+    count = len(masks) // k
+    size = count * width
+    one = int.from_bytes(b"\x01".ljust(width, b"\x00") * count, "little")
+    lane = (1 << 8 * width) - 1
+    rows = [int.from_bytes(_lane_bytes(masks[i::k], width), "little") for i in range(k)]
+    free = [one] * k
+    counts = [one] + [0] * k  # counts[t]: the lanes with t pivots so far
+    slots = [[0] * k for _ in range(k)]  # slots[i][t]: the lanes whose t-th pivot is row i
+    for c in range(v):
+        has = [r >> c & one for r in rows]
+        taken = pivot = 0
+        picks = [0] * k
+        for i in range(k):
+            p = has[i] & free[i] & ~taken
+            if p:
+                picks[i] = p
+                taken |= p
+                pivot |= rows[i] & p * lane
+        if not taken:
+            continue
+        for i, p in enumerate(picks):
+            other = has[i] ^ p  # the lanes where row i has the bit but is not the pivot
+            if other:
+                rows[i] ^= pivot & other * lane
+            if p:
+                free[i] ^= p
+                slots[i] = [s | p & n for s, n in zip(slots[i], counts)]
+        for t in range(k - 1, -1, -1):
+            move = counts[t] & taken
+            counts[t] ^= move
+            counts[t + 1] |= move
+    outs = []
+    for t in range(k):
+        out = 0
+        for row, slot in zip(rows, slots):
+            out |= row & slot[t] * lane
+        outs.append(_lane_ints(out.to_bytes(size, "little"), width))
+    reduced = list(zip(*outs))
+    if counts[k] != one:  # a rank-deficient matrix keeps its rank's rows
+        rank = sum([t * counts[t] for t in range(1, k + 1)])
+        reduced = [r[:n] for r, n in zip(reduced, _lane_ints(rank.to_bytes(size, "little"), width))]
+    return reduced
 
 
 def rref_gfq(rows: Iterable[Sequence[int]], ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:

@@ -611,7 +611,7 @@ def _outcome(decoder, out, flips):
 def loads_subspace_design_tokens(text):
     """A `qdesign` text read token by token: every generator through `_ints`
     and `subspace`."""
-    lines = _strip_lines(text)
+    lines = list(_strip_lines(text))
     if not lines:
         raise ValueError("empty design file")
     hdr = _parse_header(lines[0][1], "qdesign", ["t", "v", "k", "lambda", "q", "poly"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from operator import add
 
@@ -14,6 +15,8 @@ from designcodes.field import (
     bit_positions,
     default_modulus,
     matrix_rank,
+    rref_gf2,
+    rref_gf2_lanes,
 )
 
 from .oracles import naive_rank, xor_columns
@@ -159,6 +162,40 @@ def test_rank_agrees_with_naive_oracle(nrows, ncols, p, rng):
     rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
     m = PrimeMatrix.from_rows(rows, p, ncols)
     assert matrix_rank(m, p) == naive_rank(rows, p)
+
+
+def _small_matrix(rng, v, k):
+    """k random v-bit rows, rank-deficient about half the time: a zero row,
+    a repeated row, or a row the sum of two others."""
+    rows = [rng.getrandbits(v) for _ in range(k)]
+    kind = rng.randrange(4)
+    if kind == 1:
+        rows[rng.randrange(k)] = 0
+    elif kind == 2 and k > 1:
+        i, j = rng.sample(range(k), 2)
+        rows[i] = rows[j]
+    elif kind == 3 and k > 2:
+        i, j, h = rng.sample(range(k), 3)
+        rows[i] = rows[j] ^ rows[h]
+    return rows
+
+
+@pytest.mark.parametrize("v", range(1, 21))  # lanes of 1, 2 and 3 bytes
+def test_lane_reduction_matches_rref_gf2_matrix_by_matrix(v):
+    rng = random.Random(v)
+    ranks = set()
+    for k in range(1, min(v, 8) + 1):
+        for count in (1, 2, 300):
+            matrices = [_small_matrix(rng, v, k) for _ in range(count)]
+            if count > 1:
+                matrices[0] = [0] * k
+                matrices[1] = [1 << (v - 1 - i) for i in range(k)]  # full rank
+            want = [tuple(rref_gf2(m)[0]) for m in matrices]
+            assert rref_gf2_lanes([x for m in matrices for x in m], k, v) == want
+            ranks |= {(k, len(rows)) for rows in want}
+    assert {(k, k) for k in range(1, min(v, 8) + 1)} <= ranks
+    assert any(r < k for k, r in ranks)
+    assert rref_gf2_lanes([], 3, v) == []
 
 
 @settings(max_examples=40)

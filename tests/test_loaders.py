@@ -17,7 +17,7 @@ from designcodes.designs import (
     trivial_design,
 )
 from designcodes.field import FieldCtx, pack_mask, pack_text_rows
-from designcodes.pspace import enumerate_subspaces
+from designcodes.pspace import enumerate_subspaces, subspace
 
 from .oracles import loads_subspace_design_tokens
 
@@ -125,13 +125,42 @@ def test_written_q2_bodies_are_read_in_one_pass(monkeypatch):
         for t in range(k + 1)
     ]
     want = [loads_subspace_design_tokens(text) for text in texts]
+    _token_path_fails(monkeypatch)
+    assert [loads_subspace_design(text) for text in texts] == want
 
+
+def _token_path_fails(monkeypatch):
+    # the token path, and a reduction block by block, fail when called
     def token_path(*args):
-        raise AssertionError("a written q = 2 body was read token by token")
+        raise AssertionError("a written q = 2 body was read token by token or block by block")
 
     monkeypatch.setattr(designs, "_ints", token_path)
     monkeypatch.setattr(designs, "subspace", token_path)
-    assert [loads_subspace_design(text) for text in texts] == want
+    monkeypatch.setattr(designs, "rref_gf2", token_path, raising=False)
+
+
+@pytest.mark.parametrize("v", [9, 12])  # lanes of 2 bytes
+def test_rank_deficient_blocks_in_wide_lanes_name_the_first_line(v, monkeypatch):
+    ctx = FieldCtx.of(2)
+    rng = random.Random(v)
+    blocks = {}
+    while len(blocks) < 40:
+        blk = subspace([[rng.randrange(2) for _ in range(v)] for _ in range(3)], v, ctx)
+        if blk.k == 3:
+            blocks[blk.rows] = blk
+    lines = dumps_subspace_design(SubspaceDesign(ctx, 1, v, 3, 1, tuple(blocks.values())))
+    lines = lines.splitlines()
+    lines.insert(1, "# a comment line, counted by the line numbers")
+    texts = ["\n".join(lines) + "\n"]
+    gens = lines[30].split(" ; ")
+    lines[30] = " ; ".join([gens[0], gens[1], gens[0]])  # file line 31: rank 2
+    lines[36] = " ; ".join([" ".join("0" * v)] + lines[36].split(" ; ")[1:])  # line 37
+    texts.append("\n".join(lines) + "\n")
+    want = [_outcome(loads_subspace_design_tokens, text) for text in texts]
+    assert isinstance(want[0], SubspaceDesign)
+    assert want[1] == "error: line 31: block generators span only 2 dimensions"
+    _token_path_fails(monkeypatch)
+    assert [_outcome(loads_subspace_design, text) for text in texts] == want
 
 
 def test_k0_design_is_not_written():
