@@ -23,36 +23,31 @@ each decoder builds from its vectors at construction
 (`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
 step-2 block; its step-1 majority adds the J class lanes by a bit-sliced
 adder tree that halves them level by level into one count per block
-(`lane_majority`).  The scalar loops they replaced, one parity per
+(`majority_tree`).  The scalar loops they replaced, one parity per
 (check, point) pair, and the per-block count are kept as test references.
 
 Both decoders end in one vote stage, the base class `_MajorityVote`, which
 owns the threshold rule and the cost model: each decoder computes its own
 disagreement vector (the one-step syndrome; the two-step step-1 estimates
-XOR the received block parities) and gives the stage its columns, the b
-rows they transpose (the code's checks one-step, the step-2 blocks
-two-step) and its lambda (the design's lambda_2 one-step, 1 two-step).
-The stage reads r_j, the popcount of column j, flips j when 2 U_j > r_j +
-lambda - 1 for the U_j disagreeing checks or blocks through j, counts the
-work and builds the outcome.  It counts the U_j by one of three kernels,
-picked at build time from b against the n positions.  When b <= 6 n, a
-count table adds the disagreeing rows into one bit field per position
-by `field._sum_select`, the adding sibling of `_xor_select`, and reads
-every flip off the fields' top bits at once.  Above that the one-step
-decoder votes in slot lanes: slot (t, j) holds the t-th check through j,
-so its syndrome comes as R = max r_j lanes of one bit per position, and
-the adder tree of `lane_majority` counts each position's set lane bits
-against its own threshold.  The two-step decoder, whose disagreement
-vector is not a sum of per-position vectors, keeps the popcount loop
-there, popcount(disagree & column j) per position.  All three give the
-same flips.  Each decoder keeps its own codeword test: the one-step
-decoder reads the updated syndrome or lanes, the two-step decoder
-`BinaryCode.is_codeword`, which costs less than a syndrome over its
-code's many checks.  `check_evals` stays the paper's cost model, the
-parity evaluations of the scalar decoder (the sum of the r_j, n r per
-word one-step, plus b_2 J step-1 evaluations two-step), added per call:
-a model count, not a count of machine operations, the same whichever
-kernel votes.
+XOR the received block parities) and gives the stage its columns and its
+lambda (the design's lambda_2 one-step, 1 two-step).  The stage reads
+r_j, the popcount of column j, flips j when 2 U_j > r_j + lambda - 1 for
+the U_j disagreeing checks or blocks through j, counts the work and
+builds the outcome.  It counts the U_j by one kernel, a function from
+the disagreement vector to the flip mask, which `_vote_kernel` picks at
+build time from the b rows the columns transpose (the code's checks
+one-step, the step-2 blocks two-step): a count table that adds the
+disagreeing rows into one bit field per position by `field._sum_select`,
+the adding sibling of `_xor_select`; one-step, slot lanes counted by the
+same adder tree as the two-step step-1 majority; or a popcount loop.
+All three give the same flips.  Each decoder keeps its own codeword
+test: the one-step decoder reads the updated syndrome or lanes, the
+two-step decoder `BinaryCode.is_codeword`, which costs less than a
+syndrome over its code's many checks.  `check_evals` stays the paper's
+cost model, the parity evaluations of the scalar decoder (the sum of the
+r_j, n r per word one-step, plus b_2 J step-1 evaluations two-step),
+added per call: a model count, not a count of machine operations, the
+same whichever kernel votes.
 
 Capability formulas:
 
@@ -201,30 +196,63 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 # Decoders
 
 
-# The vote stage takes the count-table kernel while there are at most this
-# many checks (or step-2 blocks) per position, b <= 6 n: at b = 4.2 n
-# (`twostep-q4`) it votes in about 70% of the popcount loop's time, at
-# b = 9 n (`onestep-subspace`, `twostep-subspace`) in 130-155%
-# (in-process timings on both sides in BENCH_count_vote.json).  Above it
-# the one-step decoder votes in slot lanes, at b = 9 n (`onestep-subspace`)
-# in about 63% of the loop's time (BENCH_lane_vote.json).
+# The count table votes while there are at most this many checks (or
+# step-2 blocks) per position, b <= 6 n: at b = 4.2 n (`twostep-q4`) it
+# votes in about 70% of the popcount loop's time, at b = 9 n
+# (`onestep-subspace`, `twostep-subspace`) in 130-155% (in-process
+# timings on both sides in BENCH_count_vote.json).  Above it the one-step
+# decoder votes in slot lanes, at b = 9 n (`onestep-subspace`) in about
+# 63% of the loop's time (BENCH_lane_vote.json).
 _COUNT_TABLE_CHECKS_PER_POSITION = 6
 
 
-def count_tables(rows, counts, halves):
-    """The count-table kernel's tables for the check (or block) masks `rows`,
-    in the order of the columns' bits, with r_j = counts[j] and the
-    thresholds `halves` of the n positions.
+def _vote_kernel(rows, columns, halves, syndrome: bool):
+    """The vote stage's kernel, and the vectors a syndrome decoder XORs
+    for it: the one rule that picks how the stage counts U_j.
+
+    `rows` are the b check (or step-2 block) masks, in the order of the
+    bits of the n `columns` they transpose, and `halves` the positions'
+    thresholds.  Every kernel is a function from a disagreement vector to
+    its flip mask, bit j set when U_j > half_j, and all give the same
+    flips.  While b <= 6 n (`_COUNT_TABLE_CHECKS_PER_POSITION`) the count
+    table (`count_table`) votes, on the columns' disagreement vector.
+    Above that a `syndrome` decoder, whose disagreement vector is the XOR
+    of the columns at the received 1-bits, votes in slot lanes: it XORs
+    the slot lane vectors (`slot_lanes`) in place of the columns, and the
+    lane tree over their R lanes of n bits (`majority_tree`) counts each
+    position's set lane bits.  The two-step decoder, whose disagreement
+    vector is not a sum of per-position vectors, keeps the popcount loop
+    (`popcount_loop`) there.  The vectors are the columns unless the
+    kernel votes in slot lanes.
+    """
+    n = len(columns)
+    if len(rows) <= _COUNT_TABLE_CHECKS_PER_POSITION * n:
+        return count_table(rows, columns, halves), columns
+    if not syndrome:
+        return popcount_loop(columns, halves), columns
+    lanes, R = slot_lanes(rows, n)
+    return majority_tree(R, n, halves), lanes
+
+
+def count_table(rows, columns, halves):
+    """The count-table kernel for the check (or block) masks `rows`, in the
+    order of the bits of the n `columns` they transpose, with r_j =
+    popcount(columns[j]) and the thresholds `halves`: a function from a
+    disagreement vector over the rows to the mask of the positions j with
+    U_j = popcount(disagree & columns[j]) > half_j.
 
     Position j owns an F-bit field of one int, bits F j to F j + F - 1,
     with F = max over j of max(r_j, half_j), `.bit_length() + 1`.  The
     field starts at the bias 2^(F-1) - 1 - half_j, which that F keeps
     nonnegative, and counts up to U_j <= r_j without overflow, so its top
     bit is set exactly when U_j > half_j.  Each row, bit j spread to bit
-    F j, goes into `field._xor_tables(combine=operator.add)`.  Returns F,
-    the bias, the mask of the fields' top bits and the tables.
+    F j, goes into `field._xor_tables(combine=operator.add)`.  A vote is
+    one `field._sum_select` of the disagreeing rows onto the bias, through
+    the sums of every subset of 4 rows, one AND with the fields' top bits,
+    and bit j of the mask for each top bit F j + F - 1 left, read from
+    the highest down.
     """
-    F = max(max(counts), max(halves)).bit_length() + 1
+    F = max(max(map(int.bit_count, columns)), max(halves)).bit_length() + 1
     bias = top = 0
     for half in reversed(halves):
         bias = (bias << F) | ((1 << (F - 1)) - 1 - half)
@@ -238,22 +266,32 @@ def count_tables(rows, counts, halves):
             wide += units[low.bit_length() - 1]
             row ^= low
         spread.append(wide)
-    return F, bias, top, _xor_tables(spread, add)
+    sums = _xor_tables(spread, add)
+    flips = [0] + [1 << j for j in range(len(halves))]  # at index j + 1
+
+    def flip_mask(disagree: int) -> int:
+        fields = top & (_sum_select(sums, disagree) + bias)
+        mask = 0
+        while fields:
+            high = fields.bit_length()  # F j + F for the top bit of field j
+            mask |= flips[high // F]
+            fields ^= 1 << (high - 1)
+        return mask
+
+    return flip_mask
 
 
-def count_table_flips(tables, disagree: int) -> tuple[int, ...]:
-    """The positions j, ascending, with U_j = popcount(disagree & column
-    j) > half_j, read off `count_tables`: one `field._sum_select` of the
-    disagreeing rows onto the bias, one AND with the fields' top bits, and
-    j = p // F for each top bit p left."""
-    F, bias, top, sums = tables
-    top &= _sum_select(sums, disagree) + bias
-    flips = []
-    while top:
-        low = top & -top
-        flips.append(low.bit_length() // F - 1)
-        top ^= low
-    return tuple(flips)
+def popcount_loop(columns, halves):
+    """The popcount-loop kernel for the `columns` and thresholds `halves`:
+    a function from a disagreement vector to the mask of the positions j
+    with popcount(disagree & columns[j]) > half_j, one AND and one
+    popcount per position however few the checks."""
+    votes = tuple(zip(columns, halves, [1 << j for j in range(len(columns))]))
+
+    def flip_mask(disagree: int) -> int:
+        return sum([bit for col, half, bit in votes if (disagree & col).bit_count() > half])
+
+    return flip_mask
 
 
 class _MajorityVote:
@@ -261,9 +299,7 @@ class _MajorityVote:
     threshold rule and cost model.
 
     Each position j has a column mask (bit i = check or block i through j)
-    of r_j = popcount(column j) bits; the decoder also gives the b rows
-    those columns transpose, the checks' or blocks' point masks in the
-    order of the columns' bits.  j is flipped when U_j, the checks or
+    of r_j = popcount(column j) bits.  j is flipped when U_j, the checks or
     blocks through j that disagree, satisfies 2 U_j > r_j + lam - 1, that
     is U_j > half_j = (r_j + lam - 1) // 2, and all flips are applied at
     once: Rudolph's rule with the decoder's lam, and with lam = 1 a plain
@@ -273,27 +309,13 @@ class _MajorityVote:
     word is decoded only if it is a codeword; each decoder tests that its
     own way.
 
-    The stage counts U_j by one of three kernels, all giving the same
-    flips; it picks one at build time from the b rows (checks or blocks)
-    it is given against the n positions, and from whether the decoder's
-    disagreement vector is a syndrome, the XOR of the columns at the
-    received 1-bits (`syndrome`).  The count table (`count_tables`),
-    taken when b <= 6 n, sums the disagreeing rows into one F-bit counter
-    per position through the sums of every subset of 4 rows, one lookup
-    per nibble of each nonzero byte of the disagreement vector, and reads
-    every flip off the counters' top bits at once (`count_table_flips`).
-    Above 6 n a syndrome is voted in slot lanes (`slot_lanes`): the
-    decoder XORs the lane vectors in place of the columns, and the lane
-    tree (`majority_tree` over the thresholds) counts each position's lane
-    bits, its set bits the flips.  Otherwise the popcount loop reads U_j
-    as popcount(disagree & column j), one AND and one popcount per
-    position however few the checks.  A syndrome decoder XORs the vectors
-    of `_syndrome_tables`: the columns', or the lane vectors'.
+    The stage counts U_j by one kernel, `_kernel`, a function from the
+    decoder's disagreement vector to the flip mask, which each decoder
+    takes from `_vote_kernel` over the rows its columns transpose and the
+    stage's thresholds.
     """
 
-    def __init__(
-        self, code: BinaryCode, columns, rows, lam: int, step1_evals: int = 0, syndrome: bool = False
-    ):
+    def __init__(self, code: BinaryCode, columns, lam: int, step1_evals: int = 0):
         if code.p != 2:
             raise ValueError("decoding is implemented for binary codes only")
         self.code = code
@@ -302,32 +324,14 @@ class _MajorityVote:
         counts = [col.bit_count() for col in columns]
         self._halves = tuple([(r + lam - 1) // 2 for r in counts])
         self._evals_per_word = step1_evals + sum(counts)
-        self._count_tables = self._lane_tree = self._syndrome_tables = None
-        vectors = columns
-        if len(rows) <= _COUNT_TABLE_CHECKS_PER_POSITION * self.n:
-            self._count_tables = count_tables(rows, counts, self._halves)
-        elif syndrome:
-            vectors, R = slot_lanes(rows, self.n)
-            self._lane_tree = majority_tree(R, self.n, self._halves)
-        if syndrome:
-            self._syndrome_tables = _xor_tables(vectors)
         self.check_evals = 0
 
     def _vote(self, received: int, disagree: int) -> tuple[tuple[int, ...], int]:
         """The positions that lose their vote, and the received word with
         those positions flipped."""
         self.check_evals += self._evals_per_word
-        if self._count_tables is not None:
-            flips = count_table_flips(self._count_tables, disagree)
-        elif self._lane_tree is not None:
-            flipped = lane_majority(disagree, self._lane_tree)
-            return bit_positions(flipped), received ^ flipped
-        else:
-            votes = zip(range(self.n), self._columns, self._halves)
-            flips = tuple([j for j, col, half in votes if (disagree & col).bit_count() > half])
-        for j in flips:
-            received ^= 1 << j
-        return flips, received
+        mask = self._kernel(disagree)
+        return bit_positions(mask), received ^ mask
 
     def _outcome(self, out: int, flips: tuple[int, ...], codeword: bool) -> DecodeOutcome:
         if codeword:
@@ -375,14 +379,11 @@ class OneStepDecoder(_MajorityVote):
     the columns of the received word's 1-bits into the syndrome (bit i =
     parity of check i), by `field._xor_select` over the columns' tables,
     so each check's parity is computed once per word, and the vote stage
-    counts U_j, the 1-bits of the syndrome in column j, over the code's
-    checks as its rows.  The decoder tells the stage its disagreement is a
-    syndrome, so where the stage takes no count table (more than 6 checks
-    per position) it builds the tables of the slot lane vectors
-    (`slot_lanes`) instead: the decoder XORs each received 1-bit's lane
-    vector, so lane t holds at bit j the parity of the t-th check through
-    j, and the stage's lane tree counts U_j as the set lane bits at offset
-    j, against half_j.  The
+    counts U_j, the 1-bits of the syndrome in column j, with the kernel
+    that `_vote_kernel` picks for the code's checks as a syndrome's rows.
+    Where that kernel votes in slot lanes, the decoder XORs each received
+    1-bit's slot lane vector (`slot_lanes`) in place of its column, so
+    lane t holds at bit j the parity of the t-th check through j.  The
     flipped word's syndrome (or lanes) is the received one XOR the flipped
     positions' vectors, so the word is a codeword iff it is zero: every
     check sits in at least one slot.  `check_evals` is the model count of
@@ -403,7 +404,9 @@ class OneStepDecoder(_MajorityVote):
         params = design.params()
         self.r = params.r
         self.lambda2 = params.lambda_s(2)
-        super().__init__(code, code.columns, checks, self.lambda2, syndrome=True)
+        super().__init__(code, code.columns, self.lambda2)
+        self._kernel, vectors = _vote_kernel(checks, self._columns, self._halves, syndrome=True)
+        self._syndrome_tables = _xor_tables(vectors)
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
@@ -434,10 +437,11 @@ def check_step2_design(step2: SubspaceDesign | CombinatorialDesign) -> None:
 
 
 def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
-    """The halving adder tree that `lane_majority` runs over J lanes of
-    `width` bits, built once per decoder.  Offset b of the lanes is set in
-    the result when more than halves[b] of its J lane bits are set; by
-    default halves[b] = J // 2 at every offset, a plain majority.
+    """The lane-tree kernel over J lanes of `width` bits: a function from
+    the lanes to the mask of the offsets b with more than halves[b] of
+    their J lane bits set, by default more than halves[b] = J // 2, a
+    plain majority, ties giving 0.  Bits above the J lanes are ignored.
+    The tree is built once per decoder.
 
     Each level splits the w lanes left into a low half of ceil(w / 2) lanes
     and a high half of floor(w / 2), shifted down onto it; a level is its
@@ -450,6 +454,15 @@ def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
     whose constant 2^P - (halves[b] + 1) has that bit set.  An offset with
     halves[b] >= 2^P, whose count can never exceed it, takes the constant
     0.
+
+    A call adds the lanes by that tree, bit-sliced: plane i holds bit i of
+    every lane's count.  Each level adds the high half to the low half
+    plane by plane, a half adder on plane 0 and full adders above it.  The
+    count of the one lane left is compared with halves[b] + 1 at each
+    offset as the carry out of adding the constant 2^P - (halves[b] + 1):
+    the carry out of each plane is the majority of the plane, the carry in
+    and the constant's bit there, which is the plane OR the carry in where
+    the bit is set, AND it where it is clear.
     """
     levels = []
     sizes = [1] * J
@@ -469,44 +482,31 @@ def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
         for i in range(planes):
             if complement >> i & 1:
                 ones[i] |= offsets
-    return (1 << (J * width)) - 1, tuple(levels), tuple(ones)
+    mask, levels, ones = (1 << (J * width)) - 1, tuple(levels), tuple(ones)
 
-
-def lane_majority(lanes: int, tree) -> int:
-    """Bit b is set iff more than halves[b] of the J lanes of `tree` have
-    bit b set (`majority_tree`; more than J // 2 by default, ties giving
-    0); bits above the J lanes are ignored.
-
-    The lanes are added by the halving tree of `majority_tree`, bit-sliced:
-    plane i holds bit i of every lane's count.  Each level adds the high
-    half to the low half plane by plane, a half adder on plane 0 and full
-    adders above it.  The count of the one lane left is compared with
-    halves[b] + 1 at each offset as the carry out of adding the constant
-    2^P - (halves[b] + 1): the carry out of each plane is the majority of
-    the plane, the carry in and the constant's bit there, which is the
-    plane OR the carry in where the bit is set, AND it where it is clear.
-    """
-    mask, levels, ones = tree
-    planes = [lanes & mask]
-    for shift, low, keep in levels:
-        plane = planes[0]
-        high = plane >> shift
-        plane &= low
-        carry = plane & high
-        added = [plane ^ high]
-        for plane in planes[1:]:
+    def majority(lanes: int) -> int:
+        planes = [lanes & mask]
+        for shift, low, keep in levels:
+            plane = planes[0]
             high = plane >> shift
             plane &= low
-            half = plane ^ high
-            added.append(half ^ carry)
-            carry = (plane & high) | (half & carry)
-        if keep:
-            added.append(carry)
-        planes = added
-    carry = 0
-    for plane, one in zip(planes, ones):
-        carry = (plane & carry) | ((plane | carry) & one)
-    return carry
+            carry = plane & high
+            added = [plane ^ high]
+            for plane in planes[1:]:
+                high = plane >> shift
+                plane &= low
+                half = plane ^ high
+                added.append(half ^ carry)
+                carry = (plane & high) | (half & carry)
+            if keep:
+                added.append(carry)
+            planes = added
+        carry = 0
+        for plane, one in zip(planes, ones):
+            carry = (plane & carry) | ((plane | carry) & one)
+        return carry
+
+    return majority
 
 
 class TwoStepDecoder(_MajorityVote):
@@ -544,16 +544,16 @@ class TwoStepDecoder(_MajorityVote):
     (c = J).  A decode XORs the member masks of the received 1-bits once,
     by `field._xor_select` over the members' tables: lane c holds the
     parity over class c of every block, lane J the received parity over
-    every block.  A bit-sliced halving adder tree (`lane_majority`, its
-    levels built once by `majority_tree`) adds the high half of the J class
-    lanes to the low half until one lane is left, and compares that count
-    with J // 2 + 1 to give the estimated block parities.  Block b's vote
-    at j disagrees with the received bit exactly when bit b of D =
-    estimates XOR received block parities is set, so j is flipped iff more
-    than half of the blocks through j are set in D, counted by the vote
-    stage over the step-2 block masks as its rows: its rule with lambda =
-    1.  `check_evals` is the model count of the scalar decoder, b_2 J + n r
-    parity evaluations per word, added per call.
+    every block.  A bit-sliced halving adder tree (`majority_tree`, built
+    once) adds the high half of the J class lanes to the low half until
+    one lane is left, and compares that count with J // 2 + 1 to give the
+    estimated block parities.  Block b's vote at j disagrees with the
+    received bit exactly when bit b of D = estimates XOR received block
+    parities is set, so j is flipped iff more than half of the blocks
+    through j are set in D, counted by the vote stage with the kernel
+    that `_vote_kernel` picks for the step-2 block masks as its rows: its
+    rule with lambda = 1.  `check_evals` is the model count of the scalar
+    decoder, b_2 J + n r parity evaluations per word, added per call.
     """
 
     def __init__(self, code: BinaryCode, step2: SubspaceDesign | CombinatorialDesign):
@@ -578,8 +578,9 @@ class TwoStepDecoder(_MajorityVote):
         # (block, class)
         self._parity_shift = classes = J * len(blocks)
         columns = tuple(member >> classes for member in self._members)
-        super().__init__(code, columns, blocks, 1, classes)
-        self._majority_tree = majority_tree(J, len(blocks))
+        super().__init__(code, columns, 1, classes)
+        self._kernel = _vote_kernel(blocks, columns, self._halves, syndrome=False)[0]
+        self._step1 = majority_tree(J, len(blocks))
 
     def _member_rows(self, code: BinaryCode, blocks):
         """Per block: its J superspaces minus the block, sorted, then the
@@ -603,7 +604,7 @@ class TwoStepDecoder(_MajorityVote):
         received = as_mask(word, self.n)
         lanes = _xor_select(self._member_tables, received)
         block_parities = lanes >> self._parity_shift
-        disagree = lane_majority(lanes, self._majority_tree) ^ block_parities
+        disagree = self._step1(lanes) ^ block_parities
         flips, out = self._vote(received, disagree)
         return self._outcome(out, flips, self.code.is_codeword(out))
 

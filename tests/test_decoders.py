@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from functools import reduce
@@ -17,13 +16,13 @@ from designcodes.decoders import (
     TwoStepDecoder,
     _error_mask,
     as_mask,
-    count_tables,
+    count_table,
     ell_bounds,
     ell_one_step,
     ell_one_step_3design,
-    lane_majority,
     majority_tree,
     measure_decoding_radius,
+    popcount_loop,
     simulate,
     slot_lanes,
     two_step_capability,
@@ -671,23 +670,23 @@ def test_lane_majority_matches_a_per_block_count(J, width, fill, rng):
     # give 0; the block lane above the J class lanes holds random bits
     bits = {"random": rng.getrandbits(J * width), "zeros": 0, "ones": (1 << J * width) - 1}[fill]
     lanes = bits | rng.getrandbits(width) << J * width
-    assert lane_majority(lanes, majority_tree(J, width)) == lane_majority_count(lanes, J, width)
+    assert majority_tree(J, width)(lanes) == lane_majority_count(lanes, J, width)
 
 
 @pytest.mark.parametrize("J", [1, 2, 4, 5, 7, 13, 15, 16, 40])
 @pytest.mark.parametrize("width", [1, 7, 8, 29, 30, 31, 300])
 def test_lane_majority_at_the_threshold(J, width):
     full = (1 << width) - 1
-    tree = majority_tree(J, width)
+    majority = majority_tree(J, width)
 
     def lanes(ones):
         # the first `ones` class lanes set, and every bit of the block lane
         return sum(full << c * width for c in range(ones)) | full << J * width
 
-    assert lane_majority(lanes(0), tree) == 0
-    assert lane_majority(lanes(J // 2), tree) == 0  # a tie at even J
-    assert lane_majority(lanes(J // 2 + 1), tree) == full
-    assert lane_majority(lanes(J), tree) == full
+    assert majority(lanes(0)) == 0
+    assert majority(lanes(J // 2)) == 0  # a tie at even J
+    assert majority(lanes(J // 2 + 1)) == full
+    assert majority(lanes(J)) == full
 
 
 def test_two_step_dimension_mismatch(gf2m):
@@ -928,34 +927,51 @@ def test_q2_chain_builds_no_point_tuples(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The vote stage's two kernels: the popcount loop and the count table, each
-# forced in turn on a copy of one decoder, must give the same flips, and
-# both must follow the rule U_j > half_j read off the columns.
+# The vote stage's three kernels, each built by its own builder from the
+# same rows, columns and thresholds: the count table and the popcount loop
+# over a disagreement vector, and the lane tree over the XOR of the slot
+# lane vectors that a syndrome decoder XORs in place of its columns.  All
+# must give the same flip mask, the rule U_j > half_j read off the columns.
 
 
-def _kernel_votes(dec, rows, vectors):
-    """Per kernel (the loop, then the count table of `rows`), the vote of a
-    copy of `dec` forced onto it, (flips, flip mask), for each vector."""
-    counts = [col.bit_count() for col in dec._columns]
-    votes = []
-    for tables in (None, count_tables(rows, counts, dec._halves)):
-        forced = copy.copy(dec)
-        forced._count_tables, forced._lane_tree = tables, None
-        votes.append([forced._vote(0, d) for d in vectors])
-    return votes
+def _rule_mask(columns, halves, disagree):
+    votes = enumerate(zip(columns, halves))
+    return sum(1 << j for j, (col, half) in votes if (disagree & col).bit_count() > half)
 
 
-def _rule_flips(dec, disagree):
-    columns = zip(dec._columns, dec._halves)
-    return tuple(j for j, (col, half) in enumerate(columns) if (disagree & col).bit_count() > half)
+def _assert_table_and_loop_agree(rows, columns, halves, vectors):
+    """The count table and the popcount loop built from `rows`, `columns`
+    and `halves` give the rule's flip mask on every vector; returns the
+    masks."""
+    table, loop = count_table(rows, columns, halves), popcount_loop(columns, halves)
+    masks = [table(d) for d in vectors]
+    assert masks == [loop(d) for d in vectors] == [_rule_mask(columns, halves, d) for d in vectors]
+    return masks
 
 
-def _assert_kernels_agree(dec, rows, vectors):
-    loop, table = _kernel_votes(dec, rows, vectors)
-    assert loop == table
-    assert [flips for flips, _ in table] == [_rule_flips(dec, d) for d in vectors]
-    assert all(mask == sum(1 << j for j in flips) for flips, mask in table)
-    return [flips for flips, _ in table]
+def _assert_one_step_kernels_agree(dec, words):
+    """Per word, the count table and the popcount loop on the syndrome of
+    the one-step decoder `dec`'s columns, and the lane tree on the XOR of
+    its slot lane vectors, give the rule's flip mask, and `dec` decodes the
+    word by that mask: the flipped word if it is a codeword, at the model
+    count of evaluations.  Returns the decoder's flips."""
+    checks, columns, halves = dec.code.check_masks(), dec._columns, dec._halves
+    column_tables = field._xor_tables(columns)
+    syndromes = [field._xor_select(column_tables, word) for word in words]
+    masks = _assert_table_and_loop_agree(checks, columns, halves, syndromes)
+    lanes, R = slot_lanes(checks, dec.n)
+    tree, lane_tables = majority_tree(R, dec.n, halves), field._xor_tables(lanes)
+    assert [tree(field._xor_select(lane_tables, word)) for word in words] == masks
+    start = dec.check_evals
+    flips = []
+    for word, mask in zip(words, masks):
+        out = dec.decode(word)
+        status = DECODED if dec.code.is_codeword(word ^ mask) else DETECTED
+        assert (out.status, out.flips) == (status, field.bit_positions(mask))
+        assert out.word == (word ^ mask if status == DECODED else None)
+        flips.append(out.flips)
+    assert dec.check_evals - start == len(words) * sum(col.bit_count() for col in columns)
+    return flips
 
 
 @pytest.fixture(scope="module")
@@ -975,10 +991,10 @@ def benchmark_decoders(shipped_two_step):
     }
 
 
-def _kernel(dec):
-    if dec._lane_tree is not None:
-        return "lanes"
-    return "loop" if dec._count_tables is None else "table"
+def _kernel_name(dec):
+    """The kernel that votes for `dec`, named after its builder."""
+    builder = dec._kernel.__qualname__.split(".")[0]
+    return {"count_table": "table", "majority_tree": "lanes", "popcount_loop": "loop"}[builder]
 
 
 @pytest.mark.parametrize(
@@ -991,7 +1007,7 @@ def test_the_rule_puts_each_benchmark_decoder_on_its_kernel(benchmark_decoders, 
     # 357 blocks at n = 85 is below it
     dec, rows = benchmark_decoders[name]
     assert (len(rows), dec.n) == {"twostep-q4": (357, 85)}.get(name, (1143, 127))
-    assert _kernel(dec) == kernel
+    assert _kernel_name(dec) == kernel
 
 
 @pytest.mark.parametrize("name", ["onestep-subspace", "twostep-subspace", "twostep-q4"])
@@ -1007,20 +1023,25 @@ def test_both_kernels_flip_alike_on_the_benchmark_decoders(benchmark_decoders, n
     for _ in range(60):
         picked = rng.sample(dec._columns, rng.randrange(1, 6))
         vectors.append(reduce(xor, picked))
-    flips = _assert_kernels_agree(dec, rows, vectors)
-    assert any(flips) and not all(flips)
+    masks = _assert_table_and_loop_agree(rows, dec._columns, dec._halves, vectors)
+    assert any(masks) and not all(masks)
+    if _kernel_name(dec) != "lanes":
+        assert [dec._kernel(d) for d in vectors] == masks
 
 
 @pytest.mark.parametrize("lam", [1, 2])
 def test_both_kernels_flip_alike_on_every_fano_vector(fano_pair, lam):
     # every disagreement vector over the 7 checks, a count that fills no
-    # whole byte; under the lambda = 2 header the threshold rises from
-    # U_j > 1 to U_j > 2
+    # whole byte, and every word; under the lambda = 2 header the
+    # threshold rises from U_j > 1 to U_j > 2
     code, fano = fano_pair
     dec = OneStepDecoder(code, CombinatorialDesign(n=7, t=2, k=3, lam=lam, masks=fano.masks))
-    assert dec._count_tables is not None and set(dec._halves) == {lam}
-    flips = _assert_kernels_agree(dec, code.check_masks(), range(1 << 7))
-    assert max(map(len, flips)) == 7 and flips[0] == ()
+    assert _kernel_name(dec) == "table" and set(dec._halves) == {lam}
+    checks = code.check_masks()
+    masks = _assert_table_and_loop_agree(checks, dec._columns, dec._halves, range(1 << 7))
+    assert max(mask.bit_count() for mask in masks) == 7 and masks[0] == 0
+    flips = _assert_one_step_kernels_agree(dec, range(1 << 7))
+    assert flips[0] == () and any(flips)
 
 
 @pytest.mark.parametrize("lam", [1, 2, 5])
@@ -1033,48 +1054,25 @@ def test_both_kernels_flip_alike_with_uneven_columns(blocks, lam):
     # blocks of a Fano header that are not all of its lines: r_j runs from
     # 0 to 2, so half_j = (r_j + lam - 1) // 2 reaches r_j (a position
     # that can never flip) and, at lam = 5, exceeds it; the last case has
-    # a single check
+    # a single check.  Every vector over the checks and every word is voted
     design = CombinatorialDesign(n=7, t=2, k=3, lam=lam, masks=pack_blocks(blocks))
     dec = OneStepDecoder(build_code(design), design)
-    assert dec._count_tables is not None
+    assert _kernel_name(dec) == "table"
     never = {j for j, (col, half) in enumerate(zip(dec._columns, dec._halves)) if half >= col.bit_count()}
     assert 6 in never and (lam == 1 or 5 in never)
-    flips = _assert_kernels_agree(dec, design.masks, range(1 << len(blocks)))
+    vectors = range(1 << len(blocks))
+    masks = _assert_table_and_loop_agree(design.masks, dec._columns, dec._halves, vectors)
+    assert not any(mask >> j & 1 for mask in masks for j in never)
+    assert any(masks) == (len(never) < 7)
+    flips = _assert_one_step_kernels_agree(dec, range(1 << 7))
     assert never.isdisjoint(j for vote in flips for j in vote)
-    assert any(flips) == (len(never) < 7)
 
 
 # ---------------------------------------------------------------------------
 # The one-step lane kernel: above 6 checks per position the one-step
-# decoder votes in slot lanes.  Its flips must follow the rule on the
-# syndrome, and its outcomes and counts must be those of a copy forced
-# onto the popcount loop over the code's columns.
-
-
-def _loop_copy(dec):
-    """A copy of the one-step decoder `dec` that votes by the popcount loop
-    over the syndrome of the code's columns."""
-    forced = copy.copy(dec)
-    forced._lane_tree = None
-    forced._syndrome_tables = field._xor_tables(dec._columns)
-    return forced
-
-
-def _assert_lanes_match_the_loop(dec, words):
-    assert _kernel(dec) == "lanes"
-    loop = _loop_copy(dec)
-    start = (dec.check_evals, loop.check_evals)
-    flips = []
-    for word in words:
-        out = dec.decode(word)
-        assert out == loop.decode(word)
-        syndrome = field._xor_select(loop._syndrome_tables, word)
-        assert out.flips == _rule_flips(dec, syndrome)
-        flips.append(out.flips)
-    assert dec.check_evals - start[0] == loop.check_evals - start[1] == len(words) * sum(
-        col.bit_count() for col in dec._columns
-    )
-    return flips
+# decoder votes in slot lanes.  Its flips must be those of the count table
+# and the popcount loop on the syndrome, and its outcomes those of that
+# flip mask.
 
 
 @pytest.fixture(
@@ -1105,14 +1103,14 @@ def test_lane_kernel_matches_the_loop_at_every_weight(lane_decoder):
     # every word within the radius decodes to its codeword, and some word
     # beyond it does not
     dec, ell = lane_decoder
-    assert len(dec.code.check_masks()) > 6 * dec.n
+    assert len(dec.code.check_masks()) > 6 * dec.n and _kernel_name(dec) == "lanes"
     rng = random.Random(ell * 1000 + dec.n)
     sent = []
     for weight in range(2 * ell + 3):
         for _ in range(4):
             codeword = dec.code.random_codeword(rng)
             sent.append((weight, codeword, codeword ^ _error_mask(rng, dec.n, weight)))
-    flips = _assert_lanes_match_the_loop(dec, [word for _, _, word in sent])
+    flips = _assert_one_step_kernels_agree(dec, [word for _, _, word in sent])
     assert flips[0] == () and any(flips)
     decoded = [dec.decode(word).word == codeword for _, codeword, word in sent]
     assert all(ok for (weight, _, _), ok in zip(sent, decoded) if weight <= ell)
@@ -1128,10 +1126,11 @@ def test_lane_kernel_matches_the_loop_with_uneven_columns(lam):
     blocks = list(itertools.combinations(range(8), 3)) + [(0, 1, 8)]
     design = CombinatorialDesign(n=9, t=2, k=3, lam=lam, masks=pack_blocks(blocks))
     dec = OneStepDecoder(build_code(design), design)
+    assert _kernel_name(dec) == "lanes"
     assert [col.bit_count() for col in dec._columns] == [22, 22] + [21] * 6 + [1]
     never = {j for j, (col, half) in enumerate(zip(dec._columns, dec._halves)) if half >= col.bit_count()}
     assert never == ({8} if lam > 1 else set())
-    flips = _assert_lanes_match_the_loop(dec, range(1 << 9))
+    flips = _assert_one_step_kernels_agree(dec, range(1 << 9))
     assert never.isdisjoint(j for vote in flips for j in vote)
     assert any(8 in vote for vote in flips) is (lam == 1)
 
@@ -1154,8 +1153,33 @@ def test_lane_majority_per_position_threshold(case):
     width = len(halves)
     bits = {"random": rng.getrandbits(J * width), "zeros": 0, "ones": (1 << J * width) - 1}[fill]
     lanes = bits | rng.getrandbits(width) << J * width
-    tree = majority_tree(J, width, halves)
-    assert lane_majority(lanes, tree) == lane_majority_count(lanes, J, width, halves)
+    assert majority_tree(J, width, halves)(lanes) == lane_majority_count(lanes, J, width, halves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=20).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40),
+            st.lists(st.integers(0, 45), min_size=n, max_size=n),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_count_table_and_loop_per_position_threshold(case):
+    # random row sets over n <= 20 positions, empty rows among them, so
+    # r_j runs unevenly from 0 up to the 40 rows; the thresholds run from
+    # 0 past every r_j.  Each kernel against U_j > half_j counted row by
+    # row, on the empty, the full and random disagreement vectors
+    rows, halves, rng = case
+    n, b = len(halves), len(rows)
+    columns = _columns(iter(rows), n)
+    table, loop = count_table(rows, columns, halves), popcount_loop(columns, halves)
+    for disagree in [0, (1 << b) - 1] + [rng.getrandbits(b) for _ in range(20)]:
+        ones = [i for i in range(b) if disagree >> i & 1]
+        through = [sum(rows[i] >> j & 1 for i in ones) for j in range(n)]
+        expected = sum(1 << j for j in range(n) if through[j] > halves[j])
+        assert table(disagree) == expected == loop(disagree)
 
 
 def test_slot_lanes_hold_the_checks_through_each_position(fano_pair):
