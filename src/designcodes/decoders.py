@@ -27,27 +27,27 @@ adder tree that halves them level by level into one count per block
 (check, point) pair, and the per-block count are kept as test references.
 
 Both decoders end in one vote stage, the base class `_MajorityVote`, which
-owns the threshold rule and the cost model: each decoder computes its own
-disagreement vector (the one-step syndrome; the two-step step-1 estimates
-XOR the received block parities) and gives the stage its columns and its
-lambda (the design's lambda_2 one-step, 1 two-step).  The stage reads
-r_j, the popcount of column j, flips j when 2 U_j > r_j + lambda - 1 for
-the U_j disagreeing checks or blocks through j, counts the work and
-builds the outcome.  It counts the U_j by one kernel, a function from
-the disagreement vector to the flip mask, which `_vote_kernel` picks at
-build time from the b rows the columns transpose (the code's checks
+owns the threshold rule, the decision and the cost model: each decoder
+computes its own disagreement vector (the one-step syndrome; the two-step
+step-1 estimates XOR the received block parities) and gives the stage its
+columns and its lambda (the design's lambda_2 one-step, 1 two-step).  The
+stage reads r_j, the popcount of column j, flips j when 2 U_j > r_j +
+lambda - 1 for the U_j disagreeing checks or blocks through j, counts the
+work and builds the outcome.  It counts the U_j by one kernel, a function
+from the disagreement vector to the flip mask, which `_vote_kernel` picks
+at build time from the b rows the columns transpose (the code's checks
 one-step, the step-2 blocks two-step): a count table that adds the
 disagreeing rows into one bit field per position by `field._sum_select`,
 the adding sibling of `_xor_select`; one-step, slot lanes counted by the
 same adder tree as the two-step step-1 majority; or a popcount loop.
-All three give the same flips.  Each decoder keeps its own codeword
-test: the one-step decoder reads the updated syndrome or lanes, the
-two-step decoder `BinaryCode.is_codeword`, which costs less than a
-syndrome over its code's many checks.  `check_evals` stays the paper's
-cost model, the parity evaluations of the scalar decoder (the sum of the
-r_j, n r per word one-step, plus b_2 J step-1 evaluations two-step),
-added per call: a model count, not a count of machine operations, the
-same whichever kernel votes.
+All three give the same flips.  The stage's one tail,
+`_MajorityVote._decide`, flips the kernel's mask into the received word,
+which is decoded iff the one codeword test, `BinaryCode.is_codeword`,
+accepts it, and the outcome keeps the mask.  `check_evals` stays the
+paper's cost model, the parity evaluations of the scalar decoder (the sum
+of the r_j, n r per word one-step, plus b_2 J step-1 evaluations
+two-step), added per call: a model count, not a count of machine
+operations, the same whichever kernel votes.
 
 Capability formulas:
 
@@ -89,15 +89,20 @@ DETECTED = "detected-uncorrectable"
 
 
 class DecodeOutcome(Record):
-    _fields = ("status", "word", "flips", "n")
+    _fields = ("status", "word", "flip_mask", "n")
 
-    def __init__(self, status: str, word: int | None, flips: tuple[int, ...], n: int) -> None:
+    def __init__(self, status: str, word: int | None, flip_mask: int, n: int) -> None:
         # one outcome per decoded word: written item by item, like Subspace
         d = self.__dict__
         d["status"] = status
         d["word"] = word
-        d["flips"] = flips
+        d["flip_mask"] = flip_mask
         d["n"] = n
+
+    @property
+    def flips(self) -> tuple[int, ...]:
+        """The flipped positions, ascending: the set bits of `flip_mask`."""
+        return bit_positions(self.flip_mask)
 
     def word_str(self) -> str:
         if self.word is None:
@@ -305,14 +310,14 @@ class _MajorityVote:
     once: Rudolph's rule with the decoder's lam, and with lam = 1 a plain
     majority.  Each vote adds the model count of parity evaluations per
     word to `check_evals`: the decoder's `step1_evals` plus one evaluation
-    per point of every check or block, the sum of the r_j.  The flipped
-    word is decoded only if it is a codeword; each decoder tests that its
-    own way.
+    per point of every check or block, the sum of the r_j.
 
     The stage counts U_j by one kernel, `_kernel`, a function from the
     decoder's disagreement vector to the flip mask, which each decoder
     takes from `_vote_kernel` over the rows its columns transpose and the
-    stage's thresholds.
+    stage's thresholds.  Each decoder's `decode` ends in `_decide`, the one
+    tail: the flipped word is decoded only if `BinaryCode.is_codeword`
+    accepts it.
     """
 
     def __init__(self, code: BinaryCode, columns, lam: int, step1_evals: int = 0):
@@ -326,17 +331,16 @@ class _MajorityVote:
         self._evals_per_word = step1_evals + sum(counts)
         self.check_evals = 0
 
-    def _vote(self, received: int, disagree: int) -> tuple[tuple[int, ...], int]:
-        """The positions that lose their vote, and the received word with
-        those positions flipped."""
+    def _decide(self, received: int, disagree: int) -> DecodeOutcome:
+        """The outcome of flipping, in the received word, every position
+        that loses its vote on `disagree`: decoded iff the flipped word is
+        a codeword."""
         self.check_evals += self._evals_per_word
         mask = self._kernel(disagree)
-        return bit_positions(mask), received ^ mask
-
-    def _outcome(self, out: int, flips: tuple[int, ...], codeword: bool) -> DecodeOutcome:
-        if codeword:
-            return DecodeOutcome(status=DECODED, word=out, flips=flips, n=self.n)
-        return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=self.n)
+        out = received ^ mask
+        if self.code.is_codeword(out):
+            return DecodeOutcome(status=DECODED, word=out, flip_mask=mask, n=self.n)
+        return DecodeOutcome(status=DETECTED, word=None, flip_mask=mask, n=self.n)
 
 
 def slot_lanes(checks, n: int) -> tuple[tuple[int, ...], int]:
@@ -384,12 +388,12 @@ class OneStepDecoder(_MajorityVote):
     Where that kernel votes in slot lanes, the decoder XORs each received
     1-bit's slot lane vector (`slot_lanes`) in place of its column, so
     lane t holds at bit j the parity of the t-th check through j.  The
-    flipped word's syndrome (or lanes) is the received one XOR the flipped
-    positions' vectors, so the word is a codeword iff it is zero: every
-    check sits in at least one slot.  `check_evals` is the model count of
-    the scalar decoder, the sum of the r_j (n r for a design) parity
-    evaluations per word, one per point of every block, added per call; it
-    is not a count of machine operations.
+    vote stage's tail (`_MajorityVote._decide`) flips the losing positions
+    and tests the flipped word with `BinaryCode.is_codeword`, as the
+    two-step decoder does.  `check_evals` is the model count of the scalar
+    decoder, the sum of the r_j (n r for a design) parity evaluations per
+    word, one per point of every block, added per call; it is not a count
+    of machine operations.
     """
 
     def __init__(self, code: BinaryCode, design: CombinatorialDesign):
@@ -410,13 +414,7 @@ class OneStepDecoder(_MajorityVote):
 
     def decode(self, word) -> DecodeOutcome:
         received = as_mask(word, self.n)
-        syndrome = _xor_select(self._syndrome_tables, received)
-        flips, out = self._vote(received, syndrome)
-        vectors = self._syndrome_tables[0]
-        for j in flips:
-            syndrome ^= vectors[j]
-        # every check is in the syndrome: zero means a codeword
-        return self._outcome(out, flips, not syndrome)
+        return self._decide(received, _xor_select(self._syndrome_tables, received))
 
 
 def check_step2_design(step2: SubspaceDesign | CombinatorialDesign) -> None:
@@ -436,12 +434,12 @@ def check_step2_design(step2: SubspaceDesign | CombinatorialDesign) -> None:
         )
 
 
-def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
+def majority_tree(J: int, width: int, halves: Sequence[int]):
     """The lane-tree kernel over J lanes of `width` bits: a function from
     the lanes to the mask of the offsets b with more than halves[b] of
-    their J lane bits set, by default more than halves[b] = J // 2, a
-    plain majority, ties giving 0.  Bits above the J lanes are ignored.
-    The tree is built once per decoder.
+    their J lane bits set; with every halves[b] = J // 2, a plain
+    majority, ties giving 0.  Bits above the J lanes are ignored.  The
+    tree is built once per decoder.
 
     Each level splits the w lanes left into a low half of ceil(w / 2) lanes
     and a high half of floor(w / 2), shifted down onto it; a level is its
@@ -473,8 +471,6 @@ def majority_tree(J: int, width: int, halves: Sequence[int] | None = None):
         levels.append((low * width, (1 << (low * width)) - 1, carry))
         sizes = grown
     planes = J.bit_length()
-    if halves is None:
-        halves = (J // 2,) * width
     ones = [0] * planes
     for half in set(halves):
         complement = max(0, (1 << planes) - (half + 1))
@@ -580,7 +576,7 @@ class TwoStepDecoder(_MajorityVote):
         columns = tuple(member >> classes for member in self._members)
         super().__init__(code, columns, 1, classes)
         self._kernel = _vote_kernel(blocks, columns, self._halves, syndrome=False)[0]
-        self._step1 = majority_tree(J, len(blocks))
+        self._step1 = majority_tree(J, len(blocks), (J // 2,) * len(blocks))
 
     def _member_rows(self, code: BinaryCode, blocks):
         """Per block: its J superspaces minus the block, sorted, then the
@@ -604,9 +600,7 @@ class TwoStepDecoder(_MajorityVote):
         received = as_mask(word, self.n)
         lanes = _xor_select(self._member_tables, received)
         block_parities = lanes >> self._parity_shift
-        disagree = self._step1(lanes) ^ block_parities
-        flips, out = self._vote(received, disagree)
-        return self._outcome(out, flips, self.code.is_codeword(out))
+        return self._decide(received, self._step1(lanes) ^ block_parities)
 
 
 # ---------------------------------------------------------------------------

@@ -603,9 +603,10 @@ def lane_majority_count(lanes, J, width, halves=None):
 
 
 def _outcome(decoder, out, flips):
+    flip_mask = sum(1 << j for j in flips)
     if all((out & row).bit_count() % 2 == 0 for row in decoder.code.check_masks()):
-        return DecodeOutcome(status=DECODED, word=out, flips=flips, n=decoder.n)
-    return DecodeOutcome(status=DETECTED, word=None, flips=flips, n=decoder.n)
+        return DecodeOutcome(status=DECODED, word=out, flip_mask=flip_mask, n=decoder.n)
+    return DecodeOutcome(status=DETECTED, word=None, flip_mask=flip_mask, n=decoder.n)
 
 
 def loads_subspace_design_tokens(text):

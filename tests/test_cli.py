@@ -3,6 +3,7 @@ import io
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -411,6 +412,62 @@ def test_decode_two_step(capsys):
     )
     pairs = kv(out)
     assert pairs["status"] == "decoded" and pairs["word"] == "0" * 31
+
+
+_SHIPPED_DESIGN = str(
+    Path(__file__).resolve().parents[1] / "perfbench" / "designs" / "2-7-3-3_2.qdesign"
+)
+
+
+def _positions(*ranges):
+    return ",".join(str(j) for r in ranges for j in r)
+
+
+@pytest.mark.parametrize(
+    "argv, word, lines",
+    [
+        # slot lanes, past the capability 10: the flips hold the 12 errors
+        # and four more positions, and the flipped word is no codeword
+        (
+            ["one-step", "--designfile", _SHIPPED_DESIGN],
+            "1" * 12 + "0" * 115,
+            [
+                "status=detected-uncorrectable",
+                "flips=" + _positions(range(12), (31, 43, 88, 122)),
+            ],
+        ),
+        (
+            ["one-step", "--designfile", _SHIPPED_DESIGN],
+            "1" * 10 + "0" * 117,
+            ["status=decoded", "flips=" + _positions(range(10)), "word=" + "0" * 127],
+        ),
+        # the count table, past the capability 7: a miscorrection
+        (
+            ["one-step", "--v", "5", "--k", "2"],
+            "1" * 8 + "0" * 23,
+            [
+                "status=decoded",
+                "flips=" + _positions(range(8), range(15, 31)),
+                "word=" + "0" * 15 + "1" * 16,
+            ],
+        ),
+        # two-step through the lines of PG(3,4), past the capability 2
+        (
+            ["two-step", "--v", "4", "--k", "3", "--q", "4"],
+            "1" * 3 + "0" * 82,
+            [
+                "status=decoded",
+                "flips=" + _positions(range(3), range(5, 85)),
+                "word=" + "0" * 5 + "1" * 80,
+            ],
+        ),
+    ],
+    ids=["lanes-detected", "lanes-decoded", "count-table", "two-step-q4"],
+)
+def test_decode_prints_every_flipped_position(capsys, argv, word, lines):
+    code, out, err = run(capsys, "decode", *argv, "--word", word)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == lines
 
 
 @pytest.mark.parametrize(

@@ -136,11 +136,11 @@ CASES = [
     ),
     (
         DecodeOutcome,
-        "status word flips n",
-        ("decoded", 5, (1,), 3),
-        ("detected-uncorrectable", None, (1,), 3),
+        "status word flip_mask n",
+        ("decoded", 5, 2, 3),
+        ("detected-uncorrectable", None, 2, 3),
         {},
-        "DecodeOutcome(status='decoded', word=5, flips=(1,), n=3)",
+        "DecodeOutcome(status='decoded', word=5, flip_mask=2, n=3)",
     ),
     (
         CapabilityReport,
