@@ -23,8 +23,10 @@ each decoder builds from its vectors at construction
 (`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
 step-2 block; its step-1 majority adds the J class lanes by a bit-sliced
 adder tree that halves them level by level into one count per block
-(`majority_tree`).  The scalar loops they replaced, one parity per
-(check, point) pair, and the per-block count are kept as test references.
+(`majority_tree`), a straight-line function generated and compiled once
+per tree at build, with its threshold comparison folded.  The scalar
+loops they replaced, one parity per (check, point) pair, the per-block
+count and the tree's loop form are kept as test references.
 
 Both decoders end in one vote stage, the base class `_MajorityVote`, which
 owns the threshold rule, the decision and the cost model: each decoder
@@ -75,6 +77,8 @@ from .codes import BinaryCode
 from .designs import CombinatorialDesign, SubspaceDesign, derive_params_q
 from .field import (
     _columns,
+    _lane_bytes,
+    _lane_ints,
     _sum_select,
     _xor_select,
     _xor_tables,
@@ -251,7 +255,10 @@ def count_table(rows, columns, halves):
     field starts at the bias 2^(F-1) - 1 - half_j, which that F keeps
     nonnegative, and counts up to U_j <= r_j without overflow, so its top
     bit is set exactly when U_j > half_j.  Each row, bit j spread to bit
-    F j, goes into `field._xor_tables(combine=operator.add)`.  A vote is
+    F j, goes into `field._xor_tables(combine=operator.add)`.  The rows
+    are spread at C level, all at once: each byte of a row becomes the F
+    bytes of its 8 bits spread, byte m of them translated through byte m
+    of the spread of each of the 256 byte values.  A vote is
     one `field._sum_select` of the disagreeing rows onto the bias, through
     the sums of every subset of 4 rows, one AND with the fields' top bits,
     and bit j of the mask for each top bit F j + F - 1 left, read from
@@ -262,16 +269,16 @@ def count_table(rows, columns, halves):
     for half in reversed(halves):
         bias = (bias << F) | ((1 << (F - 1)) - 1 - half)
         top = (top << F) | (1 << (F - 1))
-    units = [1 << (F * j) for j in range(len(halves))]
-    spread = []
-    for row in rows:
-        wide = 0
-        while row:
-            low = row & -row
-            wide += units[low.bit_length() - 1]
-            row ^= low
-        spread.append(wide)
-    sums = _xor_tables(spread, add)
+    wide = [0]  # each byte value spread
+    for byte in range(1, 256):
+        wide.append((wide[byte >> 1] << F) | (byte & 1))
+    table = b"".join([w.to_bytes(F, "little") for w in wide])
+    size = (len(halves) + 7) // 8
+    packed = _lane_bytes(rows, size)
+    spread = bytearray(F * len(packed))
+    for m in range(F):
+        spread[m::F] = packed.translate(table[m::F])
+    sums = _xor_tables(_lane_ints(spread, F * size), add)
     flips = [0] + [1 << j for j in range(len(halves))]  # at index j + 1
 
     def flip_mask(disagree: int) -> int:
@@ -439,38 +446,56 @@ def majority_tree(J: int, width: int, halves: Sequence[int]):
     the lanes to the mask of the offsets b with more than halves[b] of
     their J lane bits set; with every halves[b] = J // 2, a plain
     majority, ties giving 0.  Bits above the J lanes are ignored.  The
-    tree is built once per decoder.
+    function is generated and compiled once per tree, at decoder build.
 
-    Each level splits the w lanes left into a low half of ceil(w / 2) lanes
-    and a high half of floor(w / 2), shifted down onto it; a level is its
-    shift, the mask of its low half, and whether the carry out of the top
-    plane can be set.  Lane 0 holds the largest count after every level,
-    the size of the group of lanes added into it, so a carry is kept only
-    when that count needs one more plane; after the last level it is J.
-    The tree also holds the mask of the J lanes and, for each of the P =
-    J.bit_length() planes of the final count, the mask of the offsets b
-    whose constant 2^P - (halves[b] + 1) has that bit set.  An offset with
-    halves[b] >= 2^P, whose count can never exceed it, takes the constant
-    0.
+    It adds the lanes bit-sliced: plane i holds bit i of every lane's
+    count.  Each level splits the w lanes left into a low half of
+    ceil(w / 2) lanes and a high half of floor(w / 2), shifts the high half
+    down onto the low half and adds it plane by plane, a half adder on
+    plane 0 and full adders above it.  Lane 0 holds the largest count after
+    every level, the size of the group of lanes added into it, so the carry
+    out of the top plane becomes a new plane only when that count needs
+    one, and is not computed otherwise; after the last level the count is
+    J, in P = J.bit_length() planes.  The count of the one lane left is
+    compared with halves[b] + 1 at each offset as the carry out of adding
+    the constant 2^P - (halves[b] + 1), or 0 where halves[b] >= 2^P, whose
+    count can never exceed it: the carry out of each plane is the majority
+    of the plane, the carry in and the constant's bit there, the plane OR
+    the carry in where the bit is set, AND it where it is clear.
 
-    A call adds the lanes by that tree, bit-sliced: plane i holds bit i of
-    every lane's count.  Each level adds the high half to the low half
-    plane by plane, a half adder on plane 0 and full adders above it.  The
-    count of the one lane left is compared with halves[b] + 1 at each
-    offset as the carry out of adding the constant 2^P - (halves[b] + 1):
-    the carry out of each plane is the majority of the plane, the carry in
-    and the constant's bit there, which is the plane OR the carry in where
-    the bit is set, AND it where it is clear.
+    The function is straight-line source, one statement per plane
+    operation, its shifts int literals.  Its comparison is folded at build
+    by each plane's constant plane, the mask of the offsets whose constant
+    has that bit set: a plane whose constant plane is 0 ANDs into the
+    carry, one whose constant plane holds every offset ORs into it, and
+    only a mixed one keeps the majority's four operations; the first
+    plane, with no carry in, starts the carry at 0, at the plane, or at the
+    plane AND its constant plane.  Each mask (the J lanes', each level's
+    low half, each mixed constant plane) is a default argument bound to a
+    name, never a literal, whose decimal text `int`'s digit limit would
+    refuse.
     """
-    levels = []
-    sizes = [1] * J
+    masks = {"M": (1 << (J * width)) - 1}
+    lines = ["p0 = lanes & M"]
+    sizes, planes = [1] * J, 1
     while len(sizes) > 1:
         low = (len(sizes) + 1) // 2
         grown = [a + b for a, b in zip(sizes[:low], sizes[low:] + [0])]
-        carry = grown[0].bit_length() > sizes[0].bit_length()
-        levels.append((low * width, (1 << (low * width)) - 1, carry))
+        keep = grown[0].bit_length() > sizes[0].bit_length()
+        name = f"L{len(masks) - 1}"  # M, then one low half per level
+        masks[name] = (1 << (low * width)) - 1
+        for i in range(planes):
+            top = i == planes - 1
+            out = f"p{planes}" if top else "c"  # where the carry out goes
+            lines += [f"h = p{i} >> {low * width}", f"p{i} &= {name}"]
+            if i == 0:  # the first level keeps its carry: plane 0 always carries
+                lines += [f"{out} = p0 & h", "p0 ^= h"]
+            elif top and not keep:
+                lines.append(f"p{i} ^= h ^ c")
+            else:
+                lines += [f"x = p{i} ^ h", f"h &= p{i}", f"p{i} = x ^ c", f"{out} = h | (x & c)"]
+        planes += keep
         sizes = grown
-    planes = J.bit_length()
     ones = [0] * planes
     for half in set(halves):
         complement = max(0, (1 << planes) - (half + 1))
@@ -478,30 +503,22 @@ def majority_tree(J: int, width: int, halves: Sequence[int]):
         for i in range(planes):
             if complement >> i & 1:
                 ones[i] |= offsets
-    mask, levels, ones = (1 << (J * width)) - 1, tuple(levels), tuple(ones)
-
-    def majority(lanes: int) -> int:
-        planes = [lanes & mask]
-        for shift, low, keep in levels:
-            plane = planes[0]
-            high = plane >> shift
-            plane &= low
-            carry = plane & high
-            added = [plane ^ high]
-            for plane in planes[1:]:
-                high = plane >> shift
-                plane &= low
-                half = plane ^ high
-                added.append(half ^ carry)
-                carry = (plane & high) | (half & carry)
-            if keep:
-                added.append(carry)
-            planes = added
-        carry = 0
-        for plane, one in zip(planes, ones):
-            carry = (plane & carry) | ((plane | carry) & one)
-        return carry
-
+    every = (1 << width) - 1
+    for i, one in enumerate(ones):
+        if one not in (0, every):
+            masks[f"O{i}"] = one
+            lines.append("c = p0 & O0" if i == 0 else f"c = (p{i} & c) | ((p{i} | c) & O{i})")
+        elif i == 0:
+            lines.append("c = p0" if one else "c = 0")
+        else:
+            lines.append(f"c {'|' if one else '&'}= p{i}")
+    lines.append("return c")
+    head = ", ".join(f"{name}={name}" for name in masks)
+    source = f"def majority(lanes, {head}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = dict(masks, __name__=__name__)
+    exec(compile(source, f"<majority_tree J={J}>", "exec"), namespace)
+    majority = namespace["majority"]
+    majority.__qualname__ = "majority_tree.<locals>.majority"
     return majority
 
 

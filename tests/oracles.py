@@ -54,7 +54,11 @@ that hold it, the decoder's rule since it stopped taking n and J from the
 projective geometry (self-contained, apart from the code's check rows and
 the design's `masks`).  `lane_majority_count` is the two-step step-1
 majority read one block at a time off the packed lanes, the reference for
-the decoder's bit-sliced adder tree (self-contained).  `lambda_min_scan`
+the decoder's bit-sliced adder tree (self-contained); `majority_tree_loop`
+is that tree as a loop over its levels and planes, from before the tree
+was generated as straight-line source, on the package's `pack_mask`; and
+`spread_rows_loop` is the count table's bit spread from before it spread
+whole bytes (self-contained).  `lambda_min_scan`
 is the search over lambda = 1, 2, ... that `tables.lambda_min` ran before
 it took the lcm of the denominators of the derived parameters at
 lambda = 1, which builds on the package's Gaussian coefficients.
@@ -80,6 +84,7 @@ from designcodes.field import (
     _ints,
     _parse_header,
     _strip_lines,
+    pack_mask,
     rref_gf2,
 )
 from designcodes.pspace import (
@@ -600,6 +605,69 @@ def lane_majority_count(lanes, J, width, halves=None):
         if ones > (J // 2 if halves is None else halves[b]):
             out |= 1 << b
     return out
+
+
+def majority_tree_loop(J, width, halves):
+    """The lane tree as `decoders.majority_tree` ran it before the tree was
+    generated as straight-line source: a closure that walks the tree's
+    levels and planes in a loop on every call, and compares the final
+    count with halves[b] + 1 by the carry out of adding the constant
+    2^P - (halves[b] + 1), four operations per plane whatever its bits."""
+    levels = []
+    sizes = [1] * J
+    while len(sizes) > 1:
+        low = (len(sizes) + 1) // 2
+        grown = [a + b for a, b in zip(sizes[:low], sizes[low:] + [0])]
+        carry = grown[0].bit_length() > sizes[0].bit_length()
+        levels.append((low * width, (1 << (low * width)) - 1, carry))
+        sizes = grown
+    planes = J.bit_length()
+    ones = [0] * planes
+    for half in set(halves):
+        complement = max(0, (1 << planes) - (half + 1))
+        offsets = pack_mask([int(h == half) for h in halves])
+        for i in range(planes):
+            if complement >> i & 1:
+                ones[i] |= offsets
+    mask = (1 << (J * width)) - 1
+
+    def majority(lanes):
+        planes = [lanes & mask]
+        for shift, low, keep in levels:
+            plane = planes[0]
+            high = plane >> shift
+            plane &= low
+            carry = plane & high
+            added = [plane ^ high]
+            for plane in planes[1:]:
+                high = plane >> shift
+                plane &= low
+                half = plane ^ high
+                added.append(half ^ carry)
+                carry = (plane & high) | (half & carry)
+            if keep:
+                added.append(carry)
+            planes = added
+        carry = 0
+        for plane, one in zip(planes, ones):
+            carry = (plane & carry) | ((plane | carry) & one)
+        return carry
+
+    return majority
+
+
+def spread_rows_loop(rows, F):
+    """Each row with bit j moved to bit F j, one set bit at a time: the
+    spread that `decoders.count_table` ran before it spread whole bytes."""
+    spread = []
+    for row in rows:
+        wide = 0
+        while row:
+            low = row & -row
+            wide += 1 << (F * (low.bit_length() - 1))
+            row ^= low
+        spread.append(wide)
+    return spread
 
 
 def _outcome(decoder, out, flips):

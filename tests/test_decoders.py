@@ -1,7 +1,8 @@
+import inspect
 import itertools
 import random
 from functools import reduce
-from operator import xor
+from operator import add, xor
 from pathlib import Path
 
 import pytest
@@ -39,9 +40,11 @@ from designcodes.field import FieldCtx, _columns
 
 from .oracles import (
     lane_majority_count,
+    majority_tree_loop,
     one_step_scan,
     one_step_tables,
     pack_blocks,
+    spread_rows_loop,
     two_step_mask_scan,
     two_step_scan,
     two_step_tables,
@@ -998,6 +1001,13 @@ def _kernel_name(dec):
     return {"count_table": "table", "majority_tree": "lanes", "popcount_loop": "loop"}[builder]
 
 
+def _count_table_sums(table):
+    """The field width F and the subset sums of the spread rows that the
+    count table `table` votes with."""
+    held = inspect.getclosurevars(table).nonlocals
+    return held["F"], held["sums"]
+
+
 @pytest.mark.parametrize(
     "name,kernel",
     [("onestep-subspace", "lanes"), ("twostep-subspace", "loop"), ("twostep-q4", "table")],
@@ -1028,6 +1038,9 @@ def test_both_kernels_flip_alike_on_the_benchmark_decoders(benchmark_decoders, n
     assert any(masks) and not all(masks)
     if _kernel_name(dec) != "lanes":
         assert [dec._kernel(d) for d in vectors] == masks
+    if _kernel_name(dec) == "table":
+        F, sums = _count_table_sums(dec._kernel)
+        assert sums == field._xor_tables(spread_rows_loop(rows, F), add)
 
 
 @pytest.mark.parametrize("lam", [1, 2])
@@ -1157,6 +1170,67 @@ def test_lane_majority_per_position_threshold(case):
     assert majority_tree(J, width, halves)(lanes) == lane_majority_count(lanes, J, width, halves)
 
 
+def _trees_agree(J, width, halves, lanes):
+    """The generated lane tree, its loop form and the per-offset count give
+    the same mask on every lane vector of `lanes`, and no mask is a
+    literal of the generated code; returns the generated tree."""
+    tree, loop = majority_tree(J, width, halves), majority_tree_loop(J, width, halves)
+    for x in lanes:
+        assert tree(x) == loop(x) == lane_majority_count(x, J, width, halves)
+    consts = tree.__code__.co_consts
+    assert all(c.bit_length() <= 64 for c in consts if isinstance(c, int))
+    return tree
+
+
+def test_every_benchmark_lane_tree_matches_its_loop(benchmark_decoders):
+    # the one-step slot-lane tree (R = 63 lanes of 127 bits) and the two
+    # two-step step-1 trees (J = 15 of 1143 bits, J = 5 of 357), on random
+    # lanes, which put each count near its threshold, and on the lanes of
+    # received words past each capability
+    rng = random.Random(38)
+    one, _ = benchmark_decoders["onestep-subspace"]
+    slots, R = slot_lanes(one.code.check_masks(), one.n)
+    words = [one.code.random_codeword(rng) ^ _error_mask(rng, one.n, 12) for _ in range(20)]
+    lanes = [field._xor_select(field._xor_tables(slots), word) for word in words]
+    lanes += [rng.getrandbits(R * one.n) for _ in range(20)]
+    assert R == 63
+    _trees_agree(R, one.n, one._halves, lanes)
+    for name, J in [("twostep-subspace", 15), ("twostep-q4", 5)]:
+        dec, blocks = benchmark_decoders[name]
+        width = len(blocks)
+        words = [dec.code.random_codeword(rng) ^ _error_mask(rng, dec.n, 8) for _ in range(20)]
+        lanes = [field._xor_select(dec._member_tables, word) for word in words]
+        lanes += [rng.getrandbits((J + 1) * width) for _ in range(20)]
+        assert dec.J == J
+        tree = _trees_agree(J, width, (J // 2,) * width, lanes)
+        assert [tree(x) for x in lanes] == [dec._step1(x) for x in lanes]
+
+
+@pytest.mark.parametrize("J", [1, 2, 5, 15, 63])
+@pytest.mark.parametrize("thresholds", ["zero", "never", "mixed", "above"])
+def test_lane_tree_folds_each_constant_plane(J, thresholds):
+    # every halves[b] = 0 sets every bit of every constant plane: all ones;
+    # 2^P - 1 and above clear them all: all 0; per-offset thresholds from
+    # 0 to J give mixed planes, the only ones bound as masks; at and past
+    # 2^P an offset never flips.  J = 1 has no level.
+    width, P = 70, J.bit_length()
+    rng = random.Random(J)
+    halves = {
+        "zero": [0] * width,
+        "never": [(1 << P) - 1] * width,
+        "mixed": [b % (J + 1) for b in range(width)],
+        "above": [(1 << P) + b % 3 for b in range(width)],
+    }[thresholds]
+    full = (1 << width) - 1
+    lanes = [0, (1 << (J + 1) * width) - 1] + [rng.getrandbits((J + 1) * width) for _ in range(30)]
+    lanes += [sum(full << c * width for c in range(ones)) for ones in range(J + 1)]
+    tree = _trees_agree(J, width, halves, lanes)
+    names = tree.__code__.co_varnames
+    assert any(name.startswith("O") for name in names) is (thresholds == "mixed")
+    assert sum(name.startswith("L") for name in names) == (J - 1).bit_length()
+    assert tree.__qualname__.split(".")[0] == "majority_tree"
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=20).flatmap(
@@ -1176,6 +1250,8 @@ def test_count_table_and_loop_per_position_threshold(case):
     n, b = len(halves), len(rows)
     columns = _columns(iter(rows), n)
     table, loop = count_table(rows, columns, halves), popcount_loop(columns, halves)
+    F, sums = _count_table_sums(table)
+    assert sums == field._xor_tables(spread_rows_loop(rows, F), add)
     for disagree in [0, (1 << b) - 1] + [rng.getrandbits(b) for _ in range(20)]:
         ones = [i for i in range(b) if disagree >> i & 1]
         through = [sum(rows[i] >> j & 1 for i in ones) for j in range(n)]
