@@ -10,8 +10,10 @@ Fisher): the systematic nullspace basis comes out of that one
 `field.rref_gf2` call, the rank and the codeword test are read off the
 basis, and the decoders read their tables off the same columns.  Random
 codewords and the codeword test XOR basis vectors at a word's set bits by
-`field._xor_select`, the package's one such kernel.  For geometric (full
-subspace lattice) designs the rank is also available in closed form: the
+`field._xor_select`, the package's one such kernel, one 256-entry table
+lookup per byte of the word while the code is at most 1024 positions
+long and its tables fit `field._xor_tables`' size cap.  For geometric
+(full subspace lattice) designs the rank is also available in closed form: the
 general Hamada formula for q = p^m, and the binomial-sum shortcut when
 p = q = 2.
 """

@@ -20,10 +20,12 @@ one-step decoder votes in slot lanes (below), each position's slot lanes
 into R lanes of one bit per position.  That XOR is `field._xor_select`,
 the package's one "XOR the vectors at a word's set bits", over tables
 each decoder builds from its vectors at construction
-(`field._xor_tables`).  The two-step XOR gives J + 1 lanes of one bit per
-step-2 block; its step-1 majority adds the J class lanes by a bit-sliced
-adder tree that halves them level by level into one count per block
-(`majority_tree`), a straight-line function generated and compiled once
+(`field._xor_tables`, whose width rule keeps the slot lanes and the
+two-step member vectors, thousands of bits wide, on pairs of 16-entry
+tables per selector byte).  The two-step XOR gives J + 1 lanes of one
+bit per step-2 block; its step-1 majority adds the J class lanes by a
+bit-sliced adder tree that halves them level by level into one count per
+block (`majority_tree`), a straight-line function generated and compiled once
 per tree at build, with its threshold comparison folded.  The scalar
 loops they replaced, one parity per (check, point) pair, the per-block
 count and the tree's loop form are kept as test references.
@@ -206,12 +208,15 @@ def two_step_capability(v: int, k: int, q: int, lam: int) -> CapabilityReport:
 
 
 # The count table votes while there are at most this many checks (or
-# step-2 blocks) per position, b <= 6 n: at b = 4.2 n (`twostep-q4`) it
-# votes in about 70% of the popcount loop's time, at b = 9 n
-# (`onestep-subspace`, `twostep-subspace`) in 130-155% (in-process
-# timings on both sides in BENCH_count_vote.json).  Above it the one-step
-# decoder votes in slot lanes, at b = 9 n (`onestep-subspace`) in about
-# 63% of the loop's time (BENCH_lane_vote.json).
+# step-2 blocks) per position, b <= 6 n.  On byte-wide subset sums
+# (`field._xor_tables`) it votes at b = 4.2 n (`twostep-q4` step 2) in
+# about 49% of the popcount loop's time, and one-step at b = 2.3 n, 4.2 n
+# and 5 n (the lines of PG(3,2), PG(3,4) and PG(4,2)) in about 86%, 69%
+# and 106%.  At b = 9 n (`twostep-subspace` step 2) its sums pass the
+# tables' size cap and it stays on nibble pairs, at about 140%; byte-wide
+# it would take about 92% (in-process, BENCH_byte_tables.json).  Above it
+# the one-step decoder votes in slot lanes, at b = 9 n (`onestep-subspace`)
+# in about 63% of the loop's time (BENCH_lane_vote.json).
 _COUNT_TABLE_CHECKS_PER_POSITION = 6
 
 
@@ -260,9 +265,11 @@ def count_table(rows, columns, halves):
     bytes of its 8 bits spread, byte m of them translated through byte m
     of the spread of each of the 256 byte values.  A vote is
     one `field._sum_select` of the disagreeing rows onto the bias, through
-    the sums of every subset of 4 rows, one AND with the fields' top bits,
-    and bit j of the mask for each top bit F j + F - 1 left, read from
-    the highest down.
+    the sums of every subset of 8 rows, one lookup per byte of the vector
+    (of 4 rows, two lookups, where `field._xor_tables`' rule finds the
+    spread rows too wide or their tables too large), one AND with the
+    fields' top bits, and bit j of the mask for each top bit F j + F - 1
+    left, read from the highest down.
     """
     F = max(max(map(int.bit_count, columns)), max(halves)).bit_length() + 1
     bias = top = 0

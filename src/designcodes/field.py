@@ -47,7 +47,9 @@ popcount of the AND of their columns.
 `_xor_select` is the package's one "XOR the vectors at a word's set bits",
 by byte lookups in tables of subset XORs (`_xor_tables`): the decoders'
 syndromes and lanes over their columns, and a code's random codewords and
-codeword test over its nullspace basis.  `_sum_select` is its adding
+codeword test over its nullspace basis.  One rule sets the tables' layout:
+one 256-entry table per selector byte for narrow vectors, a pair of
+16-entry tables per byte for wide ones.  `_sum_select` is its adding
 sibling, over the same tables built by addition: the decoders'
 count-table vote.
 
@@ -594,31 +596,52 @@ def _columns(
     )
 
 
+# Byte-wide subset tables, 256 entries per 8 vectors, while every vector is
+# at most this many bits wide and the tables take at most this many bytes
+# (each entry an int, 24 bytes of header and 4 per 30-bit digit, plus its
+# 8-byte tuple slot); otherwise two 16-entry tables per 8 vectors.  Tables
+# at the cap (760 vectors of 1024 bits) take about 3 ms to build.  By the
+# same estimate, byte-wide tables of the one-step slot lanes (8001 bits)
+# and the two-step member vectors (2142 and 18288 bits) of the benchmark
+# decoders would take 4.5, 0.9 and 10.1 MB.
+_BYTE_TABLE_BITS = 1024
+_BYTE_TABLE_BYTES = 4 << 20
+
+
 def _xor_tables(
     vectors: Iterable[int], combine: Callable[[int, int], int] = xor
-) -> tuple[tuple[int, ...], tuple]:
+) -> tuple[tuple[int, ...], tuple, bool]:
     """The tables `_xor_select` reads for `vectors`: the vectors in order,
-    and per selector byte a pair of subset tables, low nibble first.  With
-    `combine=operator.add` they are the tables of its adding sibling,
-    `_sum_select`.
+    the subset tables of each selector byte, and whether those are
+    byte-wide.  With `combine=operator.add` they are the tables of its
+    adding sibling, `_sum_select`.
 
-    Each group of 4 consecutive vectors a, b, c, d gets a table of the
-    combinations of its 16 subsets, entry s combining the vectors at the
-    set bits of s (the "Four Russians" table of Arlazarov, Dinic, Kronrod
-    and Faradzev), built with 11 combinations; the vector list is padded
-    with zeros to whole bytes.  The group width is fixed: tables of 8
-    vectors would hold 8 times as many entries for half the lookups.
+    Each group of consecutive vectors gets a table of the combinations of
+    its subsets, entry s combining the vectors at the set bits of s (the
+    "Four Russians" table of Arlazarov, Dinic, Kronrod and Faradzev), built
+    by doubling: each vector of the group combined with every entry so
+    far; the vector list is padded with zeros to whole bytes.  The group
+    width follows one rule: 8 vectors, one 256-entry table per selector
+    byte, while every vector is at most `_BYTE_TABLE_BITS` wide and the
+    tables take at most `_BYTE_TABLE_BYTES`; otherwise 4, a pair of
+    16-entry tables per byte, low nibble first, 8 times fewer entries for
+    twice the lookups.
     """
     vecs = tuple(vectors)
+    padded = vecs + (0,) * (-len(vecs) % 8)
+    width = max(map(int.bit_length, vecs), default=0)
+    entry_bytes = 32 + 4 * (width // 30 + 1)
+    wide = width <= _BYTE_TABLE_BITS and 32 * len(padded) * entry_bytes <= _BYTE_TABLE_BYTES
+    group = 8 if wide else 4
     tables = []
-    for a, b, c, d in zip(*[iter(vecs + (0,) * (-len(vecs) % 8))] * 4):
-        ab, cd = combine(a, b), combine(c, d)
-        tables.append(
-            (0, a, b, ab, c, combine(a, c), combine(b, c), combine(ab, c))
-            + (d, combine(a, d), combine(b, d), combine(ab, d))
-            + (cd, combine(a, cd), combine(b, cd), combine(ab, cd))
-        )
-    return vecs, tuple(zip(tables[::2], tables[1::2]))
+    for start in range(0, len(padded), group):
+        table = [0]
+        for v in padded[start : start + group]:
+            size = len(table)
+            table += [combine(entry, v) for entry in table]
+            table[size] = v  # v itself, not the copy combine(0, v) made
+        tables.append(tuple(table))
+    return vecs, tuple(tables) if wide else tuple(zip(tables[::2], tables[1::2])), wide
 
 
 def _xor_select(tables, bits: int) -> int:
@@ -627,21 +650,27 @@ def _xor_select(tables, bits: int) -> int:
 
     This is the package's one "XOR the vectors at a word's set bits": the
     decoders' syndromes and lanes, random codewords and the codeword test.
-    A word reads two subset-table lookups per nonzero byte.  A word with
-    fewer set bits than half its bytes, such as a low-weight error
-    pattern, XORs its vectors one by one instead: a walk over every byte
-    would cost it more.  `bits` must be nonnegative and select no vector
-    beyond the last.
+    A word reads one subset-table lookup per nonzero byte from byte-wide
+    tables, two from nibble pairs.  A word with fewer set bits than half
+    its bytes, such as a low-weight error pattern, XORs its vectors one by
+    one instead: a walk over every byte would cost it more.  `bits` must be
+    nonnegative and select no vector beyond the last.
     """
-    vectors, pairs = tables
+    vectors, per_byte, wide = tables
     acc = 0
-    if 2 * bits.bit_count() < len(pairs):
+    if 2 * bits.bit_count() < len(per_byte):
         while bits:
             low = bits & -bits
             acc ^= vectors[low.bit_length() - 1]
             bits ^= low
         return acc
-    for (lo, hi), b in zip(pairs, bits.to_bytes(len(pairs), "little")):
+    selector = bits.to_bytes(len(per_byte), "little")
+    if wide:
+        for table, b in zip(per_byte, selector):
+            if b:
+                acc ^= table[b]
+        return acc
+    for (lo, hi), b in zip(per_byte, selector):
         if b:
             acc ^= lo[b & 15] ^ hi[b >> 4]
     return acc
@@ -650,17 +679,25 @@ def _xor_select(tables, bits: int) -> int:
 def _sum_select(tables, bits: int) -> int:
     """Sum of the vectors at the set bits of `bits`, from their
     `_xor_tables(vectors, combine=operator.add)`: `_xor_select` with
-    addition, by the same lookups and the same rule for a sparse word.
-    The decoders' count-table vote adds its spread check rows with it."""
-    vectors, pairs = tables
+    addition, by the same lookups on the same layout the table rule picks
+    (one per nonzero byte of byte-wide tables, two of nibble pairs) and
+    the same rule for a sparse word.  The decoders' count-table vote adds
+    its spread check rows with it."""
+    vectors, per_byte, wide = tables
     acc = 0
-    if 2 * bits.bit_count() < len(pairs):
+    if 2 * bits.bit_count() < len(per_byte):
         while bits:
             low = bits & -bits
             acc += vectors[low.bit_length() - 1]
             bits ^= low
         return acc
-    for (lo, hi), b in zip(pairs, bits.to_bytes(len(pairs), "little")):
+    selector = bits.to_bytes(len(per_byte), "little")
+    if wide:
+        for table, b in zip(per_byte, selector):
+            if b:
+                acc += table[b]
+        return acc
+    for (lo, hi), b in zip(per_byte, selector):
         if b:
             acc += lo[b & 15] + hi[b >> 4]
     return acc

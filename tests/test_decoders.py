@@ -1021,6 +1021,27 @@ def test_the_rule_puts_each_benchmark_decoder_on_its_kernel(benchmark_decoders, 
     assert _kernel_name(dec) == kernel
 
 
+@pytest.mark.parametrize(
+    "name,vector_bits",
+    [("onestep-subspace", 8001), ("twostep-subspace", 18288), ("twostep-q4", 2142)],
+)
+def test_the_table_rule_picks_each_benchmark_layout(benchmark_decoders, name, vector_bits):
+    # `field._xor_tables`' rule: byte-wide tables (one 256-entry table per
+    # selector byte) for the count table's sums and every code's codeword
+    # and basis tables, all at most 1024 bits wide; nibble pairs for the
+    # one-step slot lanes and the two-step member vectors, which are wider
+    dec, _ = benchmark_decoders[name]
+    code = dec.code
+    xored = dec._syndrome_tables if name == "onestep-subspace" else dec._member_tables
+    assert (max(map(int.bit_length, xored[0])), xored[2]) == (vector_bits, False)
+    for tables in (code._codeword_tables, code._basis_tables):
+        assert max(map(int.bit_length, tables[0])) <= code.n and tables[2] is True
+    if name == "twostep-q4":
+        F, sums = _count_table_sums(dec._kernel)
+        assert (len(sums[0]), F * dec.n, sums[2]) == (357, 510, True)
+        assert {len(table) for table in sums[1]} == {256}
+
+
 @pytest.mark.parametrize("name", ["onestep-subspace", "twostep-subspace", "twostep-q4"])
 def test_both_kernels_flip_alike_on_the_benchmark_decoders(benchmark_decoders, name):
     # uniform vectors put U_j around half_j at every position; sparse ones

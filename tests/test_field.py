@@ -1,11 +1,13 @@
 import itertools
 import random
 import time
-from operator import add
+from operator import add, xor
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from designcodes import field
 from designcodes.field import (
     FieldCtx,
     PrimeMatrix,
@@ -298,32 +300,100 @@ def xor_cases(draw):
     return vectors, bits
 
 
+# examples on each side of the table rule's bounds and of the per-bit
+# path: vectors of 1024 bits (byte-wide) and of 1025 (nibble pairs); 760
+# vectors of 1024 bits, whose byte-wide tables fit the 4 MiB cap, and 761,
+# whose tables would not; 7 and 8 set bits over 16 selector bytes, the
+# last count below half the bytes and the first at it
+_AT_WIDTH = [(1 << 1023) | i for i in range(9)]
+_PAST_WIDTH = [(1 << 1024) | i for i in range(9)]
+_AT_CAP = [(1 << 1023) | i << 500 | i for i in range(760)]
+_PAST_CAP = _AT_CAP + [1 << 1023]
+_SPREAD = [3 << i for i in range(128)]
+_EDGE_EXAMPLES = [
+    ([], 0),
+    ([5], 1),
+    ([1, 2, 4], 0b101),
+    ([3] * 8, 0b10000000),
+    ([1 << i for i in range(9)], 0b111111111),
+    ([7] * 140, (1 << 140) - 1),
+    (_AT_WIDTH, 0b110110101),
+    (_PAST_WIDTH, 0b110110101),
+    (_AT_CAP, (1 << 760) - 1 - (1 << 333)),
+    (_PAST_CAP, (1 << 761) - 1 - (1 << 333)),
+    (_SPREAD, sum(1 << 17 * i for i in range(7))),
+    (_SPREAD, sum(1 << 15 * i for i in range(8))),
+]
+
+
+def with_examples(cases):
+    """Decorate a hypothesis test with every case of `cases` as an example."""
+
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+def layout_tables(vectors, combine, layout):
+    """`_xor_tables` of `vectors` under the table rule ("rule") or with its
+    size cap at 0, which leaves nibble pairs for any vector ("nibbles"),
+    and checks their layout: one table per selector byte, 256 entries
+    each if byte-wide, else a pair of 16-entry tables."""
+    cap = field._BYTE_TABLE_BYTES if layout == "rule" else 0
+    with mock.patch.object(field, "_BYTE_TABLE_BYTES", cap):
+        tables = _xor_tables(iter(vectors), combine)
+    vecs, per_byte, wide = tables
+    assert vecs == tuple(vectors) and len(per_byte) == -(-len(vectors) // 8)
+    assert {len(table) for table in per_byte} <= ({256} if wide else {2})
+    if not wide:
+        assert {len(half) for pair in per_byte for half in pair} <= {16}
+    if layout == "nibbles":
+        assert not wide or not vectors
+    return tables
+
+
 @settings(max_examples=200, deadline=None)
 @given(xor_cases())
-@example(([], 0))
-@example(([5], 1))
-@example(([1, 2, 4], 0b101))
-@example(([3] * 8, 0b10000000))
-@example(([1 << i for i in range(9)], 0b111111111))
-@example(([7] * 140, (1 << 140) - 1))
+@with_examples(_EDGE_EXAMPLES)
 def test_xor_select_matches_the_bit_loop(case):
-    # the one kernel against the per-bit loop it replaced (tests/oracles.py)
+    # the one kernel against the per-bit loop it replaced (tests/oracles.py),
+    # on the layout the table rule picks and on nibble pairs
     vectors, bits = case
-    tables = _xor_tables(iter(vectors))
-    assert tables[0] == tuple(vectors) and len(tables[1]) == -(-len(vectors) // 8)
-    assert _xor_select(tables, bits) == xor_columns(vectors, bits)
+    for layout in ("rule", "nibbles"):
+        tables = layout_tables(vectors, xor, layout)
+        assert _xor_select(tables, bits) == xor_columns(vectors, bits)
 
 
 @settings(max_examples=200, deadline=None)
 @given(xor_cases())
-@example(([], 0))
-@example(([5], 1))
-@example(([3] * 8, 0b10000000))
-@example(([7] * 140, (1 << 140) - 1))
+@with_examples(_EDGE_EXAMPLES)
 def test_sum_select_matches_the_bit_loop(case):
-    # the adding sibling of `_xor_select`, over the same layout of tables
+    # the adding sibling of `_xor_select`, over the same layouts of tables
     # built by addition, against a plain sum of the selected vectors
     vectors, bits = case
-    tables = _xor_tables(iter(vectors), add)
-    assert tables[0] == tuple(vectors) and len(tables[1]) == -(-len(vectors) // 8)
-    assert _sum_select(tables, bits) == sum(v for i, v in enumerate(vectors) if bits >> i & 1)
+    total = sum(v for i, v in enumerate(vectors) if bits >> i & 1)
+    for layout in ("rule", "nibbles"):
+        assert _sum_select(layout_tables(vectors, add, layout), bits) == total
+
+
+@pytest.mark.parametrize(
+    "vectors,wide",
+    [
+        ([], True),
+        ([1] * 140, True),
+        ([(1 << 200) - 1] * 140, True),
+        (_AT_WIDTH, True),
+        (_PAST_WIDTH, False),
+        (_AT_CAP, True),
+        (_PAST_CAP, False),
+    ],
+    ids=["empty", "one-bit", "200-bit", "1024-bit", "1025-bit", "760-at-cap", "761-past-cap"],
+)
+def test_the_table_rule_keeps_byte_tables_narrow_and_small(vectors, wide):
+    # one 256-entry table per selector byte while every vector is at most
+    # 1024 bits wide and the tables fit 4 MiB, else nibble pairs
+    assert (field._BYTE_TABLE_BITS, field._BYTE_TABLE_BYTES) == (1024, 4 << 20)
+    assert layout_tables(vectors, xor, "rule")[2] is wide
