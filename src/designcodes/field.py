@@ -49,9 +49,10 @@ by byte lookups in tables of subset XORs (`_xor_tables`): the decoders'
 syndromes and lanes over their columns, and a code's random codewords and
 codeword test over its nullspace basis.  One rule sets the tables' layout:
 one 256-entry table per selector byte for narrow vectors, a pair of
-16-entry tables per byte for wide ones.  `_sum_select` is its adding
-sibling, over the same tables built by addition: the decoders'
-count-table vote.
+16-entry tables per byte for wide ones.  A sparse word reads its vectors
+one by one instead, below a cut-over set by the layout and the selector's
+byte count.  `_sum_select` is its adding sibling, over the same tables
+built by addition: the decoders' count-table vote.
 
 The matrix and design file loaders share one opening (`_parse_file`: the
 comment rule `_strip_lines`, the refusal of an empty file and the header
@@ -644,6 +645,21 @@ def _xor_tables(
     return vecs, tuple(tables) if wide else tuple(zip(tables[::2], tables[1::2])), wide
 
 
+# The sparse cut-over of `_xor_select` and `_sum_select`: a word whose set
+# bits number fewer than 4 + its selector bytes // 8 over byte-wide tables,
+# or 4 + its selector bytes // 2 over nibble pairs, reads its vectors one
+# by one; any other walks its selector bytes.  Fitted to in-process
+# crossovers of the two paths on the benchmark decoders' tables and four
+# line codes (BENCH_sparse_cut.json), 8 to 101 selector bytes and 1 to 22
+# set bits: wherever one path was more than 10% faster, the rule's pick is
+# within 10% of it.  A nibble-pair walk pays two lookups per byte, so it
+# wins only at denser words; the `twostep-q4` count sums (45 bytes) walk
+# from 9 set bits, its member vectors (11 bytes) from 9, and the one-step
+# slot lanes (16 bytes) from 12.
+_SPARSE_BITS = 4
+_SPARSE_SHIFT = (1, 3)  # by `wide`: nibble pairs, byte-wide
+
+
 def _xor_select(tables, bits: int) -> int:
     """XOR of the vectors at the set bits of `bits` (bit i selects vector
     i), from their `_xor_tables`.
@@ -651,14 +667,16 @@ def _xor_select(tables, bits: int) -> int:
     This is the package's one "XOR the vectors at a word's set bits": the
     decoders' syndromes and lanes, random codewords and the codeword test.
     A word reads one subset-table lookup per nonzero byte from byte-wide
-    tables, two from nibble pairs.  A word with fewer set bits than half
-    its bytes, such as a low-weight error pattern, XORs its vectors one by
-    one instead: a walk over every byte would cost it more.  `bits` must be
-    nonnegative and select no vector beyond the last.
+    tables, two from nibble pairs.  A sparse word, such as a low-weight
+    error pattern, XORs its vectors one by one instead, while its set bits
+    stay below the cut-over of its tables' layout and selector byte count
+    (`_SPARSE_BITS`, `_SPARSE_SHIFT`): a walk over every byte would cost
+    it more.  `bits` must be nonnegative and select no vector beyond the
+    last.
     """
     vectors, per_byte, wide = tables
     acc = 0
-    if 2 * bits.bit_count() < len(per_byte):
+    if bits.bit_count() < _SPARSE_BITS + (len(per_byte) >> _SPARSE_SHIFT[wide]):
         while bits:
             low = bits & -bits
             acc ^= vectors[low.bit_length() - 1]
@@ -681,11 +699,12 @@ def _sum_select(tables, bits: int) -> int:
     `_xor_tables(vectors, combine=operator.add)`: `_xor_select` with
     addition, by the same lookups on the same layout the table rule picks
     (one per nonzero byte of byte-wide tables, two of nibble pairs) and
-    the same rule for a sparse word.  The decoders' count-table vote adds
-    its spread check rows with it."""
+    the same cut-over for a sparse word, which adds its vectors one by
+    one.  The decoders' count-table vote adds its spread check rows with
+    it."""
     vectors, per_byte, wide = tables
     acc = 0
-    if 2 * bits.bit_count() < len(per_byte):
+    if bits.bit_count() < _SPARSE_BITS + (len(per_byte) >> _SPARSE_SHIFT[wide]):
         while bits:
             low = bits & -bits
             acc += vectors[low.bit_length() - 1]

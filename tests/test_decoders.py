@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import sys
 from functools import reduce
 from operator import add, xor
 from pathlib import Path
@@ -1042,10 +1043,39 @@ def test_the_table_rule_picks_each_benchmark_layout(benchmark_decoders, name, ve
         assert {len(table) for table in sums[1]} == {256}
 
 
+def _table_bytes(tables):
+    """The `sys.getsizeof` total of byte-wide `tables`' subset tables: every
+    tuple and every distinct int entry."""
+    _, per_byte, wide = tables
+    assert wide
+    entries = {id(entry): entry for table in per_byte for entry in table}
+    tuples = sys.getsizeof(per_byte) + sum(map(sys.getsizeof, per_byte))
+    return tuples + sum(map(sys.getsizeof, entries.values()))
+
+
+@pytest.mark.parametrize("name", ["onestep-subspace", "twostep-subspace", "twostep-q4"])
+def test_the_table_size_estimate_bounds_the_byte_tables(benchmark_decoders, name):
+    # `field._xor_tables` picks the layout from an estimate of 32 + 4 bytes
+    # per 30-bit digit per entry; on the benchmark decoders' byte-wide
+    # tables (the `twostep-q4` count sums, about 1.08 MB, and every code's
+    # codeword and basis tables) it is at least what the tables hold
+    dec, _ = benchmark_decoders[name]
+    sets = [dec.code._codeword_tables, dec.code._basis_tables]
+    if name == "twostep-q4":
+        sets.append(_count_table_sums(dec._kernel)[1])
+    for tables in sets:
+        vectors = tables[0]
+        width = max(map(int.bit_length, vectors))
+        estimate = 256 * -(-len(vectors) // 8) * (32 + 4 * (width // 30 + 1))
+        assert _table_bytes(tables) <= estimate
+
+
 @pytest.mark.parametrize("name", ["onestep-subspace", "twostep-subspace", "twostep-q4"])
 def test_both_kernels_flip_alike_on_the_benchmark_decoders(benchmark_decoders, name):
     # uniform vectors put U_j around half_j at every position; sparse ones
-    # take `_sum_select`'s per-vector path; the XOR of a few columns flips
+    # of 1 to 39 bits take `_sum_select`'s per-vector path below its
+    # cut-over (9 set bits over the 45 selector bytes of the `twostep-q4`
+    # sums) and walk its bytes from there; the XOR of a few columns flips
     # their positions
     dec, rows = benchmark_decoders[name]
     rng = random.Random(7)

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import time
 from operator import add, xor
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -300,16 +302,27 @@ def xor_cases(draw):
     return vectors, bits
 
 
-# examples on each side of the table rule's bounds and of the per-bit
-# path: vectors of 1024 bits (byte-wide) and of 1025 (nibble pairs); 760
-# vectors of 1024 bits, whose byte-wide tables fit the 4 MiB cap, and 761,
-# whose tables would not; 7 and 8 set bits over 16 selector bytes, the
-# last count below half the bytes and the first at it
+def spread_bits(count, step):
+    """`count` set bits `step` apart, each in a selector byte of its own
+    while `step` is at least 8."""
+    return sum(1 << step * i for i in range(count))
+
+
+# examples on each side of the table rule's bounds and of the sparse
+# cut-over: vectors of 1024 bits (byte-wide) and of 1025 (nibble pairs);
+# 760 vectors of 1024 bits, whose byte-wide tables fit the 4 MiB cap, and
+# 761, whose tables would not.  Each selector runs on byte-wide tables and
+# on nibble pairs, whose cut-overs sit at 4 + bytes // 8 and 4 + bytes // 2
+# set bits: over 16 selector bytes, 5 and 6 set bits on each side of the
+# byte-wide one and 11 and 12 of the nibble-pair one, with 7 and 8 between
+# them (a byte walk byte-wide, one vector at a time on nibble pairs); over
+# 45 bytes, the width of the `twostep-q4` count sums, 8 and 9, and 25 and 26
 _AT_WIDTH = [(1 << 1023) | i for i in range(9)]
 _PAST_WIDTH = [(1 << 1024) | i for i in range(9)]
 _AT_CAP = [(1 << 1023) | i << 500 | i for i in range(760)]
 _PAST_CAP = _AT_CAP + [1 << 1023]
 _SPREAD = [3 << i for i in range(128)]
+_SPREAD_45 = [3 << i for i in range(360)]
 _EDGE_EXAMPLES = [
     ([], 0),
     ([5], 1),
@@ -321,8 +334,16 @@ _EDGE_EXAMPLES = [
     (_PAST_WIDTH, 0b110110101),
     (_AT_CAP, (1 << 760) - 1 - (1 << 333)),
     (_PAST_CAP, (1 << 761) - 1 - (1 << 333)),
-    (_SPREAD, sum(1 << 17 * i for i in range(7))),
-    (_SPREAD, sum(1 << 15 * i for i in range(8))),
+    (_SPREAD, spread_bits(7, 17)),
+    (_SPREAD, spread_bits(8, 15)),
+    (_SPREAD, spread_bits(5, 19)),
+    (_SPREAD, spread_bits(6, 19)),
+    (_SPREAD, spread_bits(11, 10)),
+    (_SPREAD, spread_bits(12, 10)),
+    (_SPREAD_45, spread_bits(8, 40)),
+    (_SPREAD_45, spread_bits(9, 40)),
+    (_SPREAD_45, spread_bits(25, 13)),
+    (_SPREAD_45, spread_bits(26, 13)),
 ]
 
 
@@ -377,6 +398,55 @@ def test_sum_select_matches_the_bit_loop(case):
     total = sum(v for i, v in enumerate(vectors) if bits >> i & 1)
     for layout in ("rule", "nibbles"):
         assert _sum_select(layout_tables(vectors, add, layout), bits) == total
+
+
+def reads_vectors_one_by_one(wide, nbytes, set_bits):
+    """Whether `_xor_select` and `_sum_select` read a word of `set_bits`
+    set bits over `nbytes` selector bytes one vector at a time, on tables
+    of the layout `wide`: over the vectors 1 << i and all-zero subset
+    tables, that path returns the word and a byte walk returns 0."""
+    vectors = tuple(1 << i for i in range(8 * nbytes))
+    per_byte = ((0,) * 256 if wide else ((0,) * 16,) * 2,) * nbytes
+    word = spread_bits(set_bits, 8 * nbytes // set_bits)
+    assert word.bit_count() == set_bits
+    picks = {_xor_select((vectors, per_byte, wide), word), _sum_select((vectors, per_byte, wide), word)}
+    assert picks in ({word}, {0})
+    return picks == {word}
+
+
+@pytest.mark.parametrize(
+    "wide,nbytes,cut",
+    [(True, 3, 4), (True, 11, 5), (True, 16, 6), (True, 45, 9), (True, 101, 16)]
+    + [(False, 8, 8), (False, 11, 9), (False, 16, 12), (False, 45, 26)],
+)
+def test_the_sparse_cut_over_reads_the_layout_and_the_selector_bytes(wide, nbytes, cut):
+    # one vector at a time below 4 + bytes // 8 set bits on byte-wide
+    # tables and 4 + bytes // 2 on nibble pairs, a byte walk from there
+    assert (field._SPARSE_BITS, field._SPARSE_SHIFT) == (4, (1, 3))
+    assert reads_vectors_one_by_one(wide, nbytes, cut - 1)
+    assert not reads_vectors_one_by_one(wide, nbytes, cut)
+
+
+BENCH_SPARSE_CUT = Path(__file__).resolve().parents[1] / "BENCH_sparse_cut.json"
+
+
+def test_the_sparse_cut_over_picks_within_10_percent_of_the_measured_faster_path():
+    # the committed in-process crossovers, microseconds per select of each
+    # path on the benchmark decoders' tables and four line codes: wherever
+    # one path led by more than 10%, the path the cut-over picks is within
+    # 10% of it; both paths lead somewhere on both layouts
+    table_sets = json.loads(BENCH_SPARSE_CUT.read_text())["crossovers"]["table_sets"]
+    leads = set()
+    for row in table_sets:
+        wide = row["layout"] == "byte-wide"
+        for point in row["points"]:
+            per_bit, walk = point["per_bit_us"], point["walk_us"]
+            one_by_one = reads_vectors_one_by_one(wide, row["selector_bytes"], point["set_bits"])
+            picked = per_bit if one_by_one else walk
+            assert picked <= 1.1 * min(per_bit, walk), (row["table_set"], point)
+            if max(per_bit, walk) > 1.1 * min(per_bit, walk):
+                leads.add((wide, per_bit < walk))
+    assert leads == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize(
